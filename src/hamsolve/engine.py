@@ -27,10 +27,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceWarning, RangeError, SingularSystemError
 from .expressions import LinearOperator, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
-from .jets import frechet_at_reference, jet_expand, series_jets
-from .problem import HamConfig, ProblemSpec, SeriesSolution
-
-DIVERGENCE_STREAK = 3
+from .jets import SeriesTape, frechet_at_reference
+from .problem import DIVERGENCE_STREAK, HamConfig, ProblemSpec, SeriesSolution, series_diverges
 
 
 def _grid_values(expr, grid: Grid) -> np.ndarray:
@@ -70,24 +68,23 @@ class Workspace:
             )
         return u0
 
-    def nonlinear_coefficients(self, orders: Sequence[np.ndarray]) -> np.ndarray:
-        """Taylor rows of N applied to the series, shape (len(orders), n)."""
-        depth = len(orders)
-        jets = series_jets(self.grid, orders, self.problem.N)
-        return jet_expand(self.problem.N, self.grid.nodes, jets, depth)
+    def _rhs(self, m: int, u_prev: np.ndarray, forcing: np.ndarray, hbar: float) -> np.ndarray:
+        """rhs_m from u_{m-1} and forcing = D_{m-1}[N] (module docstring)."""
+        chi = 0.0 if m == 1 else 1.0
+        t = self.A_L @ u_prev
+        if m == 1:
+            forcing = forcing - self.s_vals
+        return (hbar * self.H_vals + chi) * t + hbar * (self.H_vals * forcing)
 
     def mth_order_rhs(self, m: int, orders: Sequence[np.ndarray], hbar: float) -> np.ndarray:
         if m < 1:
             raise RangeError(f"order-m right-hand side needs m >= 1, got {m}")
         if len(orders) < m:
             raise RangeError(f"need orders u_0..u_{m-1} to form rhs_{m}, got {len(orders)}")
-        u_prev = self.grid.check_length(orders[m - 1])
-        chi = 0.0 if m == 1 else 1.0
-        t = self.A_L @ u_prev
-        forcing = self.nonlinear_coefficients(orders[:m])[m - 1]
-        if m == 1:
-            forcing = forcing - self.s_vals
-        return (hbar * self.H_vals + chi) * t + hbar * (self.H_vals * forcing)
+        tape = SeriesTape(self.problem.N, self.grid, m)
+        for u in orders[:m]:
+            forcing = tape.push(u)
+        return self._rhs(m, self.grid.check_length(orders[m - 1]), forcing, hbar)
 
     def run(self, hbar: Optional[float] = None, order: Optional[int] = None) -> SeriesSolution:
         hbar = self.config.hbar if hbar is None else float(hbar)
@@ -97,30 +94,21 @@ class Workspace:
         if order < 0:
             raise ConfigError(f"truncation order must be >= 0, got {order}")
         homogeneous = np.zeros(len(self.problem.bcs))
+        # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
+        tape = SeriesTape(self.problem.N, self.grid, order)
         orders = [self.u0]
         norms = [float(np.max(np.abs(self.u0)))]
         running = self.u0.copy()
         history = [self.squared_residual(running)]
-        streak = 0
-        diverged = False
-        # Growth is judged over the nonzero norms only.  At special hbar
-        # values whole orders cancel exactly (tanh at hbar = -1 has even
-        # orders identically zero); a zero term says nothing about growth
-        # and must not reset the streak.
-        last_nonzero = norms[0] if norms[0] > 0.0 else None
         for m in range(1, order + 1):
-            rhs = self.mth_order_rhs(m, orders, hbar)
+            u_prev = orders[-1]
+            rhs = self._rhs(m, u_prev, tape.push(u_prev), hbar)
             um = self.lopt.solve(rhs, bc_values=homogeneous)
             orders.append(um)
             norms.append(float(np.max(np.abs(um))))
             running = running + um
             history.append(self.squared_residual(running))
-            if norms[-1] > 0.0:
-                if last_nonzero is not None:
-                    streak = streak + 1 if norms[-1] > last_nonzero else 0
-                last_nonzero = norms[-1]
-            if streak >= DIVERGENCE_STREAK:
-                diverged = True
+        diverged = series_diverges(norms)
         cfg = self.config.with_hbar(hbar).with_order(order)
         if diverged:
             warnings.warn(

@@ -26,12 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import DIVERGENCE_STREAK, run_ham, squared_residual
+from .engine import run_ham, squared_residual
 from .errors import ConfigError, DivergenceWarning
 from .expressions import Const, eval_expr
 from .grids import BcSystem, assemble_linear
 from .jets import jet_expand, series_jets
-from .problem import HamConfig, ProblemSpec, SeriesSolution
+from .problem import HamConfig, ProblemSpec, SeriesSolution, series_diverges
 
 REDUCED_HBAR = -1.0
 
@@ -81,18 +81,12 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     for w in orders:
         running = running + w
         history.append(squared_residual(problem, running, grid))
-    streak = 0
-    diverged = False
-    for m in range(1, len(norms)):
-        streak = streak + 1 if norms[m] > norms[m - 1] else 0
-        if streak >= DIVERGENCE_STREAK:
-            diverged = True
     return SeriesSolution(
         orders=tuple(orders),
         config=hpm_config(problem, order),
         per_order_norms=tuple(norms),
         residual_history=tuple(history),
-        diverged=diverged,
+        diverged=series_diverges(norms),
     )
 
 

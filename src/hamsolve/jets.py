@@ -9,6 +9,10 @@ Analytic functions are propagated by the standard coefficient recurrences
 compositions whose constant term violates a domain restriction raise
 DomainError. Two-row jets double as forward-mode dual numbers, which is how
 the directional (Fréchet) derivative of an expression is computed.
+
+Every recurrence is a node of a ``Tape`` that fills one Taylor row at a
+time. The batch functions fill all rows at once; the series engine extends
+a ``SeriesTape`` by one row per order (docs/recursions.md, "Online jets").
 """
 
 from __future__ import annotations
@@ -34,112 +38,259 @@ from .grids import Grid, assemble_linear
 
 def constant_jet(value, depth: int, width: int) -> np.ndarray:
     out = np.zeros((depth, width))
-    out[0] = value
+    out[:1] = value
+    return out
+
+
+class Tape:
+    """Jet recurrences of one expression, in evaluation order.
+
+    Every node method appends one recurrence and returns the node's row
+    buffer of shape (depth, width). ``step(m)`` fills row m of every node,
+    children first; a node's row m reads only rows <= m of its inputs and
+    rows < m of its own buffers. So a tape can be extended online, one row
+    per order, as the inputs' rows arrive; ``fill`` is the batch form.
+    Each recurrence lives here once, and the public ``jet_*`` functions
+    are one-node tapes filled at once.
+    """
+
+    def __init__(self):
+        self._rows = []
+
+    def step(self, m: int) -> None:
+        for row in self._rows:
+            row(m)
+
+    def fill(self, depth: int) -> None:
+        for m in range(depth):
+            self.step(m)
+
+    def sum(self, terms) -> np.ndarray:
+        first, rest = terms[0], terms[1:]
+        out = np.empty_like(first)
+
+        def row(m):
+            out[m] = first[m]
+            for t in rest:
+                out[m] += t[m]
+
+        self._rows.append(row)
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Truncated Cauchy product."""
+        out = np.empty_like(a)
+
+        def row(m):
+            out[m] = np.einsum("ij,ij->j", a[: m + 1], b[m::-1])
+
+        self._rows.append(row)
+        return out
+
+    def reciprocal(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+
+        def row(m):
+            if m == 0:
+                if np.any(v[0] == 0.0):
+                    raise DomainError("reciprocal of a jet with zero constant term")
+                out[0] = 1.0 / v[0]
+                return
+            acc = np.einsum("ij,ij->j", v[1 : m + 1], out[m - 1 :: -1])
+            out[m] = -acc / v[0]
+
+        self._rows.append(row)
+        return out
+
+    def power(self, u: np.ndarray, exponent: float) -> np.ndarray:
+        if float(exponent).is_integer():
+            k = int(exponent)
+            if k < 0:
+                return self.reciprocal(self.power(u, -k))
+            out = None
+            base = u
+            while k:  # exponentiation by squaring keeps integer powers exact-ish
+                if k & 1:
+                    out = base if out is None else self.mul(out, base)
+                k >>= 1
+                if k:
+                    base = self.mul(base, base)
+            return constant_jet(1.0, *u.shape) if out is None else out
+        out = np.zeros_like(u)
+
+        def row(m):
+            if m == 0:
+                if np.any(u[0] <= 0.0):
+                    raise DomainError(
+                        f"non-integer power {exponent} of a jet needs a strictly "
+                        "positive constant term"
+                    )
+                out[0] = u[0] ** exponent
+                return
+            # from u w' = rho u' w: m u0 w_m = sum_k (rho k - (m-k)) u_k w_{m-k}
+            ks = np.arange(1, m + 1)
+            coeff = exponent * ks - (m - ks)
+            acc = np.einsum("i,ij,ij->j", coeff, u[1 : m + 1], out[m - 1 :: -1])
+            out[m] = acc / (m * u[0])
+
+        self._rows.append(row)
+        return out
+
+    def exp(self, u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+
+        def row(m):
+            if m == 0:
+                out[0] = np.exp(u[0])
+                return
+            ks = np.arange(1, m + 1, dtype=float)
+            out[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], out[m - 1 :: -1]) / m
+
+        self._rows.append(row)
+        return out
+
+    def log(self, u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+
+        def row(m):
+            if m == 0:
+                if np.any(u[0] <= 0.0):
+                    raise DomainError("log of a jet needs a strictly positive constant term")
+                out[0] = np.log(u[0])
+                return
+            acc = m * u[m]
+            if m > 1:
+                js = np.arange(1, m, dtype=float)
+                # sum_j (m-j) u_j w_{m-j} over j = 1..m-1
+                acc = acc - np.einsum("i,ij,ij->j", (m - js), u[1:m], out[m - 1 : 0 : -1])
+            out[m] = acc / (m * u[0])
+
+        self._rows.append(row)
+        return out
+
+    def sin_cos(self, u: np.ndarray):
+        s = np.zeros_like(u)
+        c = np.zeros_like(u)
+
+        def row(m):
+            if m == 0:
+                s[0] = np.sin(u[0])
+                c[0] = np.cos(u[0])
+                return
+            ks = np.arange(1, m + 1, dtype=float)
+            du = u[1 : m + 1]
+            s[m] = np.einsum("i,ij,ij->j", ks, du, c[m - 1 :: -1]) / m
+            c[m] = -np.einsum("i,ij,ij->j", ks, du, s[m - 1 :: -1]) / m
+
+        self._rows.append(row)
+        return s, c
+
+    def tanh(self, u: np.ndarray) -> np.ndarray:
+        t = np.zeros_like(u)
+        g = np.zeros_like(u)  # g = 1 - t^2, filled alongside t
+
+        def row(m):
+            if m == 0:
+                t[0] = np.tanh(u[0])
+                g[0] = 1.0 - t[0] ** 2
+                return
+            ks = np.arange(1, m + 1, dtype=float)
+            t[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], g[m - 1 :: -1]) / m
+            g[m] = -np.einsum("ij,ij->j", t[: m + 1], t[m::-1])
+
+        self._rows.append(row)
+        return t
+
+    def lower(self, expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> np.ndarray:
+        """Append the nodes of ``expr``; returns the root's row buffer.
+
+        ``u_jets`` maps each referenced u-derivative order to its jet of
+        shape (depth, width). The tape reads their rows as it steps, so an
+        online caller may fill row m just before ``step(m)``.
+        """
+        width = r.shape[0]
+
+        def rec(node):
+            if isinstance(node, Const):
+                return constant_jet(node.value, depth, width)
+            if isinstance(node, Coord):
+                return constant_jet(r, depth, width)
+            if isinstance(node, U):
+                if node.order not in u_jets:
+                    raise ConfigError(
+                        f"no jet supplied for u derivative order {node.order}"
+                    )
+                jet = np.asarray(u_jets[node.order], dtype=float)
+                if jet.shape != (depth, width):
+                    raise ConfigError(
+                        f"jet for order {node.order} has shape {jet.shape}, "
+                        f"expected {(depth, width)}"
+                    )
+                return jet
+            if isinstance(node, Sum):
+                return self.sum([rec(t) for t in node.terms])
+            if isinstance(node, Product):
+                acc = rec(node.factors[0])
+                for f in node.factors[1:]:
+                    acc = self.mul(acc, rec(f))
+                return acc
+            if isinstance(node, Power):
+                return self.power(rec(node.base), node.exponent)
+            if isinstance(node, Call):
+                arg = rec(node.arg)
+                if node.name == "sin":
+                    return self.sin_cos(arg)[0]
+                if node.name == "cos":
+                    return self.sin_cos(arg)[1]
+                if node.name == "exp":
+                    return self.exp(arg)
+                if node.name == "log":
+                    return self.log(arg)
+                if node.name == "tanh":
+                    return self.tanh(arg)
+                if node.name == "sqrt":
+                    return self.power(arg, 0.5)
+            raise TypeError(f"not an expression node: {node!r}")
+
+        return rec(expr)
+
+
+def _filled(node, u: np.ndarray, *args):
+    """Batch form of one tape node: all of u's rows at once."""
+    tape = Tape()
+    out = node(tape, u, *args)
+    tape.fill(u.shape[0])
     return out
 
 
 def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product."""
-    depth = a.shape[0]
-    out = np.empty_like(a)
-    for m in range(depth):
-        out[m] = np.einsum("ij,ij->j", a[: m + 1], b[m::-1])
-    return out
+    return _filled(Tape.mul, a, b)
 
 
 def jet_reciprocal(v: np.ndarray) -> np.ndarray:
-    if np.any(v[0] == 0.0):
-        raise DomainError("reciprocal of a jet with zero constant term")
-    out = np.zeros_like(v)
-    out[0] = 1.0 / v[0]
-    for m in range(1, v.shape[0]):
-        acc = np.einsum("ij,ij->j", v[1 : m + 1], out[m - 1 :: -1])
-        out[m] = -acc / v[0]
-    return out
+    return _filled(Tape.reciprocal, v)
 
 
 def jet_power(u: np.ndarray, exponent: float) -> np.ndarray:
-    if float(exponent).is_integer():
-        k = int(exponent)
-        if k < 0:
-            return jet_reciprocal(jet_power(u, -k))
-        out = constant_jet(1.0, *u.shape)
-        base = u
-        while k:  # exponentiation by squaring keeps integer powers exact-ish
-            if k & 1:
-                out = jet_mul(out, base)
-            k >>= 1
-            if k:
-                base = jet_mul(base, base)
-        return out
-    if np.any(u[0] <= 0.0):
-        raise DomainError(
-            f"non-integer power {exponent} of a jet needs a strictly positive "
-            "constant term"
-        )
-    depth = u.shape[0]
-    out = np.zeros_like(u)
-    out[0] = u[0] ** exponent
-    for m in range(1, depth):
-        # from u w' = rho u' w: m u0 w_m = sum_k (rho k - (m-k)) u_k w_{m-k}
-        ks = np.arange(1, m + 1)
-        coeff = exponent * ks - (m - ks)
-        acc = np.einsum("i,ij,ij->j", coeff, u[1 : m + 1], out[m - 1 :: -1])
-        out[m] = acc / (m * u[0])
-    return out
+    out = _filled(Tape.power, u, exponent)
+    return out.copy() if out is u else out  # on a tape, u^1 is u's own buffer
 
 
 def jet_exp(u: np.ndarray) -> np.ndarray:
-    depth = u.shape[0]
-    out = np.zeros_like(u)
-    out[0] = np.exp(u[0])
-    for m in range(1, depth):
-        ks = np.arange(1, m + 1, dtype=float)
-        out[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], out[m - 1 :: -1]) / m
-    return out
+    return _filled(Tape.exp, u)
 
 
 def jet_log(u: np.ndarray) -> np.ndarray:
-    if np.any(u[0] <= 0.0):
-        raise DomainError("log of a jet needs a strictly positive constant term")
-    depth = u.shape[0]
-    out = np.zeros_like(u)
-    out[0] = np.log(u[0])
-    for m in range(1, depth):
-        acc = m * u[m]
-        if m > 1:
-            js = np.arange(1, m, dtype=float)
-            # sum_j (m-j) u_j w_{m-j} over j = 1..m-1
-            acc = acc - np.einsum("i,ij,ij->j", (m - js), u[1:m], out[m - 1 : 0 : -1])
-        out[m] = acc / (m * u[0])
-    return out
+    return _filled(Tape.log, u)
 
 
 def jet_sin_cos(u: np.ndarray):
-    depth = u.shape[0]
-    s = np.zeros_like(u)
-    c = np.zeros_like(u)
-    s[0] = np.sin(u[0])
-    c[0] = np.cos(u[0])
-    for m in range(1, depth):
-        ks = np.arange(1, m + 1, dtype=float)
-        du = u[1 : m + 1]
-        s[m] = np.einsum("i,ij,ij->j", ks, du, c[m - 1 :: -1]) / m
-        c[m] = -np.einsum("i,ij,ij->j", ks, du, s[m - 1 :: -1]) / m
-    return s, c
+    return _filled(Tape.sin_cos, u)
 
 
 def jet_tanh(u: np.ndarray) -> np.ndarray:
-    depth = u.shape[0]
-    t = np.zeros_like(u)
-    g = np.zeros_like(u)  # g = 1 - t^2, filled alongside t
-    t[0] = np.tanh(u[0])
-    g[0] = 1.0 - t[0] ** 2
-    for m in range(1, depth):
-        ks = np.arange(1, m + 1, dtype=float)
-        t[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], g[m - 1 :: -1]) / m
-        g[m] = -np.einsum("ij,ij->j", t[: m + 1], t[m::-1])
-    return t
+    return _filled(Tape.tanh, u)
 
 
 def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> np.ndarray:
@@ -155,55 +306,10 @@ def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> n
         Jet of shape (depth, width); row 0 equals the pointwise evaluation
         of the expression at the jets' constant terms.
     """
-    r = np.asarray(r, dtype=float)
-    width = r.shape[0]
-
-    def rec(node):
-        if isinstance(node, Const):
-            return constant_jet(node.value, depth, width)
-        if isinstance(node, Coord):
-            return constant_jet(r, depth, width)
-        if isinstance(node, U):
-            if node.order not in u_jets:
-                raise ConfigError(
-                    f"no jet supplied for u derivative order {node.order}"
-                )
-            jet = np.asarray(u_jets[node.order], dtype=float)
-            if jet.shape != (depth, width):
-                raise ConfigError(
-                    f"jet for order {node.order} has shape {jet.shape}, "
-                    f"expected {(depth, width)}"
-                )
-            return jet
-        if isinstance(node, Sum):
-            acc = rec(node.terms[0]).copy()
-            for t in node.terms[1:]:
-                acc += rec(t)
-            return acc
-        if isinstance(node, Product):
-            acc = rec(node.factors[0])
-            for f in node.factors[1:]:
-                acc = jet_mul(acc, rec(f))
-            return acc
-        if isinstance(node, Power):
-            return jet_power(rec(node.base), node.exponent)
-        if isinstance(node, Call):
-            arg = rec(node.arg)
-            if node.name == "sin":
-                return jet_sin_cos(arg)[0]
-            if node.name == "cos":
-                return jet_sin_cos(arg)[1]
-            if node.name == "exp":
-                return jet_exp(arg)
-            if node.name == "log":
-                return jet_log(arg)
-            if node.name == "tanh":
-                return jet_tanh(arg)
-            if node.name == "sqrt":
-                return jet_power(arg, 0.5)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(expr)
+    tape = Tape()
+    out = tape.lower(expr, np.asarray(r, dtype=float), u_jets, depth)
+    tape.fill(depth)
+    return out
 
 
 def series_jets(grid: Grid, orders, expr: OperatorExpr) -> dict:
@@ -222,6 +328,34 @@ def series_jets(grid: Grid, orders, expr: OperatorExpr) -> dict:
             jet[m] = om if mat is None else mat @ om
         jets[k] = jet
     return jets
+
+
+class SeriesTape:
+    """Taylor rows of ``expr`` applied to a series fed one order at a time.
+
+    The online counterpart of ``jet_expand`` over ``series_jets``: ``push``
+    takes the next order u_j, forms D_k u_j once for every referenced
+    derivative order k, steps the tape at row j and returns row j of the
+    expression. A run to order M costs O(M) recurrence calls per node
+    instead of O(M^2).
+    """
+
+    def __init__(self, expr: OperatorExpr, grid: Grid, depth: int):
+        self._grid = grid
+        upto = max(max_u_order(expr), 0)
+        self._leaves = {k: np.zeros((depth, grid.n)) for k in range(upto + 1)}
+        self._tape = Tape()
+        self._root = self._tape.lower(expr, grid.nodes, self._leaves, depth)
+        self._next = 0
+
+    def push(self, u: np.ndarray) -> np.ndarray:
+        j = self._next
+        u = self._grid.check_length(u)
+        for k, leaf in self._leaves.items():
+            leaf[j] = u if k == 0 else self._grid.diff_matrix(k) @ u
+        self._tape.step(j)
+        self._next = j + 1
+        return self._root[j]
 
 
 def frechet_apply(expr: OperatorExpr, grid: Grid, base: np.ndarray, direction: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from .grids import BoundaryCondition, Grid, build_grid
 
 LOPT_MODES = ("use-L", "frechet-at-u0", "user")
 
+DIVERGENCE_STREAK = 3
+
 ZERO = Const(0.0)
 
 
@@ -143,3 +145,23 @@ class SeriesSolution:
     @property
     def truncation_order(self) -> int:
         return len(self.orders) - 1
+
+
+def series_diverges(norms) -> bool:
+    """The divergence heuristic on per-order sup norms |u_0|, |u_1|, ...
+
+    True once the norms grow DIVERGENCE_STREAK times in a row. Growth is
+    judged over the nonzero norms only: at special hbar values whole orders
+    cancel exactly (tanh at hbar = -1 has even orders identically zero), and
+    a zero term says nothing about growth, so it must not reset the streak.
+    """
+    streak = 0
+    last = None
+    for norm in norms:
+        if norm > 0.0:
+            if last is not None:
+                streak = streak + 1 if norm > last else 0
+                if streak >= DIVERGENCE_STREAK:
+                    return True
+            last = norm
+    return False

@@ -8,6 +8,8 @@ the closed-form behavior of purely linear problems where every order beyond
 the first must vanish identically.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from hamsolve import (
     squared_residual,
     weak_nonlinearity_ratio,
 )
+from hamsolve.jets import jet_expand, series_jets
 
 TANH = "riccati-tanh-short"
 POISSON = "linear-poisson"
@@ -307,3 +310,72 @@ def test_zero_weight_rejected():
     spec65 = case.spec.with_grid_n(65)
     with pytest.raises(ConfigError):
         Workspace(spec65, HamConfig(H=parse_expr("r - 0.5")))
+
+
+def _batch_recursion(ws, hbar, order):
+    """u_0..u_order with D_{m-1}[N] recomputed in full at every order: the
+    batch jet path the engine ran before its jets went online."""
+    N, grid = ws.problem.N, ws.grid
+    homogeneous = np.zeros(len(ws.problem.bcs))
+    orders = [ws.u0]
+    for m in range(1, order + 1):
+        forcing = jet_expand(N, grid.nodes, series_jets(grid, orders[:m], N), m)[m - 1]
+        if m == 1:
+            forcing = forcing - ws.s_vals
+        chi = 0.0 if m == 1 else 1.0
+        t = ws.A_L @ orders[m - 1]
+        rhs = (hbar * ws.H_vals + chi) * t + hbar * (ws.H_vals * forcing)
+        orders.append(ws.lopt.solve(rhs, bc_values=homogeneous))
+    return orders
+
+
+def _burgers_problem():
+    # u'' + u u' = s with exact sin(pi r): a nonlinearity in u'
+    return ProblemSpec(
+        a=0.0,
+        b=1.0,
+        L=LinearOperator.from_strings(("0", "0", "1")),
+        N=parse_expr("u*u'"),
+        s=parse_expr("-pi^2*sin(pi*r) + pi*sin(pi*r)*cos(pi*r)"),
+        bcs=(
+            BoundaryCondition("left", 0, 0.0),
+            BoundaryCondition("right", 0, 0.0),
+        ),
+    )
+
+
+class TestOnlineJets:
+    @pytest.mark.parametrize("hbar", [-1.0, -0.3])
+    @pytest.mark.parametrize(
+        "problem", [get_case("riccati-tanh-long").spec, _burgers_problem()],
+        ids=["tanh-long", "u*u'"],
+    )
+    def test_run_equals_batch_recursion_bitwise(self, problem, hbar):
+        ws = Workspace(problem, HamConfig(order=40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            sol = ws.run(hbar=hbar)
+        want = _batch_recursion(ws, hbar, 40)
+        assert len(sol.orders) == len(want)
+        for got, ref in zip(sol.orders, want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_einsum_calls_grow_linearly_in_order(self, monkeypatch):
+        # counts, not timings: each order steps every tape node once, so
+        # doubling M doubles the kernel calls (the batch path quadrupled them)
+        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig(hbar=-0.3))
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        counts = []
+        for order in (20, 40):
+            calls.clear()
+            ws.run(order=order)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[1] / counts[0] <= 2.2

@@ -8,6 +8,7 @@ its recursion must not delegate to the engine's.
 
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hamsolve import (
     BoundaryCondition,
     ConfigError,
     Const,
+    DivergenceWarning,
     EquivalenceReport,
     LinearOperator,
     ProblemSpec,
@@ -26,6 +28,7 @@ from hamsolve import (
     hpm_config,
     hpm_recursion,
     parse_expr,
+    run_ham,
 )
 from hamsolve.hpm import REDUCED_HBAR
 
@@ -87,6 +90,17 @@ class TestEquivalence:
         assert report.max_rel_diff == 0.0
         assert len(report.per_order_rel_diff) == 11
         assert report.per_order_rel_diff[0] == 0.0
+
+    @pytest.mark.parametrize("order", [10, 15])
+    @pytest.mark.parametrize("case_id", case_ids())
+    def test_divergence_flags_agree(self, case_id, order):
+        # tanh-long's even orders vanish at hbar = -1; the zero norms must
+        # not reset the oracle's growth streak either
+        spec = get_case(case_id).spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            engine = run_ham(spec, hpm_config(spec, order))
+        assert hpm_recursion(spec, order).diverged == engine.diverged
 
     def test_nonzero_reference_function(self):
         # u = r solves u'' + u^2 = r^2 with u(0) = 0, u(1) = 1; the

@@ -3,18 +3,28 @@
 Polynomial trees are checked against numpy's polynomial algebra (exact
 coefficient manipulation, no recurrences shared with the implementation).
 Transcendental recurrences (exp, log, sin, cos, tanh, real powers) are
-checked against sympy Taylor series computed symbolically per node.
+checked against sympy Taylor series computed symbolically per node. A
+differential test feeds random trees to a tape one row at a time and
+requires the batch rows bitwise.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from hamsolve import (
+    Call,
     ConfigError,
+    Const,
+    Coord,
     DomainError,
     LinearOperator,
+    Power,
+    Product,
+    Sum,
     U,
     build_grid,
     frechet_apply,
@@ -23,6 +33,7 @@ from hamsolve import (
     parse_expr,
 )
 from hamsolve.jets import (
+    Tape,
     constant_jet,
     expr_partials,
     jet_exp,
@@ -113,10 +124,19 @@ class TestAlgebraicIdentities:
         assert np.max(np.abs(ident - want)) < 1e-12
 
     def test_integer_power_is_repeated_mul(self):
+        # the squaring chain starts from u itself, with no constant-1 factor
         u = random_jet(self.rng)
-        np.testing.assert_allclose(
-            jet_power(u, 3.0), jet_mul(u, jet_mul(u, u)), rtol=1e-12, atol=1e-12
-        )
+        sq = jet_mul(u, u)
+        chains = {
+            1: u,
+            2: sq,
+            3: jet_mul(u, sq),
+            4: jet_mul(sq, sq),
+            5: jet_mul(u, jet_mul(sq, sq)),
+        }
+        for k, want in chains.items():
+            np.testing.assert_array_equal(jet_power(u, float(k)), want)
+        assert jet_power(u, 1.0) is not u
 
     def test_negative_integer_power(self):
         u = random_jet(self.rng, positive=True)
@@ -174,6 +194,60 @@ class TestJetExpand:
             jet_expand(expr, r, {0: np.zeros((DEPTH, WIDTH))}, DEPTH)
         with pytest.raises(ConfigError):
             jet_expand(expr, r, {2: np.zeros((DEPTH + 1, WIDTH))}, DEPTH)
+
+
+def _positive(node):
+    """A node whose constant Taylor term is at least 1."""
+    return Sum((Const(1.0), Power(node, 2.0)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Product(tuple(fs))),
+        st.builds(Power, children, st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+        st.builds(
+            lambda c, e: Power(_positive(c), e),
+            children,
+            st.sampled_from([-1.0, -2.0, 0.5, 1.5, -0.5]),
+        ),
+        st.builds(Call, st.sampled_from(["exp", "sin", "cos", "tanh"]), children),
+        st.builds(
+            lambda name, c: Call(name, _positive(c)),
+            st.sampled_from(["log", "sqrt"]),
+            children,
+        ),
+    )
+
+
+expression_trees = st.recursive(
+    st.one_of(
+        st.builds(Const, st.floats(-2.0, 2.0)),
+        st.just(Coord()),
+        st.builds(U, st.integers(0, 2)),
+    ),
+    _extend,
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr=expression_trees, seed=st.integers(0, 2**32 - 1))
+def test_online_rows_match_batch_bitwise(expr, seed):
+    # leaves hold NaN until their row arrives, so a node that read a row
+    # above the one being stepped would poison its output
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.1, 0.9, WIDTH)
+    full = {k: 0.5 * rng.standard_normal((DEPTH, WIDTH)) for k in range(3)}
+    want = jet_expand(expr, r, full, DEPTH)
+    leaves = {k: np.full((DEPTH, WIDTH), np.nan) for k in range(3)}
+    tape = Tape()
+    root = tape.lower(expr, r, leaves, DEPTH)
+    for m in range(DEPTH):
+        for k, leaf in leaves.items():
+            leaf[m] = full[k][m]
+        tape.step(m)
+        np.testing.assert_array_equal(root[: m + 1], want[: m + 1])
 
 
 def test_series_jets_rows_are_derivatives():
