@@ -49,16 +49,7 @@ from .grids import (
 )
 from .jets import frechet_apply, frechet_at_reference, jet_expand
 from .problem import HamConfig, ProblemSpec, SeriesSolution
-from .engine import (
-    Workspace,
-    mth_order_rhs,
-    partial_sum,
-    resolve_lopt,
-    run_ham,
-    solve_zeroth,
-    squared_residual,
-    weak_nonlinearity_ratio,
-)
+from .engine import Workspace, partial_sum, run_ham
 from .hbar import HbarCurve, HbarEntry, OptimalHbar, optimal_hbar, scan_hbar
 from .continuation import (
     ContinuationPath,
@@ -137,20 +128,15 @@ __all__ = [
     "integrate",
     "jet_expand",
     "max_u_order",
-    "mth_order_rhs",
     "newton_at",
     "optimal_hbar",
     "parse_expr",
     "parse_problem_file",
     "parse_problem_text",
     "partial_sum",
-    "resolve_lopt",
     "run_ham",
     "scan_hbar",
     "solve_with_bcs",
-    "solve_zeroth",
-    "squared_residual",
     "trace_path",
     "walk",
-    "weak_nonlinearity_ratio",
 ]

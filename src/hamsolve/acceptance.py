@@ -90,14 +90,14 @@ def criterion_2_endpoints() -> Tuple[bool, str]:
     for case in builtin_cases():
         config = HamConfig()
         ws = Workspace(case.spec, config)
-        g0 = homotopy_residual(0.0, ws.u0, case.spec, config, ws=ws)
+        g0 = homotopy_residual(ws, 0.0, ws.u0)
         n0 = float(np.max(np.abs(g0)))
         worst0 = max(worst0, n0)
         ok = ok and n0 < 1e-9
         rng = np.random.default_rng(20240 + len(case.id))
         for _ in range(10):
             w = rng.standard_normal(ws.grid.n)
-            g1 = homotopy_residual(1.0, w, case.spec, config, ws=ws)
+            g1 = homotopy_residual(ws, 1.0, w)
             target = config.hbar * (ws.H_vals * ws.operator_values(w))
             mask = ws.lopt.interior
             scale = float(np.max(np.abs(target[mask])))
@@ -152,17 +152,16 @@ def criterion_4_frechet() -> Tuple[bool, str]:
     worst = 0.0
     h = 1e-6
     for case in builtin_cases():
-        config = HamConfig()
-        ws = Workspace(case.spec, config)
+        ws = Workspace(case.spec, HamConfig())
         rng = np.random.default_rng(77 + len(case.id))
         for _ in range(20):
             eps = float(rng.uniform(0.0, 1.0))
             u = rng.standard_normal(ws.grid.n)
             v = rng.standard_normal(ws.grid.n)
-            J = homotopy_jacobian(eps, u, case.spec, config, ws=ws)
+            J = homotopy_jacobian(ws, eps, u)
             jv = J @ v
-            gp = homotopy_residual(eps, u + h * v, case.spec, config, ws=ws)
-            gm = homotopy_residual(eps, u - h * v, case.spec, config, ws=ws)
+            gp = homotopy_residual(ws, eps, u + h * v)
+            gm = homotopy_residual(ws, eps, u - h * v)
             fd = (gp - gm) / (2.0 * h)
             rel = float(np.max(np.abs(jv - fd))) / max(1.0, float(np.max(np.abs(jv))))
             worst = max(worst, rel)
@@ -365,11 +364,10 @@ def write_bench_artifacts(outdir) -> None:
                 case.spec, config, np.linspace(-2.0, -0.1, 17)
             )
             write_curve_csv(case_dir / "hbar_curve.csv", curve)
-            trace_config = HamConfig(hbar=TRACE_HBAR)
-            path = trace_path(case.spec, trace_config, initial_steps=TRACE_STEPS)
-            write_path_csv(
-                case_dir / "path.csv", case.spec, trace_config, path
+            path = trace_path(
+                case.spec, HamConfig(hbar=TRACE_HBAR), initial_steps=TRACE_STEPS
             )
+            write_path_csv(case_dir / "path.csv", case.spec, path)
             report = check_equivalence(case.spec, order=10, tolerance=1e-10)
             write_equivalence_json(case_dir / "equivalence.json", report)
 

@@ -226,11 +226,11 @@ def cmd_trace(args) -> int:
     try:
         path = trace_path(problem, config, initial_steps=args.steps)
     except PathAbortError as exc:
-        write_path_csv(outdir / "path.csv", problem, config, exc.path)
+        write_path_csv(outdir / "path.csv", problem, exc.path)
         print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial path to {outdir / 'path.csv'}", file=sys.stderr)
         return 3
-    write_path_csv(outdir / "path.csv", problem, config, path)
+    write_path_csv(outdir / "path.csv", problem, path)
     final = path.final
     print(
         f"reached eps=1 in {len(path.steps) - 1} steps "

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import ConfigError, PathAbortError, SingularSystemError
 from .engine import Workspace
-from .grids import bc_row
 from .jets import frechet_at_reference
 from .problem import HamConfig, ProblemSpec
 
@@ -42,6 +41,7 @@ class PathStep:
     newton_iters: int
     jac_condition: float
     converged: bool
+    residual_inf: float
 
 
 @dataclass(frozen=True)
@@ -66,106 +66,88 @@ class NewtonResult(NamedTuple):
     u: np.ndarray
     iters: int
     converged: bool
+    residual_inf: float
 
 
-class _PathOps:
-    """Residual/Jacobian assembly bound to one workspace."""
-
-    def __init__(self, ws: Workspace):
-        self.ws = ws
-        grid = ws.grid
-        self.bc_rows = [bc_row(grid, bc) for bc in ws.lopt.bcs]
-        self.bc_values = np.array([bc.value for bc in ws.lopt.bcs])
-        self.row_idx = ws.lopt.rows
-
-    def residual(self, eps: float, u: np.ndarray) -> np.ndarray:
-        ws = self.ws
-        u = ws.grid.check_length(u)
-        core = ws.lopt.matrix @ (u - ws.u0)
-        forcing = ws.H_vals * ws.operator_values(u)
-        g = (1.0 - eps) * core + (eps * ws.config.hbar) * forcing
-        for i, row, val in zip(self.row_idx, self.bc_rows, self.bc_values):
-            g[i] = row @ u - val
-        return g
-
-    def jacobian(self, eps: float, u: np.ndarray) -> np.ndarray:
-        ws = self.ws
-        u = ws.grid.check_length(u)
-        df = frechet_at_reference(ws.problem.L, ws.problem.N, ws.grid, u)
-        J = (1.0 - eps) * ws.lopt.matrix + (eps * ws.config.hbar) * (
-            ws.H_vals[:, None] * df
-        )
-        for i, row in zip(self.row_idx, self.bc_rows):
-            J[i] = row
-        return J
-
-    def newton(self, eps: float, warm_start: np.ndarray) -> NewtonResult:
-        u = self.ws.grid.check_length(warm_start).copy()
-        g = self.residual(eps, u)
-        gnorm = float(np.max(np.abs(g)))
-        for it in range(NEWTON_MAX_ITERS):
-            if gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u)))):
-                return NewtonResult(u, it, True)
-            J = self.jacobian(eps, u)
-            try:
-                with warnings.catch_warnings():
-                    # an exactly singular matrix is treated as a step
-                    # failure just below; scipy's warning is noise here
-                    warnings.simplefilter("ignore", LinAlgWarning)
-                    lu = lu_factor(J)
-                    delta = lu_solve(lu, -g)
-            except Exception as exc:
-                raise SingularSystemError(
-                    f"embedding jacobian factorization failed at eps={eps:g}"
-                ) from exc
-            if not np.all(np.isfinite(delta)):
-                raise SingularSystemError(
-                    f"embedding jacobian is singular at eps={eps:g}"
-                )
-            scale = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                trial = u + scale * delta
-                g_trial = self.residual(eps, trial)
-                t_norm = float(np.max(np.abs(g_trial)))
-                if t_norm < gnorm:
-                    u, g, gnorm = trial, g_trial, t_norm
-                    break
-                scale *= 0.5
-            else:
-                return NewtonResult(u, it + 1, False)
-        converged = gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-        return NewtonResult(u, NEWTON_MAX_ITERS, converged)
-
-    def condition(self, eps: float, u: np.ndarray) -> float:
-        return float(np.linalg.cond(self.jacobian(eps, u), 1))
+def _check_eps(eps: float) -> float:
+    if not 0.0 <= eps <= 1.0:
+        raise ConfigError(f"eps={eps} outside [0, 1]")
+    return float(eps)
 
 
-def homotopy_residual(eps: float, u: np.ndarray, problem: ProblemSpec, config: HamConfig, ws: Optional[Workspace] = None) -> np.ndarray:
+def homotopy_residual(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """G(eps, u) with BC residuals on the boundary rows."""
-    if not 0.0 <= eps <= 1.0:
-        raise ConfigError(f"eps={eps} outside [0, 1]")
-    ws = ws if ws is not None else Workspace(problem, config)
-    return _PathOps(ws).residual(float(eps), u)
+    eps = _check_eps(eps)
+    u = ws.grid.check_length(u)
+    lopt = ws.lopt
+    core = lopt.matrix @ (u - ws.u0)
+    forcing = ws.H_vals * ws.operator_values(u)
+    g = (1.0 - eps) * core + (eps * ws.config.hbar) * forcing
+    for i, bc in zip(lopt.rows, lopt.bcs):
+        g[i] = lopt.matrix[i] @ u - bc.value
+    return g
 
 
-def homotopy_jacobian(eps: float, u: np.ndarray, problem: ProblemSpec, config: HamConfig, ws: Optional[Workspace] = None) -> np.ndarray:
+def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """d G/d u at (eps, u), dense, with BC rows in place."""
-    if not 0.0 <= eps <= 1.0:
-        raise ConfigError(f"eps={eps} outside [0, 1]")
-    ws = ws if ws is not None else Workspace(problem, config)
-    return _PathOps(ws).jacobian(float(eps), u)
+    eps = _check_eps(eps)
+    u = ws.grid.check_length(u)
+    lopt = ws.lopt
+    df = frechet_at_reference(ws.A_L, ws.problem.N, ws.grid, u)
+    J = (1.0 - eps) * lopt.matrix + (eps * ws.config.hbar) * (
+        ws.H_vals[:, None] * df
+    )
+    J[lopt.rows] = lopt.matrix[lopt.rows]
+    return J
 
 
-def newton_at(eps: float, warm_start: np.ndarray, problem: ProblemSpec, config: HamConfig, ws: Optional[Workspace] = None) -> NewtonResult:
+def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult:
     """Correct a warm start to the solution of G(eps, u) = 0.
 
     Never raises on slow convergence (returns converged = False);
-    SingularSystemError only when the factorization itself fails.
+    SingularSystemError only when the factorization itself fails. The
+    result carries the sup norm of G at the returned point.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ConfigError(f"eps={eps} outside [0, 1]")
-    ws = ws if ws is not None else Workspace(problem, config)
-    return _PathOps(ws).newton(float(eps), warm_start)
+    eps = _check_eps(eps)
+    u = ws.grid.check_length(warm_start).copy()
+    g = homotopy_residual(ws, eps, u)
+    gnorm = float(np.max(np.abs(g)))
+    for it in range(NEWTON_MAX_ITERS):
+        if gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u)))):
+            return NewtonResult(u, it, True, gnorm)
+        J = homotopy_jacobian(ws, eps, u)
+        try:
+            with warnings.catch_warnings():
+                # an exactly singular matrix is treated as a step
+                # failure just below; scipy's warning is noise here
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu = lu_factor(J)
+                delta = lu_solve(lu, -g)
+        except Exception as exc:
+            raise SingularSystemError(
+                f"embedding jacobian factorization failed at eps={eps:g}"
+            ) from exc
+        if not np.all(np.isfinite(delta)):
+            raise SingularSystemError(
+                f"embedding jacobian is singular at eps={eps:g}"
+            )
+        scale = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            trial = u + scale * delta
+            g_trial = homotopy_residual(ws, eps, trial)
+            t_norm = float(np.max(np.abs(g_trial)))
+            if t_norm < gnorm:
+                u, g, gnorm = trial, g_trial, t_norm
+                break
+            scale *= 0.5
+        else:
+            return NewtonResult(u, it + 1, False, gnorm)
+    converged = gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+    return NewtonResult(u, NEWTON_MAX_ITERS, converged, gnorm)
+
+
+def _condition(ws: Workspace, eps: float, u: np.ndarray) -> float:
+    return float(np.linalg.cond(homotopy_jacobian(ws, eps, u), 1))
 
 
 def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16) -> ContinuationPath:
@@ -180,12 +162,11 @@ def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16)
     if initial_steps < 2:
         raise ConfigError(f"initial_steps must be >= 2, got {initial_steps}")
     ws = Workspace(problem, config)
-    ops = _PathOps(ws)
-    g0 = ops.residual(0.0, ws.u0)
-    start_ok = float(np.max(np.abs(g0))) < NEWTON_TOL * (
-        1.0 + float(np.max(np.abs(ws.u0)))
-    )
-    steps = [PathStep(0.0, ws.u0, 0, ops.condition(0.0, ws.u0), start_ok)]
+    g0norm = float(np.max(np.abs(homotopy_residual(ws, 0.0, ws.u0))))
+    start_ok = g0norm < NEWTON_TOL * (1.0 + float(np.max(np.abs(ws.u0))))
+    steps = [
+        PathStep(0.0, ws.u0, 0, _condition(ws, 0.0, ws.u0), start_ok, g0norm)
+    ]
     deps0 = 1.0 / initial_steps
     deps = deps0
     eps = 0.0
@@ -195,13 +176,14 @@ def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16)
         if 1.0 - target < 1e-12:
             target = 1.0
         try:
-            result = ops.newton(target, u)
+            result = newton_at(ws, target, u)
         except SingularSystemError:
-            result = NewtonResult(u, 0, False)
+            result = NewtonResult(u, 0, False, float("inf"))
         if result.converged:
             eps, u = target, result.u
+            cond = _condition(ws, eps, u)
             steps.append(
-                PathStep(eps, u, result.iters, ops.condition(eps, u), True)
+                PathStep(eps, u, result.iters, cond, True, result.residual_inf)
             )
             deps = min(2.0 * deps, deps0)
         else:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DivergenceWarning, RangeError, SingularSystemError
-from .expressions import LinearOperator, eval_expr, max_u_order
+from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
 from .jets import SeriesTape, frechet_at_reference
 from .problem import DIVERGENCE_STREAK, HamConfig, ProblemSpec, SeriesSolution, series_diverges
@@ -127,18 +127,10 @@ class Workspace:
 
     def operator_values(self, U: np.ndarray) -> np.ndarray:
         """F(U) = L U + N(U) - s sampled at every node (BC rows included)."""
-        U = self.grid.check_length(U)
-        upto = max(max_u_order(self.problem.N), 0)
-        stack = self.grid.derivative_stack(U, upto)
-        nl = np.broadcast_to(
-            np.asarray(eval_expr(self.problem.N, self.grid.nodes, stack), dtype=float),
-            (self.grid.n,),
-        )
-        return self.A_L @ U + nl - self.s_vals
+        return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U)
 
     def squared_residual(self, U: np.ndarray) -> float:
-        f = self.operator_values(U)
-        return integrate(self.grid, f * f) / (self.grid.b - self.grid.a)
+        return mean_square(self.grid, self.operator_values(U))
 
     def weak_nonlinearity_ratio(self, U: np.ndarray, hbar: Optional[float] = None) -> float:
         """Diagnostic: |hbar H F(U) - L_opt(U - u_0)| / |L_opt(U - u_0)|.
@@ -157,7 +149,23 @@ class Workspace:
         return float(np.max(np.abs(forcing - core))) / denom
 
 
-def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray, u0=None) -> BcSystem:
+def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """F(U) = A_L U + N(U) - s sampled at every node (BC rows included)."""
+    U = grid.check_length(U)
+    upto = max(max_u_order(N), 0)
+    stack = grid.derivative_stack(U, upto)
+    nl = np.broadcast_to(
+        np.asarray(eval_expr(N, grid.nodes, stack), dtype=float), (grid.n,)
+    )
+    return A_L @ U + nl - s_vals
+
+
+def mean_square(grid: Grid, f: np.ndarray) -> float:
+    """Mean of f^2 over the domain, by the grid's quadrature rule."""
+    return integrate(grid, f * f) / (grid.b - grid.a)
+
+
+def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray) -> BcSystem:
     mode = config.lopt_mode
     if isinstance(mode, LinearOperator):
         if mode.order != len(problem.bcs):
@@ -168,33 +176,11 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
         return BcSystem(assemble_linear(mode, grid), problem.bcs, grid)
     if mode == "use-L":
         return BcSystem(A_L, problem.bcs, grid)
-    # frechet-at-u0: linearize F at u0, bootstrapping u0 from plain L when
-    # the caller has none (breaks the circular definition deterministically)
-    if u0 is None:
-        u0 = BcSystem(A_L, problem.bcs, grid).solve(np.zeros(grid.n))
-    matrix = frechet_at_reference(problem.L, problem.N, grid, u0)
+    # frechet-at-u0: linearize F at a bootstrap u0 from plain L (breaks the
+    # circular definition deterministically)
+    u0 = BcSystem(A_L, problem.bcs, grid).solve(np.zeros(grid.n))
+    matrix = frechet_at_reference(A_L, problem.N, grid, u0)
     return BcSystem(matrix, problem.bcs, grid)
-
-
-def resolve_lopt(problem: ProblemSpec, config: HamConfig, u0: Optional[np.ndarray] = None, grid: Optional[Grid] = None) -> BcSystem:
-    """Discretize and factor the configured linear core.
-
-    Returns the BC-modified, LU-factored system; reuse it for every solve in
-    a session. For frechet-at-u0 mode with no u0 supplied, a bootstrap u0 is
-    computed from the plain linear part first.
-    """
-    grid = grid if grid is not None else problem.make_grid()
-    return _build_lopt_system(problem, config, grid, assemble_linear(problem.L, grid), u0)
-
-
-def solve_zeroth(problem: ProblemSpec, config: HamConfig, grid: Optional[Grid] = None) -> np.ndarray:
-    """u_0: the linear-core solution under the problem's own BCs."""
-    return Workspace(problem, config, grid).u0
-
-
-def mth_order_rhs(m: int, orders: Sequence[np.ndarray], problem: ProblemSpec, config: HamConfig, grid: Optional[Grid] = None) -> np.ndarray:
-    """Right-hand side of the order-m solve given u_0..u_{m-1}."""
-    return Workspace(problem, config, grid).mth_order_rhs(m, orders, config.hbar)
 
 
 def run_ham(problem: ProblemSpec, config: HamConfig, grid: Optional[Grid] = None) -> SeriesSolution:
@@ -212,23 +198,3 @@ def partial_sum(series: SeriesSolution, upto: int) -> np.ndarray:
             f"partial sum order {upto} outside 0..{series.truncation_order}"
         )
     return np.add.reduce(np.stack(series.orders[: upto + 1]), axis=0)
-
-
-def squared_residual(problem: ProblemSpec, U: np.ndarray, grid: Optional[Grid] = None) -> float:
-    """Mean of F(U)^2 over the domain, by the grid's quadrature rule."""
-    grid = grid if grid is not None else problem.make_grid()
-    U = grid.check_length(U)
-    A_L = assemble_linear(problem.L, grid)
-    upto = max(max_u_order(problem.N), 0)
-    stack = grid.derivative_stack(U, upto)
-    nl = np.broadcast_to(
-        np.asarray(eval_expr(problem.N, grid.nodes, stack), dtype=float), (grid.n,)
-    )
-    s_vals = _grid_values(problem.s, grid)
-    f = A_L @ U + nl - s_vals
-    return integrate(grid, f * f) / (grid.b - grid.a)
-
-
-def weak_nonlinearity_ratio(problem: ProblemSpec, config: HamConfig, U: np.ndarray, grid: Optional[Grid] = None) -> float:
-    """See Workspace.weak_nonlinearity_ratio."""
-    return Workspace(problem, config, grid).weak_nonlinearity_ratio(U)

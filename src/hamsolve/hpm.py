@@ -15,7 +15,8 @@ to the general deformation engine; check_equivalence then runs both and
 compares order by order. Keeping the loop independent is what makes the
 comparison evidence rather than tautology, so nothing in hpm_recursion may
 call the engine's recursion entry points (a test enforces this on the
-source text).
+source text). The residual history is a measurement, not part of the
+recursion, so it uses the engine's one F(U) on the oracle's own matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import run_ham, squared_residual
+from .engine import mean_square, operator_values, run_ham
 from .errors import ConfigError, DivergenceWarning
 from .expressions import Const, eval_expr
 from .grids import BcSystem, assemble_linear
@@ -80,7 +81,8 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     history = []
     for w in orders:
         running = running + w
-        history.append(squared_residual(problem, running, grid))
+        f = operator_values(problem.N, grid, A, s_vals, running)
+        history.append(mean_square(grid, f))
     return SeriesSolution(
         orders=tuple(orders),
         config=hpm_config(problem, order),

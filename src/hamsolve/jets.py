@@ -24,7 +24,6 @@ from .expressions import (
     Call,
     Const,
     Coord,
-    LinearOperator,
     OperatorExpr,
     Power,
     Product,
@@ -33,7 +32,7 @@ from .expressions import (
     eval_expr,
     max_u_order,
 )
-from .grids import Grid, assemble_linear
+from .grids import Grid
 
 
 def constant_jet(value, depth: int, width: int) -> np.ndarray:
@@ -395,14 +394,15 @@ def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:
     return out
 
 
-def frechet_at_reference(L: LinearOperator, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> np.ndarray:
+def frechet_at_reference(A_L: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> np.ndarray:
     """Assembled matrix of the Fréchet derivative of L + N at ``u0``.
 
-    The linear part contributes its own matrix; the nonlinear part
-    contributes sum_k diag(dN/du^(k) at u0) D_k.
+    ``A_L`` is the assembled matrix of L, which contributes itself; the
+    nonlinear part contributes sum_k diag(dN/du^(k) at u0) D_k. The result
+    is a new array; ``A_L`` is not modified.
     """
     u0 = grid.check_length(u0)
-    A = assemble_linear(L, grid)
+    A = np.array(A_L, dtype=float)
     upto = max_u_order(N)
     if upto < 0:
         return A
@@ -410,7 +410,7 @@ def frechet_at_reference(L: LinearOperator, N: OperatorExpr, grid: Grid, u0: np.
     partials = expr_partials(N, grid.nodes, stack)
     for k, pk in partials.items():
         if k == 0:
-            A = A + np.diag(pk)
+            A += np.diag(pk)
         else:
-            A = A + pk[:, None] * grid.diff_matrix(k)
+            A += pk[:, None] * grid.diff_matrix(k)
     return A

@@ -24,8 +24,6 @@ from .expressions import (
 )
 from .grids import BoundaryCondition, Grid, build_grid
 
-LOPT_MODES = ("use-L", "frechet-at-u0", "user")
-
 DIVERGENCE_STREAK = 3
 
 ZERO = Const(0.0)

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .continuation import ContinuationPath, homotopy_residual
-from .engine import Workspace, partial_sum
+from .continuation import ContinuationPath
+from .engine import partial_sum
 from .hbar import HbarCurve
 from .hpm import EquivalenceReport
-from .problem import HamConfig, ProblemSpec, SeriesSolution
+from .problem import ProblemSpec, SeriesSolution
 
 
 def format_value(v) -> str:
@@ -72,21 +72,19 @@ def write_curve_csv(path, curve: HbarCurve) -> None:
     write_csv(path, ("hbar", "residual", "diverged", "probe"), rows)
 
 
-def write_path_csv(path, problem: ProblemSpec, config: HamConfig, traced: ContinuationPath, ws: Optional[Workspace] = None) -> None:
-    ws = ws if ws is not None else Workspace(problem, config)
+def write_path_csv(path, problem: ProblemSpec, traced: ContinuationPath) -> None:
+    grid = problem.make_grid()
     midpoint = 0.5 * (problem.a + problem.b)
-    rows = []
-    for step in traced.steps:
-        g = homotopy_residual(step.eps, step.u, problem, config, ws=ws)
-        rows.append(
-            (
-                step.eps,
-                step.newton_iters,
-                step.jac_condition,
-                float(np.max(np.abs(g))),
-                ws.grid.interpolate(step.u, midpoint),
-            )
+    rows = [
+        (
+            step.eps,
+            step.newton_iters,
+            step.jac_condition,
+            step.residual_inf,
+            grid.interpolate(step.u, midpoint),
         )
+        for step in traced.steps
+    ]
     write_csv(
         path,
         ("eps", "newton_iters", "jac_condition", "residual_inf", "u_at_probe"),

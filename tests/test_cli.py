@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from hamsolve import Workspace
 from hamsolve.cli import main
 
 RICCATI_TEXT = """\
@@ -190,6 +191,24 @@ class TestTrace:
         assert float(rows[0][0]) == 0.0
         assert float(rows[-1][0]) == 1.0
         assert "reached eps=1" in capsys.readouterr().out
+
+    def test_builds_one_workspace(self, tmp_path, monkeypatch, capsys):
+        # counts, not timings: path.csv comes from the traced steps, not
+        # from a second workspace that re-evaluates them
+        init = Workspace.__init__
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Workspace, "__init__", counting)
+        rc = main(
+            ["trace", "builtin:manufactured-quad", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
     def test_abort_exits_three_with_partial_csv(self, tmp_path, capsys):
         rc = main(

@@ -40,23 +40,23 @@ class TestResidual:
     def test_eps_range_checked(self, eps):
         ws = Workspace(LINEAR.spec, HamConfig())
         with pytest.raises(ConfigError):
-            homotopy_residual(eps, ws.u0, LINEAR.spec, ws.config, ws)
+            homotopy_residual(ws, eps, ws.u0)
         with pytest.raises(ConfigError):
-            homotopy_jacobian(eps, ws.u0, LINEAR.spec, ws.config, ws)
+            homotopy_jacobian(ws, eps, ws.u0)
         with pytest.raises(ConfigError):
-            newton_at(eps, ws.u0, LINEAR.spec, ws.config, ws)
+            newton_at(ws, eps, ws.u0)
 
     def test_zeroth_order_is_root_at_eps_zero(self):
         config = HamConfig(hbar=1.0)
         ws = Workspace(MANUFACTURED.spec, config)
-        g0 = homotopy_residual(0.0, ws.u0, MANUFACTURED.spec, config, ws)
+        g0 = homotopy_residual(ws, 0.0, ws.u0)
         assert float(np.max(np.abs(g0))) < 1e-9
 
     def test_interior_at_eps_one_is_scaled_operator(self):
         config = HamConfig(hbar=-0.7)
         ws = Workspace(MANUFACTURED.spec, config)
         w = smooth_field(ws.grid)
-        g1 = homotopy_residual(1.0, w, MANUFACTURED.spec, config, ws)
+        g1 = homotopy_residual(ws, 1.0, w)
         expected = config.hbar * ws.H_vals * ws.operator_values(w)
         interior = ws.lopt.interior
         np.testing.assert_allclose(
@@ -68,7 +68,7 @@ class TestResidual:
         ws = Workspace(LINEAR.spec, config)
         w = smooth_field(ws.grid)
         for eps in (0.0, 0.4, 1.0):
-            g = homotopy_residual(eps, w, LINEAR.spec, config, ws)
+            g = homotopy_residual(ws, eps, w)
             # Dirichlet rows: value minus prescribed data, eps-independent
             assert g[0] == pytest.approx(w[0], abs=1e-12)
             assert g[-1] == pytest.approx(w[-1], abs=1e-12)
@@ -78,20 +78,12 @@ class TestResidual:
         config = HamConfig(hbar=-1.3)
         ws = Workspace(TANH_SHORT.spec, config)
         w = smooth_field(ws.grid)
-        g0 = homotopy_residual(0.0, w, TANH_SHORT.spec, config, ws)
-        g1 = homotopy_residual(1.0, w, TANH_SHORT.spec, config, ws)
-        ge = homotopy_residual(eps, w, TANH_SHORT.spec, config, ws)
+        g0 = homotopy_residual(ws, 0.0, w)
+        g1 = homotopy_residual(ws, 1.0, w)
+        ge = homotopy_residual(ws, eps, w)
         np.testing.assert_allclose(
             ge, (1.0 - eps) * g0 + eps * g1, rtol=1e-12, atol=1e-13
         )
-
-    def test_workspace_argument_optional(self):
-        config = HamConfig(hbar=1.0)
-        ws = Workspace(LINEAR.spec, config)
-        w = smooth_field(ws.grid)
-        with_ws = homotopy_residual(0.3, w, LINEAR.spec, config, ws)
-        without = homotopy_residual(0.3, w, LINEAR.spec, config)
-        np.testing.assert_array_equal(with_ws, without)
 
 
 class TestJacobian:
@@ -101,14 +93,14 @@ class TestJacobian:
         ws = Workspace(spec, config)
         u = ws.u0 + 0.2 * np.sin(np.pi * ws.grid.nodes)
         eps = 0.37
-        J = homotopy_jacobian(eps, u, spec, config, ws)
+        J = homotopy_jacobian(ws, eps, u)
         h = 1e-6
         J_fd = np.empty_like(J)
         for j in range(ws.grid.n):
             e = np.zeros(ws.grid.n)
             e[j] = h
-            gp = homotopy_residual(eps, u + e, spec, config, ws)
-            gm = homotopy_residual(eps, u - e, spec, config, ws)
+            gp = homotopy_residual(ws, eps, u + e)
+            gm = homotopy_residual(ws, eps, u - e)
             J_fd[:, j] = (gp - gm) / (2.0 * h)
         scale = 1.0 + np.abs(J)
         assert float(np.max(np.abs(J - J_fd) / scale)) < 1e-5
@@ -117,8 +109,8 @@ class TestJacobian:
         config = HamConfig(hbar=1.0)
         ws = Workspace(LINEAR.spec, config)
         u = smooth_field(ws.grid)
-        Ja = homotopy_jacobian(0.1, u, LINEAR.spec, config, ws)
-        Jb = homotopy_jacobian(0.9, u, LINEAR.spec, config, ws)
+        Ja = homotopy_jacobian(ws, 0.1, u)
+        Jb = homotopy_jacobian(ws, 0.9, u)
         for i in ws.lopt.rows:
             np.testing.assert_array_equal(Ja[i], Jb[i])
 
@@ -127,7 +119,7 @@ class TestNewton:
     def test_zero_iterations_at_converged_start(self):
         config = HamConfig(hbar=1.0)
         ws = Workspace(MANUFACTURED.spec, config)
-        result = newton_at(0.0, ws.u0, MANUFACTURED.spec, config, ws)
+        result = newton_at(ws, 0.0, ws.u0)
         assert result.converged
         assert result.iters == 0
         np.testing.assert_array_equal(result.u, ws.u0)
@@ -135,12 +127,10 @@ class TestNewton:
     def test_linear_family_converges_in_one_step(self):
         config = HamConfig(hbar=1.0)
         ws = Workspace(LINEAR.spec, config)
-        result = newton_at(
-            0.7, np.zeros(ws.grid.n), LINEAR.spec, config, ws
-        )
+        result = newton_at(ws, 0.7, np.zeros(ws.grid.n))
         assert result.converged
         assert result.iters <= 2
-        g = homotopy_residual(0.7, result.u, LINEAR.spec, config, ws)
+        g = homotopy_residual(ws, 0.7, result.u)
         assert float(np.max(np.abs(g))) < 1e-8
 
     def test_polish_near_exact_solution(self):
@@ -148,12 +138,28 @@ class TestNewton:
         ws = Workspace(MANUFACTURED.spec, config)
         exact = MANUFACTURED.exact_values(ws.grid)
         start = exact + 1e-3 * np.sin(3.0 * np.pi * ws.grid.nodes)
-        result = newton_at(1.0, start, MANUFACTURED.spec, config, ws)
+        result = newton_at(ws, 1.0, start)
         assert result.converged
         assert error_vs_exact(MANUFACTURED, result.u, ws.grid) < 1e-8
 
 
 class TestTracePath:
+    def test_assembles_the_linear_operator_once(self, count_calls):
+        # counts, not timings: every Newton jacobian reuses the workspace's
+        # assembled L instead of assembling its own
+        calls = count_calls("hamsolve.grids", "assemble_linear")
+        path = trace_path(LINEAR.spec.with_grid_n(64), HamConfig(hbar=1.0))
+        assert path.final.eps == 1.0
+        assert len(calls) == 1
+
+    def test_steps_carry_newton_residual(self):
+        config = HamConfig(hbar=1.0)
+        ws = Workspace(MANUFACTURED.spec, config)
+        path = trace_path(MANUFACTURED.spec, config)
+        for step in path.steps:
+            g = homotopy_residual(ws, step.eps, step.u)
+            assert step.residual_inf == float(np.max(np.abs(g)))
+
     def test_initial_steps_validated(self):
         with pytest.raises(ConfigError):
             trace_path(LINEAR.spec, HamConfig(hbar=1.0), initial_steps=1)

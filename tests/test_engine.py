@@ -23,14 +23,9 @@ from hamsolve import (
     RangeError,
     Workspace,
     get_case,
-    mth_order_rhs,
     parse_expr,
     partial_sum,
-    resolve_lopt,
     run_ham,
-    solve_zeroth,
-    squared_residual,
-    weak_nonlinearity_ratio,
 )
 from hamsolve.jets import jet_expand, series_jets
 
@@ -112,7 +107,7 @@ class TestLinearProblem:
 class TestZerothOrder:
     def test_homogeneous_bcs_give_zero(self):
         case = get_case(POISSON)
-        u0 = solve_zeroth(case.spec, HamConfig())
+        u0 = Workspace(case.spec, HamConfig()).u0
         assert np.max(np.abs(u0)) == 0.0
 
     def test_inhomogeneous_bcs_give_core_solution(self):
@@ -125,7 +120,7 @@ class TestZerothOrder:
                 BoundaryCondition("right", 0, 1.0),
             ),
         )
-        u0 = solve_zeroth(problem, HamConfig())
+        u0 = Workspace(problem, HamConfig()).u0
         grid = problem.make_grid()
         assert np.max(np.abs(u0 - grid.nodes)) < 1e-10
 
@@ -133,7 +128,7 @@ class TestZerothOrder:
 class TestLoptModes:
     def test_use_l_matches_assembled_operator(self):
         case = get_case(POISSON)
-        system = resolve_lopt(case.spec, HamConfig(lopt_mode="use-L"))
+        system = Workspace(case.spec, HamConfig(lopt_mode="use-L")).lopt
         grid = case.spec.make_grid()
         interior = system.interior
         d2 = grid.diff_matrix(2)
@@ -152,7 +147,7 @@ class TestLoptModes:
                 BoundaryCondition("right", 0, 1.0),
             ),
         )
-        system = resolve_lopt(problem, HamConfig(lopt_mode="frechet-at-u0"))
+        system = Workspace(problem, HamConfig(lopt_mode="frechet-at-u0")).lopt
         grid = problem.make_grid()
         want = grid.diff_matrix(2) + np.diag(2.0 * grid.nodes)
         interior = system.interior
@@ -161,7 +156,7 @@ class TestLoptModes:
     def test_user_operator(self):
         case = get_case(TANH)
         sub = LinearOperator.from_strings(("1", "1"))  # u' + u
-        system = resolve_lopt(case.spec, HamConfig(lopt_mode=sub))
+        system = Workspace(case.spec, HamConfig(lopt_mode=sub)).lopt
         grid = case.spec.make_grid()
         want = np.eye(grid.n) + grid.diff_matrix(1)
         np.testing.assert_array_equal(system.matrix[system.interior], want[system.interior])
@@ -170,7 +165,7 @@ class TestLoptModes:
         case = get_case(POISSON)  # two BCs
         sub = LinearOperator.from_strings(("1", "1"))  # order 1
         with pytest.raises(ConfigError):
-            resolve_lopt(case.spec, HamConfig(lopt_mode=sub))
+            Workspace(case.spec, HamConfig(lopt_mode=sub))
 
 
 class TestMthOrderRhs:
@@ -196,13 +191,6 @@ class TestMthOrderRhs:
             tanh_ws.mth_order_rhs(0, [tanh_ws.u0], hbar=-1.0)
         with pytest.raises(RangeError):
             tanh_ws.mth_order_rhs(2, [tanh_ws.u0], hbar=-1.0)
-
-    def test_module_level_wrapper(self):
-        case = get_case(TANH)
-        cfg = HamConfig(hbar=-1.0)
-        u0 = solve_zeroth(case.spec, cfg)
-        rhs = mth_order_rhs(1, [u0], case.spec, cfg)
-        np.testing.assert_array_equal(rhs, np.ones(u0.shape))
 
 
 class TestRun:
@@ -265,15 +253,14 @@ class TestRun:
 
 class TestResiduals:
     def test_zero_guess_on_riccati_gives_one(self):
-        case = get_case(TANH)
-        grid = case.spec.make_grid()
-        val = squared_residual(case.spec, np.zeros(grid.n), grid)
+        ws = Workspace(get_case(TANH).spec, HamConfig())
+        val = ws.squared_residual(np.zeros(ws.grid.n))
         assert val == pytest.approx(1.0, abs=1e-13)
 
     def test_exact_solution_near_machine_floor(self):
         case = get_case("manufactured-quad")
-        grid = case.spec.make_grid()
-        val = squared_residual(case.spec, case.exact_values(grid), grid)
+        ws = Workspace(case.spec, HamConfig())
+        val = ws.squared_residual(case.exact_values(ws.grid))
         assert val < 1e-16
 
     def test_tanh_partial_sum_residual_frozen(self):
@@ -293,12 +280,10 @@ class TestResiduals:
 
 
 def test_weak_nonlinearity_ratio_diagnostic():
-    case = get_case(TANH)
-    grid = case.spec.make_grid()
-    val = weak_nonlinearity_ratio(case.spec, HamConfig(), np.tanh(grid.nodes))
+    ws = Workspace(get_case(TANH).spec, HamConfig())
+    val = ws.weak_nonlinearity_ratio(np.tanh(ws.grid.nodes))
     assert np.isfinite(val) and val >= 0.0
     # U = u0 makes the denominator vanish; documented as +inf
-    ws = Workspace(case.spec, HamConfig())
     assert ws.weak_nonlinearity_ratio(ws.u0) == float("inf")
 
 

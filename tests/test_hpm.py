@@ -74,6 +74,14 @@ class TestOracleRecursion:
         assert errors[-1] < 1e-2
         assert errors[-1] < errors[2] < errors[0]
 
+    def test_assembles_the_linear_operator_once(self, count_calls):
+        # counts, not timings: the residual history reuses the recursion's
+        # own assembled L instead of assembling it again per order
+        calls = count_calls("hamsolve.grids", "assemble_linear")
+        series = hpm_recursion(TANH_SHORT, order=10)
+        assert len(series.residual_history) == 11
+        assert len(calls) == 1
+
     def test_recursion_source_does_not_call_the_engine(self):
         source = inspect.getsource(hpm_recursion)
         for forbidden in ("mth_order_rhs", "run_ham", "Workspace", ".run("):

@@ -26,6 +26,7 @@ from hamsolve import (
     Product,
     Sum,
     U,
+    assemble_linear,
     build_grid,
     frechet_apply,
     frechet_at_reference,
@@ -301,7 +302,7 @@ class TestFrechet:
         L = LinearOperator.from_strings(("0", "0", "1"))
         N = parse_expr("u^2")
         u0 = np.sin(np.pi * g.nodes)
-        A = frechet_at_reference(L, N, g, u0)
+        A = frechet_at_reference(assemble_linear(L, g), N, g, u0)
         want = g.diff_matrix(2) + np.diag(2.0 * u0)
         assert np.max(np.abs(A - want)) < 1e-12
 
@@ -311,7 +312,7 @@ class TestFrechet:
         N = parse_expr("u*u'")
         rng = np.random.default_rng(31)
         u0 = rng.standard_normal(g.n)
-        A = frechet_at_reference(L, N, g, u0)
+        A = frechet_at_reference(assemble_linear(L, g), N, g, u0)
         d1 = g.diff_matrix(1)
         want = d1 + np.diag(d1 @ u0) + u0[:, None] * d1
         assert np.max(np.abs(A - want)) < 1e-11
@@ -319,5 +320,15 @@ class TestFrechet:
     def test_reference_matrix_pure_linear(self):
         g = build_grid("chebyshev-lobatto", 16, 0.0, 1.0)
         L = LinearOperator.from_strings(("0", "0", "1"))
-        A = frechet_at_reference(L, parse_expr("0"), g, np.zeros(g.n))
+        A = frechet_at_reference(assemble_linear(L, g), parse_expr("0"), g, np.zeros(g.n))
         assert np.max(np.abs(A - g.diff_matrix(2))) == 0.0
+
+    @pytest.mark.parametrize("n_expr", ["0", "u^2", "u*u'"])
+    def test_reference_matrix_is_a_new_array(self, n_expr):
+        g = build_grid("chebyshev-lobatto", 16, 0.0, 1.0)
+        A_L = assemble_linear(LinearOperator.from_strings(("0", "0", "1")), g)
+        before = A_L.copy()
+        A = frechet_at_reference(A_L, parse_expr(n_expr), g, np.sin(g.nodes))
+        A += 1.0
+        assert not np.shares_memory(A, A_L)
+        np.testing.assert_array_equal(A_L, before)
