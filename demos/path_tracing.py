@@ -14,9 +14,11 @@ import numpy as np
 from hamsolve import (
     HamConfig,
     PathAbortError,
+    Workspace,
     error_vs_exact,
     get_case,
     trace_path,
+    trace_workspace,
 )
 
 CASE = get_case("manufactured-quad")
@@ -34,9 +36,10 @@ def show_path(path) -> None:
 
 def main() -> None:
     print("healthy direction, hbar = +1")
-    path = trace_path(CASE.spec, HamConfig(hbar=1.0), initial_steps=8)
+    ws = Workspace(CASE.spec, HamConfig(hbar=1.0))
+    path = trace_workspace(ws, initial_steps=8)
     show_path(path)
-    err = error_vs_exact(CASE, path.final.u)
+    err = error_vs_exact(CASE, path.final.u, ws.grid)
     print(f"  endpoint error vs exact solution: {err:.3e}")
     print()
 

@@ -45,7 +45,6 @@ from .grids import (
     bc_row_indices,
     build_grid,
     integrate,
-    solve_with_bcs,
 )
 from .jets import frechet_apply, frechet_at_reference, jet_expand
 from .problem import HamConfig, ProblemSpec, SeriesSolution
@@ -59,6 +58,7 @@ from .continuation import (
     homotopy_residual,
     newton_at,
     trace_path,
+    trace_workspace,
 )
 from .hpm import EquivalenceReport, check_equivalence, hpm_config, hpm_recursion
 from .benchmarks import (
@@ -136,7 +136,7 @@ __all__ = [
     "partial_sum",
     "run_ham",
     "scan_hbar",
-    "solve_with_bcs",
     "trace_path",
+    "trace_workspace",
     "walk",
 ]

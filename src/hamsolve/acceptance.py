@@ -21,7 +21,7 @@ from typing import Callable, List, NamedTuple, Tuple
 import numpy as np
 
 from .benchmarks import builtin_cases, error_vs_exact, get_case
-from .continuation import homotopy_jacobian, homotopy_residual, trace_path
+from .continuation import homotopy_jacobian, homotopy_residual, trace_workspace
 from .engine import Workspace, partial_sum, run_ham
 from .errors import DivergenceWarning
 from .expressions import Coord, Const, OperatorExpr, Power, Product, Sum, U
@@ -115,9 +115,8 @@ def criterion_3_continuation() -> Tuple[bool, str]:
     worst_cond = 0.0
     worst_ratio = float("inf")
     for case in builtin_cases():
-        config = HamConfig(hbar=TRACE_HBAR)
-        ws = Workspace(case.spec, config)
-        path = trace_path(case.spec, config, initial_steps=TRACE_STEPS)
+        ws = Workspace(case.spec, HamConfig(hbar=TRACE_HBAR))
+        path = trace_workspace(ws, initial_steps=TRACE_STEPS)
         ok = ok and path.final.eps == 1.0 and path.final.converged
         fvals = ws.operator_values(path.final.u)
         fnorm = float(np.max(np.abs(fvals)))
@@ -127,7 +126,7 @@ def criterion_3_continuation() -> Tuple[bool, str]:
         worst_cond = max(worst_cond, max(conds))
         ok = ok and max(conds) < 1e12
 
-        coarse = trace_path(case.spec, config, initial_steps=TRACE_STEPS // 2)
+        coarse = trace_workspace(ws, initial_steps=TRACE_STEPS // 2)
         ratio = _max_consecutive_diff(coarse) / _max_consecutive_diff(path)
         worst_ratio = min(worst_ratio, ratio)
         ok = ok and ratio >= 1.9
@@ -196,32 +195,27 @@ def criterion_5_convergence_control() -> Tuple[bool, str]:
 
 def criterion_6_exact_recovery() -> Tuple[bool, str]:
     """Benchmark errors against exact solutions at pinned parameters."""
-    short_case = get_case("riccati-tanh-short")
     with _silence():
-        short = run_ham(short_case.spec, HamConfig(hbar=-1.0, order=10))
-    short_err = error_vs_exact(short_case, partial_sum(short, 10))
-    short_ok = short_err < 1e-4
-
-    poisson_case = get_case("linear-poisson")
-    lin = run_ham(poisson_case.spec, HamConfig(hbar=-1.0, order=1))
-    lin_err = error_vs_exact(poisson_case, partial_sum(lin, 1))
-    lin_ok = lin_err < 1e-10
-
-    quad_case = get_case("manufactured-quad")
-    with _silence():
-        quad = run_ham(
-            quad_case.spec,
+        short_err = _series_error("riccati-tanh-short", HamConfig(hbar=-1.0, order=10))
+        lin_err = _series_error("linear-poisson", HamConfig(hbar=-1.0, order=1))
+        quad_err = _series_error(
+            "manufactured-quad",
             HamConfig(hbar=MANUFACTURED_HBAR, order=MANUFACTURED_ORDER),
         )
-    quad_err = error_vs_exact(quad_case, partial_sum(quad, MANUFACTURED_ORDER))
-    quad_ok = quad_err < 1e-5
-
-    ok = short_ok and lin_ok and quad_ok
+    ok = short_err < 1e-4 and lin_err < 1e-10 and quad_err < 1e-5
     detail = (
         f"tanh-short err={short_err:.3e} (< 1e-4), poisson err={lin_err:.3e} "
         f"(< 1e-10), manufactured err={quad_err:.3e} (< 1e-5)"
     )
     return ok, detail
+
+
+def _series_error(case_id: str, config: HamConfig) -> float:
+    """Sup error of the full partial sum, measured on the run's own grid."""
+    case = get_case(case_id)
+    ws = Workspace(case.spec, config)
+    series = ws.run()
+    return error_vs_exact(case, partial_sum(series, config.order), ws.grid)
 
 
 def _random_polynomial_expr(rng) -> OperatorExpr:
@@ -355,19 +349,18 @@ def write_bench_artifacts(outdir) -> None:
         case_dir = outdir / case.id
         case_dir.mkdir(parents=True, exist_ok=True)
         config = HamConfig()
-        grid = case.spec.make_grid()
+        ws = Workspace(case.spec, config)
         with _silence():
-            series = run_ham(case.spec, config, grid)
+            series = ws.run()
             write_series_csv(case_dir / "series.csv", series)
-            write_solution_csv(case_dir / "solution.csv", case.spec, series, grid)
+            write_solution_csv(case_dir / "solution.csv", ws, series)
             curve = scan_hbar(
                 case.spec, config, np.linspace(-2.0, -0.1, 17)
             )
             write_curve_csv(case_dir / "hbar_curve.csv", curve)
-            path = trace_path(
-                case.spec, HamConfig(hbar=TRACE_HBAR), initial_steps=TRACE_STEPS
-            )
-            write_path_csv(case_dir / "path.csv", case.spec, path)
+            trace_ws = Workspace(case.spec, HamConfig(hbar=TRACE_HBAR))
+            path = trace_workspace(trace_ws, initial_steps=TRACE_STEPS)
+            write_path_csv(case_dir / "path.csv", trace_ws, path)
             report = check_equivalence(case.spec, order=10, tolerance=1e-10)
             write_equivalence_json(case_dir / "equivalence.json", report)
 

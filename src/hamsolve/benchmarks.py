@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .expressions import LinearOperator, OperatorExpr, eval_expr, parse_expr
-from .grids import BoundaryCondition
+from .expressions import LinearOperator, parse_expr
+from .grids import BoundaryCondition, Grid
 from .problem import ProblemSpec
 
 
@@ -23,11 +23,7 @@ from .problem import ProblemSpec
 class BenchmarkCase:
     id: str
     spec: ProblemSpec
-    exact: OperatorExpr
     notes: str
-
-    def exact_values(self, grid) -> np.ndarray:
-        return np.asarray(eval_expr(self.exact, grid.nodes), dtype=float)
 
 
 def _dirichlet(left: float, right: float):
@@ -52,7 +48,6 @@ def builtin_cases() -> tuple:
             exact_solution=sin_pir,
             name="linear-poisson",
         ),
-        exact=sin_pir,
         notes="u'' = -pi^2 sin(pi r) with zero Dirichlet data; sin(pi r) "
         "differentiates twice into the source exactly",
     )
@@ -68,7 +63,6 @@ def builtin_cases() -> tuple:
             exact_solution=parse_expr("tanh(r)"),
             name="riccati-tanh-short",
         ),
-        exact=parse_expr("tanh(r)"),
         notes="u' + u^2 = 1, u(0) = 0; tanh' = 1 - tanh^2",
     )
     tanh_long = BenchmarkCase(
@@ -83,7 +77,6 @@ def builtin_cases() -> tuple:
             exact_solution=parse_expr("tanh(r)"),
             name="riccati-tanh-long",
         ),
-        exact=parse_expr("tanh(r)"),
         # same equation, domain reaching past the Taylor radius pi/2 of
         # tanh at 0: fixed-parameter series must diverge here
         notes="u' + u^2 = 1 on [0, 3]; stressor for series divergence",
@@ -100,7 +93,6 @@ def builtin_cases() -> tuple:
             exact_solution=sin_pir,
             name="manufactured-quad",
         ),
-        exact=sin_pir,
         notes="source manufactured so that sin(pi r) solves u'' + u^2 = s "
         "with zero Dirichlet data",
     )
@@ -120,8 +112,7 @@ def get_case(case_id: str) -> BenchmarkCase:
     )
 
 
-def error_vs_exact(case: BenchmarkCase, U: np.ndarray, grid=None) -> float:
-    """Sup-norm distance from the case's sampled exact solution."""
-    grid = grid if grid is not None else case.spec.make_grid()
+def error_vs_exact(case: BenchmarkCase, U: np.ndarray, grid: Grid) -> float:
+    """Sup-norm distance from the case's exact solution sampled on ``grid``."""
     U = grid.check_length(U)
-    return float(np.max(np.abs(U - case.exact_values(grid))))
+    return float(np.max(np.abs(U - case.spec.exact_values(grid))))

@@ -23,11 +23,11 @@ import numpy as np
 
 from .acceptance import bench
 from .benchmarks import get_case
-from .continuation import trace_path
-from .engine import run_ham
+from .continuation import trace_workspace
+from .engine import Workspace
 from .errors import ConfigError, DivergenceWarning, HamError, PathAbortError
 from .expressions import parse_expr
-from .hbar import scan_hbar
+from .hbar import scan_hbar, split_bracket
 from .hpm import check_equivalence
 from .problem import HamConfig, ProblemSpec
 from .problemfile import parse_problem_file
@@ -41,7 +41,6 @@ from .reports import (
 
 BUILTIN_PREFIX = "builtin:"
 TRACE_DEFAULT_HBAR = 1.0
-SPLIT_MARGIN = 1e-3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,13 +165,14 @@ def _load(args) -> Tuple[ProblemSpec, HamConfig]:
 def cmd_solve(args) -> int:
     problem, config = _load(args)
     outdir = _outdir(args)
+    ws = Workspace(problem, config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DivergenceWarning)
-        series = run_ham(problem, config)
+        series = ws.run()
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     write_series_csv(outdir / "series.csv", series)
-    write_solution_csv(outdir / "solution.csv", problem, series)
+    write_solution_csv(outdir / "solution.csv", ws, series)
     print(
         f"order {config.order} residual {series.residual_history[-1]:.6g};"
         f" wrote {outdir / 'series.csv'} and {outdir / 'solution.csv'}"
@@ -181,23 +181,18 @@ def cmd_solve(args) -> int:
 
 
 def _scan_points(lo: float, hi: float, points: int) -> np.ndarray:
-    if not lo < hi:
-        raise ConfigError(f"empty hbar range ({lo}, {hi})")
     if points < 2:
         raise ConfigError(f"hscan needs at least 2 points, got {points}")
-    if lo == 0.0:
-        lo = SPLIT_MARGIN
-    if hi == 0.0:
-        hi = -SPLIT_MARGIN
-    if hi < 0.0 or lo > 0.0:
-        return np.linspace(lo, hi, points)
-    # range straddles zero: split it, keeping the requested point count
+    sides = split_bracket(lo, hi)
+    if len(sides) == 1:
+        return np.linspace(*sides[0], points)
+    # both sides of zero: share the requested point count by length
     n_neg = int(round(points * (-lo) / (hi - lo)))
     n_neg = min(max(n_neg, 1), points - 1)
     return np.concatenate(
         [
-            np.linspace(lo, -SPLIT_MARGIN, n_neg),
-            np.linspace(SPLIT_MARGIN, hi, points - n_neg),
+            np.linspace(*sides[0], n_neg),
+            np.linspace(*sides[1], points - n_neg),
         ]
     )
 
@@ -223,14 +218,15 @@ def cmd_trace(args) -> int:
         # tracing prefers the positive embedding direction; the series
         # solver's hbar (often negative) is a different knob
         config = config.with_hbar(TRACE_DEFAULT_HBAR)
+    ws = Workspace(problem, config)
     try:
-        path = trace_path(problem, config, initial_steps=args.steps)
+        path = trace_workspace(ws, initial_steps=args.steps)
     except PathAbortError as exc:
-        write_path_csv(outdir / "path.csv", problem, exc.path)
+        write_path_csv(outdir / "path.csv", ws, exc.path)
         print(f"error: {exc}", file=sys.stderr)
         print(f"wrote partial path to {outdir / 'path.csv'}", file=sys.stderr)
         return 3
-    write_path_csv(outdir / "path.csv", problem, path)
+    write_path_csv(outdir / "path.csv", ws, path)
     final = path.final
     print(
         f"reached eps=1 in {len(path.steps) - 1} steps "

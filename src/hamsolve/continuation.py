@@ -7,6 +7,11 @@ with Newton correction and step halving; no fold traversal. A fold or a
 singular embedding direction surfaces as PathAbortError with the partial
 path attached rather than being silently skipped.
 
+Everything here runs on one engine ``Workspace``, passed first:
+``homotopy_residual``, ``homotopy_jacobian``, ``newton_at`` and
+``trace_workspace(ws, initial_steps)``, which marches the whole path.
+``trace_path(problem, config, initial_steps)`` builds the workspace first.
+
 Note the embedding direction matters: for hbar < 0 the convex combination
 (1 - eps) L_opt + eps hbar L can pass through an exactly singular matrix at
 eps = 1/(1 - hbar). Tracing is therefore healthiest at hbar > 0 (the series
@@ -150,9 +155,11 @@ def _condition(ws: Workspace, eps: float, u: np.ndarray) -> float:
     return float(np.linalg.cond(homotopy_jacobian(ws, eps, u), 1))
 
 
-def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16) -> ContinuationPath:
+def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     """March eps from 0 to 1 with warm-started Newton correction.
 
+    The tracing counterpart of ``Workspace.run``: it uses the workspace's
+    grid, matrices, u_0 and ``ws.config.hbar`` and builds none of its own.
     Failed steps halve the increment (a singular jacobian mid-path counts
     as a failure); below the 1e-4 floor the trace aborts with the partial
     path attached to the error. Successful steps grow the increment back,
@@ -161,7 +168,6 @@ def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16)
     """
     if initial_steps < 2:
         raise ConfigError(f"initial_steps must be >= 2, got {initial_steps}")
-    ws = Workspace(problem, config)
     g0norm = float(np.max(np.abs(homotopy_residual(ws, 0.0, ws.u0))))
     start_ok = g0norm < NEWTON_TOL * (1.0 + float(np.max(np.abs(ws.u0))))
     steps = [
@@ -189,10 +195,15 @@ def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16)
         else:
             deps *= 0.5
             if deps < MIN_STEP:
-                partial = ContinuationPath(steps=tuple(steps), config=config)
+                partial = ContinuationPath(steps=tuple(steps), config=ws.config)
                 raise PathAbortError(
                     f"continuation stalled near eps={eps:g}: step underflowed "
                     f"{MIN_STEP:g} without Newton convergence",
                     partial,
                 )
-    return ContinuationPath(steps=tuple(steps), config=config)
+    return ContinuationPath(steps=tuple(steps), config=ws.config)
+
+
+def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16) -> ContinuationPath:
+    """``trace_workspace`` on a fresh workspace for problem and config."""
+    return trace_workspace(Workspace(problem, config), initial_steps)

@@ -44,10 +44,10 @@ class Workspace:
     build but immutable afterwards.
     """
 
-    def __init__(self, problem: ProblemSpec, config: HamConfig, grid: Optional[Grid] = None):
+    def __init__(self, problem: ProblemSpec, config: HamConfig):
         self.problem = problem
         self.config = config
-        self.grid = grid if grid is not None else problem.make_grid()
+        self.grid = problem.make_grid()
         self.A_L = assemble_linear(problem.L, self.grid)
         self.s_vals = _grid_values(problem.s, self.grid)
         self.H_vals = _grid_values(config.H, self.grid)
@@ -183,13 +183,13 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
     return BcSystem(matrix, problem.bcs, grid)
 
 
-def run_ham(problem: ProblemSpec, config: HamConfig, grid: Optional[Grid] = None) -> SeriesSolution:
+def run_ham(problem: ProblemSpec, config: HamConfig) -> SeriesSolution:
     """Full series run: u_0 then order-m solves up to the truncation order.
 
     Emits DivergenceWarning (and sets the flag on the result) when per-order
     sup norms grow three times in a row; the series is still returned.
     """
-    return Workspace(problem, config, grid).run()
+    return Workspace(problem, config).run()
 
 
 def partial_sum(series: SeriesSolution, upto: int) -> np.ndarray:

@@ -307,11 +307,3 @@ class BcSystem:
             rhs[i] = v
         return lu_solve(self._lu, rhs)
 
-
-def solve_with_bcs(op: LinearOperator, rhs: np.ndarray, bcs, grid: Grid) -> np.ndarray:
-    """One-shot assemble + BC row replacement + solve."""
-    if len(bcs) != op.order:
-        raise ConfigError(
-            f"operator of order {op.order} needs exactly {op.order} BCs, got {len(bcs)}"
-        )
-    return BcSystem(assemble_linear(op, grid), bcs, grid).solve(rhs)

@@ -120,6 +120,29 @@ def _search_side(ws: Workspace, order: int, probe_point: float, lo: float, hi: f
     f(0.5 * (a + b))
 
 
+def split_bracket(lo: float, hi: float) -> list:
+    """The zero-free sub-brackets of (lo, hi), in ascending order.
+
+    hbar = 0 is not admissible, so a bracket that reaches zero is cut back
+    to BRACKET_TOL on each side; a side left empty is dropped. Raises
+    ConfigError for an empty bracket or one that lies within BRACKET_TOL
+    of zero.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (lo < hi):
+        raise ConfigError(f"empty hbar bracket ({lo}, {hi})")
+    if hi < 0.0 or lo > 0.0:
+        return [(lo, hi)]
+    sides = []
+    if lo < -BRACKET_TOL:
+        sides.append((lo, -BRACKET_TOL))
+    if hi > BRACKET_TOL:
+        sides.append((BRACKET_TOL, hi))
+    if not sides:
+        raise ConfigError(f"bracket ({lo}, {hi}) contains only hbar ~ 0")
+    return sides
+
+
 def optimal_hbar(problem: ProblemSpec, base_config: HamConfig, bracket: Tuple[float, float]) -> OptimalHbar:
     """Residual-minimizing hbar inside the bracket.
 
@@ -128,20 +151,7 @@ def optimal_hbar(problem: ProblemSpec, base_config: HamConfig, bracket: Tuple[fl
     residual_star is never above the residual at any probed point; final
     golden-section bracket width is below 1e-3.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (lo < hi):
-        raise ConfigError(f"empty hbar bracket ({lo}, {hi})")
-    sides = []
-    margin = BRACKET_TOL
-    if hi < 0.0 or lo > 0.0:
-        sides.append((lo, hi))
-    else:
-        if lo < -margin:
-            sides.append((lo, -margin))
-        if hi > margin:
-            sides.append((margin, hi))
-        if not sides:
-            raise ConfigError(f"bracket ({lo}, {hi}) contains only hbar ~ 0")
+    sides = split_bracket(*bracket)
     ws = Workspace(problem, base_config)
     probe_point = 0.5 * (problem.a + problem.b)
     seen: dict = {}

@@ -375,23 +375,21 @@ def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:
     """Pointwise partial derivatives of expr w.r.t. each u-derivative slot.
 
     ``u_values`` maps derivative order -> sampled values at the nodes.
-    Returns {order: d expr / d u^(order)} arrays, one forward-mode sweep per
-    referenced order.
+    Returns {order: d expr / d u^(order)} arrays from one forward-mode
+    sweep: the nodes are repeated once per slot along the width, and slot
+    k's copy seeds the derivative row of u^(k) alone.
     """
     r = np.asarray(r, dtype=float)
     width = r.shape[0]
-    upto = max_u_order(expr)
-    out = {}
-    for seed in range(upto + 1):
-        u_jets = {}
-        for k in range(upto + 1):
-            jet = np.zeros((2, width))
-            jet[0] = u_values[k]
-            if k == seed:
-                jet[1] = 1.0
-            u_jets[k] = jet
-        out[seed] = jet_expand(expr, r, u_jets, 2)[1]
-    return out
+    slots = max_u_order(expr) + 1
+    u_jets = {}
+    for k in range(slots):
+        jet = np.zeros((2, slots, width))
+        jet[0] = u_values[k]
+        jet[1, k] = 1.0
+        u_jets[k] = jet.reshape(2, slots * width)
+    row = jet_expand(expr, np.tile(r, slots), u_jets, 2)[1]
+    return dict(enumerate(row.reshape(slots, width)))
 
 
 def frechet_at_reference(A_L: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> np.ndarray:

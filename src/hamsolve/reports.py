@@ -2,6 +2,9 @@
 
 All writers are byte-deterministic for identical inputs: no timestamps, no
 absolute paths, 17-significant-digit floats, LF newlines, sorted JSON keys.
+Writers of grid functions take the engine ``Workspace`` the values were
+computed on and read its grid and problem: ``write_solution_csv(path, ws,
+series)`` and ``write_path_csv(path, ws, traced)`` build nothing.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from typing import Iterable
 import numpy as np
 
 from .continuation import ContinuationPath
-from .engine import partial_sum
+from .engine import Workspace, partial_sum
 from .hbar import HbarCurve
 from .hpm import EquivalenceReport
-from .problem import ProblemSpec, SeriesSolution
+from .problem import SeriesSolution
 
 
 def format_value(v) -> str:
@@ -52,10 +55,10 @@ def write_series_csv(path, series: SeriesSolution) -> None:
     write_csv(path, ("order", "norm", "residual"), rows)
 
 
-def write_solution_csv(path, problem: ProblemSpec, series: SeriesSolution, grid=None) -> None:
-    grid = grid if grid is not None else problem.make_grid()
+def write_solution_csv(path, ws: Workspace, series: SeriesSolution) -> None:
+    grid = ws.grid
     U = partial_sum(series, series.truncation_order)
-    exact = problem.exact_values(grid)
+    exact = ws.problem.exact_values(grid)
     rows = []
     for i in range(grid.n):
         if exact is None:
@@ -72,16 +75,15 @@ def write_curve_csv(path, curve: HbarCurve) -> None:
     write_csv(path, ("hbar", "residual", "diverged", "probe"), rows)
 
 
-def write_path_csv(path, problem: ProblemSpec, traced: ContinuationPath) -> None:
-    grid = problem.make_grid()
-    midpoint = 0.5 * (problem.a + problem.b)
+def write_path_csv(path, ws: Workspace, traced: ContinuationPath) -> None:
+    midpoint = 0.5 * (ws.problem.a + ws.problem.b)
     rows = [
         (
             step.eps,
             step.newton_iters,
             step.jac_condition,
             step.residual_inf,
-            grid.interpolate(step.u, midpoint),
+            ws.grid.interpolate(step.u, midpoint),
         )
         for step in traced.steps
     ]

@@ -8,9 +8,12 @@ gamed green, and weakening the thresholds here would hide the finding.
 Everything else must stay green.
 """
 
-import pytest
-
-from hamsolve.acceptance import CRITERIA
+from hamsolve.acceptance import (
+    CRITERIA,
+    criterion_3_continuation,
+    criterion_6_exact_recovery,
+    write_bench_artifacts,
+)
 
 _BY_NUMBER = {number: (name, func) for number, name, func in CRITERIA}
 
@@ -65,3 +68,29 @@ def test_criterion_7_jet_oracle():
 
 def test_criterion_8_determinism():
     assert run_criterion(8)
+
+
+# Set-up counts, not timings: each case is set up once per use and the
+# traces, residuals and reports run on that one workspace.
+
+
+def test_criterion_3_builds_one_workspace_per_case(count_calls):
+    # the fine trace, the coarse trace and |F(u(1))| share a workspace
+    calls = count_calls("hamsolve.engine", "Workspace.__init__")
+    criterion_3_continuation()
+    assert len(calls) == 4
+
+
+def test_criterion_6_builds_one_grid_per_case(count_calls):
+    # the error is measured on the grid the series was computed on
+    calls = count_calls("hamsolve.grids", "build_grid")
+    criterion_6_exact_recovery()
+    assert len(calls) == 3
+
+
+def test_bench_artifacts_build_five_grids_per_case(tmp_path, count_calls):
+    # per case: the series (and solution.csv), the hbar scan, the trace
+    # (and path.csv), and the engine and oracle of the equivalence check
+    calls = count_calls("hamsolve.grids", "build_grid")
+    write_bench_artifacts(tmp_path)
+    assert len(calls) == 4 * 5

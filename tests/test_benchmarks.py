@@ -34,7 +34,7 @@ def test_exactly_four_cases_in_stable_order():
 def test_exact_solution_satisfies_the_equation(case_id):
     case = get_case(case_id)
     ws = Workspace(case.spec, HamConfig())
-    exact = case.exact_values(ws.grid)
+    exact = case.spec.exact_values(ws.grid)
     # spectral differentiation of the sampled truth is the only error source
     assert float(np.max(np.abs(ws.operator_values(exact)))) < 1e-8
 
@@ -43,7 +43,7 @@ def test_exact_solution_satisfies_the_equation(case_id):
 def test_exact_solution_satisfies_boundary_conditions(case_id):
     case = get_case(case_id)
     grid = case.spec.make_grid()
-    exact = case.exact_values(grid)
+    exact = case.spec.exact_values(grid)
     for bc in case.spec.bcs:
         assert float(bc_row(grid, bc) @ exact) == pytest.approx(
             bc.value, abs=1e-12
@@ -61,14 +61,14 @@ def test_case_metadata(case_id):
 def test_error_vs_exact_of_zero_guess():
     case = get_case("riccati-tanh-short")
     grid = case.spec.make_grid()
-    err = error_vs_exact(case, np.zeros(grid.n))
+    err = error_vs_exact(case, np.zeros(grid.n), grid)
     assert err == float(np.tanh(1.0))
 
 
 def test_error_vs_exact_on_custom_grid():
     case = get_case("linear-poisson")
     grid = build_grid("uniform-fd", 33, 0.0, 1.0)
-    exact = case.exact_values(grid)
+    exact = case.spec.exact_values(grid)
     assert error_vs_exact(case, exact, grid) == 0.0
     # uniform grid has a node exactly at the midpoint
     assert error_vs_exact(case, np.zeros(grid.n), grid) == 1.0
@@ -77,7 +77,7 @@ def test_error_vs_exact_on_custom_grid():
 def test_error_vs_exact_checks_length():
     case = get_case("linear-poisson")
     with pytest.raises(GridMismatchError):
-        error_vs_exact(case, np.zeros(10))
+        error_vs_exact(case, np.zeros(10), case.spec.make_grid())
 
 
 def test_series_error_regression_band():

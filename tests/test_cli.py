@@ -6,10 +6,10 @@ warning from solve, 3 continuation abort from trace.
 
 import json
 
+import numpy as np
 import pytest
 
-from hamsolve import Workspace
-from hamsolve.cli import main
+from hamsolve.cli import _scan_points, main
 
 RICCATI_TEXT = """\
 [domain]
@@ -44,6 +44,14 @@ class TestSolve:
         assert max(float(r[3]) for r in rows) < 1e-8
         out = capsys.readouterr().out
         assert "series.csv" in out and "solution.csv" in out
+
+    def test_builds_one_grid(self, tmp_path, count_calls, capsys):
+        # counts, not timings: solution.csv is written on the solve's grid
+        calls = count_calls("hamsolve.grids", "build_grid")
+        rc = main(["solve", "builtin:linear-poisson", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
     def test_divergent_series_exits_two(self, tmp_path, capsys):
         rc = main(
@@ -168,6 +176,45 @@ class TestHscan:
         assert all(h != 0.0 for h in hbars)
         assert any(h < 0 for h in hbars) and any(h > 0 for h in hbars)
 
+    @pytest.mark.parametrize(
+        "lo,hi", [(-0.0005, 0.0), (0.0, 0.0004), (-0.0005, 0.0004)]
+    )
+    def test_range_within_split_margin_of_zero_is_rejected(
+        self, lo, hi, tmp_path, capsys
+    ):
+        rc = main(
+            [
+                "hscan", "builtin:linear-poisson", "--order", "2",
+                "--range", str(lo), str(hi), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        assert "hbar ~ 0" in capsys.readouterr().err
+        assert not (tmp_path / "hbar_curve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(-2.0, -0.1), (-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (-1.0, 0.0005),
+         (-0.0005, 1.0)],
+    )
+    def test_points_stay_inside_the_range(self, lo, hi):
+        pts = _scan_points(lo, hi, 9)
+        assert len(pts) == 9
+        assert np.all((lo <= pts) & (pts <= hi))
+        assert np.all(pts != 0.0)
+        assert np.all(np.diff(pts) > 0)
+
+    def test_unchanged_points_away_from_zero(self):
+        np.testing.assert_array_equal(
+            _scan_points(-2.0, -0.1, 17), np.linspace(-2.0, -0.1, 17)
+        )
+        np.testing.assert_array_equal(
+            _scan_points(-1.0, 1.0, 8),
+            np.concatenate(
+                [np.linspace(-1.0, -1e-3, 4), np.linspace(1e-3, 1.0, 4)]
+            ),
+        )
+
     def test_bad_scan_arguments(self, capsys):
         assert main(
             ["hscan", "builtin:linear-poisson", "--points", "1"]
@@ -192,21 +239,29 @@ class TestTrace:
         assert float(rows[-1][0]) == 1.0
         assert "reached eps=1" in capsys.readouterr().out
 
-    def test_builds_one_workspace(self, tmp_path, monkeypatch, capsys):
+    def test_builds_one_workspace(self, tmp_path, count_calls, capsys):
         # counts, not timings: path.csv comes from the traced steps, not
         # from a second workspace that re-evaluates them
-        init = Workspace.__init__
-        calls = []
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Workspace, "__init__", counting)
+        calls = count_calls("hamsolve.engine", "Workspace.__init__")
         rc = main(
             ["trace", "builtin:manufactured-quad", "--out", str(tmp_path)]
         )
         assert rc == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra,code", [((), 0), (("--hbar", "-1"), 3)], ids=["reached", "aborted"]
+    )
+    def test_builds_one_grid(self, extra, code, tmp_path, count_calls, capsys):
+        # path.csv interpolates on the traced workspace's grid, also for
+        # the partial path of an aborted trace
+        calls = count_calls("hamsolve.grids", "build_grid")
+        rc = main(
+            ["trace", "builtin:manufactured-quad", *extra, "--out", str(tmp_path)]
+        )
+        assert rc == code
+        assert (tmp_path / "path.csv").exists()
         assert len(calls) == 1
         capsys.readouterr()
 

@@ -23,6 +23,7 @@ from hamsolve import (
     homotopy_residual,
     newton_at,
     trace_path,
+    trace_workspace,
 )
 
 LINEAR = get_case("linear-poisson")
@@ -136,7 +137,7 @@ class TestNewton:
     def test_polish_near_exact_solution(self):
         config = HamConfig(hbar=1.0)
         ws = Workspace(MANUFACTURED.spec, config)
-        exact = MANUFACTURED.exact_values(ws.grid)
+        exact = MANUFACTURED.spec.exact_values(ws.grid)
         start = exact + 1e-3 * np.sin(3.0 * np.pi * ws.grid.nodes)
         result = newton_at(ws, 1.0, start)
         assert result.converged
@@ -155,7 +156,7 @@ class TestTracePath:
     def test_steps_carry_newton_residual(self):
         config = HamConfig(hbar=1.0)
         ws = Workspace(MANUFACTURED.spec, config)
-        path = trace_path(MANUFACTURED.spec, config)
+        path = trace_workspace(ws)
         for step in path.steps:
             g = homotopy_residual(ws, step.eps, step.u)
             assert step.residual_inf == float(np.max(np.abs(g)))
@@ -183,9 +184,10 @@ class TestTracePath:
         assert eps[0] == 0.0
 
     def test_endpoint_solves_the_problem(self):
-        path = trace_path(TANH_SHORT.spec, HamConfig(hbar=1.0))
+        ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
+        path = trace_workspace(ws)
         assert path.final.eps == 1.0
-        assert error_vs_exact(TANH_SHORT, path.final.u) < 1e-8
+        assert error_vs_exact(TANH_SHORT, path.final.u, ws.grid) < 1e-8
 
     def test_endpoint_invariant_under_positive_hbar(self):
         finals = []
@@ -222,8 +224,9 @@ class TestTracePath:
         healthy = trace_path(TANH_SHORT.spec, HamConfig(hbar=1.0))
         risky = trace_path(TANH_SHORT.spec, HamConfig(hbar=-1.0))
         sup = lambda p: max(float(np.max(np.abs(s.u))) for s in p.steps)
-        assert error_vs_exact(TANH_SHORT, healthy.final.u) < 1e-8
+        grid = TANH_SHORT.spec.make_grid()
+        assert error_vs_exact(TANH_SHORT, healthy.final.u, grid) < 1e-8
         assert risky.final.eps == 1.0
-        assert error_vs_exact(TANH_SHORT, risky.final.u) > 1e-2
+        assert error_vs_exact(TANH_SHORT, risky.final.u, grid) > 1e-2
         assert sup(risky) > 100.0 * sup(healthy)
         assert len(risky.steps) > len(healthy.steps)

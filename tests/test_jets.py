@@ -296,6 +296,31 @@ class TestFrechet:
         np.testing.assert_allclose(parts[2], np.ones(5), atol=1e-14)
         assert np.max(np.abs(parts[1])) == 0.0
 
+    @pytest.mark.parametrize(
+        "text", ["exp(u)*u''+sin(u')*r", "sqrt(2+u^2)*u'^3-log(3+u'')/(1+r)"]
+    )
+    def test_partials_equal_per_slot_sweeps(self, text):
+        # one sweep with the slots side by side must give exactly what one
+        # forward-mode sweep per slot gives
+        expr = parse_expr(text)
+        rng = np.random.default_rng(5)
+        r = np.linspace(0.0, 1.0, 17)
+        vals = {k: rng.standard_normal(r.size) for k in range(3)}
+        want = {}
+        for seed in range(3):
+            u_jets = {}
+            for k in range(3):
+                jet = np.zeros((2, r.size))
+                jet[0] = vals[k]
+                if k == seed:
+                    jet[1] = 1.0
+                u_jets[k] = jet
+            want[seed] = jet_expand(expr, r, u_jets, 2)[1]
+        got = expr_partials(expr, r, vals)
+        assert sorted(got) == [0, 1, 2]
+        for k in range(3):
+            np.testing.assert_array_equal(got[k], want[k])
+
     def test_reference_matrix_quadratic_case(self):
         # d/du [u'' + u^2] at u0 = sin(pi r) is v -> v'' + 2 sin(pi r) v
         g = build_grid("chebyshev-lobatto", 24, 0.0, 1.0)
