@@ -5,7 +5,7 @@ explicit boundary conditions (ProblemSpec), pick the linear core, hbar,
 weight, and truncation order (HamConfig), then run_ham to get the series.
 Convergence tuning lives in scan_hbar/optimal_hbar, path validation in
 trace_path, and the independent fixed-parameter oracle in hpm_recursion /
-check_equivalence.
+check_equivalence. The names imported below are the public API.
 """
 
 from .errors import (
@@ -46,7 +46,7 @@ from .grids import (
     build_grid,
     integrate,
 )
-from .jets import frechet_apply, frechet_at_reference, jet_expand
+from .jets import frechet_at_reference, jet_expand
 from .problem import HamConfig, ProblemSpec, SeriesSolution
 from .engine import Workspace, partial_sum, run_ham
 from .hbar import HbarCurve, HbarEntry, OptimalHbar, optimal_hbar, scan_hbar
@@ -71,72 +71,3 @@ from .benchmarks import (
 from .problemfile import ParsedProblem, parse_problem_file, parse_problem_text
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BcSystem",
-    "BenchmarkCase",
-    "BoundaryCondition",
-    "Call",
-    "ConfigError",
-    "Const",
-    "ContinuationPath",
-    "Coord",
-    "DivergenceWarning",
-    "DomainError",
-    "EquivalenceReport",
-    "Grid",
-    "GridMismatchError",
-    "HamConfig",
-    "HamError",
-    "HbarCurve",
-    "HbarEntry",
-    "LinearOperator",
-    "NewtonResult",
-    "OperatorExpr",
-    "OptimalHbar",
-    "ParseError",
-    "ParsedProblem",
-    "PathAbortError",
-    "PathStep",
-    "Power",
-    "ProblemSpec",
-    "Product",
-    "RangeError",
-    "SeriesSolution",
-    "SingularOperatorError",
-    "SingularSystemError",
-    "Sum",
-    "U",
-    "Workspace",
-    "assemble_linear",
-    "bc_row",
-    "bc_row_indices",
-    "build_grid",
-    "builtin_cases",
-    "case_ids",
-    "check_equivalence",
-    "contains_u",
-    "error_vs_exact",
-    "eval_expr",
-    "frechet_apply",
-    "frechet_at_reference",
-    "get_case",
-    "homotopy_jacobian",
-    "homotopy_residual",
-    "hpm_config",
-    "hpm_recursion",
-    "integrate",
-    "jet_expand",
-    "max_u_order",
-    "newton_at",
-    "optimal_hbar",
-    "parse_expr",
-    "parse_problem_file",
-    "parse_problem_text",
-    "partial_sum",
-    "run_ham",
-    "scan_hbar",
-    "trace_path",
-    "trace_workspace",
-    "walk",
-]

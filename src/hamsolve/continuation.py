@@ -63,9 +63,6 @@ class ContinuationPath:
     def final(self) -> PathStep:
         return self.steps[-1]
 
-    def eps_values(self) -> np.ndarray:
-        return np.array([s.eps for s in self.steps])
-
 
 class NewtonResult(NamedTuple):
     u: np.ndarray

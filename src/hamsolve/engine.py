@@ -20,7 +20,7 @@ what makes the reduced-method comparison meaningful at tight tolerances.
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -76,23 +76,13 @@ class Workspace:
             forcing = forcing - self.s_vals
         return (hbar * self.H_vals + chi) * t + hbar * (self.H_vals * forcing)
 
-    def mth_order_rhs(self, m: int, orders: Sequence[np.ndarray], hbar: float) -> np.ndarray:
-        if m < 1:
-            raise RangeError(f"order-m right-hand side needs m >= 1, got {m}")
-        if len(orders) < m:
-            raise RangeError(f"need orders u_0..u_{m-1} to form rhs_{m}, got {len(orders)}")
-        tape = SeriesTape(self.problem.N, self.grid, m)
-        for u in orders[:m]:
-            forcing = tape.push(u)
-        return self._rhs(m, self.grid.check_length(orders[m - 1]), forcing, hbar)
-
     def run(self, hbar: Optional[float] = None, order: Optional[int] = None) -> SeriesSolution:
-        hbar = self.config.hbar if hbar is None else float(hbar)
-        order = self.config.order if order is None else int(order)
-        if hbar == 0.0:
-            raise ConfigError("hbar must be nonzero")
-        if order < 0:
-            raise ConfigError(f"truncation order must be >= 0, got {order}")
+        cfg = self.config
+        if hbar is not None:
+            cfg = cfg.with_hbar(hbar)
+        if order is not None:
+            cfg = cfg.with_order(int(order))
+        hbar, order = cfg.hbar, cfg.order
         homogeneous = np.zeros(len(self.problem.bcs))
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
         tape = SeriesTape(self.problem.N, self.grid, order)
@@ -109,7 +99,6 @@ class Workspace:
             running = running + um
             history.append(self.squared_residual(running))
         diverged = series_diverges(norms)
-        cfg = self.config.with_hbar(hbar).with_order(order)
         if diverged:
             warnings.warn(
                 f"per-order norms grew for {DIVERGENCE_STREAK} consecutive "

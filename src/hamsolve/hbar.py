@@ -32,6 +32,11 @@ class HbarEntry(NamedTuple):
     probe: float
 
 
+def _rank(entry: HbarEntry) -> float:
+    """Residual as a minimization key; a non-finite residual counts as +inf."""
+    return entry.residual if math.isfinite(entry.residual) else math.inf
+
+
 @dataclass(frozen=True)
 class HbarCurve:
     """Residual-vs-hbar sweep at fixed order, weight, and linear core."""
@@ -49,8 +54,7 @@ class HbarCurve:
         return np.array([e.residual for e in self.entries])
 
     def best(self) -> HbarEntry:
-        key = [e.residual if math.isfinite(e.residual) else math.inf for e in self.entries]
-        return self.entries[int(np.argmin(key))]
+        return min(self.entries, key=_rank)
 
 
 class OptimalHbar(NamedTuple):
@@ -100,8 +104,7 @@ def _search_side(ws: Workspace, order: int, probe_point: float, lo: float, hi: f
         h = float(h)
         if h not in seen:
             seen[h] = _evaluate(ws, h, order, probe_point)
-        r = seen[h].residual
-        return r if math.isfinite(r) else math.inf
+        return _rank(seen[h])
 
     points = np.linspace(lo, hi, PRESCAN_POINTS)
     values = [f(h) for h in points]
@@ -157,8 +160,5 @@ def optimal_hbar(problem: ProblemSpec, base_config: HamConfig, bracket: Tuple[fl
     seen: dict = {}
     for s_lo, s_hi in sides:
         _search_side(ws, base_config.order, probe_point, s_lo, s_hi, seen)
-    best = min(
-        seen.values(),
-        key=lambda e: e.residual if math.isfinite(e.residual) else math.inf,
-    )
+    best = min(seen.values(), key=_rank)
     return OptimalHbar(hbar_star=best.hbar, residual_star=best.residual)

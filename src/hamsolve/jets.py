@@ -11,8 +11,9 @@ DomainError. Two-row jets double as forward-mode dual numbers, which is how
 the directional (Fréchet) derivative of an expression is computed.
 
 Every recurrence is a node of a ``Tape`` that fills one Taylor row at a
-time. The batch functions fill all rows at once; the series engine extends
-a ``SeriesTape`` by one row per order (docs/recursions.md, "Online jets").
+time, and ``Tape`` is the one jet API. ``jet_expand`` is its batch form,
+filling all rows of an expression at once; the series engine extends a
+``SeriesTape`` by one row per order (docs/recursions.md, "Online jets").
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .expressions import (
     Product,
     Sum,
     U,
-    eval_expr,
     max_u_order,
 )
 from .grids import Grid
 
 
-def constant_jet(value, depth: int, width: int) -> np.ndarray:
+def _constant(value, depth: int, width: int) -> np.ndarray:
     out = np.zeros((depth, width))
     out[:1] = value
     return out
@@ -49,8 +49,7 @@ class Tape:
     children first; a node's row m reads only rows <= m of its inputs and
     rows < m of its own buffers. So a tape can be extended online, one row
     per order, as the inputs' rows arrive; ``fill`` is the batch form.
-    Each recurrence lives here once, and the public ``jet_*`` functions
-    are one-node tapes filled at once.
+    Each recurrence lives here once.
     """
 
     def __init__(self):
@@ -114,7 +113,7 @@ class Tape:
                 k >>= 1
                 if k:
                     base = self.mul(base, base)
-            return constant_jet(1.0, *u.shape) if out is None else out
+            return _constant(1.0, *u.shape) if out is None else out
         out = np.zeros_like(u)
 
         def row(m):
@@ -211,9 +210,9 @@ class Tape:
 
         def rec(node):
             if isinstance(node, Const):
-                return constant_jet(node.value, depth, width)
+                return _constant(node.value, depth, width)
             if isinstance(node, Coord):
-                return constant_jet(r, depth, width)
+                return _constant(r, depth, width)
             if isinstance(node, U):
                 if node.order not in u_jets:
                     raise ConfigError(
@@ -252,44 +251,6 @@ class Tape:
             raise TypeError(f"not an expression node: {node!r}")
 
         return rec(expr)
-
-
-def _filled(node, u: np.ndarray, *args):
-    """Batch form of one tape node: all of u's rows at once."""
-    tape = Tape()
-    out = node(tape, u, *args)
-    tape.fill(u.shape[0])
-    return out
-
-
-def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated Cauchy product."""
-    return _filled(Tape.mul, a, b)
-
-
-def jet_reciprocal(v: np.ndarray) -> np.ndarray:
-    return _filled(Tape.reciprocal, v)
-
-
-def jet_power(u: np.ndarray, exponent: float) -> np.ndarray:
-    out = _filled(Tape.power, u, exponent)
-    return out.copy() if out is u else out  # on a tape, u^1 is u's own buffer
-
-
-def jet_exp(u: np.ndarray) -> np.ndarray:
-    return _filled(Tape.exp, u)
-
-
-def jet_log(u: np.ndarray) -> np.ndarray:
-    return _filled(Tape.log, u)
-
-
-def jet_sin_cos(u: np.ndarray):
-    return _filled(Tape.sin_cos, u)
-
-
-def jet_tanh(u: np.ndarray) -> np.ndarray:
-    return _filled(Tape.tanh, u)
 
 
 def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> np.ndarray:
@@ -355,20 +316,6 @@ class SeriesTape:
         self._tape.step(j)
         self._next = j + 1
         return self._root[j]
-
-
-def frechet_apply(expr: OperatorExpr, grid: Grid, base: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Directional derivative of expr at ``base`` in direction ``direction``.
-
-    Both arguments are grid functions; their derivative values come from the
-    grid's differentiation matrices. Implemented as a two-row jet (forward
-    mode), so it is exactly linear in ``direction``.
-    """
-    upto = max(max_u_order(expr), 0)
-    bs = grid.derivative_stack(base, upto)
-    ds = grid.derivative_stack(direction, upto)
-    u_jets = {k: np.stack((bs[k], ds[k])) for k in range(upto + 1)}
-    return jet_expand(expr, grid.nodes, u_jets, 2)[1]
 
 
 def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:

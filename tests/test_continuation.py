@@ -179,7 +179,7 @@ class TestTracePath:
             np.testing.assert_allclose(
                 step.u, step.eps * final_u, atol=1e-9
             )
-        eps = path.eps_values()
+        eps = np.array([s.eps for s in path.steps])
         assert np.all(np.diff(eps) > 0)
         assert eps[0] == 0.0
 
@@ -212,7 +212,7 @@ class TestTracePath:
         partial = info.value.path
         assert isinstance(partial, ContinuationPath)
         assert 0.2 < partial.final.eps < 0.5
-        assert np.all(np.diff(partial.eps_values()) > 0)
+        assert np.all(np.diff([s.eps for s in partial.steps]) > 0)
         assert all(step.converged for step in partial.steps)
 
     def test_negative_hbar_survivor_lands_on_wrong_branch(self):

@@ -169,28 +169,23 @@ class TestLoptModes:
 
 
 class TestMthOrderRhs:
+    """The order-m right-hand side, seen through the orders run solves."""
+
     def test_first_order_rhs_is_one_on_riccati(self, tanh_ws):
-        rhs = tanh_ws.mth_order_rhs(1, [tanh_ws.u0], hbar=-1.0)
-        np.testing.assert_array_equal(rhs, np.ones(tanh_ws.grid.n))
+        # rhs_1 = 1 with u(0) = 0 gives u_1 = r
+        u1 = tanh_ws.run(hbar=-1.0, order=1).orders[1]
+        assert np.max(np.abs(u1 - tanh_ws.grid.nodes)) < 1e-14
 
     def test_first_order_rhs_scales_linearly_in_hbar(self, tanh_ws):
-        r1 = tanh_ws.mth_order_rhs(1, [tanh_ws.u0], hbar=-1.0)
-        r2 = tanh_ws.mth_order_rhs(1, [tanh_ws.u0], hbar=-2.0)
-        np.testing.assert_allclose(r2, 2.0 * r1, rtol=1e-15)
+        u1 = tanh_ws.run(hbar=-1.0, order=1).orders[1]
+        u1_doubled = tanh_ws.run(hbar=-2.0, order=1).orders[1]
+        np.testing.assert_array_equal(u1_doubled, 2.0 * u1)
 
     def test_second_order_rhs_at_reduced_hbar(self, tanh_ws):
-        # rhs_2 = (hbar + 1) L u_1 + hbar D_1[N]; at hbar=-1 only -D_1 stays.
-        r = tanh_ws.grid.nodes
-        orders = [tanh_ws.u0, r.copy()]
-        rhs = tanh_ws.mth_order_rhs(2, orders, hbar=-1.0)
-        # D_1[u^2] = 2 u_0 u_1 = 0 since u_0 = 0
-        assert np.max(np.abs(rhs)) == 0.0
-
-    def test_range_errors(self, tanh_ws):
-        with pytest.raises(RangeError):
-            tanh_ws.mth_order_rhs(0, [tanh_ws.u0], hbar=-1.0)
-        with pytest.raises(RangeError):
-            tanh_ws.mth_order_rhs(2, [tanh_ws.u0], hbar=-1.0)
+        # rhs_2 = (hbar + 1) L u_1 + hbar D_1[N]; at hbar=-1 only -D_1 stays,
+        # and D_1[u^2] = 2 u_0 u_1 = 0 since u_0 = 0
+        u2 = tanh_ws.run(hbar=-1.0, order=2).orders[2]
+        assert np.max(np.abs(u2)) == 0.0
 
 
 class TestRun:
@@ -243,12 +238,16 @@ class TestRun:
         assert sol.truncation_order == 2
 
     def test_validation(self):
+        # a bad hbar or order is a typed error before any arithmetic runs,
+        # so no RuntimeWarning from a NaN or infinite hbar escapes first
         case = get_case(POISSON)
         ws = Workspace(case.spec, HamConfig())
-        with pytest.raises(ConfigError):
-            ws.run(hbar=0.0)
-        with pytest.raises(ConfigError):
-            ws.run(order=-1)
+        bad = [{"hbar": h} for h in (0.0, float("nan"), float("inf"), -float("inf"))]
+        for kwargs in bad + [{"order": -1}]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError):
+                    ws.run(**kwargs)
 
 
 class TestResiduals:
