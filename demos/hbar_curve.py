@@ -2,8 +2,9 @@
 
 Sweeps the convergence-control parameter on the short Riccati problem
 and bar-plots log10 of the mean squared residual of the order-10 sum.
-The valley floor is visibly away from the fixed choice -1; the golden
--section refinement then pins it down to three decimals.
+The valley floor is visibly away from the fixed choice -1; the zoom
+search (batched 17-point passes, each narrowed to the two intervals around
+the last best point) then pins it down to three decimals.
 """
 
 import math

@@ -48,8 +48,16 @@ from .grids import (
 )
 from .jets import frechet_at_reference, jet_expand
 from .problem import HamConfig, ProblemSpec, SeriesSolution
-from .engine import Workspace, partial_sum, run_ham
-from .hbar import HbarCurve, HbarEntry, OptimalHbar, optimal_hbar, scan_hbar
+from .engine import SeriesBatch, Workspace, partial_sum, run_ham
+from .hbar import (
+    HbarCurve,
+    HbarEntry,
+    OptimalHbar,
+    optimal_hbar,
+    optimal_workspace,
+    scan_hbar,
+    scan_workspace,
+)
 from .continuation import (
     ContinuationPath,
     NewtonResult,
@@ -60,7 +68,13 @@ from .continuation import (
     trace_path,
     trace_workspace,
 )
-from .hpm import EquivalenceReport, check_equivalence, hpm_config, hpm_recursion
+from .hpm import (
+    EquivalenceReport,
+    check_equivalence,
+    equivalence_workspace,
+    hpm_config,
+    hpm_recursion,
+)
 from .benchmarks import (
     BenchmarkCase,
     builtin_cases,

@@ -22,11 +22,11 @@ import numpy as np
 
 from .benchmarks import builtin_cases, error_vs_exact, get_case
 from .continuation import homotopy_jacobian, homotopy_residual, trace_workspace
-from .engine import Workspace, partial_sum, run_ham
+from .engine import Workspace, partial_sum
 from .errors import DivergenceWarning
 from .expressions import Coord, Const, OperatorExpr, Power, Product, Sum, U
-from .hbar import optimal_hbar, scan_hbar
-from .hpm import check_equivalence
+from .hbar import optimal_workspace, scan_workspace
+from .hpm import equivalence_workspace, hpm_config
 from .jets import jet_expand
 from .problem import HamConfig
 from .reports import (
@@ -62,17 +62,16 @@ def _silence():
 
 
 def criterion_1_equivalence() -> Tuple[bool, str]:
-    """check_equivalence passes on every builtin; mutation control fails."""
+    """The equivalence check passes on every builtin; mutation control fails."""
     worst = 0.0
     mutated_best = float("inf")
     ok = True
     for case in builtin_cases():
-        report = check_equivalence(case.spec, order=10, tolerance=1e-10)
+        ws = Workspace(case.spec, hpm_config(case.spec))
+        report = equivalence_workspace(ws, order=10, tolerance=1e-10)
         worst = max(worst, report.max_rel_diff)
         ok = ok and report.passed
-        mutated = check_equivalence(
-            case.spec, order=10, tolerance=1e-10, hbar=-1.01
-        )
+        mutated = equivalence_workspace(ws, order=10, tolerance=1e-10, hbar=-1.01)
         mutated_best = min(mutated_best, mutated.max_rel_diff)
         ok = ok and (not mutated.passed) and mutated.max_rel_diff > 1e-3
     detail = (
@@ -172,15 +171,13 @@ def criterion_5_convergence_control() -> Tuple[bool, str]:
     """Fixed hbar=-1 diverges on the long domain; a tuned hbar does not."""
     long_case = get_case("riccati-tanh-long")
     short_case = get_case("riccati-tanh-short")
+    long_ws = Workspace(long_case.spec, HamConfig(order=15))
+    short_ws = Workspace(short_case.spec, HamConfig(order=10))
     with _silence():
-        fixed = run_ham(long_case.spec, HamConfig(hbar=-1.0, order=15))
-        star = optimal_hbar(
-            long_case.spec, HamConfig(order=15), LONG_BRACKET
-        )
-        short_star = optimal_hbar(
-            short_case.spec, HamConfig(order=10), SHORT_BRACKET
-        )
-        short_fixed = run_ham(short_case.spec, HamConfig(hbar=-1.0, order=10))
+        fixed = long_ws.run(hbar=-1.0)
+        star = optimal_workspace(long_ws, LONG_BRACKET)
+        short_star = optimal_workspace(short_ws, SHORT_BRACKET)
+        short_fixed = short_ws.run(hbar=-1.0)
     ok = fixed.diverged
     ok = ok and star.residual_star < 1e-2
     at_minus_one = short_fixed.residual_history[-1]
@@ -342,7 +339,12 @@ def run_criteria(echo: Callable[[str], None] = print) -> List[CriterionResult]:
 
 
 def write_bench_artifacts(outdir) -> None:
-    """Per-benchmark CSV/JSON artifacts, fully deterministic."""
+    """Per-benchmark CSV/JSON artifacts, fully deterministic.
+
+    One series workspace per case serves the series, the hbar scan and the
+    engine side of the equivalence check; the trace has its own at
+    TRACE_HBAR, and the oracle builds its own grid by design.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for case in builtin_cases():
@@ -354,14 +356,12 @@ def write_bench_artifacts(outdir) -> None:
             series = ws.run()
             write_series_csv(case_dir / "series.csv", series)
             write_solution_csv(case_dir / "solution.csv", ws, series)
-            curve = scan_hbar(
-                case.spec, config, np.linspace(-2.0, -0.1, 17)
-            )
+            curve = scan_workspace(ws, np.linspace(-2.0, -0.1, 17))
             write_curve_csv(case_dir / "hbar_curve.csv", curve)
             trace_ws = Workspace(case.spec, HamConfig(hbar=TRACE_HBAR))
             path = trace_workspace(trace_ws, initial_steps=TRACE_STEPS)
             write_path_csv(case_dir / "path.csv", trace_ws, path)
-            report = check_equivalence(case.spec, order=10, tolerance=1e-10)
+            report = equivalence_workspace(ws, order=10, tolerance=1e-10)
             write_equivalence_json(case_dir / "equivalence.json", report)
 
 

@@ -20,7 +20,7 @@ what makes the reduced-method comparison meaningful at tight tolerances.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +28,15 @@ from .errors import ConfigError, DivergenceWarning, RangeError, SingularSystemEr
 from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
 from .jets import SeriesTape, frechet_at_reference
-from .problem import DIVERGENCE_STREAK, HamConfig, ProblemSpec, SeriesSolution, series_diverges
+from .problem import DIVERGENCE_STREAK, HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
+
+
+class SeriesBatch(NamedTuple):
+    """Final state of K series run side by side by ``Workspace.run_many``."""
+
+    partial_sums: np.ndarray  # (n, K): column k is u_0 + ... + u_M at the k-th hbar
+    residuals: np.ndarray  # (K,) mean squared residual of each partial sum
+    diverged: np.ndarray  # (K,) the divergence flag of each column
 
 
 def _grid_values(expr, grid: Grid) -> np.ndarray:
@@ -68,13 +76,31 @@ class Workspace:
             )
         return u0
 
-    def _rhs(self, m: int, u_prev: np.ndarray, forcing: np.ndarray, hbar: float) -> np.ndarray:
-        """rhs_m from u_{m-1} and forcing = D_{m-1}[N] (module docstring)."""
-        chi = 0.0 if m == 1 else 1.0
-        t = self.A_L @ u_prev
-        if m == 1:
-            forcing = forcing - self.s_vals
-        return (hbar * self.H_vals + chi) * t + hbar * (self.H_vals * forcing)
+    def _march(self, hbars: np.ndarray, order: int) -> np.ndarray:
+        """Orders u_0..u_M of K series side by side, shape (M + 1, n, K).
+
+        Column k follows hbar = hbars[k]. Every step is columnwise (the
+        tape's recurrences, the matrix products and the triangular solves),
+        so the columns never mix and one that overflows leaves the others
+        alone. With K = 1 each step is the single-series arithmetic.
+        """
+        H = self.H_vals[:, None]
+        homogeneous = np.zeros(len(self.problem.bcs))
+        # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
+        tape = SeriesTape(self.problem.N, self.grid, order, len(hbars))
+        orders = np.empty((order + 1, self.grid.n, len(hbars)))
+        orders[0] = self.u0[:, None]
+        for m in range(1, order + 1):
+            u_prev = orders[m - 1]
+            forcing = tape.push(u_prev)
+            # rhs_m from u_{m-1} and forcing = D_{m-1}[N] (module docstring)
+            chi = 0.0 if m == 1 else 1.0
+            t = self.A_L @ u_prev
+            if m == 1:
+                forcing = forcing - self.s_vals[:, None]
+            rhs = (hbars * H + chi) * t + hbars * (H * forcing)
+            orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
+        return orders
 
     def run(self, hbar: Optional[float] = None, order: Optional[int] = None) -> SeriesSolution:
         cfg = self.config
@@ -82,40 +108,57 @@ class Workspace:
             cfg = cfg.with_hbar(hbar)
         if order is not None:
             cfg = cfg.with_order(int(order))
-        hbar, order = cfg.hbar, cfg.order
-        homogeneous = np.zeros(len(self.problem.bcs))
-        # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
-        tape = SeriesTape(self.problem.N, self.grid, order)
-        orders = [self.u0]
-        norms = [float(np.max(np.abs(self.u0)))]
-        running = self.u0.copy()
+        orders = tuple(self._march(np.array([cfg.hbar]), cfg.order)[:, :, 0])
+        norms = [float(np.max(np.abs(um))) for um in orders]
+        running = orders[0].copy()
         history = [self.squared_residual(running)]
-        for m in range(1, order + 1):
-            u_prev = orders[-1]
-            rhs = self._rhs(m, u_prev, tape.push(u_prev), hbar)
-            um = self.lopt.solve(rhs, bc_values=homogeneous)
-            orders.append(um)
-            norms.append(float(np.max(np.abs(um))))
+        for um in orders[1:]:
             running = running + um
             history.append(self.squared_residual(running))
         diverged = series_diverges(norms)
         if diverged:
             warnings.warn(
                 f"per-order norms grew for {DIVERGENCE_STREAK} consecutive "
-                f"orders at hbar={hbar:g}; series looks divergent",
+                f"orders at hbar={cfg.hbar:g}; series looks divergent",
                 DivergenceWarning,
                 stacklevel=2,
             )
         return SeriesSolution(
-            orders=tuple(orders),
+            orders=orders,
             config=cfg,
             per_order_norms=tuple(norms),
             residual_history=tuple(history),
             diverged=diverged,
         )
 
+    def run_many(self, hbars, order: int) -> SeriesBatch:
+        """The series at K hbar values through one recursion.
+
+        The K columns march together: one tape K grids wide, one matrix
+        product and one K-column triangular solve per order. Only the final
+        partial sums, their residuals and the divergence flags are formed.
+        A column's partial sum agrees with ``run`` at its hbar to roundoff
+        but not bitwise, because a K-column matrix product rounds
+        differently from a matrix-vector product; with K = 1 it is bitwise
+        equal. No DivergenceWarning is emitted: the flags are returned.
+        """
+        order = self.config.with_order(int(order)).order
+        hbars = np.array([checked_hbar(h) for h in hbars])
+        if hbars.size == 0:
+            raise ConfigError("no hbar values to run")
+        orders = self._march(hbars, order)
+        U = orders.sum(axis=0)
+        f = self.operator_values(U)
+        norms = np.max(np.abs(orders), axis=1)
+        return SeriesBatch(
+            partial_sums=U,
+            residuals=np.array([mean_square(self.grid, f[:, k]) for k in range(hbars.size)]),
+            diverged=np.array([series_diverges(col) for col in norms.T]),
+        )
+
     def operator_values(self, U: np.ndarray) -> np.ndarray:
-        """F(U) = L U + N(U) - s sampled at every node (BC rows included)."""
+        """F(U) = L U + N(U) - s at every node (BC rows included); U may be
+        (n, K) columns."""
         return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U)
 
     def squared_residual(self, U: np.ndarray) -> float:
@@ -139,14 +182,16 @@ class Workspace:
 
 
 def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """F(U) = A_L U + N(U) - s sampled at every node (BC rows included)."""
-    U = grid.check_length(U)
+    """F(U) = A_L U + N(U) - s sampled at every node (BC rows included).
+
+    ``U`` is one grid function or K of them as (n, K) columns.
+    """
+    U = grid.check_columns(U)
+    nodes = grid.nodes.reshape((grid.n,) + (1,) * (U.ndim - 1))
     upto = max(max_u_order(N), 0)
     stack = grid.derivative_stack(U, upto)
-    nl = np.broadcast_to(
-        np.asarray(eval_expr(N, grid.nodes, stack), dtype=float), (grid.n,)
-    )
-    return A_L @ U + nl - s_vals
+    nl = np.broadcast_to(np.asarray(eval_expr(N, nodes, stack), dtype=float), U.shape)
+    return A_L @ U + nl - s_vals.reshape(nodes.shape)
 
 
 def mean_square(grid: Grid, f: np.ndarray) -> float:

@@ -9,10 +9,12 @@ boundary conditions are imposed by row replacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, toeplitz
+from scipy.linalg import lu_factor, toeplitz
+from scipy.linalg.lapack import dgetrs
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -121,9 +123,23 @@ class Grid:
             )
         return values
 
+    def check_columns(self, values: np.ndarray) -> np.ndarray:
+        """Like ``check_length``, but also accepts K grid functions side by
+        side as the columns of an (n, K) array."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[0] != self.n:
+            raise GridMismatchError(
+                f"expected grid functions of length {self.n} (as columns), "
+                f"got shape {values.shape}"
+            )
+        return values
+
     def derivative_stack(self, values: np.ndarray, upto: int) -> dict:
-        """{k: d^k values/dr^k} for k = 0..upto, via the diff matrices."""
-        values = self.check_length(values)
+        """{k: d^k values/dr^k} for k = 0..upto, via the diff matrices.
+
+        ``values`` is one grid function or K of them as (n, K) columns.
+        """
+        values = self.check_columns(values)
         stack = {0: values}
         for k in range(1, upto + 1):
             stack[k] = self.diff_matrix(k) @ values
@@ -205,6 +221,10 @@ class BoundaryCondition:
             raise ConfigError(f"bad BC location {self.location!r}")
         if self.derivative_order < 0:
             raise ConfigError("BC derivative order must be >= 0")
+        # the BC solves skip LAPACK input checks, so a non-finite value
+        # would come back as a silent NaN
+        if not math.isfinite(self.value):
+            raise ConfigError(f"BC value must be finite, got {self.value}")
 
 
 def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
@@ -297,13 +317,20 @@ class BcSystem:
     def solve(self, rhs: np.ndarray, bc_values=None) -> np.ndarray:
         """Solve with ``rhs`` at interior rows and BC values at BC rows.
 
-        bc_values None means "use each BC's own value"; pass zeros (or an
-        explicit sequence) for homogeneous versions of the same conditions.
+        ``rhs`` is one right-hand side of shape (n,) or K of them as the
+        columns of an (n, K) array; the columns are solved independently, so
+        a non-finite column does not touch the others. bc_values None means
+        "use each BC's own value"; pass zeros (or an explicit sequence) for
+        homogeneous versions of the same conditions.
         """
-        rhs = self.grid.check_length(rhs).copy()
+        rhs = np.array(self.grid.check_columns(rhs), order="F")
         if bc_values is None:
             bc_values = [bc.value for bc in self.bcs]
         for i, v in zip(self.rows, bc_values):
             rhs[i] = v
-        return lu_solve(self._lu, rhs)
+        # LAPACK's getrs, which lu_solve wraps, without the wrapper's
+        # per-call checks: no finiteness scan, so a non-finite column is
+        # solved (into non-finite values) instead of raising
+        x, _ = dgetrs(*self._lu, rhs, overwrite_b=True)
+        return x
 

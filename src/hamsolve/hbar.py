@@ -1,9 +1,12 @@
 """Convergence-control parameter selection.
 
 The series residual as a function of hbar typically has a flat valley
-around the best value; a coarse pre-scan locates the valley and a
-golden-section refinement narrows it. Everything here is deterministic:
-identical inputs produce bit-identical curves.
+around the best value. Both the scan and the search evaluate hbar values
+in batched passes of up to PASS_POINTS columns (``Workspace.run_many``,
+one recursion per pass). The search zooms: each pass spans the current
+bracket, and the next bracket is the two intervals around the pass's best
+point, until a pass spans less than BRACKET_TOL. Everything here is
+deterministic: identical inputs produce bit-identical curves.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceWarning
-from .engine import Workspace, partial_sum
+from .engine import Workspace
 from .problem import HamConfig, ProblemSpec
 
-PRESCAN_POINTS = 17
+PASS_POINTS = 17
 BRACKET_TOL = 1e-3
-# golden-section interior ratio
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class HbarEntry(NamedTuple):
@@ -32,9 +33,9 @@ class HbarEntry(NamedTuple):
     probe: float
 
 
-def _rank(entry: HbarEntry) -> float:
+def _rank(residual: float) -> float:
     """Residual as a minimization key; a non-finite residual counts as +inf."""
-    return entry.residual if math.isfinite(entry.residual) else math.inf
+    return residual if math.isfinite(residual) else math.inf
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class HbarCurve:
         return np.array([e.residual for e in self.entries])
 
     def best(self) -> HbarEntry:
-        return min(self.entries, key=_rank)
+        return min(self.entries, key=lambda e: _rank(e.residual))
 
 
 class OptimalHbar(NamedTuple):
@@ -62,25 +63,13 @@ class OptimalHbar(NamedTuple):
     residual_star: float
 
 
-def _evaluate(ws: Workspace, hbar: float, order: int, probe_point: float) -> HbarEntry:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
-        series = ws.run(hbar=hbar, order=order)
-    U = partial_sum(series, order)
-    return HbarEntry(
-        hbar=float(hbar),
-        residual=series.residual_history[-1],
-        diverged=series.diverged,
-        probe=ws.grid.interpolate(U, probe_point),
-    )
-
-
-def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[float], probe_point: Optional[float] = None) -> HbarCurve:
+def scan_workspace(ws: Workspace, hbar_grid: Sequence[float], probe_point: Optional[float] = None) -> HbarCurve:
     """Run the series at each hbar in the grid and record the residual.
 
-    The grid must be strictly monotone and contain no zero. Diverged runs
-    keep their (possibly large) computed residual so the curve stays
-    plottable; the flag marks them.
+    The grid must be strictly monotone and contain no zero. It is run in
+    batched passes of up to PASS_POINTS values at the workspace's order.
+    Diverged runs keep their (possibly large) computed residual so the
+    curve stays plottable; the flag marks them.
     """
     hbars = [float(h) for h in hbar_grid]
     if not hbars:
@@ -90,37 +79,37 @@ def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[
     diffs = np.diff(hbars)
     if len(hbars) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("hbar grid must be strictly monotone")
-    ws = Workspace(problem, base_config)
     if probe_point is None:
-        probe_point = 0.5 * (problem.a + problem.b)
-    entries = [_evaluate(ws, h, base_config.order, probe_point) for h in hbars]
+        probe_point = 0.5 * (ws.problem.a + ws.problem.b)
+    entries = []
+    for start in range(0, len(hbars), PASS_POINTS):
+        chunk = hbars[start : start + PASS_POINTS]
+        batch = ws.run_many(chunk, ws.config.order)
+        for k, h in enumerate(chunk):
+            probe = ws.grid.interpolate(batch.partial_sums[:, k], probe_point)
+            entries.append(
+                HbarEntry(h, float(batch.residuals[k]), bool(batch.diverged[k]), probe)
+            )
     return HbarCurve(entries=tuple(entries), probe_point=float(probe_point))
 
 
-def _search_side(ws: Workspace, order: int, probe_point: float, lo: float, hi: float, seen: dict) -> None:
-    """Prescan + golden-section on one zero-free sub-bracket; fills seen."""
+def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[float], probe_point: Optional[float] = None) -> HbarCurve:
+    """``scan_workspace`` on a workspace built from (problem, base_config)."""
+    return scan_workspace(Workspace(problem, base_config), hbar_grid, probe_point)
 
-    def f(h: float) -> float:
-        h = float(h)
-        if h not in seen:
-            seen[h] = _evaluate(ws, h, order, probe_point)
-        return _rank(seen[h])
 
-    points = np.linspace(lo, hi, PRESCAN_POINTS)
-    values = [f(h) for h in points]
-    i = int(np.argmin(values))
-    a = points[max(i - 1, 0)]
-    b = points[min(i + 1, PRESCAN_POINTS - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    while (b - a) >= BRACKET_TOL:
-        if f(c) < f(d):
-            b, d = d, c
-            c = b - _INVPHI * (b - a)
-        else:
-            a, c = c, d
-            d = a + _INVPHI * (b - a)
-    f(0.5 * (a + b))
+def _zoom(ws: Workspace, lo: float, hi: float) -> Tuple[float, float]:
+    """(rank, hbar) of the best column of the zoom passes on one zero-free
+    sub-bracket; ties go to the earliest."""
+    bests = []
+    while True:
+        points = np.linspace(lo, hi, PASS_POINTS)
+        ranks = [_rank(r) for r in ws.run_many(points, ws.config.order).residuals]
+        i = int(np.argmin(ranks))
+        bests.append((ranks[i], float(points[i])))
+        if hi - lo < BRACKET_TOL:
+            return min(bests, key=lambda b: b[0])
+        lo, hi = points[max(i - 1, 0)], points[min(i + 1, PASS_POINTS - 1)]
 
 
 def split_bracket(lo: float, hi: float) -> list:
@@ -146,19 +135,25 @@ def split_bracket(lo: float, hi: float) -> list:
     return sides
 
 
-def optimal_hbar(problem: ProblemSpec, base_config: HamConfig, bracket: Tuple[float, float]) -> OptimalHbar:
-    """Residual-minimizing hbar inside the bracket.
+def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHbar:
+    """Residual-minimizing hbar inside the bracket, at the workspace's order.
 
     A bracket straddling zero is split (hbar = 0 is not admissible) and both
-    sides are searched. The result is the best point actually evaluated, so
-    residual_star is never above the residual at any probed point; final
-    golden-section bracket width is below 1e-3.
+    sides are searched by zoom passes (module docstring); the last pass on
+    a side spans less than BRACKET_TOL. hbar_star is the best column any
+    pass evaluated. residual_star comes from one ``ws.run`` at hbar_star,
+    because a batched column's residual differs from the single run's in
+    the last digits; so it is exactly what ``run_ham`` reports there.
     """
     sides = split_bracket(*bracket)
-    ws = Workspace(problem, base_config)
-    probe_point = 0.5 * (problem.a + problem.b)
-    seen: dict = {}
-    for s_lo, s_hi in sides:
-        _search_side(ws, base_config.order, probe_point, s_lo, s_hi, seen)
-    best = min(seen.values(), key=_rank)
-    return OptimalHbar(hbar_star=best.hbar, residual_star=best.residual)
+    best = min((_zoom(ws, lo, hi) for lo, hi in sides), key=lambda b: b[0])
+    hbar_star = best[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergenceWarning)
+        series = ws.run(hbar=hbar_star)
+    return OptimalHbar(hbar_star=hbar_star, residual_star=series.residual_history[-1])
+
+
+def optimal_hbar(problem: ProblemSpec, base_config: HamConfig, bracket: Tuple[float, float]) -> OptimalHbar:
+    """``optimal_workspace`` on a workspace built from (problem, base_config)."""
+    return optimal_workspace(Workspace(problem, base_config), bracket)

@@ -11,8 +11,8 @@ of p (see docs/recursions.md):
 
 where C_k[N] is the k-th series coefficient of N applied to w_0..w_k.
 hpm_recursion deliberately re-implements this loop rather than delegating
-to the general deformation engine; check_equivalence then runs both and
-compares order by order. Keeping the loop independent is what makes the
+to the general deformation engine; equivalence_workspace then runs both
+and compares order by order. Keeping the loop independent is what makes the
 comparison evidence rather than tautology, so nothing in hpm_recursion may
 call the engine's recursion entry points (a test enforces this on the
 source text). The residual history is a measurement, not part of the
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import mean_square, operator_values, run_ham
+from .engine import Workspace, mean_square, operator_values
 from .errors import ConfigError, DivergenceWarning
 from .expressions import Const, eval_expr
 from .grids import BcSystem, assemble_linear
@@ -115,22 +115,27 @@ class EquivalenceReport:
         }
 
 
-def check_equivalence(problem: ProblemSpec, order: int = 10, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
-    """Run engine and oracle side by side and compare per order.
+def equivalence_workspace(ws: Workspace, order: int = 10, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
+    """Run the engine on ``ws`` and the oracle side by side; compare per order.
 
-    ``hbar`` overrides the engine's parameter only (the oracle is fixed by
+    ``ws`` must have the reduced method's linear core and weight (use-L,
+    H = 1), else ConfigError; its hbar and order are not used. The engine
+    runs at hbar = -1 unless ``hbar`` overrides it (the oracle is fixed by
     definition); passing anything other than -1 is the mutation control
     that shows the comparison actually has teeth.
     """
     if tolerance <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    config = hpm_config(problem, order)
-    if hbar is not None:
-        config = config.with_hbar(hbar)
+    reduced = hpm_config(ws.problem, order)
+    if ws.config.lopt_mode != reduced.lopt_mode or ws.config.H != reduced.H:
+        raise ConfigError(
+            "the equivalence check needs a workspace with the reduced "
+            "method's linear core and weight (lopt_mode 'use-L', H = 1)"
+        )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DivergenceWarning)
-        engine_series = run_ham(problem, config)
-        oracle_series = hpm_recursion(problem, order)
+        engine_series = ws.run(hbar=reduced.hbar if hbar is None else hbar, order=order)
+        oracle_series = hpm_recursion(ws.problem, order)
     diffs = []
     for um, wm in zip(engine_series.orders, oracle_series.orders):
         scale = 1.0 + float(np.max(np.abs(wm)))
@@ -142,3 +147,8 @@ def check_equivalence(problem: ProblemSpec, order: int = 10, tolerance: float = 
         tolerance=float(tolerance),
         passed=worst < tolerance,
     )
+
+
+def check_equivalence(problem: ProblemSpec, order: int = 10, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
+    """``equivalence_workspace`` on a workspace built for the reduced method."""
+    return equivalence_workspace(Workspace(problem, hpm_config(problem, order)), order, tolerance, hbar)

@@ -206,51 +206,50 @@ class Tape:
         shape (depth, width). The tape reads their rows as it steps, so an
         online caller may fill row m just before ``step(m)``.
         """
+        # recursion through the method, not a nested closure: a closure that
+        # calls itself is a reference cycle, which would keep the tape's
+        # buffers alive until the cyclic garbage collector happens to run
         width = r.shape[0]
-
-        def rec(node):
-            if isinstance(node, Const):
-                return _constant(node.value, depth, width)
-            if isinstance(node, Coord):
-                return _constant(r, depth, width)
-            if isinstance(node, U):
-                if node.order not in u_jets:
-                    raise ConfigError(
-                        f"no jet supplied for u derivative order {node.order}"
-                    )
-                jet = np.asarray(u_jets[node.order], dtype=float)
-                if jet.shape != (depth, width):
-                    raise ConfigError(
-                        f"jet for order {node.order} has shape {jet.shape}, "
-                        f"expected {(depth, width)}"
-                    )
-                return jet
-            if isinstance(node, Sum):
-                return self.sum([rec(t) for t in node.terms])
-            if isinstance(node, Product):
-                acc = rec(node.factors[0])
-                for f in node.factors[1:]:
-                    acc = self.mul(acc, rec(f))
-                return acc
-            if isinstance(node, Power):
-                return self.power(rec(node.base), node.exponent)
-            if isinstance(node, Call):
-                arg = rec(node.arg)
-                if node.name == "sin":
-                    return self.sin_cos(arg)[0]
-                if node.name == "cos":
-                    return self.sin_cos(arg)[1]
-                if node.name == "exp":
-                    return self.exp(arg)
-                if node.name == "log":
-                    return self.log(arg)
-                if node.name == "tanh":
-                    return self.tanh(arg)
-                if node.name == "sqrt":
-                    return self.power(arg, 0.5)
-            raise TypeError(f"not an expression node: {node!r}")
-
-        return rec(expr)
+        if isinstance(expr, Const):
+            return _constant(expr.value, depth, width)
+        if isinstance(expr, Coord):
+            return _constant(r, depth, width)
+        if isinstance(expr, U):
+            if expr.order not in u_jets:
+                raise ConfigError(
+                    f"no jet supplied for u derivative order {expr.order}"
+                )
+            jet = np.asarray(u_jets[expr.order], dtype=float)
+            if jet.shape != (depth, width):
+                raise ConfigError(
+                    f"jet for order {expr.order} has shape {jet.shape}, "
+                    f"expected {(depth, width)}"
+                )
+            return jet
+        if isinstance(expr, Sum):
+            return self.sum([self.lower(t, r, u_jets, depth) for t in expr.terms])
+        if isinstance(expr, Product):
+            acc = self.lower(expr.factors[0], r, u_jets, depth)
+            for f in expr.factors[1:]:
+                acc = self.mul(acc, self.lower(f, r, u_jets, depth))
+            return acc
+        if isinstance(expr, Power):
+            return self.power(self.lower(expr.base, r, u_jets, depth), expr.exponent)
+        if isinstance(expr, Call):
+            arg = self.lower(expr.arg, r, u_jets, depth)
+            if expr.name == "sin":
+                return self.sin_cos(arg)[0]
+            if expr.name == "cos":
+                return self.sin_cos(arg)[1]
+            if expr.name == "exp":
+                return self.exp(arg)
+            if expr.name == "log":
+                return self.log(arg)
+            if expr.name == "tanh":
+                return self.tanh(arg)
+            if expr.name == "sqrt":
+                return self.power(arg, 0.5)
+        raise TypeError(f"not an expression node: {expr!r}")
 
 
 def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> np.ndarray:
@@ -269,6 +268,9 @@ def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> n
     tape = Tape()
     out = tape.lower(expr, np.asarray(r, dtype=float), u_jets, depth)
     tape.fill(depth)
+    if any(out is jet for jet in u_jets.values()):
+        # a bare u(k) (or u(k)^1) lowers to its input jet: hand back a copy
+        out = out.copy()
     return out
 
 
@@ -298,24 +300,33 @@ class SeriesTape:
     derivative order k, steps the tape at row j and returns row j of the
     expression. A run to order M costs O(M) recurrence calls per node
     instead of O(M^2).
+
+    ``columns`` series run side by side: an order is an (n, columns) array,
+    and the tape has width n * columns with each node repeated ``columns``
+    times, so a tape row is an order flattened. Every recurrence is
+    elementwise along the width, so the columns never mix.
     """
 
-    def __init__(self, expr: OperatorExpr, grid: Grid, depth: int):
+    def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int = 1):
         self._grid = grid
+        self._shape = (grid.n, columns)
         upto = max(max_u_order(expr), 0)
-        self._leaves = {k: np.zeros((depth, grid.n)) for k in range(upto + 1)}
+        width = grid.n * columns
+        self._leaves = {k: np.zeros((depth, width)) for k in range(upto + 1)}
         self._tape = Tape()
-        self._root = self._tape.lower(expr, grid.nodes, self._leaves, depth)
+        nodes = np.repeat(grid.nodes, columns)
+        self._root = self._tape.lower(expr, nodes, self._leaves, depth)
         self._next = 0
 
     def push(self, u: np.ndarray) -> np.ndarray:
+        """Row j of the expression, shape (n, columns), from u_j of that shape."""
         j = self._next
-        u = self._grid.check_length(u)
+        u = self._grid.check_columns(u)
         for k, leaf in self._leaves.items():
-            leaf[j] = u if k == 0 else self._grid.diff_matrix(k) @ u
+            leaf[j] = (u if k == 0 else self._grid.diff_matrix(k) @ u).reshape(-1)
         self._tape.step(j)
         self._next = j + 1
-        return self._root[j]
+        return self._root[j].reshape(self._shape)
 
 
 def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:

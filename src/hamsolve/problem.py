@@ -8,6 +8,7 @@ also applies to any substitute linear operator chosen for the solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -78,6 +79,14 @@ class ProblemSpec:
         return np.asarray(eval_expr(self.exact_solution, grid.nodes), dtype=float)
 
 
+def checked_hbar(hbar) -> float:
+    """hbar as a float; ConfigError unless it is a nonzero finite real."""
+    hbar = float(hbar)
+    if hbar == 0.0 or not math.isfinite(hbar):
+        raise ConfigError("hbar must be a nonzero finite real")
+    return hbar
+
+
 @dataclass(frozen=True)
 class HamConfig:
     """Tunable solve parameters: linear-core choice, hbar, weight, order.
@@ -100,10 +109,7 @@ class HamConfig:
                 )
         elif not isinstance(self.lopt_mode, LinearOperator):
             raise ConfigError("lopt_mode must be a mode name or a LinearOperator")
-        hbar = float(self.hbar)
-        if hbar == 0.0 or not np.isfinite(hbar):
-            raise ConfigError("hbar must be a nonzero finite real")
-        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "hbar", checked_hbar(self.hbar))
         if not isinstance(self.H, OperatorExpr):
             raise ConfigError("H must be an expression")
         if contains_u(self.H):

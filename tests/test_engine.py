@@ -22,6 +22,7 @@ from hamsolve import (
     ProblemSpec,
     RangeError,
     Workspace,
+    case_ids,
     get_case,
     parse_expr,
     partial_sum,
@@ -363,3 +364,77 @@ class TestOnlineJets:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[1] / counts[0] <= 2.2
+
+
+def _exp_problem():
+    # u'' + exp(u) = s with exact sin(pi r): a transcendental nonlinearity
+    return ProblemSpec(
+        a=0.0,
+        b=1.0,
+        L=LinearOperator.from_strings(("0", "0", "1")),
+        N=parse_expr("exp(u)"),
+        s=parse_expr("-pi^2*sin(pi*r) + exp(sin(pi*r))"),
+        bcs=(
+            BoundaryCondition("left", 0, 0.0),
+            BoundaryCondition("right", 0, 0.0),
+        ),
+    )
+
+
+BATCH_PROBLEMS = [get_case(c).spec for c in case_ids()] + [_exp_problem()]
+BATCH_IDS = list(case_ids()) + ["exp"]
+
+
+class TestRunMany:
+    @pytest.mark.parametrize("order", [10, 40, 80])
+    @pytest.mark.parametrize("hbar", [-1.0, -0.3])
+    @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
+    def test_one_column_is_run_bitwise(self, problem, hbar, order):
+        ws = Workspace(problem, HamConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            series = ws.run(hbar=hbar, order=order)
+        batch = ws.run_many([hbar], order)
+        np.testing.assert_array_equal(batch.partial_sums[:, 0], partial_sum(series, order))
+        assert batch.residuals[0] == series.residual_history[-1]
+        assert batch.diverged[0] == series.diverged
+
+    def test_overflowing_column_leaves_the_other_alone(self):
+        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig())
+        batch = ws.run_many([-40.0, -0.3], 120)
+        assert not np.isfinite(batch.residuals[0]) or batch.residuals[0] > 1e100
+        assert batch.diverged[0]
+        single = partial_sum(ws.run(hbar=-0.3, order=120), 120)
+        err = np.max(np.abs(batch.partial_sums[:, 1] - single)) / np.max(np.abs(single))
+        assert err < 1e-12
+        assert not batch.diverged[1]
+
+    @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
+    def test_seventeen_columns_match_single_runs(self, problem):
+        # partial sums, not residuals: a converged series' residual is a
+        # difference of nearly equal terms and magnifies roundoff. The
+        # scale has a floor of 1: linear-poisson's sum at hbar = -2 is
+        # 1 - (1 + hbar)^20 = 0 times the solution, pure roundoff
+        ws = Workspace(problem, HamConfig())
+        hbars = np.linspace(-2.0, -0.01, 17)
+        batch = ws.run_many(hbars, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            for k, h in enumerate(hbars):
+                U = partial_sum(ws.run(hbar=h, order=20), 20)
+                err = np.max(np.abs(batch.partial_sums[:, k] - U))
+                assert err <= 1e-10 * max(1.0, np.max(np.abs(U)))
+
+    def test_repeat_is_bitwise_identical(self):
+        ws = Workspace(_exp_problem(), HamConfig())
+        hbars = np.linspace(-2.0, -0.01, 17)
+        first = ws.run_many(hbars, 20)
+        second = ws.run_many(hbars, 20)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_validation(self):
+        ws = Workspace(get_case(POISSON).spec, HamConfig())
+        for hbars, order in (([], 3), ([-1.0, 0.0], 3), ([float("nan")], 3), ([-1.0], -1)):
+            with pytest.raises(ConfigError):
+                ws.run_many(hbars, order)

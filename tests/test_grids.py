@@ -201,6 +201,24 @@ class TestBcSolves:
         with pytest.raises(ConfigError):
             BoundaryCondition("left", -1, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_bc_value_must_be_finite(self, value):
+        with pytest.raises(ConfigError):
+            BoundaryCondition("left", 0, value)
+
+    def test_columns_are_solved_independently(self):
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 1.0))
+        system = BcSystem(g.diff_matrix(2), bcs, g)
+        # a non-finite column is solved, not rejected, and its neighbour
+        # comes out as it does beside a finite column
+        clean = np.stack([np.zeros(g.n), np.sin(g.nodes)], axis=1)
+        dirty = np.stack([np.full(g.n, np.inf), np.sin(g.nodes)], axis=1)
+        got = system.solve(dirty)
+        assert got.shape == (g.n, 2)
+        assert not np.any(np.isfinite(got[1:-1, 0]))
+        np.testing.assert_array_equal(got[:, 1], system.solve(clean)[:, 1])
+
 
 def test_bc_rows_and_indices():
     g = build_grid(CHEB, 16, 0.0, 1.0)

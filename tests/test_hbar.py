@@ -12,17 +12,32 @@ import numpy as np
 import pytest
 
 from hamsolve import (
+    BoundaryCondition,
     ConfigError,
     HamConfig,
+    LinearOperator,
+    ProblemSpec,
     Workspace,
     get_case,
     optimal_hbar,
+    optimal_workspace,
+    parse_expr,
     scan_hbar,
+    scan_workspace,
 )
 
 LINEAR = get_case("linear-poisson").spec
 TANH_SHORT = get_case("riccati-tanh-short").spec
 TANH_LONG = get_case("riccati-tanh-long").spec
+# u'' + exp(u) = s with exact sin(pi r)
+EXP = ProblemSpec(
+    a=0.0,
+    b=1.0,
+    L=LinearOperator.from_strings(("0", "0", "1")),
+    N=parse_expr("exp(u)"),
+    s=parse_expr("-pi^2*sin(pi*r) + exp(sin(pi*r))"),
+    bcs=(BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 0.0)),
+)
 
 
 class TestScanValidation:
@@ -156,3 +171,57 @@ class TestOptimalHbar:
         # the floor lives on the negative side
         assert abs(opt.hbar_star + 1.0) < 1e-2
         assert opt.residual_star < 1e-10
+
+
+SEARCHES = [
+    (TANH_LONG, 15, (-2.0, -0.01)),
+    (TANH_LONG, 40, (-2.0, -0.01)),
+    (TANH_SHORT, 10, (-1.5, -0.5)),
+    (EXP, 20, (-2.0, -0.01)),
+]
+SEARCH_IDS = ["tanh-long-M15", "tanh-long-M40", "tanh-short-M10", "exp-M20"]
+
+
+class TestZoomSearch:
+    @pytest.mark.parametrize("problem, order, bracket", SEARCHES, ids=SEARCH_IDS)
+    def test_residual_star_is_the_single_run_residual(self, problem, order, bracket):
+        # a batched column's residual differs from a single run's in the
+        # last digits; the reported one is what run_ham gives at hbar_star
+        config = HamConfig(order=order)
+        opt = optimal_hbar(problem, config, bracket)
+        again = Workspace(problem, config).run(hbar=opt.hbar_star)
+        assert opt.residual_star == again.residual_history[-1]
+
+    @pytest.mark.parametrize("problem, order, bracket", SEARCHES, ids=SEARCH_IDS)
+    def test_five_batched_passes_and_one_run(self, problem, order, bracket, count_calls):
+        passes = count_calls("hamsolve.engine", "Workspace.run_many")
+        runs = count_calls("hamsolve.engine", "Workspace.run")
+        optimal_hbar(problem, HamConfig(order=order), bracket)
+        assert 1 <= len(passes) <= 5
+        assert len(runs) == 1
+
+    def test_straddling_bracket_passes_per_side(self, count_calls):
+        passes = count_calls("hamsolve.engine", "Workspace.run_many")
+        runs = count_calls("hamsolve.engine", "Workspace.run")
+        optimal_hbar(LINEAR, HamConfig(order=2), (-1.4, 0.6))
+        assert 2 <= len(passes) <= 2 * 5
+        assert len(runs) == 1
+
+
+class TestWorkspaceEntryPoints:
+    def test_scan_workspace_is_scan_hbar(self):
+        grid = list(np.linspace(-1.8, -0.2, 9))
+        ws = Workspace(TANH_SHORT, HamConfig(order=6))
+        assert scan_workspace(ws, grid) == scan_hbar(TANH_SHORT, HamConfig(order=6), grid)
+
+    @pytest.mark.parametrize("points, passes", [(17, 1), (18, 2), (40, 3)])
+    def test_scan_runs_passes_of_at_most_seventeen(self, points, passes, count_calls):
+        calls = count_calls("hamsolve.engine", "Workspace.run_many")
+        curve = scan_hbar(LINEAR, HamConfig(order=2), np.linspace(-2.0, -0.1, points))
+        assert len(curve.entries) == points
+        assert len(calls) == passes
+
+    def test_optimal_workspace_is_optimal_hbar(self):
+        ws = Workspace(TANH_SHORT, HamConfig(order=6))
+        want = optimal_hbar(TANH_SHORT, HamConfig(order=6), (-1.2, -0.6))
+        assert optimal_workspace(ws, (-1.2, -0.6)) == want

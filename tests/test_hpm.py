@@ -23,14 +23,17 @@ from hamsolve import (
     Coord,
     DivergenceWarning,
     EquivalenceReport,
+    HamConfig,
     LinearOperator,
     Power,
     Product,
     ProblemSpec,
     Sum,
     U,
+    Workspace,
     case_ids,
     check_equivalence,
+    equivalence_workspace,
     eval_expr,
     get_case,
     hpm_config,
@@ -189,6 +192,25 @@ def test_engine_matches_oracle_on_random_problems(problem):
     # agree to roundoff only; bitwise agreement holds for the builtins alone
     report = check_equivalence(problem, order=8)
     assert report.passed, report.as_dict()
+
+
+class TestEquivalenceWorkspace:
+    def test_same_report_as_the_problem_entry_point(self):
+        # the workspace's own hbar and order are not used
+        ws = Workspace(TANH_SHORT, HamConfig(hbar=-0.4, order=3))
+        for hbar in (None, -1.01):
+            got = equivalence_workspace(ws, order=10, hbar=hbar)
+            want = check_equivalence(TANH_SHORT, order=10, hbar=hbar)
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "config",
+        [HamConfig(lopt_mode="frechet-at-u0"), HamConfig(H=parse_expr("1 + r"))],
+        ids=["frechet-at-u0", "H=1+r"],
+    )
+    def test_workspace_of_another_method_rejected(self, config):
+        with pytest.raises(ConfigError):
+            equivalence_workspace(Workspace(TANH_SHORT, config), order=10)
 
 
 class TestReport:

@@ -192,6 +192,14 @@ class TestJetExpand:
         with pytest.raises(ConfigError):
             jet_expand(expr, r, {2: np.zeros((DEPTH + 1, WIDTH))}, DEPTH)
 
+    @pytest.mark.parametrize("expr", [U(0), Power(U(0), 1.0)], ids=["u", "u^1"])
+    def test_bare_input_jet_is_returned_as_a_copy(self, expr):
+        # writing into the result must not write into the caller's jet
+        u = random_jet(np.random.default_rng(9))
+        got = jet_expand(expr, np.zeros(WIDTH), {0: u}, DEPTH)
+        assert got is not u
+        np.testing.assert_array_equal(got, u)
+
 
 def _positive(node):
     """A node whose constant Taylor term is at least 1."""
