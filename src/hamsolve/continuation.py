@@ -12,6 +12,13 @@ Everything here runs on one engine ``Workspace``, passed first:
 ``trace_workspace(ws, initial_steps)``, which marches the whole path.
 ``trace_path(problem, config, initial_steps)`` builds the workspace first.
 
+Each path step reports the 1-norm condition number of the embedding
+jacobian. No inverse is formed and no jacobian is built for it: it is the
+estimate ``grids.lu_condition`` takes from the LU factorization that
+Newton's last update already computed, which is the jacobian at the iterate
+one update before the accepted point. At eps = 0 the jacobian is exactly
+L_opt's BC-modified matrix, so the step reuses that system's condition.
+
 Note the embedding direction matters: for hbar < 0 the convex combination
 (1 - eps) L_opt + eps hbar L can pass through an exactly singular matrix at
 eps = 1/(1 - hbar). Tracing is therefore healthiest at hbar > 0 (the series
@@ -21,6 +28,7 @@ hbar). demos/path_tracing.py walks through both regimes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +38,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import ConfigError, PathAbortError, SingularSystemError
 from .engine import Workspace
+from .grids import factor_with_condition, lu_condition
 from .jets import frechet_at_reference
 from .problem import HamConfig, ProblemSpec
 
@@ -69,6 +78,7 @@ class NewtonResult(NamedTuple):
     iters: int
     converged: bool
     residual_inf: float
+    condition: float  # of the last factored jacobian; nan if not converged
 
 
 def _check_eps(eps: float) -> float:
@@ -96,11 +106,25 @@ def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     u = ws.grid.check_length(u)
     lopt = ws.lopt
     df = frechet_at_reference(ws.A_L, ws.problem.N, ws.grid, u)
-    J = (1.0 - eps) * lopt.matrix + (eps * ws.config.hbar) * (
-        ws.H_vals[:, None] * df
-    )
+    # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df)
+    df *= ws.H_vals[:, None]
+    df *= eps * ws.config.hbar
+    J = lopt.matrix * (1.0 - eps)
+    J += df
     J[lopt.rows] = lopt.matrix[lopt.rows]
     return J
+
+
+def _converged(gnorm: float, u: np.ndarray) -> bool:
+    return gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+
+
+def _accepted(ws: Workspace, eps: float, u, iters: int, gnorm: float, J, lu) -> NewtonResult:
+    if lu is None:  # no update was taken: factor the jacobian at u itself
+        _, condition = factor_with_condition(homotopy_jacobian(ws, eps, u))
+    else:
+        condition = lu_condition(lu, J)
+    return NewtonResult(u, iters, True, gnorm, condition)
 
 
 def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult:
@@ -108,15 +132,19 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult
 
     Never raises on slow convergence (returns converged = False);
     SingularSystemError only when the factorization itself fails. The
-    result carries the sup norm of G at the returned point.
+    result carries the sup norm of G at the returned point and, when
+    converged, the 1-norm condition estimate of the last jacobian factored,
+    the one at the iterate before the last update (at the returned point
+    itself when no update was needed).
     """
     eps = _check_eps(eps)
     u = ws.grid.check_length(warm_start).copy()
     g = homotopy_residual(ws, eps, u)
     gnorm = float(np.max(np.abs(g)))
+    J = lu = None
     for it in range(NEWTON_MAX_ITERS):
-        if gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u)))):
-            return NewtonResult(u, it, True, gnorm)
+        if _converged(gnorm, u):
+            return _accepted(ws, eps, u, it, gnorm, J, lu)
         J = homotopy_jacobian(ws, eps, u)
         try:
             with warnings.catch_warnings():
@@ -143,13 +171,10 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult
                 break
             scale *= 0.5
         else:
-            return NewtonResult(u, it + 1, False, gnorm)
-    converged = gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-    return NewtonResult(u, NEWTON_MAX_ITERS, converged, gnorm)
-
-
-def _condition(ws: Workspace, eps: float, u: np.ndarray) -> float:
-    return float(np.linalg.cond(homotopy_jacobian(ws, eps, u), 1))
+            return NewtonResult(u, it + 1, False, gnorm, math.nan)
+    if _converged(gnorm, u):
+        return _accepted(ws, eps, u, NEWTON_MAX_ITERS, gnorm, J, lu)
+    return NewtonResult(u, NEWTON_MAX_ITERS, False, gnorm, math.nan)
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
@@ -166,9 +191,9 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     if initial_steps < 2:
         raise ConfigError(f"initial_steps must be >= 2, got {initial_steps}")
     g0norm = float(np.max(np.abs(homotopy_residual(ws, 0.0, ws.u0))))
-    start_ok = g0norm < NEWTON_TOL * (1.0 + float(np.max(np.abs(ws.u0))))
+    # the jacobian at eps = 0 is exactly ws.lopt.matrix
     steps = [
-        PathStep(0.0, ws.u0, 0, _condition(ws, 0.0, ws.u0), start_ok, g0norm)
+        PathStep(0.0, ws.u0, 0, ws.lopt.condition, _converged(g0norm, ws.u0), g0norm)
     ]
     deps0 = 1.0 / initial_steps
     deps = deps0
@@ -181,12 +206,13 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
         try:
             result = newton_at(ws, target, u)
         except SingularSystemError:
-            result = NewtonResult(u, 0, False, float("inf"))
+            result = NewtonResult(u, 0, False, math.inf, math.nan)
         if result.converged:
             eps, u = target, result.u
-            cond = _condition(ws, eps, u)
             steps.append(
-                PathStep(eps, u, result.iters, cond, True, result.residual_inf)
+                PathStep(
+                    eps, u, result.iters, result.condition, True, result.residual_inf
+                )
             )
             deps = min(2.0 * deps, deps0)
         else:

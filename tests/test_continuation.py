@@ -17,11 +17,14 @@ from hamsolve import (
     PathAbortError,
     PathStep,
     Workspace,
+    case_ids,
     error_vs_exact,
+    frechet_at_reference,
     get_case,
     homotopy_jacobian,
     homotopy_residual,
     newton_at,
+    parse_problem_text,
     trace_path,
     trace_workspace,
 )
@@ -105,6 +108,19 @@ class TestJacobian:
             J_fd[:, j] = (gp - gm) / (2.0 * h)
         scale = 1.0 + np.abs(J)
         assert float(np.max(np.abs(J - J_fd) / scale)) < 1e-5
+
+    @pytest.mark.parametrize("eps", [0.0, 0.37, 1.0])
+    def test_equals_the_plain_expression_bitwise(self, eps):
+        # homotopy_jacobian scales and adds in place; the roundings must be
+        # those of the formula written out
+        ws = Workspace(MANUFACTURED.spec, HamConfig(hbar=-0.9))
+        u = ws.u0 + 0.2 * np.sin(np.pi * ws.grid.nodes)
+        df = frechet_at_reference(ws.A_L, ws.problem.N, ws.grid, u)
+        expected = (1.0 - eps) * ws.lopt.matrix + (eps * -0.9) * (
+            ws.H_vals[:, None] * df
+        )
+        expected[ws.lopt.rows] = ws.lopt.matrix[ws.lopt.rows]
+        np.testing.assert_array_equal(homotopy_jacobian(ws, eps, u), expected)
 
     def test_bc_rows_do_not_depend_on_eps(self):
         config = HamConfig(hbar=1.0)
@@ -230,3 +246,60 @@ class TestTracePath:
         assert error_vs_exact(TANH_SHORT, risky.final.u, grid) > 1e-2
         assert sup(risky) > 100.0 * sup(healthy)
         assert len(risky.steps) > len(healthy.steps)
+
+
+# L = u'', N = 0, s = 0 with homogeneous Dirichlet data: u_0 = 0 solves
+# G(eps, u) = 0 at every eps, so Newton accepts every step unchanged
+SOLVED_AT_START = """
+[domain]
+a = 0
+b = 1
+n = 32
+
+[operator]
+L = 0, 0, 1
+N = 0
+s = 0
+
+[bcs]
+bc = left, 0, 0
+bc = right, 0, 0
+
+[ham]
+hbar = 1
+"""
+
+
+class TestConditionEstimate:
+    @pytest.mark.parametrize("case_id", case_ids())
+    def test_matches_exact_condition_along_the_path(self, case_id):
+        # criterion 3's traces; the estimate belongs to the jacobian one
+        # update before the accepted point (docs/calibration.md)
+        ws = Workspace(get_case(case_id).spec, HamConfig(hbar=1.0))
+        path = trace_workspace(ws, initial_steps=16)
+        assert path.steps[0].jac_condition == ws.lopt.condition
+        for step in path.steps:
+            exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
+            assert step.jac_condition == pytest.approx(exact, rel=1e-5)
+
+    def test_one_jacobian_and_one_factorization_per_newton_update(self, count_calls):
+        ws = Workspace(LINEAR.spec.with_grid_n(64), HamConfig(hbar=1.0))
+        factorizations = count_calls("hamsolve.continuation", "lu_factor")
+        jacobians = count_calls("hamsolve.continuation", "homotopy_jacobian")
+        path = trace_workspace(ws)
+        assert path.final.eps == 1.0
+        updates = sum(step.newton_iters for step in path.steps)
+        assert updates > 0
+        assert len(factorizations) == updates
+        assert len(jacobians) == updates
+
+    def test_steps_accepted_without_update_factor_the_jacobian(self):
+        parsed = parse_problem_text(SOLVED_AT_START)
+        ws = Workspace(parsed.problem, parsed.config)
+        path = trace_workspace(ws)
+        assert path.final.eps == 1.0
+        assert all(step.newton_iters == 0 for step in path.steps)
+        for step in path.steps:
+            exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
+            assert np.isfinite(step.jac_condition)
+            assert step.jac_condition == pytest.approx(exact, rel=1e-10)

@@ -7,24 +7,33 @@ solutions. The k! bound is asserted only where double precision can hold it
 """
 
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
+import hamsolve
 from hamsolve import (
     BcSystem,
     BoundaryCondition,
     ConfigError,
     GridMismatchError,
+    HamConfig,
     LinearOperator,
     SingularOperatorError,
     SingularSystemError,
+    Workspace,
     assemble_linear,
     bc_row,
     bc_row_indices,
     build_grid,
+    case_ids,
+    get_case,
     integrate,
 )
+from hamsolve.grids import lu_condition
 
 CHEB = "chebyshev-lobatto"
 
@@ -247,5 +256,63 @@ def test_singular_bc_system():
     # D1 u = 0 admits any constant, and one interior row replacement
     # does not pin it because the matrix rows already sum to zero.
     A = np.zeros((g.n, g.n))
-    with pytest.raises(SingularSystemError):
-        BcSystem(A, (BoundaryCondition("left", 0, 0.0),), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError):
+            BcSystem(A, (BoundaryCondition("left", 0, 0.0),), g)
+
+
+def test_non_finite_bc_system():
+    g = build_grid(CHEB, 16, 0.0, 1.0)
+    A = np.eye(g.n)
+    A[5, 7] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError):
+            BcSystem(A, (BoundaryCondition("left", 0, 0.0),), g)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("case_id", case_ids())
+def test_condition_matches_exact_one_norm(case_id, n):
+    # the estimate is a lower bound in general; on these matrices it is
+    # exact up to roundoff (docs/calibration.md)
+    system = Workspace(get_case(case_id).spec.with_grid_n(n), HamConfig()).lopt
+    exact = np.linalg.cond(system.matrix, 1)
+    assert system.condition == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("case_id", ["riccati-tanh-short", "riccati-tanh-long"])
+def test_condition_repeats_bitwise(case_id):
+    # LAPACK's dgecon gave two values on these matrices, depending on where
+    # its work arrays landed in memory; path.csv needs one
+    system = Workspace(get_case(case_id).spec.with_grid_n(256), HamConfig()).lopt
+    lu = lu_factor(system.matrix)
+    held, values = [], set()
+    for stride in (97, 257):
+        for k in range(60):
+            held.append(np.empty(stride * k + 1))  # moves the next allocations
+            values.add(lu_condition(lu, system.matrix))
+    assert values == {system.condition}
+
+
+def test_workspaces_form_no_inverse(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense inverse formed")
+
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    for case_id in case_ids():
+        for lopt_mode in ("use-L", "frechet-at-u0"):
+            ws = Workspace(get_case(case_id).spec, HamConfig(lopt_mode=lopt_mode))
+            assert 1.0 <= ws.lopt.condition < math.inf
+
+
+def test_source_forms_no_dense_inverse():
+    # condition numbers come from an LU the code already has
+    # (grids.lu_condition); the inverse costs several factorizations
+    package = pathlib.Path(hamsolve.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for forbidden in ("linalg.cond(", "linalg.inv("):
+            assert forbidden not in source, (path.name, forbidden)
