@@ -20,7 +20,7 @@ what makes the reduced-method comparison meaningful at tight tolerances.
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,13 +108,9 @@ class Workspace:
             cfg = cfg.with_hbar(hbar)
         if order is not None:
             cfg = cfg.with_order(int(order))
-        orders = tuple(self._march(np.array([cfg.hbar]), cfg.order)[:, :, 0])
-        norms = [float(np.max(np.abs(um))) for um in orders]
-        running = orders[0].copy()
-        history = [self.squared_residual(running)]
-        for um in orders[1:]:
-            running = running + um
-            history.append(self.squared_residual(running))
+        orders = self._march(np.array([cfg.hbar]), cfg.order)
+        history = residual_history(self.grid, self.operator_values, orders)
+        norms = np.max(np.abs(orders), axis=(1, 2)).tolist()
         diverged = series_diverges(norms)
         if diverged:
             warnings.warn(
@@ -124,10 +120,10 @@ class Workspace:
                 stacklevel=2,
             )
         return SeriesSolution(
-            orders=orders,
+            orders=tuple(orders[:, :, 0]),
             config=cfg,
             per_order_norms=tuple(norms),
-            residual_history=tuple(history),
+            residual_history=history,
             diverged=diverged,
         )
 
@@ -158,7 +154,7 @@ class Workspace:
 
     def operator_values(self, U: np.ndarray) -> np.ndarray:
         """F(U) = L U + N(U) - s at every node (BC rows included); U may be
-        (n, K) columns."""
+        (n, K) columns or an (S, n, K) stack of them."""
         return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U)
 
     def squared_residual(self, U: np.ndarray) -> float:
@@ -184,19 +180,35 @@ class Workspace:
 def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray) -> np.ndarray:
     """F(U) = A_L U + N(U) - s sampled at every node (BC rows included).
 
-    ``U`` is one grid function or K of them as (n, K) columns.
+    ``U`` is one grid function, K of them as (n, K) columns, or a stack
+    (S, n, K) of such blocks; the matrices act on each block on its own.
     """
     U = grid.check_columns(U)
-    nodes = grid.nodes.reshape((grid.n,) + (1,) * (U.ndim - 1))
+    nodes = grid.nodes.reshape((grid.n, 1) if U.ndim > 1 else (grid.n,))
     upto = max(max_u_order(N), 0)
     stack = grid.derivative_stack(U, upto)
     nl = np.broadcast_to(np.asarray(eval_expr(N, nodes, stack), dtype=float), U.shape)
     return A_L @ U + nl - s_vals.reshape(nodes.shape)
 
 
-def mean_square(grid: Grid, f: np.ndarray) -> float:
-    """Mean of f^2 over the domain, by the grid's quadrature rule."""
+def mean_square(grid: Grid, f: np.ndarray):
+    """Mean of f^2 over the domain, by the grid's quadrature rule; one value
+    per column for (n, K) or (S, n, K) grid functions, as ``integrate``."""
     return integrate(grid, f * f) / (grid.b - grid.a)
+
+
+def residual_history(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: np.ndarray) -> tuple:
+    """Mean squared residual of every partial sum u_0 + ... + u_m of the
+    orders, given as an (M + 1, n, 1) stack; ``F`` is ``operator_values``
+    on the problem's matrices.
+
+    The partial sums are summed in order, as a running sum would, and go
+    through one stacked F(U): each takes one matrix-vector product per
+    matrix and one quadrature dot, so each value is bitwise what a call on
+    that partial sum alone gives.
+    """
+    squares = mean_square(grid, F(np.cumsum(orders, axis=0)))
+    return tuple(squares[:, 0].tolist())
 
 
 def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray) -> BcSystem:

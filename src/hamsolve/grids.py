@@ -3,12 +3,18 @@
 Two grid kinds: ``chebyshev-lobatto`` (spectral, with Clenshaw-Curtis
 quadrature) and ``uniform-fd`` (second-order finite differences with
 trapezoid quadrature). Nodes are always ascending with nodes[0] = a and
-nodes[-1] = b. Differentiation matrices are dense and built once per grid;
-boundary conditions are imposed by row replacement.
+nodes[-1] = b. Differentiation matrices are dense; boundary conditions are
+imposed by row replacement.
+
+The Chebyshev-Lobatto nodes, matrices and weights on [-1, 1] depend on n
+alone, so they are built once per n (``_lobatto_reference``, the last
+LOBATTO_CACHE_SIZE sizes, about 2 MB each at n = 256) and every grid of that
+size scales its own copies from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +33,7 @@ from .expressions import LinearOperator, eval_expr
 GRID_KINDS = ("chebyshev-lobatto", "uniform-fd")
 MAX_DIFF_ORDER = 4
 COND_LIMIT = 1e14
+LOBATTO_CACHE_SIZE = 8
 
 
 def _chebdif(n: int, mmax: int):
@@ -80,11 +87,24 @@ def _clencurt(n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=LOBATTO_CACHE_SIZE)
+def _lobatto_reference(n: int):
+    """Nodes, D_1..D_4 and Clenshaw-Curtis weights of n Chebyshev-Lobatto
+    points on [-1, 1], in ascending node order. Shared by every grid of
+    this size, so every array is read-only."""
+    x, DM = _chebdif(n, MAX_DIFF_ORDER)
+    asc = np.arange(n - 1, -1, -1)
+    nodes, weights = x[asc], _clencurt(n)[asc]
+    diffs = tuple(D[np.ix_(asc, asc)] for D in DM)
+    for arr in (nodes, *diffs, weights):
+        arr.setflags(write=False)
+    return nodes, diffs, weights
+
+
 def _fd_first(n: int, h: float) -> np.ndarray:
     D = np.zeros((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1] = -0.5 / h
-        D[i, i + 1] = 0.5 / h
+    i = np.arange(1, n - 1)[:, None]
+    D[i, i + np.array([-1, 1])] = np.array([-0.5, 0.5]) / h
     D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
     D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return D
@@ -92,8 +112,8 @@ def _fd_first(n: int, h: float) -> np.ndarray:
 
 def _fd_second(n: int, h: float) -> np.ndarray:
     D = np.zeros((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1 : i + 2] = np.array([1.0, -2.0, 1.0]) / h**2
+    i = np.arange(1, n - 1)[:, None]
+    D[i, i + np.arange(-1, 2)] = np.array([1.0, -2.0, 1.0]) / h**2
     D[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
     D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
     return D
@@ -126,9 +146,10 @@ class Grid:
 
     def check_columns(self, values: np.ndarray) -> np.ndarray:
         """Like ``check_length``, but also accepts K grid functions side by
-        side as the columns of an (n, K) array."""
+        side as the columns of an (n, K) array, and a stack of S such
+        blocks as an (S, n, K) array."""
         values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[0] != self.n:
+        if values.ndim not in (1, 2, 3) or values.shape[max(values.ndim - 2, 0)] != self.n:
             raise GridMismatchError(
                 f"expected grid functions of length {self.n} (as columns), "
                 f"got shape {values.shape}"
@@ -138,7 +159,10 @@ class Grid:
     def derivative_stack(self, values: np.ndarray, upto: int) -> dict:
         """{k: d^k values/dr^k} for k = 0..upto, via the diff matrices.
 
-        ``values`` is one grid function or K of them as (n, K) columns.
+        ``values`` is one grid function, K of them as (n, K) columns, or a
+        stack (S, n, K) of such blocks; each block is differentiated on its
+        own, so an (S, n, 1) stack takes one matrix-vector product per
+        grid function, bitwise what it gets alone.
         """
         values = self.check_columns(values)
         stack = {0: values}
@@ -182,11 +206,10 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
         raise ConfigError(f"domain [{a}, {b}] is empty")
     scale = 2.0 / (b - a)
     if kind == "chebyshev-lobatto":
-        x, DM = _chebdif(n, MAX_DIFF_ORDER)
-        asc = np.arange(n - 1, -1, -1)
-        nodes = a + (b - a) * (x[asc] + 1.0) / 2.0
-        diffs = tuple(DM[k][np.ix_(asc, asc)] * scale ** (k + 1) for k in range(MAX_DIFF_ORDER))
-        weights = _clencurt(n)[asc] / scale
+        x, DM, w = _lobatto_reference(n)
+        nodes = a + (b - a) * (x + 1.0) / 2.0
+        diffs = tuple(D * scale ** (k + 1) for k, D in enumerate(DM))
+        weights = w / scale
     else:
         nodes = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
@@ -195,14 +218,16 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
         diffs = (D1, D2, D1 @ D2, D2 @ D2)
         weights = np.full(n, h)
         weights[0] = weights[-1] = h / 2.0
-    nodes = nodes.copy()
     nodes[0], nodes[-1] = a, b  # pin endpoints exactly against roundoff
     return Grid(kind, n, a, b, nodes, diffs, weights)
 
 
-def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Quadrature of a grid function over [a, b]."""
-    return float(grid.quad_weights @ grid.check_length(values))
+def integrate(grid: Grid, values: np.ndarray):
+    """Quadrature over [a, b] of a grid function (a float), or of each
+    column of (n, K) or (S, n, K) grid functions (an array of shape (K,) or
+    (S, K))."""
+    total = grid.quad_weights @ grid.check_columns(values)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,20 @@ and compares order by order. Keeping the loop independent is what makes the
 comparison evidence rather than tautology, so nothing in hpm_recursion may
 call the engine's recursion entry points (a test enforces this on the
 source text). The residual history is a measurement, not part of the
-recursion, so it uses the engine's one F(U) on the oracle's own matrices.
+recursion, so it uses the engine's one stacked F(U) pass
+(``residual_history``) on the oracle's own matrices.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .engine import Workspace, mean_square, operator_values
+from .engine import Workspace, operator_values, residual_history
 from .errors import ConfigError, DivergenceWarning
 from .expressions import Const, eval_expr
 from .grids import BcSystem, assemble_linear
@@ -77,17 +79,13 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
         orders.append(system.solve(rhs, bc_values=homogeneous))
 
     norms = [float(np.max(np.abs(w))) for w in orders]
-    running = np.zeros(grid.n)
-    history = []
-    for w in orders:
-        running = running + w
-        f = operator_values(problem.N, grid, A, s_vals, running)
-        history.append(mean_square(grid, f))
     return SeriesSolution(
         orders=tuple(orders),
         config=hpm_config(problem, order),
         per_order_norms=tuple(norms),
-        residual_history=tuple(history),
+        residual_history=residual_history(
+            grid, partial(operator_values, problem.N, grid, A, s_vals), np.stack(orders)[:, :, None]
+        ),
         diverged=series_diverges(norms),
     )
 

@@ -26,6 +26,10 @@ from .expressions import (
 from .grids import BoundaryCondition, Grid, build_grid
 
 DIVERGENCE_STREAK = 3
+# a norm counts as growth only when it beats the last one by more than this
+# relative margin; norms equal in exact arithmetic drift by up to 8.1e-13
+# per order in roundoff (docs/calibration.md), which must not decide the flag
+GROWTH_MARGIN = 1e-9
 
 ZERO = Const(0.0)
 
@@ -154,17 +158,18 @@ class SeriesSolution:
 def series_diverges(norms) -> bool:
     """The divergence heuristic on per-order sup norms |u_0|, |u_1|, ...
 
-    True once the norms grow DIVERGENCE_STREAK times in a row. Growth is
-    judged over the nonzero norms only: at special hbar values whole orders
-    cancel exactly (tanh at hbar = -1 has even orders identically zero), and
-    a zero term says nothing about growth, so it must not reset the streak.
+    True once the norms grow DIVERGENCE_STREAK times in a row, each time by
+    more than the relative GROWTH_MARGIN. Growth is judged over the nonzero
+    norms only: at special hbar values whole orders cancel exactly (tanh at
+    hbar = -1 has even orders identically zero), and a zero term says
+    nothing about growth, so it must not reset the streak.
     """
     streak = 0
     last = None
     for norm in norms:
         if norm > 0.0:
             if last is not None:
-                streak = streak + 1 if norm > last else 0
+                streak = streak + 1 if norm > last * (1.0 + GROWTH_MARGIN) else 0
                 if streak >= DIVERGENCE_STREAK:
                     return True
             last = norm

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsolve import (
     BoundaryCondition,
@@ -24,11 +26,16 @@ from hamsolve import (
     Workspace,
     case_ids,
     get_case,
+    hpm_config,
+    hpm_recursion,
     parse_expr,
+    parse_problem_text,
     partial_sum,
     run_ham,
 )
+from hamsolve.grids import GRID_KINDS, _lobatto_reference
 from hamsolve.jets import jet_expand, series_jets
+from hamsolve.problem import series_diverges
 
 TANH = "riccati-tanh-short"
 POISSON = "linear-poisson"
@@ -438,3 +445,102 @@ class TestRunMany:
         for hbars, order in (([], 3), ([-1.0, 0.0], 3), ([float("nan")], 3), ([-1.0], -1)):
             with pytest.raises(ConfigError):
                 ws.run_many(hbars, order)
+
+
+class TestStackedResidualHistory:
+    """The history is one F(U) over the stacked partial sums; each entry is
+    bitwise what that partial sum gives on its own."""
+
+    @pytest.mark.parametrize("hbar", [-1.0, -0.3])
+    @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
+    def test_entries_equal_single_residuals_bitwise(self, problem, hbar):
+        ws = Workspace(problem, HamConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            series = ws.run(hbar=hbar, order=20)
+        assert len(series.residual_history) == 21
+        for m, value in enumerate(series.residual_history):
+            assert value == ws.squared_residual(partial_sum(series, m))
+
+    @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
+    def test_oracle_entries_equal_single_residuals_bitwise(self, problem):
+        ws = Workspace(problem, hpm_config(problem))
+        series = hpm_recursion(problem, 20)
+        for m, value in enumerate(series.residual_history):
+            assert value == ws.squared_residual(partial_sum(series, m))
+
+    def test_one_operator_evaluation_per_series(self, count_calls):
+        ws = Workspace(_exp_problem(), HamConfig())
+        calls = count_calls("hamsolve.engine", "operator_values")
+        ws.run(order=30)
+        assert len(calls) == 1
+        hpm_recursion(_exp_problem(), 30)
+        assert len(calls) == 2
+
+
+class TestDivergenceMargin:
+    def test_roundoff_drift_is_not_growth(self):
+        assert not series_diverges([1.0, 1.0 + 1e-12, 1.0 + 2e-12, 1.0 + 3e-12])
+        assert series_diverges([1.0, 1.001, 1.002, 1.003])
+
+    @pytest.mark.parametrize("order", [10, 40])
+    def test_equal_norms_do_not_flag(self, order):
+        # linear-poisson at hbar = -2: u_m = -u_{m-1} in exact arithmetic,
+        # so the norms only drift in the last bits
+        ws = Workspace(get_case(POISSON).spec, HamConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            assert not ws.run(hbar=-2.0, order=order).diverged
+        assert not ws.run_many([-2.0], order).diverged[0]
+        assert not ws.run_many(np.linspace(-2.0, -0.1, 17), order).diverged[0]
+
+    def test_geometric_growth_still_flags(self):
+        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig())
+        with pytest.warns(DivergenceWarning):
+            assert ws.run(hbar=-1.0, order=15).diverged
+        assert ws.run_many([-1.0], 15).diverged[0]
+
+
+tenths = st.integers(-10, 10).map(lambda k: f"{k / 10:.1f}")
+
+
+@st.composite
+def problem_texts(draw):
+    """Problem-file text: u'' + c1 u' + c0 u + N(u) = s with Dirichlet data,
+    on a random interval, grid and series configuration."""
+    a = draw(st.integers(-10, 10)) / 10
+    b = a + draw(st.integers(5, 20)) / 10
+    return (
+        f"[domain]\na = {a!r}\nb = {b!r}\nkind = {draw(st.sampled_from(GRID_KINDS))}\n"
+        f"n = {draw(st.sampled_from([16, 24, 32]))}\n\n"
+        f"[operator]\nL = {draw(tenths)}, {draw(tenths)}, 1\n"
+        f"N = {draw(tenths)}*u^2 + {draw(tenths)}*u*u'\n"
+        f"s = {draw(tenths)} + {draw(tenths)}*r\n\n"
+        f"[bcs]\nbc = left, 0, {draw(tenths)}\nbc = right, 0, {draw(tenths)}\n\n"
+        f"[ham]\nhbar = {draw(st.sampled_from(['-1.5', '-1', '-0.6', '-0.3']))}\n"
+        f"order = {draw(st.integers(0, 12))}\n"
+    )
+
+
+def _bits(series):
+    return (
+        [u.tobytes() for u in series.orders],
+        np.array(series.residual_history).tobytes(),
+        np.array(series.per_order_norms).tobytes(),
+        series.diverged,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=problem_texts())
+def test_runs_repeat_bitwise_from_cold_and_warm_caches(text):
+    parsed = parse_problem_text(text)
+    _lobatto_reference.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergenceWarning)
+        cold = Workspace(parsed.problem, parsed.config).run()
+        warm = Workspace(parsed.problem, parsed.config).run()
+    if parsed.problem.grid_kind == "chebyshev-lobatto":
+        info = _lobatto_reference.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+    assert _bits(cold) == _bits(warm)

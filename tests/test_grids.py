@@ -33,7 +33,15 @@ from hamsolve import (
     get_case,
     integrate,
 )
-from hamsolve.grids import lu_condition
+from hamsolve.grids import (
+    MAX_DIFF_ORDER,
+    _chebdif,
+    _clencurt,
+    _fd_first,
+    _fd_second,
+    _lobatto_reference,
+    lu_condition,
+)
 
 CHEB = "chebyshev-lobatto"
 
@@ -316,3 +324,73 @@ def test_source_forms_no_dense_inverse():
         source = path.read_text(encoding="utf-8")
         for forbidden in ("linalg.cond(", "linalg.inv("):
             assert forbidden not in source, (path.name, forbidden)
+
+
+class TestLobattoReference:
+    """The Chebyshev-Lobatto data on [-1, 1] is built once per n and shared."""
+
+    def test_built_once_per_size(self, count_calls):
+        _lobatto_reference.cache_clear()
+        calls = count_calls("hamsolve.grids", "_chebdif")
+        for a, b in ((0.0, 1.0), (-2.0, 3.0), (0.5, 0.7)):
+            build_grid(CHEB, 40, a, b)
+        assert len(calls) == 1
+        build_grid(CHEB, 41, 0.0, 1.0)
+        assert len(calls) == 2
+
+    def test_reference_is_read_only(self):
+        nodes, diffs, weights = _lobatto_reference(16)
+        for arr in (nodes, *diffs, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_grids_of_one_size_share_no_arrays(self):
+        # on [-1, 1] the scale is 1, where sharing the reference is tempting
+        first = build_grid(CHEB, 16, -1.0, 1.0)
+        second = build_grid(CHEB, 16, -1.0, 1.0)
+        before = second.diff_matrix(1).copy()
+        first.diff_matrix(1)[:] = 0.0
+        first.nodes[:] = 0.0
+        first.quad_weights[:] = 0.0
+        np.testing.assert_array_equal(second.diff_matrix(1), before)
+        third = build_grid(CHEB, 16, -1.0, 1.0)
+        np.testing.assert_array_equal(third.diff_matrix(1), before)
+        np.testing.assert_array_equal(third.nodes, second.nodes)
+        np.testing.assert_array_equal(third.quad_weights, second.quad_weights)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (0.3, 2.7), (-5.0, 1e-3)])
+    def test_scaled_reference_equals_direct_construction_bitwise(self, a, b):
+        n = 33
+        x, DM = _chebdif(n, MAX_DIFF_ORDER)
+        asc = np.arange(n - 1, -1, -1)
+        scale = 2.0 / (b - a)
+        g = build_grid(CHEB, n, a, b)
+        for k in range(MAX_DIFF_ORDER):
+            np.testing.assert_array_equal(g.diff_matrix(k + 1), DM[k][np.ix_(asc, asc)] * scale ** (k + 1))
+        np.testing.assert_array_equal(g.quad_weights, _clencurt(n)[asc] / scale)
+        nodes = a + (b - a) * (x[asc] + 1.0) / 2.0
+        nodes[0], nodes[-1] = a, b
+        np.testing.assert_array_equal(g.nodes, nodes)
+
+
+def test_fd_stencils_equal_row_by_row_assembly():
+    n, h = 12, 0.37
+    D1 = np.zeros((n, n))
+    D2 = np.zeros((n, n))
+    for i in range(1, n - 1):
+        D1[i, i - 1] = -0.5 / h
+        D1[i, i + 1] = 0.5 / h
+        D2[i, i - 1 : i + 2] = np.array([1.0, -2.0, 1.0]) / h**2
+    np.testing.assert_array_equal(_fd_first(n, h)[1:-1], D1[1:-1])
+    np.testing.assert_array_equal(_fd_second(n, h)[1:-1], D2[1:-1])
+
+
+def test_stacked_quadrature_equals_single_calls_bitwise():
+    g = build_grid(CHEB, 32, 0.0, 2.0)
+    stack = np.cos(np.outer(np.arange(5.0), g.nodes))[:, :, None]
+    got = integrate(g, stack)
+    assert got.shape == (5, 1)
+    for m in range(5):
+        assert got[m, 0] == integrate(g, stack[m, :, 0])
+    with pytest.raises(GridMismatchError):
+        integrate(g, np.zeros((5, 31, 1)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsolve import (
     BoundaryCondition,
@@ -240,6 +242,68 @@ class TestLineAnchoredErrors:
     def test_empty_list_item(self):
         text = MINIMAL_TEXT.replace("L = 0, 0, 1", "L = 0,, 1")
         self.check(text, "empty item", line_of(text, "L = 0,, 1"))
+
+
+# RICCATI_TEXT with every key whose value a line-level error can spoil
+FULL_TEXT = RICCATI_TEXT.replace(
+    "b = 1\n", "b = 1\nkind = chebyshev-lobatto\nn = 32\n"
+).replace("order = 6\n", "order = 6\nH = 1\n")
+
+# letters that spell no number, no expression name and no section
+words = st.text(alphabet="bcdgjkmpqvwxz", min_size=1, max_size=8)
+bad_floats = words | st.sampled_from(["", "1.2.3", "--1", "1e", "0x1"])
+bad_ints = words | st.sampled_from(["", "3.5", "1e3", "0x10"])
+bad_exprs = words | st.sampled_from(["", "u^", "u^r", "sin(r"]) | st.builds(
+    str.format,
+    st.sampled_from(["({}", "{})", "{} *", "{} @ 1", "{}^r", "tanh({}"]),
+    st.sampled_from(["u^2", "r", "tanh(r)", "1 + r"]),
+)
+BAD_VALUES = {
+    "a": bad_floats,
+    "b": bad_floats,
+    "hbar": bad_floats,
+    "n": bad_ints,
+    "order": bad_ints,
+    "kind": words,
+    "N": bad_exprs,
+    "s": bad_exprs,
+    "H": bad_exprs,
+    "u": bad_exprs,
+    "L": st.sampled_from(["", "0", "0, , 1", "(0, 1", "0, 1)", "0, u", "0, bcd", "0, 1, 2, 3, 4, 5"]),
+    "bc": st.sampled_from(
+        ["", "left, 0", "left, 0, 0, 0", "middle, 0, 0", "left, x, 0", "left, 0, x", "left, -1, 0", "left, 0, nan"]
+    ),
+}
+
+
+@st.composite
+def malformed_texts(draw):
+    """FULL_TEXT with one line spoilt, and the number of that line: either
+    a stray line inserted anywhere or one entry's value replaced."""
+    lines = FULL_TEXT.splitlines()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        stray = st.sampled_from(["{}", "[{}", "[{}]", "zz{} = 1"])
+        lines.insert(at, draw(stray).format(draw(words)))
+        return "\n".join(lines), at + 1
+    entries = [i for i, line in enumerate(lines) if "=" in line and not line.startswith("#")]
+    i = draw(st.sampled_from(entries))
+    key = lines[i].split("=", 1)[0].strip()
+    lines[i] = f"{key} = {draw(BAD_VALUES[key])}"
+    return "\n".join(lines), i + 1
+
+
+def test_full_text_parses():
+    assert parse_problem_text(FULL_TEXT).problem.n == 32
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=malformed_texts())
+def test_malformed_line_raises_parse_error_at_that_line(case):
+    text, lineno = case
+    with pytest.raises(ParseError) as info:
+        parse_problem_text(text)
+    assert info.value.line == lineno
 
 
 class TestCrossEntryErrors:
