@@ -12,6 +12,12 @@ Everything here runs on one engine ``Workspace``, passed first:
 ``trace_workspace(ws, initial_steps)``, which marches the whole path.
 ``trace_path(problem, config, initial_steps)`` builds the workspace first.
 
+A Newton iteration costs about one dense LU: (1 - eps) L_opt is formed once
+per eps, the factorization runs in place in work arrays that a trace
+allocates once, and when N does not depend on u one LU serves every update
+at that eps. Every iterate is bitwise what the plain formulas give
+(docs/recursions.md, "What one Newton iteration costs").
+
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
 estimate ``grids.lu_condition`` takes from the LU factorization that
@@ -34,12 +40,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .errors import ConfigError, PathAbortError, SingularSystemError
 from .engine import Workspace
+from .expressions import max_u_order
 from .grids import factor_with_condition, lu_condition
-from .jets import frechet_at_reference
+from .jets import add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec
 
 NEWTON_TOL = 1e-10
@@ -104,26 +112,66 @@ def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """d G/d u at (eps, u), dense, with BC rows in place."""
     eps = _check_eps(eps)
     u = ws.grid.check_length(u)
+    n = ws.grid.n
+    return _jacobian(ws, eps, ws.lopt.matrix * (1.0 - eps), u, np.empty((n, n)))
+
+
+def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``homotopy_jacobian`` written into ``out``, given ``scaled_lopt`` =
+    (1 - eps) L_opt's matrix, the part that does not depend on u."""
     lopt = ws.lopt
-    df = frechet_at_reference(ws.A_L, ws.problem.N, ws.grid, u)
-    # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df)
-    df *= ws.H_vals[:, None]
-    df *= eps * ws.config.hbar
-    J = lopt.matrix * (1.0 - eps)
-    J += df
-    J[lopt.rows] = lopt.matrix[lopt.rows]
-    return J
+    np.copyto(out, ws.A_L)
+    add_nonlinear_frechet(out, ws.problem.N, ws.grid, u)
+    # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
+    # scaling by H = 1 changes no bit, so that pass is skipped
+    if np.any(ws.H_vals != 1.0):
+        out *= ws.H_vals[:, None]
+    out *= eps * ws.config.hbar
+    out += scaled_lopt
+    out[lopt.rows] = lopt.matrix[lopt.rows]
+    return out
+
+
+class _NewtonArrays(NamedTuple):
+    """The n x n work arrays of Newton solves. A trace reuses one set for
+    all its solves: fresh arrays this large are page-faulted in anew."""
+
+    scaled_lopt: np.ndarray  # (1 - eps) L_opt's matrix
+    jacobian: np.ndarray
+    factors: np.ndarray  # column-major, so LAPACK factors it in place
+
+    @classmethod
+    def empty(cls, n: int) -> "_NewtonArrays":
+        return cls(np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F"))
+
+
+def _factor(J: np.ndarray, out: np.ndarray):
+    """LU factors of J from LAPACK's getrf, computed in ``out``, a
+    column-major copy, so J itself stays intact for ``lu_condition``.
+
+    Neither this nor the solves scan for non-finite entries. An exactly
+    singular J, or a non-finite one at an iterate where G is not finite
+    either, gives a non-finite update, which Newton reports as
+    SingularSystemError (docs/recursions.md).
+    """
+    np.copyto(out, J)
+    with warnings.catch_warnings():
+        # an exactly singular matrix is treated as a step failure by the
+        # caller; scipy's warning is noise here
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(out, overwrite_a=True, check_finite=False)
 
 
 def _converged(gnorm: float, u: np.ndarray) -> bool:
     return gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
 
 
-def _accepted(ws: Workspace, eps: float, u, iters: int, gnorm: float, J, lu) -> NewtonResult:
+def _accepted(ws: Workspace, eps: float, arrays: _NewtonArrays, u, iters: int, gnorm: float, lu) -> NewtonResult:
     if lu is None:  # no update was taken: factor the jacobian at u itself
-        _, condition = factor_with_condition(homotopy_jacobian(ws, eps, u))
+        J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
+        _, condition = factor_with_condition(J)
     else:
-        condition = lu_condition(lu, J)
+        condition = lu_condition(lu, arrays.jacobian)
     return NewtonResult(u, iters, True, gnorm, condition)
 
 
@@ -131,35 +179,40 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult
     """Correct a warm start to the solution of G(eps, u) = 0.
 
     Never raises on slow convergence (returns converged = False);
-    SingularSystemError only when the factorization itself fails. The
+    SingularSystemError when an update is not finite, as a singular
+    jacobian's is. The
     result carries the sup norm of G at the returned point and, when
     converged, the 1-norm condition estimate of the last jacobian factored,
     the one at the iterate before the last update (at the returned point
     itself when no update was needed).
     """
     eps = _check_eps(eps)
+    return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws.grid.n))
+
+
+def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays) -> NewtonResult:
+    """``newton_at`` in the work arrays given.
+
+    (1 - eps) L_opt is formed once per call. When N does not depend on u the
+    jacobian is the same matrix at every iterate, so it is built and
+    factored once and its LU serves every update.
+    """
     u = ws.grid.check_length(warm_start).copy()
     g = homotopy_residual(ws, eps, u)
     gnorm = float(np.max(np.abs(g)))
-    J = lu = None
+    np.multiply(ws.lopt.matrix, 1.0 - eps, out=arrays.scaled_lopt)
+    u_independent = max_u_order(ws.problem.N) < 0
+    lu = None
     for it in range(NEWTON_MAX_ITERS):
         if _converged(gnorm, u):
-            return _accepted(ws, eps, u, it, gnorm, J, lu)
-        J = homotopy_jacobian(ws, eps, u)
-        try:
-            with warnings.catch_warnings():
-                # an exactly singular matrix is treated as a step
-                # failure just below; scipy's warning is noise here
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(J)
-                delta = lu_solve(lu, -g)
-        except Exception as exc:
-            raise SingularSystemError(
-                f"embedding jacobian factorization failed at eps={eps:g}"
-            ) from exc
+            return _accepted(ws, eps, arrays, u, it, gnorm, lu)
+        if lu is None or not u_independent:
+            J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
+            lu = _factor(J, arrays.factors)
+        delta = dgetrs(*lu, -g, overwrite_b=True)[0]
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError(
-                f"embedding jacobian is singular at eps={eps:g}"
+                f"embedding jacobian is singular or not finite at eps={eps:g}"
             )
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
@@ -173,7 +226,7 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult
         else:
             return NewtonResult(u, it + 1, False, gnorm, math.nan)
     if _converged(gnorm, u):
-        return _accepted(ws, eps, u, NEWTON_MAX_ITERS, gnorm, J, lu)
+        return _accepted(ws, eps, arrays, u, NEWTON_MAX_ITERS, gnorm, lu)
     return NewtonResult(u, NEWTON_MAX_ITERS, False, gnorm, math.nan)
 
 
@@ -199,12 +252,13 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     deps = deps0
     eps = 0.0
     u = ws.u0
+    arrays = _NewtonArrays.empty(ws.grid.n)
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:
             target = 1.0
         try:
-            result = newton_at(ws, target, u)
+            result = _newton(ws, target, u, arrays)
         except SingularSystemError:
             result = NewtonResult(u, 0, False, math.inf, math.nan)
         if result.converged:

@@ -4,7 +4,8 @@ Two grid kinds: ``chebyshev-lobatto`` (spectral, with Clenshaw-Curtis
 quadrature) and ``uniform-fd`` (second-order finite differences with
 trapezoid quadrature). Nodes are always ascending with nodes[0] = a and
 nodes[-1] = b. Differentiation matrices are dense; boundary conditions are
-imposed by row replacement.
+imposed by row replacement. uniform-fd's third- and fourth-order matrices
+are products of its first two, formed on the first request for them.
 
 The Chebyshev-Lobatto nodes, matrices and weights on [-1, 1] depend on n
 alone, so they are built once per n (``_lobatto_reference``, the last
@@ -128,13 +129,19 @@ class Grid:
     a: float
     b: float
     nodes: np.ndarray
-    _diffs: tuple
+    _diffs: list
     quad_weights: np.ndarray
 
     def diff_matrix(self, order: int) -> np.ndarray:
         if not 1 <= order <= MAX_DIFF_ORDER:
             raise ConfigError(f"derivative order {order} outside 1..{MAX_DIFF_ORDER}")
-        return self._diffs[order - 1]
+        D = self._diffs[order - 1]
+        if D is None:
+            # uniform-fd's D_3 = D_1 D_2 and D_4 = D_2 D_2: dense O(n^3)
+            # products that only third- and fourth-order problems read
+            D1, D2 = self._diffs[:2]
+            D = self._diffs[order - 1] = (D1 if order == 3 else D2) @ D2
+        return D
 
     def check_length(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -208,14 +215,12 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     if kind == "chebyshev-lobatto":
         x, DM, w = _lobatto_reference(n)
         nodes = a + (b - a) * (x + 1.0) / 2.0
-        diffs = tuple(D * scale ** (k + 1) for k, D in enumerate(DM))
+        diffs = [D * scale ** (k + 1) for k, D in enumerate(DM)]
         weights = w / scale
     else:
         nodes = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
-        D1 = _fd_first(n, h)
-        D2 = _fd_second(n, h)
-        diffs = (D1, D2, D1 @ D2, D2 @ D2)
+        diffs = [_fd_first(n, h), _fd_second(n, h), None, None]  # see diff_matrix
         weights = np.full(n, h)
         weights[0] = weights[-1] = h / 2.0
     nodes[0], nodes[-1] = a, b  # pin endpoints exactly against roundoff

@@ -357,16 +357,22 @@ def frechet_at_reference(A_L: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.nd
     nonlinear part contributes sum_k diag(dN/du^(k) at u0) D_k. The result
     is a new array; ``A_L`` is not modified.
     """
-    u0 = grid.check_length(u0)
     A = np.array(A_L, dtype=float)
+    add_nonlinear_frechet(A, N, grid, u0)
+    return A
+
+
+def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> None:
+    """Add sum_k diag(dN/du^(k) at u0) D_k, N's part of
+    ``frechet_at_reference``, to the (n, n) array ``A`` in place."""
+    u0 = grid.check_length(u0)
     upto = max_u_order(N)
     if upto < 0:
-        return A
+        return
     stack = grid.derivative_stack(u0, upto)
     partials = expr_partials(N, grid.nodes, stack)
     for k, pk in partials.items():
         if k == 0:
-            A += np.diag(pk)
+            A.flat[:: grid.n + 1] += pk  # the diagonal, in place
         else:
             A += pk[:, None] * grid.diff_matrix(k)
-    return A

@@ -7,16 +7,23 @@ convex combination of the endpoint values. The linear benchmark gives the
 whole path in closed form: u(eps) = eps * u(1).
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
+import hamsolve.continuation as continuation
 from hamsolve import (
     ConfigError,
     ContinuationPath,
     HamConfig,
     PathAbortError,
     PathStep,
+    SingularSystemError,
     Workspace,
+    bc_row,
     case_ids,
     error_vs_exact,
     frechet_at_reference,
@@ -28,6 +35,10 @@ from hamsolve import (
     trace_path,
     trace_workspace,
 )
+from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS, NewtonResult
+from hamsolve.expressions import max_u_order
+from hamsolve.grids import factor_with_condition, lu_condition
+from hamsolve.jets import expr_partials
 
 LINEAR = get_case("linear-poisson")
 TANH_SHORT = get_case("riccati-tanh-short")
@@ -283,15 +294,32 @@ class TestConditionEstimate:
             assert step.jac_condition == pytest.approx(exact, rel=1e-5)
 
     def test_one_jacobian_and_one_factorization_per_newton_update(self, count_calls):
-        ws = Workspace(LINEAR.spec.with_grid_n(64), HamConfig(hbar=1.0))
+        # N depends on u, so every update builds and factors its own jacobian
+        ws = Workspace(MANUFACTURED.spec.with_grid_n(64), HamConfig(hbar=1.0))
         factorizations = count_calls("hamsolve.continuation", "lu_factor")
-        jacobians = count_calls("hamsolve.continuation", "homotopy_jacobian")
+        jacobians = count_calls("hamsolve.continuation", "_jacobian")
+        path = trace_workspace(ws)
+        assert path.final.eps == 1.0
+        assert len(path.steps) == 17  # no step failed, so every update counts
+        updates = sum(step.newton_iters for step in path.steps)
+        assert updates > len(path.steps) - 1
+        assert len(factorizations) == updates
+        assert len(jacobians) == updates
+
+    def test_one_factorization_per_eps_when_n_does_not_depend_on_u(self, count_calls):
+        # linear-poisson's jacobian is the same at every iterate of one eps;
+        # at n = 192 Newton takes more than one update per step
+        ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
+        attempts = count_calls("hamsolve.continuation", "_newton")
+        factorizations = count_calls("hamsolve.continuation", "lu_factor")
+        jacobians = count_calls("hamsolve.continuation", "_jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         updates = sum(step.newton_iters for step in path.steps)
-        assert updates > 0
-        assert len(factorizations) == updates
-        assert len(jacobians) == updates
+        assert updates > len(path.steps) - 1
+        assert all(step.newton_iters > 0 for step in path.steps[1:])
+        assert len(factorizations) == len(attempts)
+        assert len(jacobians) == len(attempts)
 
     def test_steps_accepted_without_update_factor_the_jacobian(self):
         parsed = parse_problem_text(SOLVED_AT_START)
@@ -303,3 +331,223 @@ class TestConditionEstimate:
             exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
             assert np.isfinite(step.jac_condition)
             assert step.jac_condition == pytest.approx(exact, rel=1e-10)
+
+
+# Newton as first written, the reference for the bitwise tests below: the
+# Fréchet matrix with np.diag, the jacobian from the plain formula at every
+# iterate, and lu_factor / lu_solve with their default finiteness checks
+def plain_frechet(A_L, N, grid, u):
+    A = np.array(A_L, dtype=float)
+    upto = max_u_order(N)
+    if upto < 0:
+        return A
+    partials = expr_partials(N, grid.nodes, grid.derivative_stack(u, upto))
+    for k, pk in partials.items():
+        A += np.diag(pk) if k == 0 else pk[:, None] * grid.diff_matrix(k)
+    return A
+
+
+def plain_jacobian(ws, eps, u):
+    df = plain_frechet(ws.A_L, ws.problem.N, ws.grid, u)
+    J = (1.0 - eps) * ws.lopt.matrix + (eps * ws.config.hbar) * (ws.H_vals[:, None] * df)
+    J[ws.lopt.rows] = ws.lopt.matrix[ws.lopt.rows]
+    return J
+
+
+def plain_newton(ws, eps, warm_start):
+    def accepted(u, iters, gnorm, J, lu):
+        if lu is None:
+            _, condition = factor_with_condition(plain_jacobian(ws, eps, u))
+        else:
+            condition = lu_condition(lu, J)
+        return NewtonResult(u, iters, True, gnorm, condition)
+
+    def converged(gnorm, u):
+        return gnorm < continuation.NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+
+    u = warm_start.copy()
+    g = homotopy_residual(ws, eps, u)
+    gnorm = float(np.max(np.abs(g)))
+    J = lu = None
+    for it in range(NEWTON_MAX_ITERS):
+        if converged(gnorm, u):
+            return accepted(u, it, gnorm, J, lu)
+        J = plain_jacobian(ws, eps, u)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu = lu_factor(J)
+                delta = lu_solve(lu, -g)
+        except ValueError as exc:
+            raise SingularSystemError("not finite") from exc
+        if not np.all(np.isfinite(delta)):
+            raise SingularSystemError("singular")
+        scale = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            trial = u + scale * delta
+            g_trial = homotopy_residual(ws, eps, trial)
+            t_norm = float(np.max(np.abs(g_trial)))
+            if t_norm < gnorm:
+                u, g, gnorm = trial, g_trial, t_norm
+                break
+            scale *= 0.5
+        else:
+            return NewtonResult(u, it + 1, False, gnorm, math.nan)
+    if converged(gnorm, u):
+        return accepted(u, NEWTON_MAX_ITERS, gnorm, J, lu)
+    return NewtonResult(u, NEWTON_MAX_ITERS, False, gnorm, math.nan)
+
+
+def traced_steps(ws):
+    """The accepted steps of a trace, the partial path if it aborts."""
+    try:
+        return trace_workspace(ws).steps
+    except PathAbortError as exc:
+        return exc.path.steps
+
+
+def step_bits(step):
+    return (
+        step.eps,
+        step.u.tobytes(),
+        step.newton_iters,
+        np.float64(step.jac_condition).tobytes(),
+        step.converged,
+        step.residual_inf,
+    )
+
+
+# u'' + u u' = s: N references u', so the jacobian carries a D_1 term
+WITH_U_PRIME = """
+[domain]
+a = 0
+b = 1
+kind = {kind}
+n = 32
+
+[operator]
+L = 0, 0, 1
+N = 0.5*u*u'
+s = 1 + r
+
+[bcs]
+bc = left, 0, 0.2
+bc = right, 0, -0.3
+
+[ham]
+hbar = 1
+H = 1 + 0.5*r
+"""
+
+
+def _builtin(case_id, n):
+    return Workspace(get_case(case_id).spec.with_grid_n(n), HamConfig(hbar=1.0))
+
+
+def _from_text(text):
+    parsed = parse_problem_text(text)
+    return Workspace(parsed.problem, parsed.config)
+
+
+BITWISE_CASES = [(cid, n) for cid in case_ids() for n in (32, 64)] + [("linear-poisson", 192)]
+
+
+class TestNewtonBitwise:
+    """The Newton rewrite (eps-only part formed once, no wrapper copies or
+    finiteness scans, one LU per eps when N does not depend on u) changes
+    no bit of any iterate, path point or condition number."""
+
+    def _assert_same_trace(self, ws, monkeypatch):
+        got = traced_steps(ws)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                continuation, "_newton", lambda ws, eps, u, arrays: plain_newton(ws, eps, u)
+            )
+            want = traced_steps(ws)
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            assert step_bits(a) == step_bits(b)
+
+    @pytest.mark.parametrize("case_id,n", BITWISE_CASES)
+    def test_builtin_traces(self, case_id, n, monkeypatch):
+        self._assert_same_trace(_builtin(case_id, n), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["chebyshev-lobatto", "uniform-fd"])
+    def test_nonconstant_weight_and_u_prime(self, kind, monkeypatch):
+        ws = _from_text(WITH_U_PRIME.format(kind=kind))
+        assert np.any(ws.H_vals != 1.0)
+        assert max_u_order(ws.problem.N) == 1
+        self._assert_same_trace(ws, monkeypatch)
+
+    @pytest.mark.parametrize("case_id", ["manufactured-quad", "riccati-tanh-short"])
+    def test_frechet_at_u0_lopt_matrix(self, case_id):
+        spec = get_case(case_id).spec
+        ws = Workspace(spec, HamConfig(lopt_mode="frechet-at-u0"))
+        grid = ws.grid
+        bootstrap = Workspace(spec, HamConfig(lopt_mode="use-L")).u0
+        want = plain_frechet(ws.A_L, spec.N, grid, bootstrap)
+        for i, bc in zip(ws.lopt.rows, ws.lopt.bcs):
+            want[i] = bc_row(grid, bc)
+        assert ws.lopt.matrix.tobytes() == want.tobytes()
+
+
+# u'' + exp(u) = 0 with u = 800 at both ends: exp overflows at u_0 itself
+OVERFLOWING = """
+[domain]
+a = 0
+b = 1
+n = 16
+
+[operator]
+L = 0, 0, 1
+N = exp(u)
+
+[bcs]
+bc = left, 0, 800
+bc = right, 0, 800
+
+[ham]
+hbar = 1
+"""
+
+
+class TestTypedFailures:
+    """Newton's factorization and solves skip the finiteness scans; a
+    non-finite or exactly singular jacobian must still raise
+    SingularSystemError rather than return NaN, and a trace must count it
+    as a failed step."""
+
+    def test_overflowing_jacobian_raises(self):
+        ws = _from_text(OVERFLOWING)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(homotopy_jacobian(ws, 0.5, ws.u0)))
+            with pytest.raises(SingularSystemError):
+                newton_at(ws, 0.5, ws.u0)
+
+    def test_overflow_counts_as_failed_steps(self):
+        ws = _from_text(OVERFLOWING)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PathAbortError) as info:
+                trace_workspace(ws)
+        assert [step.eps for step in info.value.path.steps] == [0.0]
+
+    def test_exactly_singular_jacobian_raises(self):
+        # use-L at hbar = -1: the interior rows of J are (1 - 2 eps) L, all
+        # exactly zero at eps = 1/2, while G = s/2 there is not
+        ws = Workspace(LINEAR.spec, HamConfig(hbar=-1.0))
+        J = homotopy_jacobian(ws, 0.5, ws.u0)
+        assert not np.any(J[ws.lopt.interior])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError):
+                newton_at(ws, 0.5, ws.u0)
+
+    def test_singular_eps_counts_as_a_failed_step(self, count_calls):
+        attempts = count_calls("hamsolve.continuation", "_newton")
+        ws = Workspace(LINEAR.spec, HamConfig(hbar=-1.0))
+        steps = traced_steps(ws)
+        eps = [step.eps for step in steps]
+        assert 0.5 not in eps
+        assert eps[-1] > 0.5
+        assert len(attempts) > len(steps) - 1
+        assert all(np.all(np.isfinite(step.u)) for step in steps)

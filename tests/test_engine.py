@@ -25,6 +25,7 @@ from hamsolve import (
     RangeError,
     Workspace,
     case_ids,
+    check_equivalence,
     get_case,
     hpm_config,
     hpm_recursion,
@@ -544,3 +545,14 @@ def test_runs_repeat_bitwise_from_cold_and_warm_caches(text):
         info = _lobatto_reference.cache_info()
         assert (info.misses, info.hits) == (1, 1)
     assert _bits(cold) == _bits(warm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=problem_texts())
+def test_engine_matches_oracle_on_random_problem_files(text):
+    # the equivalence check runs the engine at hbar = -1 with use-L and
+    # H = 1 whatever the file's [ham] block says; u_0 is nonzero, so the
+    # two agree to the default 1e-10 relative tolerance, not bitwise
+    parsed = parse_problem_text(text)
+    report = check_equivalence(parsed.problem, order=max(parsed.config.order, 1))
+    assert report.passed, report.as_dict()

@@ -6,6 +6,7 @@ solutions. The k! bound is asserted only where double precision can hold it
 (measured in docs/calibration.md); the error grows like eps * n^(2k).
 """
 
+import dataclasses
 import math
 import pathlib
 import warnings
@@ -31,6 +32,7 @@ from hamsolve import (
     build_grid,
     case_ids,
     get_case,
+    homotopy_jacobian,
     integrate,
 )
 from hamsolve.grids import (
@@ -383,6 +385,22 @@ def test_fd_stencils_equal_row_by_row_assembly():
         D2[i, i - 1 : i + 2] = np.array([1.0, -2.0, 1.0]) / h**2
     np.testing.assert_array_equal(_fd_first(n, h)[1:-1], D1[1:-1])
     np.testing.assert_array_equal(_fd_second(n, h)[1:-1], D2[1:-1])
+
+
+def test_uniform_fd_forms_third_and_fourth_orders_on_request():
+    # D_3 = D_1 D_2 and D_4 = D_2 D_2 are dense O(n^3) products; a
+    # second-order problem's workspace, series and jacobian never read them
+    spec = dataclasses.replace(get_case("manufactured-quad").spec, grid_kind="uniform-fd")
+    ws = Workspace(spec, HamConfig(hbar=-1.0))
+    ws.run(order=5)
+    homotopy_jacobian(ws, 0.5, ws.u0)
+    grid = ws.grid
+    assert grid._diffs[2] is None and grid._diffs[3] is None
+    D1, D2 = grid.diff_matrix(1), grid.diff_matrix(2)
+    for order, product in ((3, D1 @ D2), (4, D2 @ D2)):
+        D = grid.diff_matrix(order)
+        assert D.tobytes() == product.tobytes()
+        assert grid.diff_matrix(order) is D
 
 
 def test_stacked_quadrature_equals_single_calls_bitwise():
