@@ -13,17 +13,18 @@ Everything here runs on one engine ``Workspace``, passed first:
 ``trace_path(problem, config, initial_steps)`` builds the workspace first.
 
 A Newton iteration costs about one dense LU: (1 - eps) L_opt is formed once
-per eps, the factorization runs in place in work arrays that a trace
-allocates once, and when N does not depend on u one LU serves every update
-at that eps. Every iterate is bitwise what the plain formulas give
+per eps, the factorization (``grids.factor``, the package's one LU path)
+runs in place in work arrays that a trace allocates once, and when N does
+not depend on u one LU serves every update at that eps. Every iterate is bitwise what the plain formulas give
 (docs/recursions.md, "What one Newton iteration costs").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
 estimate ``grids.lu_condition`` takes from the LU factorization that
 Newton's last update already computed, which is the jacobian at the iterate
-one update before the accepted point. At eps = 0 the jacobian is exactly
-L_opt's BC-modified matrix, so the step reuses that system's condition.
+one update before the accepted point (at the point itself when Newton
+took no update). At eps = 0 the jacobian is exactly L_opt's BC-modified
+matrix, so the step reuses that system's condition.
 
 Note the embedding direction matters: for hbar < 0 the convex combination
 (1 - eps) L_opt + eps hbar L can pass through an exactly singular matrix at
@@ -35,18 +36,16 @@ hbar). demos/path_tracing.py walks through both regimes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from .errors import ConfigError, PathAbortError, SingularSystemError
 from .engine import Workspace
 from .expressions import max_u_order
-from .grids import factor_with_condition, lu_condition
+from .grids import factor, lu_condition
 from .jets import add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec
 
@@ -100,9 +99,9 @@ def homotopy_residual(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     eps = _check_eps(eps)
     u = ws.grid.check_length(u)
     lopt = ws.lopt
-    core = lopt.matrix @ (u - ws.u0)
-    forcing = ws.H_vals * ws.operator_values(u)
-    g = (1.0 - eps) * core + (eps * ws.config.hbar) * forcing
+    g = (1.0 - eps) * (lopt.matrix @ (u - ws.u0))
+    if eps > 0.0:  # G(0, u) reads no F, which may overflow where L_opt does not
+        g += (eps * ws.config.hbar) * (ws.H_vals * ws.operator_values(u))
     for i, bc in zip(lopt.rows, lopt.bcs):
         g[i] = lopt.matrix[i] @ u - bc.value
     return g
@@ -145,34 +144,8 @@ class _NewtonArrays(NamedTuple):
         return cls(np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F"))
 
 
-def _factor(J: np.ndarray, out: np.ndarray):
-    """LU factors of J from LAPACK's getrf, computed in ``out``, a
-    column-major copy, so J itself stays intact for ``lu_condition``.
-
-    Neither this nor the solves scan for non-finite entries. An exactly
-    singular J, or a non-finite one at an iterate where G is not finite
-    either, gives a non-finite update, which Newton reports as
-    SingularSystemError (docs/recursions.md).
-    """
-    np.copyto(out, J)
-    with warnings.catch_warnings():
-        # an exactly singular matrix is treated as a step failure by the
-        # caller; scipy's warning is noise here
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(out, overwrite_a=True, check_finite=False)
-
-
 def _converged(gnorm: float, u: np.ndarray) -> bool:
     return gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
-
-
-def _accepted(ws: Workspace, eps: float, arrays: _NewtonArrays, u, iters: int, gnorm: float, lu) -> NewtonResult:
-    if lu is None:  # no update was taken: factor the jacobian at u itself
-        J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
-        _, condition = factor_with_condition(J)
-    else:
-        condition = lu_condition(lu, arrays.jacobian)
-    return NewtonResult(u, iters, True, gnorm, condition)
 
 
 def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult:
@@ -195,7 +168,11 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
 
     (1 - eps) L_opt is formed once per call. When N does not depend on u the
     jacobian is the same matrix at every iterate, so it is built and
-    factored once and its LU serves every update.
+    factored once and its LU serves every update. Neither the factorization
+    nor the solves scan for non-finite entries: an exactly singular
+    jacobian, or a non-finite one at an iterate where G is not finite
+    either, gives a non-finite update, reported as SingularSystemError
+    (docs/recursions.md).
     """
     u = ws.grid.check_length(warm_start).copy()
     g = homotopy_residual(ws, eps, u)
@@ -203,12 +180,17 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
     np.multiply(ws.lopt.matrix, 1.0 - eps, out=arrays.scaled_lopt)
     u_independent = max_u_order(ws.problem.N) < 0
     lu = None
-    for it in range(NEWTON_MAX_ITERS):
+    for it in range(NEWTON_MAX_ITERS + 1):
         if _converged(gnorm, u):
-            return _accepted(ws, eps, arrays, u, it, gnorm, lu)
+            if lu is None:  # no update was taken: factor the jacobian at u
+                J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
+                lu = factor(J, arrays.factors)
+            return NewtonResult(u, it, True, gnorm, lu_condition(lu, arrays.jacobian))
+        if it == NEWTON_MAX_ITERS:
+            break
         if lu is None or not u_independent:
             J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
-            lu = _factor(J, arrays.factors)
+            lu = factor(J, arrays.factors)
         delta = dgetrs(*lu, -g, overwrite_b=True)[0]
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError(
@@ -225,8 +207,6 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
             scale *= 0.5
         else:
             return NewtonResult(u, it + 1, False, gnorm, math.nan)
-    if _converged(gnorm, u):
-        return _accepted(ws, eps, arrays, u, NEWTON_MAX_ITERS, gnorm, lu)
     return NewtonResult(u, NEWTON_MAX_ITERS, False, gnorm, math.nan)
 
 

@@ -1,8 +1,8 @@
 """Series solver: zeroth-order solve, order-m recursion, residuals.
 
-The homotopy family is (1 - p) L_opt(u - u_0) + p hbar H(r) F(u) = 0 with
-F(u) = L(u) + N(u) - s(r). Expanding u = sum_m u_m p^m and matching powers
-of p gives the order-m equations
+The homotopy family is (1 - p) L_opt(u - u_0) = p hbar H(r) F(u) with
+F(u) = L(u) + N(u) - s(r), (*) of docs/recursions.md. Expanding
+u = sum_m u_m p^m and matching powers of p gives the order-m equations
 
     L_opt(u_m - chi_m u_{m-1}) = hbar H(r) D_{m-1}[F],   chi_1 = 0, chi_m = 1,
 

@@ -349,20 +349,18 @@ def lu_condition(lu, matrix: np.ndarray) -> float:
     return condition if math.isfinite(condition) else math.inf
 
 
-def factor_with_condition(matrix: np.ndarray):
-    """LU factors of ``matrix`` and its ``lu_condition`` from them.
-
-    A zero pivot is not an error here (the condition reads inf); a matrix
-    with a non-finite entry raises SingularSystemError.
+def factor(matrix: np.ndarray, out: np.ndarray):
+    """LU factors of ``matrix``, as ``lu_factor`` returns them, from getrf
+    run in place on a copy in ``out``, a column-major array of its shape;
+    ``matrix`` stays intact for ``lu_condition``. There is no scan for
+    non-finite entries, and a zero pivot is not an error: solves with the
+    factors are then not finite and ``lu_condition`` reads inf.
     """
-    try:
-        with warnings.catch_warnings():
-            # scipy warns on a zero pivot, which the inf condition reports
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu = lu_factor(matrix)
-    except ValueError as exc:  # lu_factor's finiteness check
-        raise SingularSystemError(f"matrix has non-finite entries: {exc}") from exc
-    return lu, lu_condition(lu, matrix)
+    np.copyto(out, matrix)
+    with warnings.catch_warnings():
+        # scipy warns on a zero pivot, which the callers report themselves
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return lu_factor(out, overwrite_a=True, check_finite=False)
 
 
 class BcSystem:
@@ -393,7 +391,11 @@ class BcSystem:
         for i, bc in zip(self.rows, bcs):
             A[i] = bc_row(grid, bc)
         self.matrix = A
-        self._lu, self.condition = factor_with_condition(A)
+        # the matrix holds user expressions' values: NaN or inf is an error
+        if not np.all(np.isfinite(A)):
+            raise SingularSystemError("BC-modified system has non-finite entries")
+        self._lu = factor(A, np.empty_like(A, order="F"))
+        self.condition = lu_condition(self._lu, A)
         if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
             raise SingularSystemError(
                 f"BC-modified system is numerically singular (cond ~ {self.condition:.3e})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -63,13 +63,14 @@ class OptimalHbar(NamedTuple):
     residual_star: float
 
 
-def scan_workspace(ws: Workspace, hbar_grid: Sequence[float], probe_point: Optional[float] = None) -> HbarCurve:
+def scan_workspace(ws: Workspace, hbar_grid: Sequence[float]) -> HbarCurve:
     """Run the series at each hbar in the grid and record the residual.
 
     The grid must be strictly monotone and contain no zero. It is run in
     batched passes of up to PASS_POINTS values at the workspace's order.
     Diverged runs keep their (possibly large) computed residual so the
-    curve stays plottable; the flag marks them.
+    curve stays plottable; the flag marks them. Each entry's probe is the
+    partial sum at the domain midpoint.
     """
     hbars = [float(h) for h in hbar_grid]
     if not hbars:
@@ -79,8 +80,7 @@ def scan_workspace(ws: Workspace, hbar_grid: Sequence[float], probe_point: Optio
     diffs = np.diff(hbars)
     if len(hbars) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("hbar grid must be strictly monotone")
-    if probe_point is None:
-        probe_point = 0.5 * (ws.problem.a + ws.problem.b)
+    probe_point = 0.5 * (ws.problem.a + ws.problem.b)
     entries = []
     for start in range(0, len(hbars), PASS_POINTS):
         chunk = hbars[start : start + PASS_POINTS]
@@ -90,12 +90,12 @@ def scan_workspace(ws: Workspace, hbar_grid: Sequence[float], probe_point: Optio
             entries.append(
                 HbarEntry(h, float(batch.residuals[k]), bool(batch.diverged[k]), probe)
             )
-    return HbarCurve(entries=tuple(entries), probe_point=float(probe_point))
+    return HbarCurve(entries=tuple(entries), probe_point=probe_point)
 
 
-def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[float], probe_point: Optional[float] = None) -> HbarCurve:
+def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[float]) -> HbarCurve:
     """``scan_workspace`` on a workspace built from (problem, base_config)."""
-    return scan_workspace(Workspace(problem, base_config), hbar_grid, probe_point)
+    return scan_workspace(Workspace(problem, base_config), hbar_grid)
 
 
 def _zoom(ws: Workspace, lo: float, hi: float) -> Tuple[float, float]:

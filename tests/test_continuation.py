@@ -37,7 +37,7 @@ from hamsolve import (
 )
 from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS, NewtonResult
 from hamsolve.expressions import max_u_order
-from hamsolve.grids import factor_with_condition, lu_condition
+from hamsolve.grids import lu_condition
 from hamsolve.jets import expr_partials
 
 LINEAR = get_case("linear-poisson")
@@ -296,7 +296,7 @@ class TestConditionEstimate:
     def test_one_jacobian_and_one_factorization_per_newton_update(self, count_calls):
         # N depends on u, so every update builds and factors its own jacobian
         ws = Workspace(MANUFACTURED.spec.with_grid_n(64), HamConfig(hbar=1.0))
-        factorizations = count_calls("hamsolve.continuation", "lu_factor")
+        factorizations = count_calls("hamsolve.grids", "factor")
         jacobians = count_calls("hamsolve.continuation", "_jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
@@ -311,7 +311,7 @@ class TestConditionEstimate:
         # at n = 192 Newton takes more than one update per step
         ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
         attempts = count_calls("hamsolve.continuation", "_newton")
-        factorizations = count_calls("hamsolve.continuation", "lu_factor")
+        factorizations = count_calls("hamsolve.grids", "factor")
         jacobians = count_calls("hamsolve.continuation", "_jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
@@ -357,7 +357,8 @@ def plain_jacobian(ws, eps, u):
 def plain_newton(ws, eps, warm_start):
     def accepted(u, iters, gnorm, J, lu):
         if lu is None:
-            _, condition = factor_with_condition(plain_jacobian(ws, eps, u))
+            J = plain_jacobian(ws, eps, u)
+            condition = lu_condition(lu_factor(J), J)
         else:
             condition = lu_condition(lu, J)
         return NewtonResult(u, iters, True, gnorm, condition)
@@ -530,6 +531,19 @@ class TestTypedFailures:
             with pytest.raises(PathAbortError) as info:
                 trace_workspace(ws)
         assert [step.eps for step in info.value.path.steps] == [0.0]
+
+    def test_start_of_an_overflowing_trace_is_finite(self):
+        # G(0, u) = L_opt(u - u_0) reads no F, so exp(800) never enters it
+        ws = _from_text(OVERFLOWING)
+        with np.errstate(over="raise", invalid="raise"):
+            g = homotopy_residual(ws, 0.0, ws.u0)
+        assert np.all(np.isfinite(g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PathAbortError) as info:
+                trace_workspace(ws)
+        (start,) = info.value.path.steps
+        assert start.converged
+        assert start.residual_inf == float(np.max(np.abs(g))) < 1e-10
 
     def test_exactly_singular_jacobian_raises(self):
         # use-L at hbar = -1: the interior rows of J are (1 - 2 eps) L, all

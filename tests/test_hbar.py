@@ -90,15 +90,6 @@ class TestScanLinear:
         # at hbar = -1 the partial sum is the exact solve: sin(pi/2) = 1
         assert at_best.probe == pytest.approx(1.0, abs=1e-9)
 
-    def test_custom_probe_point(self):
-        curve = scan_hbar(
-            LINEAR, HamConfig(order=3), [-1.0], probe_point=0.25
-        )
-        assert curve.probe_point == 0.25
-        assert curve.entries[0].probe == pytest.approx(
-            math.sin(math.pi / 4), abs=1e-9
-        )
-
     def test_accessor_arrays_match_entries(self):
         curve = scan_hbar(LINEAR, HamConfig(order=2), [-1.2, -1.0, -0.8])
         np.testing.assert_array_equal(curve.hbars(), [-1.2, -1.0, -0.8])

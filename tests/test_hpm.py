@@ -95,7 +95,11 @@ class TestOracleRecursion:
 
     def test_recursion_source_does_not_call_the_engine(self):
         source = inspect.getsource(hpm_recursion)
-        for forbidden in ("mth_order_rhs", "run_ham", "Workspace", ".run("):
+        forbidden_names = (
+            "mth_order_rhs", "run_ham", "Workspace", ".run(",
+            "_march", "run_many", "SeriesTape",
+        )
+        for forbidden in forbidden_names:
             assert forbidden not in source
 
 
