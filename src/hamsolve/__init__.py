@@ -10,7 +10,6 @@ check_equivalence. The names imported below are the public API.
 
 from .errors import (
     ConfigError,
-    DivergenceWarning,
     DomainError,
     GridMismatchError,
     HamError,
@@ -60,7 +59,6 @@ from .hbar import (
 )
 from .continuation import (
     ContinuationPath,
-    NewtonResult,
     PathStep,
     homotopy_jacobian,
     homotopy_residual,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import filecmp
 import tempfile
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -23,7 +21,6 @@ import numpy as np
 from .benchmarks import builtin_cases, error_vs_exact, get_case
 from .continuation import homotopy_jacobian, homotopy_residual, trace_workspace
 from .engine import Workspace, partial_sum
-from .errors import DivergenceWarning
 from .expressions import Coord, Const, OperatorExpr, Power, Product, Sum, U
 from .hbar import optimal_workspace, scan_workspace
 from .hpm import equivalence_workspace, hpm_config
@@ -54,20 +51,13 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
-@contextmanager
-def _silence():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
-        yield
-
-
 def criterion_1_equivalence() -> Tuple[bool, str]:
     """The equivalence check passes on every builtin; mutation control fails."""
     worst = 0.0
     mutated_best = float("inf")
     ok = True
     for case in builtin_cases():
-        ws = Workspace(case.spec, hpm_config(case.spec))
+        ws = Workspace(case.spec, hpm_config())
         report = equivalence_workspace(ws, order=10, tolerance=1e-10)
         worst = max(worst, report.max_rel_diff)
         ok = ok and report.passed
@@ -173,11 +163,10 @@ def criterion_5_convergence_control() -> Tuple[bool, str]:
     short_case = get_case("riccati-tanh-short")
     long_ws = Workspace(long_case.spec, HamConfig(order=15))
     short_ws = Workspace(short_case.spec, HamConfig(order=10))
-    with _silence():
-        fixed = long_ws.run(hbar=-1.0)
-        star = optimal_workspace(long_ws, LONG_BRACKET)
-        short_star = optimal_workspace(short_ws, SHORT_BRACKET)
-        short_fixed = short_ws.run(hbar=-1.0)
+    fixed = long_ws.run(hbar=-1.0)
+    star = optimal_workspace(long_ws, LONG_BRACKET)
+    short_star = optimal_workspace(short_ws, SHORT_BRACKET)
+    short_fixed = short_ws.run(hbar=-1.0)
     ok = fixed.diverged
     ok = ok and star.residual_star < 1e-2
     at_minus_one = short_fixed.residual_history[-1]
@@ -192,13 +181,12 @@ def criterion_5_convergence_control() -> Tuple[bool, str]:
 
 def criterion_6_exact_recovery() -> Tuple[bool, str]:
     """Benchmark errors against exact solutions at pinned parameters."""
-    with _silence():
-        short_err = _series_error("riccati-tanh-short", HamConfig(hbar=-1.0, order=10))
-        lin_err = _series_error("linear-poisson", HamConfig(hbar=-1.0, order=1))
-        quad_err = _series_error(
-            "manufactured-quad",
-            HamConfig(hbar=MANUFACTURED_HBAR, order=MANUFACTURED_ORDER),
-        )
+    short_err = _series_error("riccati-tanh-short", HamConfig(hbar=-1.0, order=10))
+    lin_err = _series_error("linear-poisson", HamConfig(hbar=-1.0, order=1))
+    quad_err = _series_error(
+        "manufactured-quad",
+        HamConfig(hbar=MANUFACTURED_HBAR, order=MANUFACTURED_ORDER),
+    )
     ok = short_err < 1e-4 and lin_err < 1e-10 and quad_err < 1e-5
     detail = (
         f"tanh-short err={short_err:.3e} (< 1e-4), poisson err={lin_err:.3e} "
@@ -352,17 +340,16 @@ def write_bench_artifacts(outdir) -> None:
         case_dir.mkdir(parents=True, exist_ok=True)
         config = HamConfig()
         ws = Workspace(case.spec, config)
-        with _silence():
-            series = ws.run()
-            write_series_csv(case_dir / "series.csv", series)
-            write_solution_csv(case_dir / "solution.csv", ws, series)
-            curve = scan_workspace(ws, np.linspace(-2.0, -0.1, 17))
-            write_curve_csv(case_dir / "hbar_curve.csv", curve)
-            trace_ws = Workspace(case.spec, HamConfig(hbar=TRACE_HBAR))
-            path = trace_workspace(trace_ws, initial_steps=TRACE_STEPS)
-            write_path_csv(case_dir / "path.csv", trace_ws, path)
-            report = equivalence_workspace(ws, order=10, tolerance=1e-10)
-            write_equivalence_json(case_dir / "equivalence.json", report)
+        series = ws.run()
+        write_series_csv(case_dir / "series.csv", series)
+        write_solution_csv(case_dir / "solution.csv", ws, series)
+        curve = scan_workspace(ws, np.linspace(-2.0, -0.1, 17))
+        write_curve_csv(case_dir / "hbar_curve.csv", curve)
+        trace_ws = Workspace(case.spec, HamConfig(hbar=TRACE_HBAR))
+        path = trace_workspace(trace_ws, initial_steps=TRACE_STEPS)
+        write_path_csv(case_dir / "path.csv", trace_ws, path)
+        report = equivalence_workspace(ws, order=10, tolerance=1e-10)
+        write_equivalence_json(case_dir / "equivalence.json", report)
 
 
 def bench(outdir, echo: Callable[[str], None] = print) -> int:

@@ -5,8 +5,8 @@ builtin:<id> or a problem file (see docs/problem_files.md); flags override
 the file's solver block. Output directory: --out, else the HAMSOLVE_OUT
 environment variable, else the working directory.
 
-Exit codes: 0 success, 1 any error (including usage), 2 divergence
-warning from solve, 3 continuation abort from trace.
+Exit codes: 0 success, 1 any error (including usage), 2 a divergent
+series from solve, 3 continuation abort from trace.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Tuple
@@ -25,11 +24,11 @@ from .acceptance import bench
 from .benchmarks import get_case
 from .continuation import trace_workspace
 from .engine import Workspace
-from .errors import ConfigError, DivergenceWarning, HamError, PathAbortError
+from .errors import ConfigError, HamError, PathAbortError
 from .expressions import parse_expr
 from .hbar import scan_hbar, split_bracket
 from .hpm import check_equivalence
-from .problem import HamConfig, ProblemSpec
+from .problem import DIVERGENCE_STREAK, HamConfig, ProblemSpec
 from .problemfile import parse_problem_file
 from .reports import (
     write_curve_csv,
@@ -166,11 +165,13 @@ def cmd_solve(args) -> int:
     problem, config = _load(args)
     outdir = _outdir(args)
     ws = Workspace(problem, config)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DivergenceWarning)
-        series = ws.run()
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    series = ws.run()
+    if series.diverged:
+        print(
+            f"warning: per-order norms grew for {DIVERGENCE_STREAK} consecutive "
+            f"orders at hbar={config.hbar:g}; series looks divergent",
+            file=sys.stderr,
+        )
     write_series_csv(outdir / "series.csv", series)
     write_solution_csv(outdir / "solution.csv", ws, series)
     print(

@@ -57,6 +57,9 @@ MIN_STEP = 1e-4
 
 @dataclass(frozen=True)
 class PathStep:
+    """Newton's result at eps, and so one point of a path once converged.
+    ``jac_condition`` is nan when Newton did not converge."""
+
     eps: float
     u: np.ndarray
     newton_iters: int
@@ -78,14 +81,6 @@ class ContinuationPath:
     @property
     def final(self) -> PathStep:
         return self.steps[-1]
-
-
-class NewtonResult(NamedTuple):
-    u: np.ndarray
-    iters: int
-    converged: bool
-    residual_inf: float
-    condition: float  # of the last factored jacobian; nan if not converged
 
 
 def _check_eps(eps: float) -> float:
@@ -148,22 +143,21 @@ def _converged(gnorm: float, u: np.ndarray) -> bool:
     return gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
 
 
-def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> NewtonResult:
+def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     """Correct a warm start to the solution of G(eps, u) = 0.
 
     Never raises on slow convergence (returns converged = False);
     SingularSystemError when an update is not finite, as a singular
-    jacobian's is. The
-    result carries the sup norm of G at the returned point and, when
-    converged, the 1-norm condition estimate of the last jacobian factored,
-    the one at the iterate before the last update (at the returned point
-    itself when no update was needed).
+    jacobian's is. The step carries the sup norm of G at the returned point
+    and, when converged, the 1-norm condition estimate of the last jacobian
+    factored, the one at the iterate before the last update (at the
+    returned point itself when no update was needed); nan otherwise.
     """
     eps = _check_eps(eps)
     return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws.grid.n))
 
 
-def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays) -> NewtonResult:
+def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays) -> PathStep:
     """``newton_at`` in the work arrays given.
 
     (1 - eps) L_opt is formed once per call. When N does not depend on u the
@@ -185,7 +179,7 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
             if lu is None:  # no update was taken: factor the jacobian at u
                 J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
                 lu = factor(J, arrays.factors)
-            return NewtonResult(u, it, True, gnorm, lu_condition(lu, arrays.jacobian))
+            return PathStep(eps, u, it, lu_condition(lu, arrays.jacobian), True, gnorm)
         if it == NEWTON_MAX_ITERS:
             break
         if lu is None or not u_independent:
@@ -206,8 +200,8 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
                 break
             scale *= 0.5
         else:
-            return NewtonResult(u, it + 1, False, gnorm, math.nan)
-    return NewtonResult(u, NEWTON_MAX_ITERS, False, gnorm, math.nan)
+            return PathStep(eps, u, it + 1, math.nan, False, gnorm)
+    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
@@ -238,16 +232,13 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
         if 1.0 - target < 1e-12:
             target = 1.0
         try:
-            result = _newton(ws, target, u, arrays)
+            step = _newton(ws, target, u, arrays)
+            converged = step.converged
         except SingularSystemError:
-            result = NewtonResult(u, 0, False, math.inf, math.nan)
-        if result.converged:
-            eps, u = target, result.u
-            steps.append(
-                PathStep(
-                    eps, u, result.iters, result.condition, True, result.residual_inf
-                )
-            )
+            converged = False
+        if converged:
+            eps, u = target, step.u
+            steps.append(step)
             deps = min(2.0 * deps, deps0)
         else:
             deps *= 0.5

@@ -19,16 +19,15 @@ what makes the reduced-method comparison meaningful at tight tolerances.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceWarning, RangeError, SingularSystemError
+from .errors import ConfigError, RangeError, SingularSystemError
 from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
 from .jets import SeriesTape, frechet_at_reference
-from .problem import DIVERGENCE_STREAK, HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
+from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
 
 
 class SeriesBatch(NamedTuple):
@@ -37,11 +36,6 @@ class SeriesBatch(NamedTuple):
     partial_sums: np.ndarray  # (n, K): column k is u_0 + ... + u_M at the k-th hbar
     residuals: np.ndarray  # (K,) mean squared residual of each partial sum
     diverged: np.ndarray  # (K,) the divergence flag of each column
-
-
-def _grid_values(expr, grid: Grid) -> np.ndarray:
-    vals = np.asarray(eval_expr(expr, grid.nodes), dtype=float)
-    return np.ascontiguousarray(np.broadcast_to(vals, (grid.n,)))
 
 
 class Workspace:
@@ -57,8 +51,8 @@ class Workspace:
         self.config = config
         self.grid = problem.make_grid()
         self.A_L = assemble_linear(problem.L, self.grid)
-        self.s_vals = _grid_values(problem.s, self.grid)
-        self.H_vals = _grid_values(config.H, self.grid)
+        self.s_vals = self.grid.sample(problem.s)
+        self.H_vals = self.grid.sample(config.H)
         if np.any(self.H_vals == 0.0):
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.lopt = _build_lopt_system(problem, config, self.grid, self.A_L)
@@ -111,20 +105,12 @@ class Workspace:
         orders = self._march(np.array([cfg.hbar]), cfg.order)
         history = residual_history(self.grid, self.operator_values, orders)
         norms = np.max(np.abs(orders), axis=(1, 2)).tolist()
-        diverged = series_diverges(norms)
-        if diverged:
-            warnings.warn(
-                f"per-order norms grew for {DIVERGENCE_STREAK} consecutive "
-                f"orders at hbar={cfg.hbar:g}; series looks divergent",
-                DivergenceWarning,
-                stacklevel=2,
-            )
         return SeriesSolution(
             orders=tuple(orders[:, :, 0]),
             config=cfg,
             per_order_norms=tuple(norms),
             residual_history=history,
-            diverged=diverged,
+            diverged=series_diverges(norms),
         )
 
     def run_many(self, hbars, order: int) -> SeriesBatch:
@@ -136,7 +122,7 @@ class Workspace:
         A column's partial sum agrees with ``run`` at its hbar to roundoff
         but not bitwise, because a K-column matrix product rounds
         differently from a matrix-vector product; with K = 1 it is bitwise
-        equal. No DivergenceWarning is emitted: the flags are returned.
+        equal.
         """
         order = self.config.with_order(int(order)).order
         hbars = np.array([checked_hbar(h) for h in hbars])
@@ -232,8 +218,8 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
 def run_ham(problem: ProblemSpec, config: HamConfig) -> SeriesSolution:
     """Full series run: u_0 then order-m solves up to the truncation order.
 
-    Emits DivergenceWarning (and sets the flag on the result) when per-order
-    sup norms grow three times in a row; the series is still returned.
+    The result's ``diverged`` flag is set when the per-order sup norms grow
+    three times in a row; the series is still returned.
     """
     return Workspace(problem, config).run()
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class HamError(Exception):
@@ -54,7 +54,3 @@ class PathAbortError(HamError, RuntimeError):
     def __init__(self, message, path):
         super().__init__(message)
         self.path = path
-
-
-class DivergenceWarning(UserWarning):
-    """The series order norms grew for several consecutive orders."""

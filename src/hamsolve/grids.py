@@ -143,6 +143,12 @@ class Grid:
             D = self._diffs[order - 1] = (D1 if order == 3 else D2) @ D2
         return D
 
+    def sample(self, expr) -> np.ndarray:
+        """An expression in r alone at the nodes, as a fresh float array of
+        shape (n,); a constant is broadcast to every node."""
+        vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
+        return np.array(np.broadcast_to(vals, (self.n,)))
+
     def check_length(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n,):
@@ -264,17 +270,16 @@ def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
     Raises SingularOperatorError if the leading coefficient vanishes at any
     node.
     """
-    lead = np.broadcast_to(eval_expr(op.coeffs[-1], grid.nodes), (grid.n,))
+    lead = grid.sample(op.coeffs[-1])
     if np.any(lead == 0.0):
-        where = grid.nodes[np.asarray(lead == 0.0).nonzero()[0][0]]
+        where = grid.nodes[np.nonzero(lead == 0.0)[0][0]]
         raise SingularOperatorError(
             f"leading coefficient of the order-{op.order} operator vanishes "
             f"at r = {where}"
         )
-    A = np.diag(np.broadcast_to(eval_expr(op.coeffs[0], grid.nodes), (grid.n,)).astype(float).copy())
+    A = np.diag(grid.sample(op.coeffs[0]))
     for k in range(1, op.order + 1):
-        ck = np.broadcast_to(eval_expr(op.coeffs[k], grid.nodes), (grid.n,))
-        A = A + ck[:, None] * grid.diff_matrix(k)
+        A = A + grid.sample(op.coeffs[k])[:, None] * grid.diff_matrix(k)
     return A
 
 

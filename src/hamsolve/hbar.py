@@ -12,13 +12,12 @@ deterministic: identical inputs produce bit-identical curves.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceWarning
+from .errors import ConfigError
 from .engine import Workspace
 from .problem import HamConfig, ProblemSpec
 
@@ -148,9 +147,7 @@ def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHba
     sides = split_bracket(*bracket)
     best = min((_zoom(ws, lo, hi) for lo, hi in sides), key=lambda b: b[0])
     hbar_star = best[1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
-        series = ws.run(hbar=hbar_star)
+    series = ws.run(hbar=hbar_star)
     return OptimalHbar(hbar_star=hbar_star, residual_star=series.residual_history[-1])
 
 

@@ -22,7 +22,6 @@ recursion, so it uses the engine's one stacked F(U) pass
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -30,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .engine import Workspace, operator_values, residual_history
-from .errors import ConfigError, DivergenceWarning
-from .expressions import Const, eval_expr
+from .errors import ConfigError
+from .expressions import Const
 from .grids import BcSystem, assemble_linear
 from .jets import jet_expand, series_jets
 from .problem import HamConfig, ProblemSpec, SeriesSolution, series_diverges
@@ -39,7 +38,7 @@ from .problem import HamConfig, ProblemSpec, SeriesSolution, series_diverges
 REDUCED_HBAR = -1.0
 
 
-def hpm_config(problem: ProblemSpec, order: int = 10) -> HamConfig:
+def hpm_config(order: int = 10) -> HamConfig:
     """The fixed configuration the reduced method corresponds to."""
     return HamConfig(
         lopt_mode="use-L", hbar=REDUCED_HBAR, H=Const(1.0), order=order
@@ -58,11 +57,7 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     grid = problem.make_grid()
     A = assemble_linear(problem.L, grid)
     system = BcSystem(A, problem.bcs, grid)
-    s_vals = np.ascontiguousarray(
-        np.broadcast_to(
-            np.asarray(eval_expr(problem.s, grid.nodes), dtype=float), (grid.n,)
-        )
-    )
+    s_vals = grid.sample(problem.s)
     homogeneous = np.zeros(len(problem.bcs))
 
     u_ref = system.solve(np.zeros(grid.n))
@@ -81,7 +76,7 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     norms = [float(np.max(np.abs(w))) for w in orders]
     return SeriesSolution(
         orders=tuple(orders),
-        config=hpm_config(problem, order),
+        config=hpm_config(order),
         per_order_norms=tuple(norms),
         residual_history=residual_history(
             grid, partial(operator_values, problem.N, grid, A, s_vals), np.stack(orders)[:, :, None]
@@ -124,16 +119,14 @@ def equivalence_workspace(ws: Workspace, order: int = 10, tolerance: float = 1e-
     """
     if tolerance <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    reduced = hpm_config(ws.problem, order)
+    reduced = hpm_config(order)
     if ws.config.lopt_mode != reduced.lopt_mode or ws.config.H != reduced.H:
         raise ConfigError(
             "the equivalence check needs a workspace with the reduced "
             "method's linear core and weight (lopt_mode 'use-L', H = 1)"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergenceWarning)
-        engine_series = ws.run(hbar=reduced.hbar if hbar is None else hbar, order=order)
-        oracle_series = hpm_recursion(ws.problem, order)
+    engine_series = ws.run(hbar=reduced.hbar if hbar is None else hbar, order=order)
+    oracle_series = hpm_recursion(ws.problem, order)
     diffs = []
     for um, wm in zip(engine_series.orders, oracle_series.orders):
         scale = 1.0 + float(np.max(np.abs(wm)))
@@ -149,4 +142,4 @@ def equivalence_workspace(ws: Workspace, order: int = 10, tolerance: float = 1e-
 
 def check_equivalence(problem: ProblemSpec, order: int = 10, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
     """``equivalence_workspace`` on a workspace built for the reduced method."""
-    return equivalence_workspace(Workspace(problem, hpm_config(problem, order)), order, tolerance, hbar)
+    return equivalence_workspace(Workspace(problem, hpm_config(order)), order, tolerance, hbar)

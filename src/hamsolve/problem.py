@@ -20,7 +20,6 @@ from .expressions import (
     LinearOperator,
     OperatorExpr,
     contains_u,
-    eval_expr,
     max_u_order,
 )
 from .grids import BoundaryCondition, Grid, build_grid
@@ -80,7 +79,7 @@ class ProblemSpec:
     def exact_values(self, grid: Grid) -> Optional[np.ndarray]:
         if self.exact_solution is None:
             return None
-        return np.asarray(eval_expr(self.exact_solution, grid.nodes), dtype=float)
+        return grid.sample(self.exact_solution)
 
 
 def checked_hbar(hbar) -> float:

@@ -61,7 +61,10 @@ class TestSolve:
             ]
         )
         assert rc == 2
-        assert "warning:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "warning: per-order norms grew for 3 consecutive orders at "
+            "hbar=-1; series looks divergent\n"
+        )
         assert (tmp_path / "series.csv").exists()
 
     def test_problem_file_without_exact_leaves_columns_empty(
@@ -73,6 +76,19 @@ class TestSolve:
         assert rc == 0
         _, rows = read_rows(tmp_path / "solution.csv")
         assert all(row[2] == "" and row[3] == "" for row in rows)
+
+    def test_constant_exact_solution_fills_error_columns(self, tmp_path, capsys):
+        # u(0) = 1 makes u = 1 the exact solution: a constant [exact] entry
+        prob = tmp_path / "riccati-one.prob"
+        text = RICCATI_TEXT.replace("bc = left, 0, 0.0", "bc = left, 0, 1.0")
+        prob.write_text(text + "\n[exact]\nu = 1\n", encoding="utf-8")
+        rc = main(["solve", str(prob), "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_rows(tmp_path / "solution.csv")
+        assert len(rows) == 64
+        assert all(row[2] == "1" for row in rows)
+        assert max(float(row[3]) for row in rows) < 1e-12
+        capsys.readouterr()
 
     def test_flag_source_equivalent_to_positional(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

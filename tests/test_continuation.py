@@ -35,7 +35,7 @@ from hamsolve import (
     trace_path,
     trace_workspace,
 )
-from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS, NewtonResult
+from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS
 from hamsolve.expressions import max_u_order
 from hamsolve.grids import lu_condition
 from hamsolve.jets import expr_partials
@@ -149,7 +149,7 @@ class TestNewton:
         ws = Workspace(MANUFACTURED.spec, config)
         result = newton_at(ws, 0.0, ws.u0)
         assert result.converged
-        assert result.iters == 0
+        assert result.newton_iters == 0
         np.testing.assert_array_equal(result.u, ws.u0)
 
     def test_linear_family_converges_in_one_step(self):
@@ -157,7 +157,7 @@ class TestNewton:
         ws = Workspace(LINEAR.spec, config)
         result = newton_at(ws, 0.7, np.zeros(ws.grid.n))
         assert result.converged
-        assert result.iters <= 2
+        assert result.newton_iters <= 2
         g = homotopy_residual(ws, 0.7, result.u)
         assert float(np.max(np.abs(g))) < 1e-8
 
@@ -169,6 +169,35 @@ class TestNewton:
         result = newton_at(ws, 1.0, start)
         assert result.converged
         assert error_vs_exact(MANUFACTURED, result.u, ws.grid) < 1e-8
+
+
+class TestSeriesIsThePath:
+    """G(eps, u) is the deformation equation at p = eps with hbar = -h, h
+    the tracer's hbar, so Newton's point at eps is the series at hbar -h
+    summed at p = eps. Bounds: docs/calibration.md."""
+
+    @staticmethod
+    def gap(ws, step, hbar, order):
+        """Sup distance from the step's point to the series at hbar summed
+        at p = step.eps through each order 0..order."""
+        series = ws.run(hbar=hbar, order=order)
+        summed = np.cumsum([u * step.eps**m for m, u in enumerate(series.orders)], axis=0)
+        return np.max(np.abs(step.u - summed), axis=1)
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("case_id", case_ids())
+    def test_newton_point_is_the_summed_series(self, case_id, h):
+        ws = Workspace(get_case(case_id).spec, HamConfig(hbar=h))
+        gaps = {}
+        for eps, order in ((0.05, 10), (0.2, 30)):
+            step = newton_at(ws, eps, ws.u0)
+            assert step.converged
+            gaps[eps] = self.gap(ws, step, -h, order)
+            assert gaps[eps][-1] < 1e-10
+            # the control: the same sum at the tracer's own sign is far off
+            assert self.gap(ws, step, h, order)[-1] > 1e-2
+        # geometric decay in M at eps = 0.05, down to Newton's floor
+        assert gaps[0.05][5] < max(1e-3 * gaps[0.05][2], 1e-10)
 
 
 class TestTracePath:
@@ -361,7 +390,7 @@ def plain_newton(ws, eps, warm_start):
             condition = lu_condition(lu_factor(J), J)
         else:
             condition = lu_condition(lu, J)
-        return NewtonResult(u, iters, True, gnorm, condition)
+        return PathStep(eps, u, iters, condition, True, gnorm)
 
     def converged(gnorm, u):
         return gnorm < continuation.NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
@@ -393,10 +422,10 @@ def plain_newton(ws, eps, warm_start):
                 break
             scale *= 0.5
         else:
-            return NewtonResult(u, it + 1, False, gnorm, math.nan)
+            return PathStep(eps, u, it + 1, math.nan, False, gnorm)
     if converged(gnorm, u):
         return accepted(u, NEWTON_MAX_ITERS, gnorm, J, lu)
-    return NewtonResult(u, NEWTON_MAX_ITERS, False, gnorm, math.nan)
+    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
 
 
 def traced_steps(ws):

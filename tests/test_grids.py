@@ -121,6 +121,13 @@ class TestBuildGrid:
         with pytest.raises(GridMismatchError):
             g.check_length(np.zeros(15))
 
+    def test_sample_is_a_fresh_array_per_node(self):
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        np.testing.assert_array_equal(g.sample(hamsolve.Const(2.0)), np.full(16, 2.0))
+        r = g.sample(hamsolve.Coord())
+        np.testing.assert_array_equal(r, g.nodes)
+        assert not np.shares_memory(r, g.nodes)
+
 
 class TestInterpolate:
     def test_spectral_accuracy(self):

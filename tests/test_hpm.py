@@ -9,7 +9,6 @@ engine and oracle on random polynomial problems.
 
 import inspect
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from hamsolve import (
     ConfigError,
     Const,
     Coord,
-    DivergenceWarning,
     EquivalenceReport,
     HamConfig,
     LinearOperator,
@@ -48,7 +46,7 @@ TANH_SHORT = get_case("riccati-tanh-short").spec
 
 class TestReducedConfig:
     def test_fixed_choices(self):
-        config = hpm_config(TANH_SHORT, order=7)
+        config = hpm_config(order=7)
         assert config.lopt_mode == "use-L"
         assert config.hbar == REDUCED_HBAR == -1.0
         assert isinstance(config.H, Const)
@@ -120,9 +118,7 @@ class TestEquivalence:
         # tanh-long's even orders vanish at hbar = -1; the zero norms must
         # not reset the oracle's growth streak either
         spec = get_case(case_id).spec
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DivergenceWarning)
-            engine = run_ham(spec, hpm_config(spec, order))
+        engine = run_ham(spec, hpm_config(order))
         assert hpm_recursion(spec, order).diverged == engine.diverged
 
     def test_nonzero_reference_function(self):
