@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -216,8 +216,9 @@ def cmd_trace(args) -> int:
     problem, config = _load(args)
     outdir = _outdir(args)
     if args.hbar is None:
-        # tracing prefers the positive embedding direction; the series
-        # solver's hbar (often negative) is a different knob
+        # the same knob as the series solver's with its sign flipped: the
+        # tracer's hbar = h is the series' hbar = -h, so its healthy
+        # hbar > 0 is the series' usual hbar < 0
         config = config.with_hbar(TRACE_DEFAULT_HBAR)
     ws = Workspace(problem, config)
     try:
@@ -266,13 +267,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except PathAbortError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except HamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

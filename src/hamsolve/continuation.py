@@ -28,9 +28,11 @@ matrix, so the step reuses that system's condition.
 
 Note the embedding direction matters: for hbar < 0 the convex combination
 (1 - eps) L_opt + eps hbar L can pass through an exactly singular matrix at
-eps = 1/(1 - hbar). Tracing is therefore healthiest at hbar > 0 (the series
-machinery, which never assembles that combination, keeps its usual negative
-hbar). demos/path_tracing.py walks through both regimes.
+eps = 1/(1 - hbar). Tracing is therefore healthiest at hbar > 0, which is
+the series' usual hbar < 0 with its sign flipped: G at hbar = h is the
+deformation family of the engine at hbar = -h, and the path is that
+series summed at p = eps (docs/recursions.md, "Why the embedding direction
+matters"). demos/path_tracing.py walks through both signs.
 """
 
 from __future__ import annotations

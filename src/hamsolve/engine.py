@@ -101,17 +101,9 @@ class Workspace:
         if hbar is not None:
             cfg = cfg.with_hbar(hbar)
         if order is not None:
-            cfg = cfg.with_order(int(order))
+            cfg = cfg.with_order(order)
         orders = self._march(np.array([cfg.hbar]), cfg.order)
-        history = residual_history(self.grid, self.operator_values, orders)
-        norms = np.max(np.abs(orders), axis=(1, 2)).tolist()
-        return SeriesSolution(
-            orders=tuple(orders[:, :, 0]),
-            config=cfg,
-            per_order_norms=tuple(norms),
-            residual_history=history,
-            diverged=series_diverges(norms),
-        )
+        return series_solution(self.grid, self.operator_values, orders, cfg)
 
     def run_many(self, hbars, order: int) -> SeriesBatch:
         """The series at K hbar values through one recursion.
@@ -124,7 +116,7 @@ class Workspace:
         differently from a matrix-vector product; with K = 1 it is bitwise
         equal.
         """
-        order = self.config.with_order(int(order)).order
+        order = self.config.with_order(order).order
         hbars = np.array([checked_hbar(h) for h in hbars])
         if hbars.size == 0:
             raise ConfigError("no hbar values to run")
@@ -145,22 +137,6 @@ class Workspace:
 
     def squared_residual(self, U: np.ndarray) -> float:
         return mean_square(self.grid, self.operator_values(U))
-
-    def weak_nonlinearity_ratio(self, U: np.ndarray, hbar: Optional[float] = None) -> float:
-        """Diagnostic: |hbar H F(U) - L_opt(U - u_0)| / |L_opt(U - u_0)|.
-
-        Sup norms over interior rows. Purely informational; no pass/fail
-        threshold is attached.
-        """
-        hbar = self.config.hbar if hbar is None else float(hbar)
-        U = self.grid.check_length(U)
-        mask = self.lopt.interior
-        core = (self.lopt.matrix @ (U - self.u0))[mask]
-        forcing = (hbar * self.H_vals * self.operator_values(U))[mask]
-        denom = float(np.max(np.abs(core), initial=0.0))
-        if denom == 0.0:
-            return float("inf")
-        return float(np.max(np.abs(forcing - core))) / denom
 
 
 def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -183,18 +159,25 @@ def mean_square(grid: Grid, f: np.ndarray):
     return integrate(grid, f * f) / (grid.b - grid.a)
 
 
-def residual_history(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: np.ndarray) -> tuple:
-    """Mean squared residual of every partial sum u_0 + ... + u_m of the
-    orders, given as an (M + 1, n, 1) stack; ``F`` is ``operator_values``
-    on the problem's matrices.
+def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: np.ndarray, config: HamConfig) -> SeriesSolution:
+    """The SeriesSolution of the orders u_0..u_M, given as an (M + 1, n, 1)
+    stack; ``F`` is ``operator_values`` on the problem's matrices.
 
-    The partial sums are summed in order, as a running sum would, and go
-    through one stacked F(U): each takes one matrix-vector product per
-    matrix and one quadrature dot, so each value is bitwise what a call on
-    that partial sum alone gives.
+    The per-order sup norms set the divergence flag. For the residual
+    history the partial sums are summed in order, as a running sum would,
+    and go through one stacked F(U): each takes one matrix-vector product
+    per matrix and one quadrature dot, so each value is bitwise what a call
+    on that partial sum alone gives.
     """
     squares = mean_square(grid, F(np.cumsum(orders, axis=0)))
-    return tuple(squares[:, 0].tolist())
+    norms = np.max(np.abs(orders), axis=(1, 2)).tolist()
+    return SeriesSolution(
+        orders=tuple(orders[:, :, 0]),
+        config=config,
+        per_order_norms=tuple(norms),
+        residual_history=tuple(squares[:, 0].tolist()),
+        diverged=series_diverges(norms),
+    )
 
 
 def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray) -> BcSystem:

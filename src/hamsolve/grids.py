@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -145,9 +146,14 @@ class Grid:
 
     def sample(self, expr) -> np.ndarray:
         """An expression in r alone at the nodes, as a fresh float array of
-        shape (n,); a constant is broadcast to every node."""
+        shape (n,); a constant is broadcast to every node. ConfigError if
+        it is not finite at some node."""
         vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
-        return np.array(np.broadcast_to(vals, (self.n,)))
+        vals = np.array(np.broadcast_to(vals, (self.n,)))
+        bad = np.nonzero(~np.isfinite(vals))[0]
+        if bad.size:
+            raise ConfigError(f"an expression in r is {vals[bad[0]]} at r = {self.nodes[bad[0]]}")
+        return vals
 
     def check_length(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -208,13 +214,18 @@ class Grid:
 def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     """Construct a grid of ``n`` nodes on [a, b].
 
-    Raises ConfigError for unknown kinds, n < 8, or a degenerate interval.
+    Raises ConfigError for unknown kinds, a non-integer n or n < 8, or an
+    empty or unbounded interval.
     """
     if kind not in GRID_KINDS:
         raise ConfigError(f"unknown grid kind {kind!r}; use one of {GRID_KINDS}")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ConfigError(f"grid size must be an integer, got {n!r}")
     if n < 8:
         raise ConfigError(f"grid needs at least 8 nodes, got {n}")
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"domain [{a}, {b}] must be finite")
     if not b > a:
         raise ConfigError(f"domain [{a}, {b}] is empty")
     scale = 2.0 / (b - a)
@@ -270,17 +281,27 @@ def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
     Raises SingularOperatorError if the leading coefficient vanishes at any
     node.
     """
-    lead = grid.sample(op.coeffs[-1])
+    coeffs = [grid.sample(c) for c in op.coeffs]
+    lead = coeffs[-1]
     if np.any(lead == 0.0):
         where = grid.nodes[np.nonzero(lead == 0.0)[0][0]]
         raise SingularOperatorError(
             f"leading coefficient of the order-{op.order} operator vanishes "
             f"at r = {where}"
         )
-    A = np.diag(grid.sample(op.coeffs[0]))
-    for k in range(1, op.order + 1):
-        A = A + grid.sample(op.coeffs[k])[:, None] * grid.diff_matrix(k)
+    A = np.zeros((grid.n, grid.n))
+    add_operator(A, grid, dict(enumerate(coeffs)))
     return A
+
+
+def add_operator(A: np.ndarray, grid: Grid, coeffs: dict) -> None:
+    """Add sum_k diag(c_k) D_k to the (n, n) array ``A`` in place, from
+    ``coeffs`` = {k: c_k at the nodes}; c_0 goes onto the diagonal."""
+    for k, ck in coeffs.items():
+        if k == 0:
+            A.flat[:: grid.n + 1] += ck
+        else:
+            A += ck[:, None] * grid.diff_matrix(k)
 
 
 def bc_row(grid: Grid, bc: BoundaryCondition) -> np.ndarray:

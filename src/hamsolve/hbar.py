@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .engine import Workspace
-from .problem import HamConfig, ProblemSpec
+from .problem import HamConfig, ProblemSpec, checked_hbar
 
 PASS_POINTS = 17
 BRACKET_TOL = 1e-3
@@ -71,11 +71,9 @@ def scan_workspace(ws: Workspace, hbar_grid: Sequence[float]) -> HbarCurve:
     curve stays plottable; the flag marks them. Each entry's probe is the
     partial sum at the domain midpoint.
     """
-    hbars = [float(h) for h in hbar_grid]
+    hbars = [checked_hbar(h) for h in hbar_grid]
     if not hbars:
         raise ConfigError("hbar grid is empty")
-    if any(h == 0.0 or not math.isfinite(h) for h in hbars):
-        raise ConfigError("hbar grid must contain nonzero finite values")
     diffs = np.diff(hbars)
     if len(hbars) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("hbar grid must be strictly monotone")

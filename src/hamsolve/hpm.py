@@ -15,25 +15,27 @@ to the general deformation engine; equivalence_workspace then runs both
 and compares order by order. Keeping the loop independent is what makes the
 comparison evidence rather than tautology, so nothing in hpm_recursion may
 call the engine's recursion entry points (a test enforces this on the
-source text). The residual history is a measurement, not part of the
-recursion, so it uses the engine's one stacked F(U) pass
-(``residual_history``) on the oracle's own matrices.
+source text). The norms, divergence flag and residual history are
+measurements, not part of the recursion, so the result comes from the
+engine's one series constructor (``series_solution``, one stacked F(U)
+pass) on the oracle's own matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .engine import Workspace, operator_values, residual_history
+from .engine import Workspace, operator_values, series_solution
 from .errors import ConfigError
 from .expressions import Const
 from .grids import BcSystem, assemble_linear
 from .jets import jet_expand, series_jets
-from .problem import HamConfig, ProblemSpec, SeriesSolution, series_diverges
+from .problem import HamConfig, ProblemSpec, SeriesSolution
 
 REDUCED_HBAR = -1.0
 
@@ -52,6 +54,7 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     docstring. Returns a SeriesSolution so downstream tooling (partial
     sums, residuals) applies unchanged.
     """
+    config = hpm_config(order)
     if order < 1:
         raise ConfigError(f"reduced recursion needs order >= 1, got {order}")
     grid = problem.make_grid()
@@ -73,16 +76,8 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
             rhs = -coeffs[m - 1]
         orders.append(system.solve(rhs, bc_values=homogeneous))
 
-    norms = [float(np.max(np.abs(w))) for w in orders]
-    return SeriesSolution(
-        orders=tuple(orders),
-        config=hpm_config(order),
-        per_order_norms=tuple(norms),
-        residual_history=residual_history(
-            grid, partial(operator_values, problem.N, grid, A, s_vals), np.stack(orders)[:, :, None]
-        ),
-        diverged=series_diverges(norms),
-    )
+    F = partial(operator_values, problem.N, grid, A, s_vals)
+    return series_solution(grid, F, np.stack(orders)[:, :, None], config)
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,8 @@ def equivalence_workspace(ws: Workspace, order: int = 10, tolerance: float = 1e-
     definition); passing anything other than -1 is the mutation control
     that shows the comparison actually has teeth.
     """
-    if tolerance <= 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     reduced = hpm_config(order)
     if ws.config.lopt_mode != reduced.lopt_mode or ws.config.H != reduced.H:
         raise ConfigError(

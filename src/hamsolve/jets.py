@@ -32,7 +32,7 @@ from .expressions import (
     U,
     max_u_order,
 )
-from .grids import Grid
+from .grids import Grid, add_operator
 
 
 def _constant(value, depth: int, width: int) -> np.ndarray:
@@ -279,17 +279,10 @@ def series_jets(grid: Grid, orders, expr: OperatorExpr) -> dict:
 
     Row m of jet k holds d^k orders[m] / dr^k sampled on the grid.
     """
-    depth = len(orders)
-    upto = max(max_u_order(expr), 0)
-    jets = {}
-    for k in range(upto + 1):
-        jet = np.empty((depth, grid.n))
-        mat = None if k == 0 else grid.diff_matrix(k)
-        for m, om in enumerate(orders):
-            om = grid.check_length(om)
-            jet[m] = om if mat is None else mat @ om
-        jets[k] = jet
-    return jets
+    # as an (M + 1, n, 1) stack each order takes one matrix-vector product,
+    # so each row is bitwise D_k orders[m]
+    stack = grid.derivative_stack(np.stack(orders)[:, :, None], max(max_u_order(expr), 0))
+    return {k: d[:, :, 0] for k, d in stack.items()}
 
 
 class SeriesTape:
@@ -310,9 +303,9 @@ class SeriesTape:
     def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int = 1):
         self._grid = grid
         self._shape = (grid.n, columns)
-        upto = max(max_u_order(expr), 0)
+        self._upto = max(max_u_order(expr), 0)
         width = grid.n * columns
-        self._leaves = {k: np.zeros((depth, width)) for k in range(upto + 1)}
+        self._leaves = {k: np.zeros((depth, width)) for k in range(self._upto + 1)}
         self._tape = Tape()
         nodes = np.repeat(grid.nodes, columns)
         self._root = self._tape.lower(expr, nodes, self._leaves, depth)
@@ -321,9 +314,9 @@ class SeriesTape:
     def push(self, u: np.ndarray) -> np.ndarray:
         """Row j of the expression, shape (n, columns), from u_j of that shape."""
         j = self._next
-        u = self._grid.check_columns(u)
+        stack = self._grid.derivative_stack(u, self._upto)
         for k, leaf in self._leaves.items():
-            leaf[j] = (u if k == 0 else self._grid.diff_matrix(k) @ u).reshape(-1)
+            leaf[j] = stack[k].reshape(-1)
         self._tape.step(j)
         self._next = j + 1
         return self._root[j].reshape(self._shape)
@@ -367,12 +360,5 @@ def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.nda
     ``frechet_at_reference``, to the (n, n) array ``A`` in place."""
     u0 = grid.check_length(u0)
     upto = max_u_order(N)
-    if upto < 0:
-        return
-    stack = grid.derivative_stack(u0, upto)
-    partials = expr_partials(N, grid.nodes, stack)
-    for k, pk in partials.items():
-        if k == 0:
-            A.flat[:: grid.n + 1] += pk  # the diagonal, in place
-        else:
-            A += pk[:, None] * grid.diff_matrix(k)
+    if upto >= 0:
+        add_operator(A, grid, expr_partials(N, grid.nodes, grid.derivative_stack(u0, upto)))

@@ -9,6 +9,7 @@ also applies to any substitute linear operator chosen for the solve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -117,6 +118,8 @@ class HamConfig:
             raise ConfigError("H must be an expression")
         if contains_u(self.H):
             raise ConfigError("H must depend on r only")
+        if not isinstance(self.order, numbers.Integral) or isinstance(self.order, bool):
+            raise ConfigError(f"truncation order must be an integer, got {self.order!r}")
         if self.order < 0:
             raise ConfigError(f"truncation order must be >= 0, got {self.order}")
 
@@ -161,11 +164,14 @@ def series_diverges(norms) -> bool:
     more than the relative GROWTH_MARGIN. Growth is judged over the nonzero
     norms only: at special hbar values whole orders cancel exactly (tanh at
     hbar = -1 has even orders identically zero), and a zero term says
-    nothing about growth, so it must not reset the streak.
+    nothing about growth, so it must not reset the streak. A norm that is
+    not finite (an order overflowed) is divergence at once.
     """
     streak = 0
     last = None
     for norm in norms:
+        if not math.isfinite(norm):
+            return True
         if norm > 0.0:
             if last is not None:
                 streak = streak + 1 if norm > last * (1.0 + GROWTH_MARGIN) else 0

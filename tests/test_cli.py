@@ -67,6 +67,18 @@ class TestSolve:
         )
         assert (tmp_path / "series.csv").exists()
 
+    def test_overflowing_series_exits_two(self, tmp_path, capsys):
+        # norms 0, 1e300, then nan: the flag is set, not skipped
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(
+                [
+                    "solve", "builtin:riccati-tanh-short",
+                    "--H", "1e300", "--out", str(tmp_path),
+                ]
+            )
+        assert rc == 2
+        assert "divergent" in capsys.readouterr().err
+
     def test_problem_file_without_exact_leaves_columns_empty(
         self, tmp_path, capsys
     ):
@@ -329,6 +341,18 @@ class TestHpmCheck:
         report = json.loads((tmp_path / "equivalence.json").read_text())
         assert report["pass"] is False
         assert "FAIL" in capsys.readouterr().out
+
+
+    def test_infinite_tolerance_exits_one(self, tmp_path, capsys):
+        rc = main(
+            [
+                "hpm-check", "builtin:riccati-tanh-short",
+                "--tol", "inf", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        assert "tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "equivalence.json").exists()
 
 
 class TestOutputDirectory:

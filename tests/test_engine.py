@@ -257,6 +257,18 @@ class TestRun:
                     ws.run(**kwargs)
 
 
+    @pytest.mark.parametrize("order", [2.5, 2.7, True])
+    def test_order_must_be_an_integer(self, order):
+        # at the parent run cast 2.7 to 2 and HamConfig took 2.5 and True
+        ws = Workspace(get_case(POISSON).spec, HamConfig())
+        with pytest.raises(ConfigError):
+            HamConfig(order=order)
+        with pytest.raises(ConfigError):
+            ws.run(order=order)
+        with pytest.raises(ConfigError):
+            ws.run_many([-1.0], order)
+
+
 class TestResiduals:
     def test_zero_guess_on_riccati_gives_one(self):
         ws = Workspace(get_case(TANH).spec, HamConfig())
@@ -283,14 +295,6 @@ class TestResiduals:
             partial_sum(sol, 3)
         with pytest.raises(RangeError):
             partial_sum(sol, -1)
-
-
-def test_weak_nonlinearity_ratio_diagnostic():
-    ws = Workspace(get_case(TANH).spec, HamConfig())
-    val = ws.weak_nonlinearity_ratio(np.tanh(ws.grid.nodes))
-    assert np.isfinite(val) and val >= 0.0
-    # U = u0 makes the denominator vanish; documented as +inf
-    assert ws.weak_nonlinearity_ratio(ws.u0) == float("inf")
 
 
 def test_zero_weight_rejected():
@@ -484,6 +488,20 @@ class TestDivergenceMargin:
         assert not ws.run(hbar=-2.0, order=order).diverged
         assert not ws.run_many([-2.0], order).diverged[0]
         assert not ws.run_many(np.linspace(-2.0, -0.1, 17), order).diverged[0]
+
+    def test_non_finite_norm_flags(self):
+        assert series_diverges([0.0, 1e300, float("nan"), float("nan")])
+        assert series_diverges([1.0, float("inf")])
+        assert series_diverges([1.0, 0.5, float("nan"), 0.1])
+        # an overflowing weight: norms 0, 1e300, then not finite
+        spec = get_case(TANH).spec
+        ws = Workspace(spec, HamConfig(H=parse_expr("1e300")))
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = ws.run()
+            batch = ws.run_many([-1.0, -0.5], 10)
+        assert not np.isfinite(series.per_order_norms[2])
+        assert series.diverged
+        assert batch.diverged.all()
 
     def test_geometric_growth_still_flags(self):
         ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig())

@@ -109,6 +109,20 @@ class TestBuildGrid:
         with pytest.raises(ConfigError):
             build_grid(CHEB, 16, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [8.5, 16.0])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError):
+            build_grid(CHEB, n, 0.0, 1.0)
+        with pytest.raises(ConfigError):
+            Workspace(dataclasses.replace(get_case("linear-poisson").spec, n=n), HamConfig())
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_domain_must_be_finite(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                build_grid(CHEB, 16, a, b)
+
     def test_diff_order_bounds(self):
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):
@@ -127,6 +141,24 @@ class TestBuildGrid:
         r = g.sample(hamsolve.Coord())
         np.testing.assert_array_equal(r, g.nodes)
         assert not np.shares_memory(r, g.nodes)
+
+    @pytest.mark.parametrize("text", ["1e300*1e300", "1e300*1e300 + r", "-1e300*1e300*(1 + r)"])
+    def test_sample_rejects_non_finite_values(self, text):
+        # 1e300*1e300 is inf without a numpy warning
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        with pytest.raises(ConfigError):
+            g.sample(hamsolve.parse_expr(text))
+
+    @pytest.mark.parametrize("field", ["s", "H"])
+    def test_non_finite_source_or_weight_is_a_config_error(self, field):
+        spec, config = get_case("riccati-tanh-short").spec, HamConfig()
+        inf = hamsolve.parse_expr("1e300*1e300")
+        if field == "s":
+            spec = dataclasses.replace(spec, s=inf)
+        else:
+            config = dataclasses.replace(config, H=inf)
+        with pytest.raises(ConfigError):
+            Workspace(spec, config)
 
 
 class TestInterpolate:

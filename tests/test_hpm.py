@@ -154,6 +154,12 @@ class TestEquivalence:
         with pytest.raises(ConfigError):
             check_equivalence(TANH_SHORT, tolerance=-1e-10)
 
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+    def test_tolerance_must_be_finite(self, tolerance):
+        # an infinite tolerance passed even the mutation control
+        with pytest.raises(ConfigError):
+            check_equivalence(TANH_SHORT, order=10, tolerance=tolerance, hbar=-3.0)
+
     def test_order_validated(self):
         with pytest.raises(ConfigError):
             check_equivalence(TANH_SHORT, order=0)
