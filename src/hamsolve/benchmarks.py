@@ -46,7 +46,6 @@ def builtin_cases() -> tuple:
             s=parse_expr("-pi^2 * sin(pi*r)"),
             bcs=_dirichlet(0.0, 0.0),
             exact_solution=sin_pir,
-            name="linear-poisson",
         ),
         notes="u'' = -pi^2 sin(pi r) with zero Dirichlet data; sin(pi r) "
         "differentiates twice into the source exactly",
@@ -61,7 +60,6 @@ def builtin_cases() -> tuple:
             s=parse_expr("1"),
             bcs=(BoundaryCondition("left", 0, 0.0),),
             exact_solution=parse_expr("tanh(r)"),
-            name="riccati-tanh-short",
         ),
         notes="u' + u^2 = 1, u(0) = 0; tanh' = 1 - tanh^2",
     )
@@ -75,7 +73,6 @@ def builtin_cases() -> tuple:
             s=parse_expr("1"),
             bcs=(BoundaryCondition("left", 0, 0.0),),
             exact_solution=parse_expr("tanh(r)"),
-            name="riccati-tanh-long",
         ),
         # same equation, domain reaching past the Taylor radius pi/2 of
         # tanh at 0: fixed-parameter series must diverge here
@@ -91,7 +88,6 @@ def builtin_cases() -> tuple:
             s=parse_expr("-pi^2*sin(pi*r) + sin(pi*r)^2"),
             bcs=_dirichlet(0.0, 0.0),
             exact_solution=sin_pir,
-            name="manufactured-quad",
         ),
         notes="source manufactured so that sin(pi r) solves u'' + u^2 = s "
         "with zero Dirichlet data",

@@ -6,12 +6,14 @@ the file's solver block. Output directory: --out, else the HAMSOLVE_OUT
 environment variable, else the working directory.
 
 Exit codes: 0 success, 1 any error (including usage), 2 a divergent
-series from solve, 3 continuation abort from trace.
+series from solve or no finite residual in an hscan, 3 continuation abort
+from trace.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -168,8 +170,9 @@ def cmd_solve(args) -> int:
     series = ws.run()
     if series.diverged:
         print(
-            f"warning: per-order norms grew for {DIVERGENCE_STREAK} consecutive "
-            f"orders at hbar={config.hbar:g}; series looks divergent",
+            f"warning: series looks divergent at hbar={config.hbar:g}: per-order "
+            f"norms grew for {DIVERGENCE_STREAK} consecutive orders or an order "
+            "is not finite",
             file=sys.stderr,
         )
     write_series_csv(outdir / "series.csv", series)
@@ -205,6 +208,12 @@ def cmd_hscan(args) -> int:
     curve = scan_hbar(problem, config, pts)
     write_curve_csv(outdir / "hbar_curve.csv", curve)
     best = curve.best()
+    if not math.isfinite(best.residual):
+        print(
+            f"warning: no hbar gave a finite residual; wrote {outdir / 'hbar_curve.csv'}",
+            file=sys.stderr,
+        )
+        return 2
     print(
         f"scanned {len(curve.entries)} points; min residual {best.residual:.6g} "
         f"at hbar={best.hbar:.6g}; wrote {outdir / 'hbar_curve.csv'}"

@@ -84,16 +84,18 @@ class Workspace:
         tape = SeriesTape(self.problem.N, self.grid, order, len(hbars))
         orders = np.empty((order + 1, self.grid.n, len(hbars)))
         orders[0] = self.u0[:, None]
-        for m in range(1, order + 1):
-            u_prev = orders[m - 1]
-            forcing = tape.push(u_prev)
-            # rhs_m from u_{m-1} and forcing = D_{m-1}[N] (module docstring)
-            chi = 0.0 if m == 1 else 1.0
-            t = self.A_L @ u_prev
-            if m == 1:
-                forcing = forcing - self.s_vals[:, None]
-            rhs = (hbars * H + chi) * t + hbars * (H * forcing)
-            orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
+        # an order that overflows shows in the norms and the divergence flag
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, order + 1):
+                u_prev = orders[m - 1]
+                forcing = tape.push(u_prev)
+                # rhs_m from u_{m-1} and forcing = D_{m-1}[N] (module docstring)
+                chi = 0.0 if m == 1 else 1.0
+                t = self.A_L @ u_prev
+                if m == 1:
+                    forcing = forcing - self.s_vals[:, None]
+                rhs = (hbars * H + chi) * t + hbars * (H * forcing)
+                orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
         return orders
 
     def run(self, hbar: Optional[float] = None, order: Optional[int] = None) -> SeriesSolution:
@@ -148,15 +150,18 @@ def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.nda
     U = grid.check_columns(U)
     nodes = grid.nodes.reshape((grid.n, 1) if U.ndim > 1 else (grid.n,))
     upto = max(max_u_order(N), 0)
-    stack = grid.derivative_stack(U, upto)
-    nl = np.broadcast_to(np.asarray(eval_expr(N, nodes, stack), dtype=float), U.shape)
-    return A_L @ U + nl - s_vals.reshape(nodes.shape)
+    # a diverged U gives non-finite values, which the residual reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = grid.derivative_stack(U, upto)
+        nl = np.broadcast_to(np.asarray(eval_expr(N, nodes, stack), dtype=float), U.shape)
+        return A_L @ U + nl - s_vals.reshape(nodes.shape)
 
 
 def mean_square(grid: Grid, f: np.ndarray):
     """Mean of f^2 over the domain, by the grid's quadrature rule; one value
     per column for (n, K) or (S, n, K) grid functions, as ``integrate``."""
-    return integrate(grid, f * f) / (grid.b - grid.a)
+    with np.errstate(over="ignore"):  # a residual past the range reads inf
+        return integrate(grid, f * f) / (grid.b - grid.a)
 
 
 def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: np.ndarray, config: HamConfig) -> SeriesSolution:

@@ -185,14 +185,15 @@ def eval_expr(expr: OperatorExpr, r, u: UTable | None = None):
         return prod
     if isinstance(expr, Power):
         base = eval_expr(expr.base, r, u)
-        return _checked_power(base, expr.exponent)
+        return checked_power(base, expr.exponent)
     if isinstance(expr, Call):
         arg = eval_expr(expr.arg, r, u)
-        return _checked_call(expr.name, arg)
+        return checked_call(expr.name, arg)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _checked_power(base, exponent: float):
+def checked_power(base, exponent: float):
+    """``base ** exponent``; DomainError where that is undefined."""
     if float(exponent).is_integer():
         k = int(exponent)
         if k < 0 and np.any(np.asarray(base) == 0.0):
@@ -205,7 +206,8 @@ def _checked_power(base, exponent: float):
     return base ** exponent
 
 
-def _checked_call(name: str, arg):
+def checked_call(name: str, arg):
+    """numpy's ``name`` at ``arg``; DomainError where that is undefined."""
     if name in ("log", "sqrt") and np.any(np.asarray(arg) <= 0.0):
         raise DomainError(f"{name} requires a strictly positive argument")
     return getattr(np, name)(arg)

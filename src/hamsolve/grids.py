@@ -30,10 +30,9 @@ from .errors import (
     SingularOperatorError,
     SingularSystemError,
 )
-from .expressions import LinearOperator, eval_expr
+from .expressions import MAX_DERIVATIVE_ORDER, LinearOperator, eval_expr
 
 GRID_KINDS = ("chebyshev-lobatto", "uniform-fd")
-MAX_DIFF_ORDER = 4
 COND_LIMIT = 1e14
 LOBATTO_CACHE_SIZE = 8
 
@@ -94,7 +93,7 @@ def _lobatto_reference(n: int):
     """Nodes, D_1..D_4 and Clenshaw-Curtis weights of n Chebyshev-Lobatto
     points on [-1, 1], in ascending node order. Shared by every grid of
     this size, so every array is read-only."""
-    x, DM = _chebdif(n, MAX_DIFF_ORDER)
+    x, DM = _chebdif(n, MAX_DERIVATIVE_ORDER)
     asc = np.arange(n - 1, -1, -1)
     nodes, weights = x[asc], _clencurt(n)[asc]
     diffs = tuple(D[np.ix_(asc, asc)] for D in DM)
@@ -134,8 +133,8 @@ class Grid:
     quad_weights: np.ndarray
 
     def diff_matrix(self, order: int) -> np.ndarray:
-        if not 1 <= order <= MAX_DIFF_ORDER:
-            raise ConfigError(f"derivative order {order} outside 1..{MAX_DIFF_ORDER}")
+        if not 1 <= order <= MAX_DERIVATIVE_ORDER:
+            raise ConfigError(f"derivative order {order} outside 1..{MAX_DERIVATIVE_ORDER}")
         D = self._diffs[order - 1]
         if D is None:
             # uniform-fd's D_3 = D_1 D_2 and D_4 = D_2 D_2: dense O(n^3)
@@ -148,7 +147,8 @@ class Grid:
         """An expression in r alone at the nodes, as a fresh float array of
         shape (n,); a constant is broadcast to every node. ConfigError if
         it is not finite at some node."""
-        vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
         vals = np.array(np.broadcast_to(vals, (self.n,)))
         bad = np.nonzero(~np.isfinite(vals))[0]
         if bad.size:
@@ -211,14 +211,20 @@ class Grid:
         return float(np.interp(x, self.nodes, values))
 
 
+def checked_grid_kind(kind: str) -> str:
+    """``kind`` itself; ConfigError unless it is one of GRID_KINDS."""
+    if kind not in GRID_KINDS:
+        raise ConfigError(f"unknown grid kind {kind!r}; use one of {GRID_KINDS}")
+    return kind
+
+
 def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     """Construct a grid of ``n`` nodes on [a, b].
 
     Raises ConfigError for unknown kinds, a non-integer n or n < 8, or an
     empty or unbounded interval.
     """
-    if kind not in GRID_KINDS:
-        raise ConfigError(f"unknown grid kind {kind!r}; use one of {GRID_KINDS}")
+    checked_grid_kind(kind)
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ConfigError(f"grid size must be an integer, got {n!r}")
     if n < 8:
@@ -266,7 +272,7 @@ class BoundaryCondition:
 
     def __post_init__(self):
         if self.location not in ("left", "right"):
-            raise ConfigError(f"bad BC location {self.location!r}")
+            raise ConfigError(f"BC location must be left or right, got {self.location!r}")
         if self.derivative_order < 0:
             raise ConfigError("BC derivative order must be >= 0")
         # the BC solves skip LAPACK input checks, so a non-finite value

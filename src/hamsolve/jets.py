@@ -5,10 +5,12 @@ Taylor coefficient of a quantity expanded in the embedding parameter, at
 each of ``width`` grid nodes. All operations truncate at ``depth`` rows.
 
 Analytic functions are propagated by the standard coefficient recurrences
-(exp, log, real powers, the coupled sin/cos pair, tanh via 1 - tanh^2);
-compositions whose constant term violates a domain restriction raise
-DomainError. Two-row jets double as forward-mode dual numbers, which is how
-the directional (Fréchet) derivative of an expression is computed.
+(exp, log, real powers, the coupled sin/cos pair, tanh via 1 - tanh^2).
+Row 0 of each is the function's value at the constant term, computed by
+``expressions.checked_power`` and ``checked_call``, so a jet outside the
+domain raises the same DomainError as a pointwise evaluation. Two-row
+jets double as forward-mode dual numbers, which is how the directional
+(Fréchet) derivative of an expression is computed.
 
 Every recurrence is a node of a ``Tape`` that fills one Taylor row at a
 time, and ``Tape`` is the one jet API. ``jet_expand`` is its batch form,
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .expressions import (
     Call,
     Const,
@@ -30,6 +32,8 @@ from .expressions import (
     Product,
     Sum,
     U,
+    checked_call,
+    checked_power,
     max_u_order,
 )
 from .grids import Grid, add_operator
@@ -90,9 +94,7 @@ class Tape:
 
         def row(m):
             if m == 0:
-                if np.any(v[0] == 0.0):
-                    raise DomainError("reciprocal of a jet with zero constant term")
-                out[0] = 1.0 / v[0]
+                out[0] = checked_power(v[0], -1)
                 return
             acc = np.einsum("ij,ij->j", v[1 : m + 1], out[m - 1 :: -1])
             out[m] = -acc / v[0]
@@ -100,7 +102,8 @@ class Tape:
         self._rows.append(row)
         return out
 
-    def power(self, u: np.ndarray, exponent: float) -> np.ndarray:
+    def power(self, u: np.ndarray, exponent: float, call: str = "") -> np.ndarray:
+        """u ** exponent; ``call`` names the function it is (sqrt), if any."""
         if float(exponent).is_integer():
             k = int(exponent)
             if k < 0:
@@ -118,12 +121,7 @@ class Tape:
 
         def row(m):
             if m == 0:
-                if np.any(u[0] <= 0.0):
-                    raise DomainError(
-                        f"non-integer power {exponent} of a jet needs a strictly "
-                        "positive constant term"
-                    )
-                out[0] = u[0] ** exponent
+                out[0] = checked_call(call, u[0]) if call else checked_power(u[0], exponent)
                 return
             # from u w' = rho u' w: m u0 w_m = sum_k (rho k - (m-k)) u_k w_{m-k}
             ks = np.arange(1, m + 1)
@@ -139,7 +137,7 @@ class Tape:
 
         def row(m):
             if m == 0:
-                out[0] = np.exp(u[0])
+                out[0] = checked_call("exp", u[0])
                 return
             ks = np.arange(1, m + 1, dtype=float)
             out[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], out[m - 1 :: -1]) / m
@@ -152,9 +150,7 @@ class Tape:
 
         def row(m):
             if m == 0:
-                if np.any(u[0] <= 0.0):
-                    raise DomainError("log of a jet needs a strictly positive constant term")
-                out[0] = np.log(u[0])
+                out[0] = checked_call("log", u[0])
                 return
             acc = m * u[m]
             if m > 1:
@@ -172,8 +168,8 @@ class Tape:
 
         def row(m):
             if m == 0:
-                s[0] = np.sin(u[0])
-                c[0] = np.cos(u[0])
+                s[0] = checked_call("sin", u[0])
+                c[0] = checked_call("cos", u[0])
                 return
             ks = np.arange(1, m + 1, dtype=float)
             du = u[1 : m + 1]
@@ -189,7 +185,7 @@ class Tape:
 
         def row(m):
             if m == 0:
-                t[0] = np.tanh(u[0])
+                t[0] = checked_call("tanh", u[0])
                 g[0] = 1.0 - t[0] ** 2
                 return
             ks = np.arange(1, m + 1, dtype=float)
@@ -248,7 +244,7 @@ class Tape:
             if expr.name == "tanh":
                 return self.tanh(arg)
             if expr.name == "sqrt":
-                return self.power(arg, 0.5)
+                return self.power(arg, 0.5, "sqrt")
         raise TypeError(f"not an expression node: {expr!r}")
 
 

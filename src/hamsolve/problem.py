@@ -47,7 +47,6 @@ class ProblemSpec:
     grid_kind: str = "chebyshev-lobatto"
     n: int = 64
     exact_solution: Optional[OperatorExpr] = None
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "bcs", tuple(self.bcs))

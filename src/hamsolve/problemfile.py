@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError, ParseError
-from .expressions import LinearOperator, parse_expr
-from .grids import GRID_KINDS, BoundaryCondition
-from .problem import HamConfig, ProblemSpec
+from .expressions import Const, LinearOperator, parse_expr
+from .grids import BoundaryCondition, checked_grid_kind
+from .problem import ZERO, HamConfig, ProblemSpec
 
 SECTIONS = ("domain", "operator", "bcs", "ham", "lopt", "exact")
 
@@ -66,54 +66,49 @@ def parse_problem_file(path) -> ParsedProblem:
 
 def parse_problem_text(text: str) -> ParsedProblem:
     sections = _split_sections(text)
-    domain = _SectionReader("domain", sections.get("domain"))
-    a = domain.required_float("a")
-    b = domain.required_float("b")
-    kind = domain.optional("kind", "chebyshev-lobatto")
-    if kind not in GRID_KINDS:
-        domain.fail("kind", f"unknown grid kind {kind!r}; use one of {GRID_KINDS}")
-    n = domain.optional_int("n", 64)
+    domain = _Section("domain", sections["domain"])
+    a = domain.take("a", float)
+    b = domain.take("b", float)
+    kind = domain.take("kind", checked_grid_kind, "chebyshev-lobatto")
+    n = domain.take("n", int, 64)
     domain.finish()
 
-    operator = _SectionReader("operator", sections.get("operator"))
-    L = _operator_from_entry(operator, "L")
-    N = operator.optional_expr("N", "0")
-    s = operator.optional_expr("s", "0")
+    operator = _Section("operator", sections["operator"])
+    L = operator.take("L", _operator)
+    N = operator.take("N", parse_expr, ZERO)
+    s = operator.take("s", parse_expr, ZERO)
     operator.finish()
 
-    bcs = _read_bcs(sections.get("bcs"))
+    bcs = _read_bcs(sections["bcs"])
 
-    exact = None
-    if "exact" in sections:
-        sec = _SectionReader("exact", sections["exact"])
-        exact = sec.optional_expr("u", None)
-        sec.finish()
+    exact_sec = _Section("exact", sections.get("exact", []))
+    exact = exact_sec.take("u", parse_expr, None)
+    exact_sec.finish()
 
-    ham = _SectionReader("ham", sections.get("ham", []))
-    lopt_mode = ham.optional("lopt_mode", "use-L")
-    hbar = ham.optional_float("hbar", -1.0)
-    H = ham.optional_expr("H", "1")
-    order = ham.optional_int("order", 10)
+    ham = _Section("ham", sections.get("ham", []))
+    lopt_mode = ham.take("lopt_mode", str, "use-L")
+    hbar = ham.take("hbar", float, -1.0)
+    H = ham.take("H", parse_expr, Const(1.0))
+    order = ham.take("order", int, 10)
     ham.finish()
 
-    mode: object = lopt_mode
+    lopt = _Section("lopt", sections.get("lopt", []))
     if lopt_mode == "user":
         if "lopt" not in sections:
             raise ParseError("lopt_mode = user needs an [lopt] section")
-        lopt_sec = _SectionReader("lopt", sections["lopt"])
-        mode = _operator_from_entry(lopt_sec, "L")
-        lopt_sec.finish()
+        lopt_mode = lopt.take("L", _operator)
     elif "lopt" in sections:
         raise ParseError(
             f"[lopt] section given but lopt_mode is {lopt_mode!r}, not 'user'"
         )
+    lopt.finish()
 
     try:
         problem = ProblemSpec(
             a=a, b=b, L=L, N=N, s=s, bcs=bcs, grid_kind=kind, n=n,
             exact_solution=exact,
         )
-        config = HamConfig(lopt_mode=mode, hbar=hbar, H=H, order=order)
+        config = HamConfig(lopt_mode=lopt_mode, hbar=hbar, H=H, order=order)
     except ConfigError as exc:
         raise ParseError(str(exc)) from exc
     return ParsedProblem(problem=problem, config=config)
@@ -152,98 +147,59 @@ def _split_sections(text: str) -> dict:
     return sections
 
 
-class _SectionReader:
-    """Pulls typed values out of one section's entries, tracking lines."""
+_REQUIRED = object()
 
-    def __init__(self, name: str, entries: Optional[List[Entry]]):
+
+class _Section:
+    """One section's entries by key, each taken once and converted."""
+
+    def __init__(self, name: str, entries: List[Entry]):
         self.name = name
         self.entries: dict = {}
-        self.lines: dict = {}
-        for lineno, key, value in entries or []:
+        for lineno, key, value in entries:
             if key in self.entries:
                 raise ParseError(
                     f"duplicate key {key!r} in [{name}]", line=lineno
                 )
             self.entries[key] = (lineno, value)
-            self.lines[key] = lineno
 
-    def fail(self, key: str, message: str):
-        raise ParseError(message, line=self.lines.get(key))
-
-    def _take(self, key: str):
-        return self.entries.pop(key, None)
-
-    def required(self, key: str) -> Tuple[int, str]:
-        item = self._take(key)
-        if item is None:
-            raise ParseError(f"[{self.name}] is missing required key {key!r}")
-        return item
-
-    def optional(self, key: str, default):
-        item = self._take(key)
-        if item is None:
+    def take(self, key: str, convert, default=_REQUIRED):
+        """``convert`` of the entry's value, anchored to its line; ``default``
+        as given if the key is absent, a ParseError if it has none."""
+        if key not in self.entries:
+            if default is _REQUIRED:
+                raise ParseError(f"[{self.name}] is missing required key {key!r}")
             return default
-        return item[1]
-
-    def required_float(self, key: str) -> float:
-        lineno, value = self.required(key)
-        return _as_float(value, key, lineno)
-
-    def optional_float(self, key: str, default: float) -> float:
-        item = self._take(key)
-        if item is None:
-            return default
-        return _as_float(item[1], key, item[0])
-
-    def optional_int(self, key: str, default: int) -> int:
-        item = self._take(key)
-        if item is None:
-            return default
-        lineno, value = item
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"{key} must be an integer, got {value!r}", line=lineno)
-
-    def optional_expr(self, key: str, default: Optional[str]):
-        item = self._take(key)
-        if item is None:
-            return parse_expr(default) if default is not None else None
-        lineno, value = item
-        return _as_expr(value, lineno)
+        lineno, value = self.entries.pop(key)
+        return _converted(convert, key, value, lineno)
 
     def finish(self):
+        """ParseError at the first entry no ``take`` asked for."""
         if self.entries:
-            key = next(iter(self.entries))
-            lineno, _ = self.entries[key]
+            key, (lineno, _) = next(iter(self.entries.items()))
             raise ParseError(f"unknown key {key!r} in [{self.name}]", line=lineno)
 
 
-def _as_float(value: str, key: str, lineno: int) -> float:
+def _converted(convert, key: str, value: str, line: Optional[int] = None):
+    """``convert(value)``, with what it raises turned into a ParseError at
+    ``line``: a ParseError keeps its column, a ConfigError its text, and any
+    other ValueError says what ``key`` must be."""
     try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"{key} must be a number, got {value!r}", line=lineno)
-
-
-def _as_expr(value: str, lineno: int):
-    try:
-        return parse_expr(value)
+        return convert(value)
     except ParseError as exc:
-        raise ParseError(exc.message, line=lineno, column=exc.column) from exc
-
-
-def _operator_from_entry(reader: _SectionReader, key: str) -> LinearOperator:
-    lineno, value = reader.required(key)
-    parts = _split_top_level(value, lineno)
-    coeffs = tuple(_as_expr(p, lineno) for p in parts)
-    try:
-        return LinearOperator(coeffs)
+        raise ParseError(exc.message, line=line, column=exc.column) from exc
     except ConfigError as exc:
-        raise ParseError(str(exc), line=lineno) from exc
+        raise ParseError(str(exc), line=line) from exc
+    except ValueError as exc:
+        what = "an integer" if convert is int else "a number"
+        raise ParseError(f"{key} must be {what}, got {value!r}", line=line) from exc
 
 
-def _split_top_level(value: str, lineno: int) -> List[str]:
+def _operator(value: str) -> LinearOperator:
+    return LinearOperator(tuple(parse_expr(p) for p in _split_top_level(value)))
+
+
+def _split_top_level(value: str) -> List[str]:
     """Split on commas outside parentheses."""
     parts = []
     depth = 0
@@ -254,51 +210,40 @@ def _split_top_level(value: str, lineno: int) -> List[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ')'", line=lineno)
+                raise ParseError("unbalanced ')'")
         elif ch == "," and depth == 0:
             parts.append(value[start:i].strip())
             start = i + 1
     if depth != 0:
-        raise ParseError("unbalanced '('", line=lineno)
+        raise ParseError("unbalanced '('")
     parts.append(value[start:].strip())
     if any(not p for p in parts):
-        raise ParseError("empty item in comma-separated list", line=lineno)
+        raise ParseError("empty item in comma-separated list")
     return parts
 
 
-def _read_bcs(entries: Optional[List[Entry]]) -> tuple:
+def _bc(value: str) -> BoundaryCondition:
+    parts = [p.strip() for p in value.split(",")]
+    if len(parts) != 3:
+        raise ParseError("bc needs exactly 'location, derivative order, value'")
+    location, order, bc_value = parts
+    return BoundaryCondition(
+        location,
+        _converted(int, "bc derivative order", order),
+        _converted(float, "bc value", bc_value),
+    )
+
+
+def _read_bcs(entries: List[Entry]) -> tuple:
     bcs = []
-    for lineno, key, value in entries or []:
+    for lineno, key, value in entries:
         if key != "bc":
             raise ParseError(
                 f"unknown key {key!r} in [bcs]; only 'bc = location, order, "
                 "value' lines are allowed",
                 line=lineno,
             )
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 3:
-            raise ParseError(
-                "bc needs exactly 'location, derivative order, value'",
-                line=lineno,
-            )
-        location, order_text, value_text = parts
-        if location not in ("left", "right"):
-            raise ParseError(
-                f"bc location must be left or right, got {location!r}",
-                line=lineno,
-            )
-        try:
-            order = int(order_text)
-        except ValueError:
-            raise ParseError(
-                f"bc derivative order must be an integer, got {order_text!r}",
-                line=lineno,
-            )
-        bc_value = _as_float(value_text, "bc value", lineno)
-        try:
-            bcs.append(BoundaryCondition(location, order, bc_value))
-        except ConfigError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+        bcs.append(_converted(_bc, key, value, lineno))
     if not bcs:
         raise ParseError("[bcs] section contains no bc lines")
     return tuple(bcs)

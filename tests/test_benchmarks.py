@@ -53,7 +53,6 @@ def test_exact_solution_satisfies_boundary_conditions(case_id):
 @pytest.mark.parametrize("case_id", EXPECTED_IDS)
 def test_case_metadata(case_id):
     case = get_case(case_id)
-    assert case.spec.name == case.id
     assert case.notes
     assert case.spec.exact_solution is not None
 

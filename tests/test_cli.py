@@ -62,20 +62,19 @@ class TestSolve:
         )
         assert rc == 2
         assert capsys.readouterr().err == (
-            "warning: per-order norms grew for 3 consecutive orders at "
-            "hbar=-1; series looks divergent\n"
+            "warning: series looks divergent at hbar=-1: per-order norms grew "
+            "for 3 consecutive orders or an order is not finite\n"
         )
         assert (tmp_path / "series.csv").exists()
 
     def test_overflowing_series_exits_two(self, tmp_path, capsys):
         # norms 0, 1e300, then nan: the flag is set, not skipped
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(
-                [
-                    "solve", "builtin:riccati-tanh-short",
-                    "--H", "1e300", "--out", str(tmp_path),
-                ]
-            )
+        rc = main(
+            [
+                "solve", "builtin:riccati-tanh-short",
+                "--H", "1e300", "--out", str(tmp_path),
+            ]
+        )
         assert rc == 2
         assert "divergent" in capsys.readouterr().err
 
@@ -188,6 +187,21 @@ class TestHscan:
         assert header == ["hbar", "residual", "diverged", "probe"]
         assert len(rows) == 9
         assert "min residual" in capsys.readouterr().out
+
+    def test_hscan_without_a_finite_residual_exits_two(self, tmp_path, capsys):
+        rc = main(
+            [
+                "hscan", "builtin:riccati-tanh-short",
+                "--H", "1e300", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no hbar gave a finite residual" in err
+        _, rows = read_rows(tmp_path / "hbar_curve.csv")
+        assert len(rows) == 17
+        assert all(row[1] == "nan" for row in rows)
 
     def test_straddling_range_skips_zero(self, tmp_path):
         rc = main(

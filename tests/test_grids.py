@@ -35,8 +35,8 @@ from hamsolve import (
     homotopy_jacobian,
     integrate,
 )
+from hamsolve.expressions import MAX_DERIVATIVE_ORDER
 from hamsolve.grids import (
-    MAX_DIFF_ORDER,
     _chebdif,
     _clencurt,
     _fd_first,
@@ -402,11 +402,11 @@ class TestLobattoReference:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (0.3, 2.7), (-5.0, 1e-3)])
     def test_scaled_reference_equals_direct_construction_bitwise(self, a, b):
         n = 33
-        x, DM = _chebdif(n, MAX_DIFF_ORDER)
+        x, DM = _chebdif(n, MAX_DERIVATIVE_ORDER)
         asc = np.arange(n - 1, -1, -1)
         scale = 2.0 / (b - a)
         g = build_grid(CHEB, n, a, b)
-        for k in range(MAX_DIFF_ORDER):
+        for k in range(MAX_DERIVATIVE_ORDER):
             np.testing.assert_array_equal(g.diff_matrix(k + 1), DM[k][np.ix_(asc, asc)] * scale ** (k + 1))
         np.testing.assert_array_equal(g.quad_weights, _clencurt(n)[asc] / scale)
         nodes = a + (b - a) * (x[asc] + 1.0) / 2.0

@@ -157,6 +157,22 @@ class TestAlgebraicIdentities:
         with pytest.raises(DomainError):
             expand(Power(u, 0.5), bad)
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [("log(u)", 0.0), ("u^1.5", -1.0), ("sqrt(u)", -1.0), ("1/u", 0.0), ("u^-2", 0.0)],
+    )
+    def test_domain_rule_is_the_pointwise_one(self, text, value):
+        # row 0 of a jet is the pointwise value, so the jet fails exactly
+        # as eval_expr does, with the same message
+        expr = parse_expr(text)
+        jet = random_jet(self.rng, positive=True)
+        jet[0, 1] = value
+        with pytest.raises(DomainError) as pointwise:
+            eval_expr(expr, np.zeros(WIDTH), {0: jet[0]})
+        with pytest.raises(DomainError) as jets:
+            expand(expr, jet)
+        assert str(jets.value) == str(pointwise.value)
+
 
 class TestJetExpand:
     def test_composite_expression_vs_sympy(self):
