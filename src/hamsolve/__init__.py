@@ -45,7 +45,7 @@ from .grids import (
     build_grid,
     integrate,
 )
-from .jets import frechet_at_reference, jet_expand
+from .jets import jet_expand
 from .problem import HamConfig, ProblemSpec, SeriesSolution
 from .engine import SeriesBatch, Workspace, partial_sum, run_ham
 from .hbar import (

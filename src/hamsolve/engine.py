@@ -23,10 +23,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, RangeError, SingularSystemError
+from .errors import ConfigError, RangeError
 from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
-from .jets import SeriesTape, frechet_at_reference
+from .jets import SeriesTape, add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
 
 
@@ -56,19 +56,7 @@ class Workspace:
         if np.any(self.H_vals == 0.0):
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.lopt = _build_lopt_system(problem, config, self.grid, self.A_L)
-        self.u0 = self._solve_zeroth()
-
-    def _solve_zeroth(self) -> np.ndarray:
-        u0 = self.lopt.solve(np.zeros(self.grid.n))
-        resid = self.lopt.matrix @ u0
-        # BC rows of the factored matrix are condition rows; skip them
-        sup = float(np.max(np.abs(resid[self.lopt.interior]), initial=0.0))
-        if sup >= 1e-9 * (1.0 + float(np.max(np.abs(u0)))):
-            raise SingularSystemError(
-                f"zeroth-order solve left interior residual {sup:.3e}; the "
-                "linear core is too ill-conditioned to define u_0"
-            )
-        return u0
+        self.u0 = self.lopt.solve(np.zeros(self.grid.n))
 
     def _march(self, hbars: np.ndarray, order: int) -> np.ndarray:
         """Orders u_0..u_M of K series side by side, shape (M + 1, n, K).
@@ -194,20 +182,22 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
                 f"{mode.order} BCs, problem has {len(problem.bcs)}"
             )
         return BcSystem(assemble_linear(mode, grid), problem.bcs, grid)
+    system = BcSystem(A_L, problem.bcs, grid)
     if mode == "use-L":
-        return BcSystem(A_L, problem.bcs, grid)
-    # frechet-at-u0: linearize F at a bootstrap u0 from plain L (breaks the
-    # circular definition deterministically)
-    u0 = BcSystem(A_L, problem.bcs, grid).solve(np.zeros(grid.n))
-    matrix = frechet_at_reference(A_L, problem.N, grid, u0)
-    return BcSystem(matrix, problem.bcs, grid)
+        return system
+    # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
+    # definition deterministically)
+    A = A_L.copy()
+    add_nonlinear_frechet(A, problem.N, grid, system.solve(np.zeros(grid.n)))
+    return BcSystem(A, problem.bcs, grid)
 
 
 def run_ham(problem: ProblemSpec, config: HamConfig) -> SeriesSolution:
     """Full series run: u_0 then order-m solves up to the truncation order.
 
     The result's ``diverged`` flag is set when the per-order sup norms grow
-    three times in a row; the series is still returned.
+    three times in a row or an order is not finite (``series_diverges``);
+    the series is still returned.
     """
     return Workspace(problem, config).run()
 

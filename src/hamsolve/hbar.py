@@ -42,7 +42,6 @@ class HbarCurve:
     """Residual-vs-hbar sweep at fixed order, weight, and linear core."""
 
     entries: tuple
-    probe_point: float
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -87,7 +86,7 @@ def scan_workspace(ws: Workspace, hbar_grid: Sequence[float]) -> HbarCurve:
             entries.append(
                 HbarEntry(h, float(batch.residuals[k]), bool(batch.diverged[k]), probe)
             )
-    return HbarCurve(entries=tuple(entries), probe_point=probe_point)
+    return HbarCurve(entries=tuple(entries))
 
 
 def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[float]) -> HbarCurve:

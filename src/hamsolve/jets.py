@@ -339,22 +339,13 @@ def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:
     return dict(enumerate(row.reshape(slots, width)))
 
 
-def frechet_at_reference(A_L: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> np.ndarray:
-    """Assembled matrix of the Fréchet derivative of L + N at ``u0``.
-
-    ``A_L`` is the assembled matrix of L, which contributes itself; the
-    nonlinear part contributes sum_k diag(dN/du^(k) at u0) D_k. The result
-    is a new array; ``A_L`` is not modified.
-    """
-    A = np.array(A_L, dtype=float)
-    add_nonlinear_frechet(A, N, grid, u0)
-    return A
-
-
 def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> None:
-    """Add sum_k diag(dN/du^(k) at u0) D_k, N's part of
-    ``frechet_at_reference``, to the (n, n) array ``A`` in place."""
+    """Add sum_k diag(dN/du^(k) at u0) D_k, N's part of the Fréchet
+    derivative of L + N at ``u0``, to the (n, n) array ``A`` in place. An
+    overflowing partial enters as inf or nan without a warning; ``BcSystem``
+    and Newton report the non-finite result as SingularSystemError."""
     u0 = grid.check_length(u0)
     upto = max_u_order(N)
     if upto >= 0:
-        add_operator(A, grid, expr_partials(N, grid.nodes, grid.derivative_stack(u0, upto)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            add_operator(A, grid, expr_partials(N, grid.nodes, grid.derivative_stack(u0, upto)))

@@ -135,7 +135,8 @@ class SeriesSolution:
 
     residual_history[m] is the mean squared residual of the partial sum
     through order m, so it always has length M + 1. The diverged flag is the
-    cheap heuristic: three consecutive growths of the per-order sup norm.
+    cheap heuristic: three consecutive growths of the per-order sup norm, or
+    an order that is not finite.
     """
 
     orders: tuple

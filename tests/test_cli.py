@@ -26,6 +26,43 @@ bc = left, 0, 0.0
 """
 
 
+# u'' + u^2 = s with u(0) = 1, u(1) = 2 on 128 nodes: exact 1 + r^2
+BOUNDARY_DATA_TEXT = """\
+[domain]
+a = 0
+b = 1
+n = 128
+
+[operator]
+L = 0, 0, 1
+N = u^2
+s = 2 + (1 + r^2)^2
+
+[bcs]
+bc = left, 0, 1
+bc = right, 0, 2
+
+[exact]
+u = 1 + r^2
+"""
+
+# u'' + exp(u) = 0 with u = 800 at both ends: exp overflows at u_0 itself
+OVERFLOWING_TEXT = """\
+[domain]
+a = 0
+b = 1
+n = 16
+
+[operator]
+L = 0, 0, 1
+N = exp(u)
+
+[bcs]
+bc = left, 0, 800
+bc = right, 0, 800
+"""
+
+
 def read_rows(path):
     header, *rows = path.read_text().splitlines()
     return header.split(","), [line.split(",") for line in rows]
@@ -101,6 +138,17 @@ class TestSolve:
         assert max(float(row[3]) for row in rows) < 1e-12
         capsys.readouterr()
 
+    def test_boundary_data_on_a_fine_grid(self, tmp_path, capsys):
+        prob = tmp_path / "boundary-data.prob"
+        prob.write_text(BOUNDARY_DATA_TEXT, encoding="utf-8")
+        rc = main(["solve", str(prob), "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_rows(tmp_path / "solution.csv")
+        assert len(rows) == 128
+        # 1.70e-6 measured at hbar = -1, M = 10 (docs/calibration.md)
+        assert max(float(row[3]) for row in rows) < 1e-5
+        capsys.readouterr()
+
     def test_flag_source_equivalent_to_positional(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["solve", "builtin:riccati-tanh-short", "--out", str(a)]) == 0
@@ -162,6 +210,16 @@ class TestUsageAndErrors:
         assert main([]) == 1
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_overflowing_jacobian_is_a_typed_failure(self, tmp_path, capsys):
+        # no raw numpy warning (an error in this suite) before the outcome
+        prob = tmp_path / "overflowing.prob"
+        prob.write_text(OVERFLOWING_TEXT, encoding="utf-8")
+        assert main(["trace", str(prob), "--out", str(tmp_path)]) == 3
+        capsys.readouterr()
+        rc = main(["solve", str(prob), "--lopt", "frechet", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: BC-modified system has non-finite entries\n"
 
     def test_help_is_exit_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -28,6 +28,7 @@ from hamsolve import (
     get_case,
     hpm_config,
     hpm_recursion,
+    optimal_workspace,
     parse_expr,
     parse_problem_text,
     partial_sum,
@@ -131,6 +132,64 @@ class TestZerothOrder:
         u0 = Workspace(problem, HamConfig()).u0
         grid = problem.make_grid()
         assert np.max(np.abs(u0 - grid.nodes)) < 1e-10
+
+    # backward error of the u_0 solve in units of eps ||A|| ||u_0||: at most
+    # 1.604 measured, frozen at 8 (docs/calibration.md, Zeroth-order solve)
+    BACKWARD_ERROR_C = 8.0
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize(
+        "lopt_mode",
+        ["use-L", "frechet-at-u0", LinearOperator.from_strings(("1", "0", "1"))],
+        ids=["use-L", "frechet-at-u0", "user-L"],
+    )
+    def test_large_boundary_data_solve_to_roundoff(self, kind, lopt_mode):
+        # u'' + N = 0; N = u^2 gives frechet-at-u0 a core of its own
+        eps = np.finfo(float).eps
+        for nonlinear in ("0", "u^2"):
+            for left, right in ((1.0, 2.0), (800.0, 800.0), (100.0, 0.0)):
+                for n in (16, 32, 48, 64, 96, 128, 192, 256):
+                    problem = ProblemSpec(
+                        a=0.0,
+                        b=1.0,
+                        L=LinearOperator.from_strings(("0", "0", "1")),
+                        N=parse_expr(nonlinear),
+                        bcs=(
+                            BoundaryCondition("left", 0, left),
+                            BoundaryCondition("right", 0, right),
+                        ),
+                        grid_kind=kind,
+                        n=n,
+                    )
+                    ws = Workspace(problem, HamConfig(lopt_mode=lopt_mode))
+                    A = ws.lopt.matrix
+                    b = np.zeros(n)
+                    b[[0, n - 1]] = left, right
+                    backward = np.max(np.abs(A @ ws.u0 - b))
+                    scale = eps * np.max(np.sum(np.abs(A), axis=1)) * np.max(np.abs(ws.u0))
+                    assert backward <= self.BACKWARD_ERROR_C * scale, (nonlinear, left, right, n)
+
+    @pytest.mark.parametrize("n", [96, 128, 256])
+    def test_manufactured_problem_with_boundary_data_at_fine_grids(self, n):
+        # u'' + u^2 = s with u(0) = 1, u(1) = 2: exact 1 + r^2
+        problem = ProblemSpec(
+            a=0.0,
+            b=1.0,
+            L=LinearOperator.from_strings(("0", "0", "1")),
+            N=parse_expr("u^2"),
+            s=parse_expr("2 + (1 + r^2)^2"),
+            bcs=(
+                BoundaryCondition("left", 0, 1.0),
+                BoundaryCondition("right", 0, 2.0),
+            ),
+            n=n,
+            exact_solution=parse_expr("1 + r^2"),
+        )
+        ws = Workspace(problem, HamConfig(order=20))
+        best = optimal_workspace(ws, (-1.5, -0.05))
+        series = ws.run(hbar=best.hbar_star)
+        error = np.max(np.abs(partial_sum(series, 20) - problem.exact_values(ws.grid)))
+        assert error < 1e-10
 
 
 class TestLoptModes:

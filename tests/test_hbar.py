@@ -85,7 +85,6 @@ class TestScanLinear:
 
     def test_probe_tracks_solution_midpoint(self):
         curve = scan_hbar(LINEAR, HamConfig(order=3), self.GRID)
-        assert curve.probe_point == 0.5
         at_best = curve.best()
         # at hbar = -1 the partial sum is the exact solve: sin(pi/2) = 1
         assert at_best.probe == pytest.approx(1.0, abs=1e-9)
