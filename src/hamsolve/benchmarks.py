@@ -9,7 +9,7 @@ measure method error, not ground-truth error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,17 +65,9 @@ def builtin_cases() -> tuple:
     )
     tanh_long = BenchmarkCase(
         id="riccati-tanh-long",
-        spec=ProblemSpec(
-            a=0.0,
-            b=3.0,
-            L=LinearOperator.from_strings(("0", "1")),
-            N=parse_expr("u^2"),
-            s=parse_expr("1"),
-            bcs=(BoundaryCondition("left", 0, 0.0),),
-            exact_solution=parse_expr("tanh(r)"),
-        ),
         # same equation, domain reaching past the Taylor radius pi/2 of
         # tanh at 0: fixed-parameter series must diverge here
+        spec=replace(tanh_short.spec, b=3.0),
         notes="u' + u^2 = 1 on [0, 3]; stressor for series divergence",
     )
     manufactured = BenchmarkCase(

@@ -10,11 +10,16 @@ where D_k[F] is the k-th Taylor coefficient of F applied to the series
 (docs/recursions.md carries the derivation). The right-hand side passed to
 the factored L_opt solve is therefore
 
+    rhs_m = hbar H (L u_{m-1} + D_{m-1}[N] - delta_{m,1} s) + chi_m L_opt u_{m-1}.
+
+When the core's matrix is L's own (always for use-L; for any other core
+when the assembled matrices are equal) the two L u_{m-1} terms are grouped,
+
     rhs_m = (hbar H + chi_m) (L u_{m-1}) + hbar H (D_{m-1}[N] - delta_{m,1} s)
 
-grouped so that the special case hbar = -1, H = 1 cancels the L u_{m-1}
-term exactly (coefficient 0.0, not a difference of rounded terms), which is
-what makes the reduced-method comparison meaningful at tight tolerances.
+so that the special case hbar = -1, H = 1 cancels the L u_{m-1} term
+exactly (coefficient 0.0, not a difference of rounded terms), which is what
+makes the reduced-method comparison meaningful at tight tolerances.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Workspace:
         self.H_vals = self.grid.sample(config.H)
         if np.any(self.H_vals == 0.0):
             raise ConfigError("auxiliary weight H vanishes at a grid node")
-        self.lopt = _build_lopt_system(problem, config, self.grid, self.A_L)
+        self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
 
     def _march(self, hbars: np.ndarray, order: int) -> np.ndarray:
@@ -67,7 +72,7 @@ class Workspace:
         alone. With K = 1 each step is the single-series arithmetic.
         """
         H = self.H_vals[:, None]
-        homogeneous = np.zeros(len(self.problem.bcs))
+        homogeneous = (0.0,) * len(self.problem.bcs)
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
         tape = SeriesTape(self.problem.N, self.grid, order, len(hbars))
         orders = np.empty((order + 1, self.grid.n, len(hbars)))
@@ -82,7 +87,11 @@ class Workspace:
                 t = self.A_L @ u_prev
                 if m == 1:
                     forcing = forcing - self.s_vals[:, None]
-                rhs = (hbars * H + chi) * t + hbars * (H * forcing)
+                if self._grouped:
+                    rhs = (hbars * H + chi) * t + hbars * (H * forcing)
+                else:
+                    # the solve overwrites the BC rows the core's matrix holds
+                    rhs = hbars * (H * (t + forcing)) + chi * (self.lopt.matrix @ u_prev)
                 orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
         return orders
 
@@ -125,9 +134,6 @@ class Workspace:
         (n, K) columns or an (S, n, K) stack of them."""
         return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U)
 
-    def squared_residual(self, U: np.ndarray) -> float:
-        return mean_square(self.grid, self.operator_values(U))
-
 
 def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray) -> np.ndarray:
     """F(U) = A_L U + N(U) - s sampled at every node (BC rows included).
@@ -137,10 +143,9 @@ def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.nda
     """
     U = grid.check_columns(U)
     nodes = grid.nodes.reshape((grid.n, 1) if U.ndim > 1 else (grid.n,))
-    upto = max(max_u_order(N), 0)
     # a diverged U gives non-finite values, which the residual reports
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = grid.derivative_stack(U, upto)
+        stack = grid.derivative_stack(U, max_u_order(N))
         nl = np.broadcast_to(np.asarray(eval_expr(N, nodes, stack), dtype=float), U.shape)
         return A_L @ U + nl - s_vals.reshape(nodes.shape)
 
@@ -173,7 +178,9 @@ def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: n
     )
 
 
-def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray) -> BcSystem:
+def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray):
+    """The factored linear core, and whether its matrix equals ``A_L``,
+    which decides the grouped right-hand side (module docstring)."""
     mode = config.lopt_mode
     if isinstance(mode, LinearOperator):
         if mode.order != len(problem.bcs):
@@ -181,15 +188,16 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
                 f"substitute linear operator of order {mode.order} needs "
                 f"{mode.order} BCs, problem has {len(problem.bcs)}"
             )
-        return BcSystem(assemble_linear(mode, grid), problem.bcs, grid)
-    system = BcSystem(A_L, problem.bcs, grid)
-    if mode == "use-L":
-        return system
-    # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
-    # definition deterministically)
-    A = A_L.copy()
-    add_nonlinear_frechet(A, problem.N, grid, system.solve(np.zeros(grid.n)))
-    return BcSystem(A, problem.bcs, grid)
+        core = assemble_linear(mode, grid)
+    else:
+        system = BcSystem(A_L, problem.bcs, grid)
+        if mode == "use-L":
+            return system, True
+        # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
+        # definition deterministically)
+        core = A_L.copy()
+        add_nonlinear_frechet(core, problem.N, grid, system.solve(np.zeros(grid.n)))
+    return BcSystem(core, problem.bcs, grid), np.array_equal(core, A_L)
 
 
 def run_ham(problem: ProblemSpec, config: HamConfig) -> SeriesSolution:

@@ -442,12 +442,15 @@ class BcSystem:
         ``rhs`` is one right-hand side of shape (n,) or K of them as the
         columns of an (n, K) array; the columns are solved independently, so
         a non-finite column does not touch the others. bc_values None means
-        "use each BC's own value"; pass zeros (or an explicit sequence) for
-        homogeneous versions of the same conditions.
+        "use each BC's own value"; otherwise it holds one finite value per
+        BC (zeros for homogeneous versions of the same conditions), else
+        ConfigError.
         """
         rhs = np.array(self.grid.check_columns(rhs), order="F")
         if bc_values is None:
             bc_values = [bc.value for bc in self.bcs]
+        elif len(bc_values) != len(self.bcs) or not all(map(math.isfinite, bc_values)):
+            raise ConfigError(f"need one finite value per BC ({len(self.bcs)}), got {bc_values!r}")
         for i, v in zip(self.rows, bc_values):
             rhs[i] = v
         # LAPACK's getrs, which lu_solve wraps, without the wrapper's

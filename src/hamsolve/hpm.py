@@ -32,9 +32,9 @@ import numpy as np
 
 from .engine import Workspace, operator_values, series_solution
 from .errors import ConfigError
-from .expressions import Const
+from .expressions import Const, max_u_order
 from .grids import BcSystem, assemble_linear
-from .jets import jet_expand, series_jets
+from .jets import jet_expand
 from .problem import HamConfig, ProblemSpec, SeriesSolution
 
 REDUCED_HBAR = -1.0
@@ -61,15 +61,16 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     A = assemble_linear(problem.L, grid)
     system = BcSystem(A, problem.bcs, grid)
     s_vals = grid.sample(problem.s)
-    homogeneous = np.zeros(len(problem.bcs))
+    homogeneous = (0.0,) * len(problem.bcs)
 
     u_ref = system.solve(np.zeros(grid.n))
     w0 = system.solve(A @ u_ref)
     orders = [w0]
     for m in range(1, order + 1):
-        coeffs = jet_expand(
-            problem.N, grid.nodes, series_jets(grid, orders, problem.N), m
-        )
+        # as an (m, n, 1) stack each order takes one matrix-vector product,
+        # so row j of jet k is bitwise D_k w_j
+        stack = grid.derivative_stack(np.stack(orders)[:, :, None], max_u_order(problem.N))
+        coeffs = jet_expand(problem.N, grid.nodes, {k: d[:, :, 0] for k, d in stack.items()}, m)
         if m == 1:
             rhs = s_vals - A @ w0 - coeffs[0]
         else:

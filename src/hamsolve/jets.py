@@ -52,8 +52,9 @@ class Tape:
     buffer of shape (depth, width). ``step(m)`` fills row m of every node,
     children first; a node's row m reads only rows <= m of its inputs and
     rows < m of its own buffers. So a tape can be extended online, one row
-    per order, as the inputs' rows arrive; ``fill`` is the batch form.
-    Each recurrence lives here once.
+    per order, as the inputs' rows arrive (``SeriesTape``), or stepped
+    through every row at once (``jet_expand``). Each recurrence lives here
+    once.
     """
 
     def __init__(self):
@@ -62,10 +63,6 @@ class Tape:
     def step(self, m: int) -> None:
         for row in self._rows:
             row(m)
-
-    def fill(self, depth: int) -> None:
-        for m in range(depth):
-            self.step(m)
 
     def sum(self, terms) -> np.ndarray:
         first, rest = terms[0], terms[1:]
@@ -263,32 +260,22 @@ def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> n
     """
     tape = Tape()
     out = tape.lower(expr, np.asarray(r, dtype=float), u_jets, depth)
-    tape.fill(depth)
+    for m in range(depth):
+        tape.step(m)
     if any(out is jet for jet in u_jets.values()):
         # a bare u(k) (or u(k)^1) lowers to its input jet: hand back a copy
         out = out.copy()
     return out
 
 
-def series_jets(grid: Grid, orders, expr: OperatorExpr) -> dict:
-    """Jets of u, u', ... for a series u = sum_m orders[m] p^m.
-
-    Row m of jet k holds d^k orders[m] / dr^k sampled on the grid.
-    """
-    # as an (M + 1, n, 1) stack each order takes one matrix-vector product,
-    # so each row is bitwise D_k orders[m]
-    stack = grid.derivative_stack(np.stack(orders)[:, :, None], max(max_u_order(expr), 0))
-    return {k: d[:, :, 0] for k, d in stack.items()}
-
-
 class SeriesTape:
     """Taylor rows of ``expr`` applied to a series fed one order at a time.
 
-    The online counterpart of ``jet_expand`` over ``series_jets``: ``push``
-    takes the next order u_j, forms D_k u_j once for every referenced
-    derivative order k, steps the tape at row j and returns row j of the
-    expression. A run to order M costs O(M) recurrence calls per node
-    instead of O(M^2).
+    The online counterpart of ``jet_expand`` over the derivative stack of
+    all orders: ``push`` takes the next order u_j, forms D_k u_j once for
+    every referenced derivative order k with ``Grid.derivative_stack``,
+    steps the tape at row j and returns row j of the expression. A run to
+    order M costs O(M) recurrence calls per node instead of O(M^2).
 
     ``columns`` series run side by side: an order is an (n, columns) array,
     and the tape has width n * columns with each node repeated ``columns``
@@ -299,7 +286,7 @@ class SeriesTape:
     def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int = 1):
         self._grid = grid
         self._shape = (grid.n, columns)
-        self._upto = max(max_u_order(expr), 0)
+        self._upto = max_u_order(expr)
         width = grid.n * columns
         self._leaves = {k: np.zeros((depth, width)) for k in range(self._upto + 1)}
         self._tape = Tape()

@@ -5,6 +5,25 @@ import sys
 
 import pytest
 
+from hamsolve import BoundaryCondition, LinearOperator, ProblemSpec, parse_expr
+
+
+def exp_problem():
+    """u'' + exp(u) = s with exact sin(pi r): a transcendental nonlinearity,
+    and one whose frechet-at-u0 core differs from L (dN/du(u_0) = exp(0))."""
+    return ProblemSpec(
+        a=0.0,
+        b=1.0,
+        L=LinearOperator.from_strings(("0", "0", "1")),
+        N=parse_expr("exp(u)"),
+        s=parse_expr("-pi^2*sin(pi*r) + exp(sin(pi*r))"),
+        bcs=(
+            BoundaryCondition("left", 0, 0.0),
+            BoundaryCondition("right", 0, 0.0),
+        ),
+        exact_solution=parse_expr("sin(pi*r)"),
+    )
+
 
 @pytest.fixture
 def count_calls(monkeypatch):

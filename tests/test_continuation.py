@@ -19,6 +19,7 @@ from hamsolve import (
     ConfigError,
     ContinuationPath,
     HamConfig,
+    LinearOperator,
     PathAbortError,
     PathStep,
     SingularSystemError,
@@ -38,6 +39,8 @@ from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS
 from hamsolve.expressions import max_u_order
 from hamsolve.grids import lu_condition
 from hamsolve.jets import add_nonlinear_frechet, expr_partials
+
+from conftest import exp_problem
 
 LINEAR = get_case("linear-poisson")
 TANH_SHORT = get_case("riccati-tanh-short")
@@ -185,9 +188,14 @@ class TestSeriesIsThePath:
         return np.max(np.abs(step.u - summed), axis=1)
 
     @pytest.mark.parametrize("h", [1.0, 0.5])
-    @pytest.mark.parametrize("case_id", case_ids())
-    def test_newton_point_is_the_summed_series(self, case_id, h):
-        ws = Workspace(get_case(case_id).spec, HamConfig(hbar=h))
+    @pytest.mark.parametrize(
+        "problem, lopt_mode",
+        [(get_case(c).spec, "use-L") for c in case_ids()]
+        + [(exp_problem(), "frechet-at-u0"), (exp_problem(), LinearOperator.from_strings(("1", "0", "1")))],
+        ids=list(case_ids()) + ["exp-frechet-at-u0", "exp-user-core"],
+    )
+    def test_newton_point_is_the_summed_series(self, problem, lopt_mode, h):
+        ws = Workspace(problem, HamConfig(hbar=h, lopt_mode=lopt_mode))
         gaps = {}
         for eps, order in ((0.05, 10), (0.2, 30)):
             step = newton_at(ws, eps, ws.u0)

@@ -35,8 +35,12 @@ from hamsolve import (
     run_ham,
 )
 from hamsolve.grids import GRID_KINDS, _lobatto_reference
-from hamsolve.jets import jet_expand, series_jets
+from hamsolve.engine import mean_square
+from hamsolve.expressions import max_u_order
+from hamsolve.jets import jet_expand
 from hamsolve.problem import series_diverges
+
+from conftest import exp_problem
 
 TANH = "riccati-tanh-short"
 POISSON = "linear-poisson"
@@ -234,6 +238,29 @@ class TestLoptModes:
         with pytest.raises(ConfigError):
             Workspace(case.spec, HamConfig(lopt_mode=sub))
 
+    def test_frechet_core_solves_the_problem(self):
+        # dN/du(u_0) = 1 here, so the core is not L; grouping the rhs anyway
+        # sums to (Lc - p L)(w - u_0) = p hbar H F(w), an error of 0.16
+        # (docs/calibration.md, "Cores other than L")
+        problem = exp_problem()
+        ws = Workspace(problem, HamConfig(lopt_mode="frechet-at-u0"))
+        series = ws.run(hbar=-1.0, order=30)
+        error = np.max(np.abs(partial_sum(series, 30) - problem.exact_values(ws.grid)))
+        assert error < 1e-7
+
+    @pytest.mark.parametrize("case_id", case_ids())
+    def test_frechet_core_equal_to_l_runs_as_use_l(self, case_id):
+        # on the builtins dN/du(u_0) = 0, so the core is L's matrix and the
+        # grouped right-hand side applies: the series is use-L's, bitwise
+        spec = get_case(case_id).spec
+        use_l = Workspace(spec, HamConfig())
+        frechet = Workspace(spec, HamConfig(lopt_mode="frechet-at-u0"))
+        for hbar in (-1.0, -0.3):
+            want = use_l.run(hbar=hbar, order=20)
+            got = frechet.run(hbar=hbar, order=20)
+            np.testing.assert_array_equal(np.stack(got.orders), np.stack(want.orders))
+            assert got.residual_history == want.residual_history
+
 
 class TestMthOrderRhs:
     """The order-m right-hand side, seen through the orders run solves."""
@@ -331,13 +358,13 @@ class TestRun:
 class TestResiduals:
     def test_zero_guess_on_riccati_gives_one(self):
         ws = Workspace(get_case(TANH).spec, HamConfig())
-        val = ws.squared_residual(np.zeros(ws.grid.n))
+        val = mean_square(ws.grid, ws.operator_values(np.zeros(ws.grid.n)))
         assert val == pytest.approx(1.0, abs=1e-13)
 
     def test_exact_solution_near_machine_floor(self):
         case = get_case("manufactured-quad")
         ws = Workspace(case.spec, HamConfig())
-        val = ws.squared_residual(case.spec.exact_values(ws.grid))
+        val = mean_square(ws.grid, ws.operator_values(case.spec.exact_values(ws.grid)))
         assert val < 1e-16
 
     def test_tanh_partial_sum_residual_frozen(self):
@@ -373,7 +400,9 @@ def _batch_recursion(ws, hbar, order):
     homogeneous = np.zeros(len(ws.problem.bcs))
     orders = [ws.u0]
     for m in range(1, order + 1):
-        forcing = jet_expand(N, grid.nodes, series_jets(grid, orders[:m], N), m)[m - 1]
+        stack = grid.derivative_stack(np.stack(orders)[:, :, None], max_u_order(N))
+        u_jets = {k: d[:, :, 0] for k, d in stack.items()}
+        forcing = jet_expand(N, grid.nodes, u_jets, m)[m - 1]
         if m == 1:
             forcing = forcing - ws.s_vals
         chi = 0.0 if m == 1 else 1.0
@@ -433,22 +462,7 @@ class TestOnlineJets:
         assert counts[1] / counts[0] <= 2.2
 
 
-def _exp_problem():
-    # u'' + exp(u) = s with exact sin(pi r): a transcendental nonlinearity
-    return ProblemSpec(
-        a=0.0,
-        b=1.0,
-        L=LinearOperator.from_strings(("0", "0", "1")),
-        N=parse_expr("exp(u)"),
-        s=parse_expr("-pi^2*sin(pi*r) + exp(sin(pi*r))"),
-        bcs=(
-            BoundaryCondition("left", 0, 0.0),
-            BoundaryCondition("right", 0, 0.0),
-        ),
-    )
-
-
-BATCH_PROBLEMS = [get_case(c).spec for c in case_ids()] + [_exp_problem()]
+BATCH_PROBLEMS = [get_case(c).spec for c in case_ids()] + [exp_problem()]
 BATCH_IDS = list(case_ids()) + ["exp"]
 
 
@@ -489,7 +503,7 @@ class TestRunMany:
             assert err <= 1e-10 * max(1.0, np.max(np.abs(U)))
 
     def test_repeat_is_bitwise_identical(self):
-        ws = Workspace(_exp_problem(), HamConfig())
+        ws = Workspace(exp_problem(), HamConfig())
         hbars = np.linspace(-2.0, -0.01, 17)
         first = ws.run_many(hbars, 20)
         second = ws.run_many(hbars, 20)
@@ -514,21 +528,21 @@ class TestStackedResidualHistory:
         series = ws.run(hbar=hbar, order=20)
         assert len(series.residual_history) == 21
         for m, value in enumerate(series.residual_history):
-            assert value == ws.squared_residual(partial_sum(series, m))
+            assert value == mean_square(ws.grid, ws.operator_values(partial_sum(series, m)))
 
     @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
     def test_oracle_entries_equal_single_residuals_bitwise(self, problem):
         ws = Workspace(problem, hpm_config())
         series = hpm_recursion(problem, 20)
         for m, value in enumerate(series.residual_history):
-            assert value == ws.squared_residual(partial_sum(series, m))
+            assert value == mean_square(ws.grid, ws.operator_values(partial_sum(series, m)))
 
     def test_one_operator_evaluation_per_series(self, count_calls):
-        ws = Workspace(_exp_problem(), HamConfig())
+        ws = Workspace(exp_problem(), HamConfig())
         calls = count_calls("hamsolve.engine", "operator_values")
         ws.run(order=30)
         assert len(calls) == 1
-        hpm_recursion(_exp_problem(), 30)
+        hpm_recursion(exp_problem(), 30)
         assert len(calls) == 2
 
 

@@ -248,6 +248,17 @@ class TestBcSolves:
         assert inhom[0] == pytest.approx(3.0, abs=1e-12)
         assert inhom[-1] == pytest.approx(7.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bc_values", [(0.0,), (0.0, 0.0, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_bc_values_one_finite_value_per_bc(self, bc_values):
+        # unchecked, a short list left the right BC row at the rhs value
+        # 1.0, extra values were dropped and NaN gave a NaN solution
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        op = LinearOperator.from_strings(("0", "0", "1"))
+        bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 0.0))
+        system = BcSystem(assemble_linear(op, g), bcs, g)
+        with pytest.raises(ConfigError):
+            system.solve(np.ones(g.n), bc_values=bc_values)
+
     def test_bc_order_must_be_below_operator_order(self):
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):

@@ -12,32 +12,22 @@ import numpy as np
 import pytest
 
 from hamsolve import (
-    BoundaryCondition,
     ConfigError,
     HamConfig,
-    LinearOperator,
-    ProblemSpec,
     Workspace,
     get_case,
     optimal_hbar,
     optimal_workspace,
-    parse_expr,
     scan_hbar,
     scan_workspace,
 )
 
+from conftest import exp_problem
+
 LINEAR = get_case("linear-poisson").spec
 TANH_SHORT = get_case("riccati-tanh-short").spec
 TANH_LONG = get_case("riccati-tanh-long").spec
-# u'' + exp(u) = s with exact sin(pi r)
-EXP = ProblemSpec(
-    a=0.0,
-    b=1.0,
-    L=LinearOperator.from_strings(("0", "0", "1")),
-    N=parse_expr("exp(u)"),
-    s=parse_expr("-pi^2*sin(pi*r) + exp(sin(pi*r))"),
-    bcs=(BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 0.0)),
-)
+EXP = exp_problem()
 
 
 class TestScanValidation:

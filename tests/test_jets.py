@@ -35,7 +35,7 @@ from hamsolve import (
     eval_expr,
     parse_expr,
 )
-from hamsolve.jets import Tape, add_nonlinear_frechet, expr_partials, jet_expand, series_jets
+from hamsolve.jets import Tape, add_nonlinear_frechet, expr_partials, jet_expand
 
 DEPTH = 6
 WIDTH = 3
@@ -272,15 +272,6 @@ def test_online_rows_match_batch_bitwise(expr, seed):
             leaf[m] = full[k][m]
         tape.step(m)
         np.testing.assert_array_equal(root[: m + 1], want[: m + 1])
-
-
-def test_series_jets_rows_are_derivatives():
-    g = build_grid("chebyshev-lobatto", 16, 0.0, 1.0)
-    orders = [np.sin(g.nodes), g.nodes**3]
-    jets = series_jets(g, orders, parse_expr("u'*u"))
-    assert set(jets) == {0, 1}
-    np.testing.assert_array_equal(jets[0][1], orders[1])
-    np.testing.assert_allclose(jets[1][1], 3 * g.nodes**2, atol=1e-10)
 
 
 def directional(expr, g, base, direction):
