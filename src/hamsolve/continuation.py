@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgetrs
@@ -48,7 +48,7 @@ from .errors import ConfigError, PathAbortError, SingularSystemError
 from .engine import Workspace
 from .expressions import max_u_order
 from .grids import factor, lu_condition
-from .jets import add_nonlinear_frechet
+from .jets import PartialsTape, add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec
 
 NEWTON_TOL = 1e-10
@@ -112,15 +112,16 @@ def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     return _jacobian(ws, eps, ws.lopt.matrix * (1.0 - eps), u, np.empty((n, n)))
 
 
-def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray, out: np.ndarray, partials: Optional[PartialsTape] = None) -> np.ndarray:
     """``homotopy_jacobian`` written into ``out``, given ``scaled_lopt`` =
-    (1 - eps) L_opt's matrix, the part that does not depend on u."""
+    (1 - eps) L_opt's matrix, the part that does not depend on u, and N's
+    ``partials`` tape, if a trace has lowered one."""
     lopt = ws.lopt
     np.copyto(out, ws.A_L)
-    add_nonlinear_frechet(out, ws.problem.N, ws.grid, u)
+    add_nonlinear_frechet(out, ws.problem.N, ws.grid, u, partials)
     # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
     # scaling by H = 1 changes no bit, so that pass is skipped
-    if np.any(ws.H_vals != 1.0):
+    if not ws.unit_weight:
         out *= ws.H_vals[:, None]
     out *= eps * ws.config.hbar
     out += scaled_lopt
@@ -129,16 +130,20 @@ def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray,
 
 
 class _NewtonArrays(NamedTuple):
-    """The n x n work arrays of Newton solves. A trace reuses one set for
-    all its solves: fresh arrays this large are page-faulted in anew."""
+    """The n x n work arrays of Newton solves, and N's partials tape. A
+    trace reuses one set for all its solves: fresh arrays this large are
+    page-faulted in anew, and the tape is lowered once."""
 
     scaled_lopt: np.ndarray  # (1 - eps) L_opt's matrix
     jacobian: np.ndarray
     factors: np.ndarray  # column-major, so LAPACK factors it in place
+    partials: PartialsTape
 
     @classmethod
-    def empty(cls, n: int) -> "_NewtonArrays":
-        return cls(np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F"))
+    def empty(cls, ws: Workspace) -> "_NewtonArrays":
+        n = ws.grid.n
+        partials = PartialsTape(ws.problem.N, ws.grid.nodes)
+        return cls(np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F"), partials)
 
 
 def _converged(gnorm: float, u: np.ndarray) -> bool:
@@ -156,7 +161,7 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     returned point itself when no update was needed); nan otherwise.
     """
     eps = _check_eps(eps)
-    return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws.grid.n))
+    return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws))
 
 
 def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays) -> PathStep:
@@ -179,13 +184,13 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
     for it in range(NEWTON_MAX_ITERS + 1):
         if _converged(gnorm, u):
             if lu is None:  # no update was taken: factor the jacobian at u
-                J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
+                J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
                 lu = factor(J, arrays.factors)
             return PathStep(eps, u, it, lu_condition(lu, arrays.jacobian), True, gnorm)
         if it == NEWTON_MAX_ITERS:
             break
         if lu is None or not u_independent:
-            J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian)
+            J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
             lu = factor(J, arrays.factors)
         delta = dgetrs(*lu, -g, overwrite_b=True)[0]
         if not np.all(np.isfinite(delta)):
@@ -228,7 +233,7 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     deps = deps0
     eps = 0.0
     u = ws.u0
-    arrays = _NewtonArrays.empty(ws.grid.n)
+    arrays = _NewtonArrays.empty(ws)
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:

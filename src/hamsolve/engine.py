@@ -60,17 +60,21 @@ class Workspace:
         self.H_vals = self.grid.sample(config.H)
         if np.any(self.H_vals == 0.0):
             raise ConfigError("auxiliary weight H vanishes at a grid node")
+        self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
 
-    def _march(self, hbars: np.ndarray, order: int) -> np.ndarray:
+    def _march(self, hbars: np.ndarray, order: int, deformation: bool = True) -> np.ndarray:
         """Orders u_0..u_M of K series side by side, shape (M + 1, n, K).
 
         Column k follows hbar = hbars[k]. Every step is columnwise (the
         tape's recurrences, the matrix products and the triangular solves),
         so the columns never mix and one that overflows leaves the others
-        alone. With K = 1 each step is the single-series arithmetic.
+        alone. With K = 1 each step is the single-series arithmetic. With
+        ``deformation`` False the loop drops the chi_m term and takes the
+        non-grouped rhs, which is ``perturbation_series``'s recursion.
         """
+        grouped = self._grouped and deformation
         H = self.H_vals[:, None]
         homogeneous = (0.0,) * len(self.problem.bcs)
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
@@ -87,11 +91,13 @@ class Workspace:
                 t = self.A_L @ u_prev
                 if m == 1:
                     forcing = forcing - self.s_vals[:, None]
-                if self._grouped:
+                if grouped:
                     rhs = (hbars * H + chi) * t + hbars * (H * forcing)
                 else:
-                    # the solve overwrites the BC rows the core's matrix holds
-                    rhs = hbars * (H * (t + forcing)) + chi * (self.lopt.matrix @ u_prev)
+                    rhs = hbars * (H * (t + forcing))
+                    if deformation:
+                        # the solve overwrites the BC rows the core's matrix holds
+                        rhs = rhs + chi * (self.lopt.matrix @ u_prev)
                 orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
         return orders
 
@@ -128,6 +134,23 @@ class Workspace:
             residuals=np.array([mean_square(self.grid, f[:, k]) for k in range(hbars.size)]),
             diverged=np.array([series_diverges(col) for col in norms.T]),
         )
+
+    def perturbation_series(self, order: int) -> np.ndarray:
+        """Coefficients v_0..v_M of the weak-nonlinearity series, (M + 1, n).
+
+        w solves Lc(w - u_0) = mu H F(w), and v_k is its k-th Taylor
+        coefficient in mu: v_0 = u_0 and Lc v_k = H D_{k-1}[F(v)] under
+        homogeneous BCs, one K = 1 march with hbar = 1, chi = 0 and the
+        non-grouped rhs. Dividing the deformation family by 1 - p gives mu =
+        hbar p / (1 - p), so at every hbar the order-M partial sum is
+
+            U_M(hbar) = sum_k C(M, k) hbar^k v_k
+
+        to roundoff of order eps sum_k C(M, k) |hbar|^k |v_k|
+        (docs/recursions.md, "One series for every hbar").
+        """
+        order = self.config.with_order(order).order
+        return self._march(np.ones(1), order, deformation=False)[:, :, 0]
 
     def operator_values(self, U: np.ndarray) -> np.ndarray:
         """F(U) = L U + N(U) - s at every node (BC rows included); U may be

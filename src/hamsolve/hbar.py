@@ -1,28 +1,40 @@
 """Convergence-control parameter selection.
 
 The series residual as a function of hbar typically has a flat valley
-around the best value. Both the scan and the search evaluate hbar values
-in batched passes of up to PASS_POINTS columns (``Workspace.run_many``,
-one recursion per pass). The search zooms: each pass spans the current
-bracket, and the next bracket is the two intervals around the pass's best
-point, until a pass spans less than BRACKET_TOL. Everything here is
-deterministic: identical inputs produce bit-identical curves.
+around the best value. The scan evaluates hbar values in batched passes of
+up to PASS_POINTS columns (``Workspace.run_many``, one recursion per pass).
+The search zooms: each pass spans the current bracket, and the next
+bracket is the two intervals around the pass's best point, until a pass
+spans less than BRACKET_TOL.
+
+The search's passes need no recursion of their own. One weak-nonlinearity
+series v_k (``Workspace.perturbation_series``) gives the order-M partial
+sum at every hbar, U_M(hbar) = sum_k C(M, k) hbar^k v_k, so a pass ranks
+these model columns: one weighted sum and one F(U) evaluation. The model
+is exact up to roundoff of order eps ||A_L|| sum_k C(M, k) |hbar|^k |v_k|
+in F(U), and where the residual sinks to that floor it is cancellation,
+not the series, that ranks the columns. So a side of the bracket keeps
+the model only while every column it evaluates has a residual above its
+roundoff floor; otherwise that side is searched again over real columns
+(``run_many``). Everything here is deterministic: identical inputs produce
+bit-identical curves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .engine import Workspace
+from .engine import Workspace, mean_square
 from .problem import HamConfig, ProblemSpec, checked_hbar
 
 PASS_POINTS = 17
 BRACKET_TOL = 1e-3
+EPS = float(np.finfo(float).eps)
 
 
 class HbarEntry(NamedTuple):
@@ -94,18 +106,48 @@ def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[
     return scan_workspace(Workspace(problem, base_config), hbar_grid)
 
 
-def _zoom(ws: Workspace, lo: float, hi: float) -> Tuple[float, float]:
-    """(rank, hbar) of the best column of the zoom passes on one zero-free
-    sub-bracket; ties go to the earliest."""
+def _zoom(lo: float, hi: float, residuals: Callable[[np.ndarray], Optional[np.ndarray]]) -> Optional[Tuple[float, float]]:
+    """(rank, hbar) of the best point of the zoom passes on one zero-free
+    sub-bracket; ties go to the earliest. ``residuals`` gives a pass's
+    residuals at its points, or None to abandon the zoom (None is returned)."""
     bests = []
     while True:
         points = np.linspace(lo, hi, PASS_POINTS)
-        ranks = [_rank(r) for r in ws.run_many(points, ws.config.order).residuals]
+        values = residuals(points)
+        if values is None:
+            return None
+        ranks = [_rank(r) for r in values]
         i = int(np.argmin(ranks))
         bests.append((ranks[i], float(points[i])))
         if hi - lo < BRACKET_TOL:
             return min(bests, key=lambda b: b[0])
         lo, hi = points[max(i - 1, 0)], points[min(i + 1, PASS_POINTS - 1)]
+
+
+class _SeriesModel:
+    """Residuals of U_M(hbar) = sum_k C(M, k) hbar^k v_k at the workspace's
+    order M, from one ``perturbation_series``; None for a pass with a
+    column at or below its roundoff floor (module docstring)."""
+
+    def __init__(self, ws: Workspace):
+        order = ws.config.order
+        self._ws = ws
+        self._v = ws.perturbation_series(order)
+        self._abs_v = np.abs(self._v)
+        self._comb = np.array([math.comb(order, k) for k in range(order + 1)], dtype=float)
+        self._powers = np.arange(order + 1)[:, None]
+        self._eps_norm = EPS * float(np.max(np.sum(np.abs(ws.A_L), axis=1)))
+
+    def __call__(self, points: np.ndarray) -> Optional[np.ndarray]:
+        ws = self._ws
+        # a column that overflows reads inf or nan and fails the guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = self._comb[:, None] * points**self._powers  # (M + 1, K)
+            residuals = mean_square(ws.grid, ws.operator_values(self._v.T @ weights))
+            terms = np.max(self._abs_v.T @ np.abs(weights), axis=0)
+            floors = (self._eps_norm * terms) ** 2
+        trusted = np.isfinite(residuals) & np.isfinite(floors) & (residuals > floors)
+        return residuals if np.all(trusted) else None
 
 
 def split_bracket(lo: float, hi: float) -> list:
@@ -135,17 +177,27 @@ def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHba
     """Residual-minimizing hbar inside the bracket, at the workspace's order.
 
     A bracket straddling zero is split (hbar = 0 is not admissible) and both
-    sides are searched by zoom passes (module docstring); the last pass on
-    a side spans less than BRACKET_TOL. hbar_star is the best column any
-    pass evaluated. residual_star comes from one ``ws.run`` at hbar_star,
-    because a batched column's residual differs from the single run's in
-    the last digits; so it is exactly what ``run_ham`` reports there.
+    sides are searched by zoom passes over model columns, or over real
+    columns where the model is not trusted (module docstring); the last
+    pass on a side spans less than BRACKET_TOL. hbar_star is the best
+    column any pass evaluated. residual_star comes from one ``ws.run`` at
+    hbar_star, because a model or batched column's residual differs from
+    the single run's in the last digits; so it is exactly what ``run_ham``
+    reports there. Raises ConfigError when that residual is not finite: no
+    hbar the search evaluated had a finite residual.
     """
     sides = split_bracket(*bracket)
-    best = min((_zoom(ws, lo, hi) for lo, hi in sides), key=lambda b: b[0])
+    model = _SeriesModel(ws)
+
+    def real(points):
+        return ws.run_many(points, ws.config.order).residuals
+
+    best = min((_zoom(lo, hi, model) or _zoom(lo, hi, real) for lo, hi in sides), key=lambda b: b[0])
     hbar_star = best[1]
-    series = ws.run(hbar=hbar_star)
-    return OptimalHbar(hbar_star=hbar_star, residual_star=series.residual_history[-1])
+    residual_star = ws.run(hbar=hbar_star).residual_history[-1]
+    if not math.isfinite(residual_star):
+        raise ConfigError(f"no hbar in the bracket {bracket} gave a finite residual")
+    return OptimalHbar(hbar_star=hbar_star, residual_star=residual_star)
 
 
 def optimal_hbar(problem: ProblemSpec, base_config: HamConfig, bracket: Tuple[float, float]) -> OptimalHbar:

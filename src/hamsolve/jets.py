@@ -15,10 +15,13 @@ jets double as forward-mode dual numbers, which is how the directional
 Every recurrence is a node of a ``Tape`` that fills one Taylor row at a
 time, and ``Tape`` is the one jet API. ``jet_expand`` is its batch form,
 filling all rows of an expression at once; the series engine extends a
-``SeriesTape`` by one row per order (docs/recursions.md, "Online jets").
+``SeriesTape`` by one row per order (docs/recursions.md, "Online jets"),
+and Newton refills the two rows of a ``PartialsTape`` at every iterate.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -305,34 +308,61 @@ class SeriesTape:
         return self._root[j].reshape(self._shape)
 
 
+class PartialsTape:
+    """``expr_partials`` of one expression at fixed nodes, lowered once.
+
+    The tape is one forward-mode sweep: the nodes are repeated once per
+    u-derivative slot along the width, and slot k's copy seeds the
+    derivative row of u^(k) alone. A call writes the values into the
+    leaves' row 0 and steps rows 0 and 1. Every node rewrites the rows it
+    reads, so each call is bitwise a freshly lowered tape's, and a caller
+    that needs the partials at many u (Newton) lowers the tape once. The
+    arrays returned are views of the tape's buffers, valid until the next
+    call.
+    """
+
+    def __init__(self, expr: OperatorExpr, r: np.ndarray):
+        r = np.asarray(r, dtype=float)
+        self._width = r.shape[0]
+        self._slots = max_u_order(expr) + 1
+        self._leaves = {}
+        for k in range(self._slots):
+            jet = np.zeros((2, self._slots, self._width))
+            jet[1, k] = 1.0
+            self._leaves[k] = jet.reshape(2, self._slots * self._width)
+        self._tape = Tape()
+        self._root = self._tape.lower(expr, np.tile(r, self._slots), self._leaves, 2)
+
+    def __call__(self, u_values: dict) -> dict:
+        for k, leaf in self._leaves.items():
+            leaf[0].reshape(self._slots, self._width)[:] = u_values[k]
+        self._tape.step(0)
+        self._tape.step(1)
+        return dict(enumerate(self._root[1].reshape(self._slots, self._width)))
+
+
 def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:
     """Pointwise partial derivatives of expr w.r.t. each u-derivative slot.
 
     ``u_values`` maps derivative order -> sampled values at the nodes.
-    Returns {order: d expr / d u^(order)} arrays from one forward-mode
-    sweep: the nodes are repeated once per slot along the width, and slot
-    k's copy seeds the derivative row of u^(k) alone.
+    Returns {order: d expr / d u^(order)} arrays from a fresh
+    ``PartialsTape``.
     """
-    r = np.asarray(r, dtype=float)
-    width = r.shape[0]
-    slots = max_u_order(expr) + 1
-    u_jets = {}
-    for k in range(slots):
-        jet = np.zeros((2, slots, width))
-        jet[0] = u_values[k]
-        jet[1, k] = 1.0
-        u_jets[k] = jet.reshape(2, slots * width)
-    row = jet_expand(expr, np.tile(r, slots), u_jets, 2)[1]
-    return dict(enumerate(row.reshape(slots, width)))
+    return PartialsTape(expr, r)(u_values)
 
 
-def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray) -> None:
+def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray, partials: Optional[PartialsTape] = None) -> None:
     """Add sum_k diag(dN/du^(k) at u0) D_k, N's part of the Fréchet
     derivative of L + N at ``u0``, to the (n, n) array ``A`` in place. An
     overflowing partial enters as inf or nan without a warning; ``BcSystem``
-    and Newton report the non-finite result as SingularSystemError."""
+    and Newton report the non-finite result as SingularSystemError.
+    ``partials`` is N's ``PartialsTape`` on the grid's nodes, for a caller
+    that adds the derivative at many u; by default a fresh one is lowered.
+    """
     u0 = grid.check_length(u0)
     upto = max_u_order(N)
     if upto >= 0:
+        if partials is None:
+            partials = PartialsTape(N, grid.nodes)
         with np.errstate(over="ignore", invalid="ignore"):
-            add_operator(A, grid, expr_partials(N, grid.nodes, grid.derivative_stack(u0, upto)))
+            add_operator(A, grid, partials(grid.derivative_stack(u0, upto)))

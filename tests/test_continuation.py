@@ -478,6 +478,27 @@ H = 1 + 0.5*r
 """
 
 
+# u'' + N(u, u') = s with exp, sin, tanh and sqrt in N
+TRANSCENDENTAL = """
+[domain]
+a = 0
+b = 1
+n = 32
+
+[operator]
+L = 0, 0, 1
+N = 0.3*exp(u) + 0.2*sin(u)*tanh(u') + 0.1*sqrt(2 + u^2)
+s = 1 + r
+
+[bcs]
+bc = left, 0, 0.1
+bc = right, 0, -0.2
+
+[ham]
+hbar = 1
+"""
+
+
 def _builtin(case_id, n):
     return Workspace(get_case(case_id).spec.with_grid_n(n), HamConfig(hbar=1.0))
 
@@ -515,6 +536,12 @@ class TestNewtonBitwise:
         ws = _from_text(WITH_U_PRIME.format(kind=kind))
         assert np.any(ws.H_vals != 1.0)
         assert max_u_order(ws.problem.N) == 1
+        self._assert_same_trace(ws, monkeypatch)
+
+    def test_transcendental_nonlinearity(self, monkeypatch):
+        # a trace lowers N's partials tape once and refills it at every
+        # iterate; exp, sin, tanh and sqrt nodes keep rows of their own
+        ws = _from_text(TRANSCENDENTAL)
         self._assert_same_trace(ws, monkeypatch)
 
     @pytest.mark.parametrize("case_id", ["manufactured-quad", "riccati-tanh-short"])

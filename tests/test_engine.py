@@ -8,6 +8,7 @@ the closed-form behavior of purely linear problems where every order beyond
 the first must vanish identically.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from conftest import exp_problem
 
 TANH = "riccati-tanh-short"
 POISSON = "linear-poisson"
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -515,6 +517,45 @@ class TestRunMany:
         for hbars, order in (([], 3), ([-1.0, 0.0], 3), ([float("nan")], 3), ([-1.0], -1)):
             with pytest.raises(ConfigError):
                 ws.run_many(hbars, order)
+
+
+# docs/calibration.md, "One series for every hbar": the largest measured
+# max|U_M - run| / (eps max_i sum_k C(M, k) |hbar|^k |v_k(i)|) is 3.8e3
+IDENTITY_C = 2e4
+IDENTITY_PROBLEMS = {cid: get_case(cid).spec for cid in case_ids()}
+IDENTITY_PROBLEMS["exp"] = exp_problem()
+
+
+class TestPerturbationSeries:
+    """One weak-nonlinearity series v_k gives the partial sum at every hbar:
+    U_M(hbar) = sum_k C(M, k) hbar^k v_k (docs/recursions.md)."""
+
+    def test_zeroth_term_is_u0(self):
+        ws = Workspace(exp_problem(), HamConfig(lopt_mode="frechet-at-u0"))
+        v = ws.perturbation_series(5)
+        assert v.shape == (6, ws.grid.n)
+        assert v[0].tobytes() == ws.u0.tobytes()
+
+    def test_order_is_validated(self):
+        with pytest.raises(ConfigError):
+            Workspace(get_case(POISSON).spec, HamConfig()).perturbation_series(-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(IDENTITY_PROBLEMS)),
+        mode=st.sampled_from(["use-L", "frechet-at-u0"]),
+        weight=st.sampled_from(["1", "1 + r"]),
+        order=st.integers(0, 30),
+        hbar=st.floats(-2.5, 1.5).filter(lambda h: abs(h) >= 0.01),
+    )
+    def test_one_series_gives_every_hbar(self, name, mode, weight, order, hbar):
+        config = HamConfig(lopt_mode=mode, H=parse_expr(weight))
+        ws = Workspace(IDENTITY_PROBLEMS[name], config)
+        weights = [math.comb(order, k) * hbar**k for k in range(order + 1)]
+        terms = np.array(weights)[:, None] * ws.perturbation_series(order)
+        run = partial_sum(ws.run(hbar=hbar, order=order), order)
+        bound = IDENTITY_C * EPS * np.max(np.sum(np.abs(terms), axis=0))
+        assert np.max(np.abs(terms.sum(axis=0) - run)) <= bound
 
 
 class TestStackedResidualHistory:

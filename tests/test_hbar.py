@@ -7,6 +7,7 @@ pins the frozen optimum found during calibration (docs/calibration.md).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from hamsolve import (
     get_case,
     optimal_hbar,
     optimal_workspace,
+    parse_expr,
     scan_hbar,
     scan_workspace,
 )
+
+from hamsolve import hbar
 
 from conftest import exp_problem
 
@@ -160,6 +164,18 @@ SEARCHES = [
     (EXP, 20, (-2.0, -0.01)),
 ]
 SEARCH_IDS = ["tanh-long-M15", "tanh-long-M40", "tanh-short-M10", "exp-M20"]
+# whether each search keeps the model on its one side: on the exp problem
+# the residual sinks to the model's roundoff floor (docs/calibration.md,
+# "Model search")
+SEARCHES_BY_PATH = [s + (model,) for s, model in zip(SEARCHES, [True, True, True, False])]
+
+
+def zoom_only(ws, bracket, monkeypatch):
+    """``optimal_workspace`` with the model never trusted: every side
+    zooms over real columns."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hbar._SeriesModel, "__call__", lambda self, points: None)
+        return optimal_workspace(ws, bracket)
 
 
 class TestZoomSearch:
@@ -172,12 +188,19 @@ class TestZoomSearch:
         again = Workspace(problem, config).run(hbar=opt.hbar_star)
         assert opt.residual_star == again.residual_history[-1]
 
-    @pytest.mark.parametrize("problem, order, bracket", SEARCHES, ids=SEARCH_IDS)
-    def test_five_batched_passes_and_one_run(self, problem, order, bracket, count_calls):
+    @pytest.mark.parametrize(
+        "problem, order, bracket, model", SEARCHES_BY_PATH, ids=SEARCH_IDS
+    )
+    def test_passes_by_path_and_one_run(self, problem, order, bracket, model, count_calls):
+        # the model path ranks model columns and runs no batched pass; a
+        # side that falls back zooms over real columns, five passes at most
         passes = count_calls("hamsolve.engine", "Workspace.run_many")
         runs = count_calls("hamsolve.engine", "Workspace.run")
         optimal_hbar(problem, HamConfig(order=order), bracket)
-        assert 1 <= len(passes) <= 5
+        if model:
+            assert len(passes) == 0
+        else:
+            assert 1 <= len(passes) <= 5
         assert len(runs) == 1
 
     def test_straddling_bracket_passes_per_side(self, count_calls):
@@ -205,3 +228,45 @@ class TestWorkspaceEntryPoints:
         ws = Workspace(TANH_SHORT, HamConfig(order=6))
         want = optimal_hbar(TANH_SHORT, HamConfig(order=6), (-1.2, -0.6))
         assert optimal_workspace(ws, (-1.2, -0.6)) == want
+
+
+class TestModelSearch:
+    """The search ranks model columns, U_M(hbar) = sum_k C(M, k) hbar^k
+    v_k, and falls back to real columns on a side where a column's
+    residual is not above its roundoff floor."""
+
+    @pytest.mark.parametrize("problem, order, bracket", SEARCHES, ids=SEARCH_IDS)
+    def test_no_worse_than_the_real_column_zoom(self, problem, order, bracket, monkeypatch):
+        ws = Workspace(problem, HamConfig(order=order))
+        zoom = zoom_only(ws, bracket, monkeypatch)
+        assert optimal_workspace(ws, bracket).residual_star <= zoom.residual_star
+
+    @pytest.mark.parametrize(
+        "problem, order, bracket",
+        SEARCHES + [(TANH_LONG, 15, (-1.0, 1.0)), (TANH_LONG, 60, (-2.0, -0.01))],
+        ids=SEARCH_IDS + ["tanh-long-M15-straddling", "tanh-long-M60"],
+    )
+    def test_same_point_as_the_real_column_zoom(self, problem, order, bracket, monkeypatch):
+        # measured: every pass of the model picks the zoom's column, so the
+        # searches land on the same hbar bitwise (docs/calibration.md)
+        ws = Workspace(problem, HamConfig(order=order))
+        assert optimal_workspace(ws, bracket) == zoom_only(ws, bracket, monkeypatch)
+
+    def test_one_perturbation_series_per_search(self, count_calls):
+        series = count_calls("hamsolve.engine", "Workspace.perturbation_series")
+        optimal_hbar(TANH_LONG, HamConfig(order=15), (-1.0, 1.0))
+        assert len(series) == 1
+
+    @pytest.mark.parametrize(
+        "problem, config, bracket",
+        [
+            (TANH_SHORT, HamConfig(H=parse_expr("1e300")), (-2.0, -0.5)),
+            (TANH_LONG, HamConfig(order=60), (-400.0, -300.0)),
+        ],
+        ids=["overflowing-weight", "far-bracket"],
+    )
+    def test_no_finite_residual_raises(self, problem, config, bracket):
+        # every column overflows; the search names the bracket rather than
+        # report a residual_star of nan or inf
+        with pytest.raises(ConfigError, match=re.escape(str(bracket))):
+            optimal_hbar(problem, config, bracket)

@@ -35,7 +35,8 @@ from hamsolve import (
     eval_expr,
     parse_expr,
 )
-from hamsolve.jets import Tape, add_nonlinear_frechet, expr_partials, jet_expand
+from hamsolve.expressions import max_u_order
+from hamsolve.jets import PartialsTape, Tape, add_nonlinear_frechet, expr_partials, jet_expand
 
 DEPTH = 6
 WIDTH = 3
@@ -272,6 +273,34 @@ def test_online_rows_match_batch_bitwise(expr, seed):
             leaf[m] = full[k][m]
         tape.step(m)
         np.testing.assert_array_equal(root[: m + 1], want[: m + 1])
+
+
+def one_sweep_partials(expr, r, vals):
+    """expr_partials as one fresh jet_expand sweep, the slots side by side."""
+    slots, width = max_u_order(expr) + 1, r.size
+    u_jets = {}
+    for k in range(slots):
+        jet = np.zeros((2, slots, width))
+        jet[0] = vals[k]
+        jet[1, k] = 1.0
+        u_jets[k] = jet.reshape(2, slots * width)
+    return jet_expand(expr, np.tile(r, slots), u_jets, 2)[1].reshape(slots, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr=expression_trees, seed=st.integers(0, 2**32 - 1))
+def test_reused_partials_tape_is_a_fresh_sweep_bitwise(expr, seed):
+    # Newton lowers N's tape once per trace and refills it at every iterate
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.1, 0.9, WIDTH)
+    tape = PartialsTape(expr, r)
+    for _ in range(3):
+        vals = {k: 0.5 * rng.standard_normal(WIDTH) for k in range(3)}
+        got = tape(vals)
+        want = one_sweep_partials(expr, r, vals)
+        assert sorted(got) == list(range(len(want)))
+        for k, row in enumerate(want):
+            assert got[k].tobytes() == row.tobytes()
 
 
 def directional(expr, g, base, direction):
