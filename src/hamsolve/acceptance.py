@@ -19,7 +19,7 @@ from typing import Callable, List, NamedTuple, Tuple
 import numpy as np
 
 from .benchmarks import builtin_cases, error_vs_exact, get_case
-from .continuation import homotopy_jacobian, homotopy_residual, trace_workspace
+from .continuation import TRACE_HBAR, homotopy_jacobian, homotopy_residual, trace_workspace
 from .engine import Workspace, partial_sum
 from .expressions import Coord, Const, OperatorExpr, Power, Product, Sum, U
 from .hbar import optimal_workspace, scan_workspace
@@ -35,7 +35,6 @@ from .reports import (
     write_solution_csv,
 )
 
-TRACE_HBAR = 1.0
 TRACE_STEPS = 16
 LONG_BRACKET = (-2.0, -0.01)
 SHORT_BRACKET = (-1.5, -0.5)
@@ -58,10 +57,10 @@ def criterion_1_equivalence() -> Tuple[bool, str]:
     ok = True
     for case in builtin_cases():
         ws = Workspace(case.spec, hpm_config())
-        report = equivalence_workspace(ws, order=10, tolerance=1e-10)
+        report = equivalence_workspace(ws, tolerance=1e-10)
         worst = max(worst, report.max_rel_diff)
         ok = ok and report.passed
-        mutated = equivalence_workspace(ws, order=10, tolerance=1e-10, hbar=-1.01)
+        mutated = equivalence_workspace(ws, tolerance=1e-10, hbar=-1.01)
         mutated_best = min(mutated_best, mutated.max_rel_diff)
         ok = ok and (not mutated.passed) and mutated.max_rel_diff > 1e-3
     detail = (
@@ -348,7 +347,7 @@ def write_bench_artifacts(outdir) -> None:
         trace_ws = Workspace(case.spec, HamConfig(hbar=TRACE_HBAR))
         path = trace_workspace(trace_ws, initial_steps=TRACE_STEPS)
         write_path_csv(case_dir / "path.csv", trace_ws, path)
-        report = equivalence_workspace(ws, order=10, tolerance=1e-10)
+        report = equivalence_workspace(ws, tolerance=1e-10)
         write_equivalence_json(case_dir / "equivalence.json", report)
 
 

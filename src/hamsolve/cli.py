@@ -24,7 +24,7 @@ import numpy as np
 
 from .acceptance import bench
 from .benchmarks import get_case
-from .continuation import trace_workspace
+from .continuation import TRACE_HBAR, trace_workspace
 from .engine import Workspace
 from .errors import ConfigError, HamError, PathAbortError
 from .expressions import parse_expr
@@ -41,20 +41,12 @@ from .reports import (
 )
 
 BUILTIN_PREFIX = "builtin:"
-TRACE_DEFAULT_HBAR = 1.0
 
 
 def _build_parser() -> argparse.ArgumentParser:
     problem_opts = argparse.ArgumentParser(add_help=False)
     problem_opts.add_argument(
-        "problem_pos",
-        nargs="?",
-        metavar="PROBLEM",
-        help="problem file path or builtin:<id>",
-    )
-    problem_opts.add_argument(
-        "--problem", dest="problem_flag", metavar="PROBLEM",
-        help="alternative to the positional problem source",
+        "problem", metavar="PROBLEM", help="problem file path or builtin:<id>"
     )
     problem_opts.add_argument("--hbar", type=float, default=None)
     problem_opts.add_argument(
@@ -108,6 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", parents=[problem_opts, out_opts],
         help="trace the embedding path and write path.csv",
+        description="Trace the embedding path and write path.csv. The "
+        f"tracer runs at hbar = {TRACE_HBAR:+g} unless --hbar is given; a "
+        "problem file's [ham] hbar is not read, because it carries the "
+        "series' sign and the tracer's hbar = h is the series' hbar = -h.",
     )
     p_trace.add_argument("--steps", type=int, default=32)
     p_trace.set_defaults(func=cmd_trace)
@@ -136,12 +132,7 @@ def _outdir(args) -> Path:
 
 
 def _load(args) -> Tuple[ProblemSpec, HamConfig]:
-    sources = [s for s in (args.problem_pos, args.problem_flag) if s]
-    if len(sources) != 1:
-        raise ConfigError(
-            "give exactly one problem source (positional or --problem)"
-        )
-    source = sources[0]
+    source = args.problem
     if source.startswith(BUILTIN_PREFIX):
         problem = get_case(source[len(BUILTIN_PREFIX):]).spec
         config = HamConfig()
@@ -157,9 +148,9 @@ def _load(args) -> Tuple[ProblemSpec, HamConfig]:
     if args.weight is not None:
         config = replace(config, H=parse_expr(args.weight))
     if args.hbar is not None:
-        config = config.with_hbar(args.hbar)
+        config = replace(config, hbar=args.hbar)
     if args.order is not None:
-        config = config.with_order(args.order)
+        config = replace(config, order=args.order)
     return problem, config
 
 
@@ -225,10 +216,8 @@ def cmd_trace(args) -> int:
     problem, config = _load(args)
     outdir = _outdir(args)
     if args.hbar is None:
-        # the same knob as the series solver's with its sign flipped: the
-        # tracer's hbar = h is the series' hbar = -h, so its healthy
-        # hbar > 0 is the series' usual hbar < 0
-        config = config.with_hbar(TRACE_DEFAULT_HBAR)
+        # the file's hbar has the series' sign, the tracer's the opposite
+        config = replace(config, hbar=TRACE_HBAR)
     ws = Workspace(problem, config)
     try:
         path = trace_workspace(ws, initial_steps=args.steps)

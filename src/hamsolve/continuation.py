@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrs
@@ -51,6 +51,9 @@ from .grids import factor, lu_condition
 from .jets import PartialsTape, add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec
 
+# the tracer's default hbar: the series' usual hbar = -1 with its sign
+# flipped, the healthy embedding direction (see above)
+TRACE_HBAR = 1.0
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERS = 50
 MAX_HALVINGS = 8
@@ -109,13 +112,14 @@ def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     eps = _check_eps(eps)
     u = ws.grid.check_length(u)
     n = ws.grid.n
-    return _jacobian(ws, eps, ws.lopt.matrix * (1.0 - eps), u, np.empty((n, n)))
+    partials = PartialsTape(ws.problem.N, ws.grid.nodes)
+    return _jacobian(ws, eps, ws.lopt.matrix * (1.0 - eps), u, np.empty((n, n)), partials)
 
 
-def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray, out: np.ndarray, partials: Optional[PartialsTape] = None) -> np.ndarray:
+def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray, out: np.ndarray, partials: PartialsTape) -> np.ndarray:
     """``homotopy_jacobian`` written into ``out``, given ``scaled_lopt`` =
     (1 - eps) L_opt's matrix, the part that does not depend on u, and N's
-    ``partials`` tape, if a trace has lowered one."""
+    ``partials`` tape on the grid's nodes."""
     lopt = ws.lopt
     np.copyto(out, ws.A_L)
     add_nonlinear_frechet(out, ws.problem.N, ws.grid, u, partials)

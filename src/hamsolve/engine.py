@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, RangeError
 from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
-from .jets import SeriesTape, add_nonlinear_frechet
+from .jets import PartialsTape, SeriesTape, add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
 
 
@@ -46,9 +46,10 @@ class SeriesBatch(NamedTuple):
 class Workspace:
     """Assembled matrices, factorization, and u_0 for one problem + config.
 
-    Everything here is independent of hbar and of the truncation order, so
-    one workspace serves a whole hbar scan. Instances are not thread-safe to
-    build but immutable afterwards.
+    Every series runs at ``config.order``; hbar is the one setting a call
+    may change, and nothing here depends on it, so one workspace serves a
+    whole hbar scan. Instances are not thread-safe to build but immutable
+    afterwards.
     """
 
     def __init__(self, problem: ProblemSpec, config: HamConfig):
@@ -64,7 +65,7 @@ class Workspace:
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
 
-    def _march(self, hbars: np.ndarray, order: int, deformation: bool = True) -> np.ndarray:
+    def _march(self, hbars: np.ndarray, deformation: bool = True) -> np.ndarray:
         """Orders u_0..u_M of K series side by side, shape (M + 1, n, K).
 
         Column k follows hbar = hbars[k]. Every step is columnwise (the
@@ -75,6 +76,7 @@ class Workspace:
         non-grouped rhs, which is ``perturbation_series``'s recursion.
         """
         grouped = self._grouped and deformation
+        order = self.config.order
         H = self.H_vals[:, None]
         homogeneous = (0.0,) * len(self.problem.bcs)
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
@@ -101,16 +103,12 @@ class Workspace:
                 orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
         return orders
 
-    def run(self, hbar: Optional[float] = None, order: Optional[int] = None) -> SeriesSolution:
-        cfg = self.config
-        if hbar is not None:
-            cfg = cfg.with_hbar(hbar)
-        if order is not None:
-            cfg = cfg.with_order(order)
-        orders = self._march(np.array([cfg.hbar]), cfg.order)
+    def run(self, hbar: Optional[float] = None) -> SeriesSolution:
+        cfg = self.config if hbar is None else self.config.with_hbar(hbar)
+        orders = self._march(np.array([cfg.hbar]))
         return series_solution(self.grid, self.operator_values, orders, cfg)
 
-    def run_many(self, hbars, order: int) -> SeriesBatch:
+    def run_many(self, hbars) -> SeriesBatch:
         """The series at K hbar values through one recursion.
 
         The K columns march together: one tape K grids wide, one matrix
@@ -121,11 +119,10 @@ class Workspace:
         differently from a matrix-vector product; with K = 1 it is bitwise
         equal.
         """
-        order = self.config.with_order(order).order
         hbars = np.array([checked_hbar(h) for h in hbars])
         if hbars.size == 0:
             raise ConfigError("no hbar values to run")
-        orders = self._march(hbars, order)
+        orders = self._march(hbars)
         U = orders.sum(axis=0)
         f = self.operator_values(U)
         norms = np.max(np.abs(orders), axis=1)
@@ -135,8 +132,9 @@ class Workspace:
             diverged=np.array([series_diverges(col) for col in norms.T]),
         )
 
-    def perturbation_series(self, order: int) -> np.ndarray:
-        """Coefficients v_0..v_M of the weak-nonlinearity series, (M + 1, n).
+    def perturbation_series(self) -> np.ndarray:
+        """Coefficients v_0..v_M of the weak-nonlinearity series, (M + 1, n),
+        at the workspace's order M.
 
         w solves Lc(w - u_0) = mu H F(w), and v_k is its k-th Taylor
         coefficient in mu: v_0 = u_0 and Lc v_k = H D_{k-1}[F(v)] under
@@ -149,8 +147,7 @@ class Workspace:
         to roundoff of order eps sum_k C(M, k) |hbar|^k |v_k|
         (docs/recursions.md, "One series for every hbar").
         """
-        order = self.config.with_order(order).order
-        return self._march(np.ones(1), order, deformation=False)[:, :, 0]
+        return self._march(np.ones(1), deformation=False)[:, :, 0]
 
     def operator_values(self, U: np.ndarray) -> np.ndarray:
         """F(U) = L U + N(U) - s at every node (BC rows included); U may be
@@ -219,7 +216,8 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
         # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
         # definition deterministically)
         core = A_L.copy()
-        add_nonlinear_frechet(core, problem.N, grid, system.solve(np.zeros(grid.n)))
+        u0 = system.solve(np.zeros(grid.n))
+        add_nonlinear_frechet(core, problem.N, grid, u0, PartialsTape(problem.N, grid.nodes))
     return BcSystem(core, problem.bcs, grid), np.array_equal(core, A_L)
 
 

@@ -31,39 +31,8 @@ UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "sqrt")
 
 
 class OperatorExpr:
-    """Base class; provides operator sugar so trees compose naturally."""
-
-    def __add__(self, other):
-        return Sum((self, _as_expr(other)))
-
-    def __radd__(self, other):
-        return Sum((_as_expr(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Product((Const(-1.0), _as_expr(other)))))
-
-    def __rsub__(self, other):
-        return Sum((_as_expr(other), Product((Const(-1.0), self))))
-
-    def __mul__(self, other):
-        return Product((self, _as_expr(other)))
-
-    def __rmul__(self, other):
-        return Product((_as_expr(other), self))
-
-    def __neg__(self):
-        return Product((Const(-1.0), self))
-
-    def __pow__(self, exponent):
-        return Power(self, float(exponent))
-
-
-def _as_expr(value) -> OperatorExpr:
-    if isinstance(value, OperatorExpr):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot use {value!r} in an operator expression")
+    """Base class of the nodes; a tree comes from ``parse_expr`` or from
+    the node constructors below."""
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def scan_workspace(ws: Workspace, hbar_grid: Sequence[float]) -> HbarCurve:
     entries = []
     for start in range(0, len(hbars), PASS_POINTS):
         chunk = hbars[start : start + PASS_POINTS]
-        batch = ws.run_many(chunk, ws.config.order)
+        batch = ws.run_many(chunk)
         for k, h in enumerate(chunk):
             probe = ws.grid.interpolate(batch.partial_sums[:, k], probe_point)
             entries.append(
@@ -132,7 +132,7 @@ class _SeriesModel:
     def __init__(self, ws: Workspace):
         order = ws.config.order
         self._ws = ws
-        self._v = ws.perturbation_series(order)
+        self._v = ws.perturbation_series()
         self._abs_v = np.abs(self._v)
         self._comb = np.array([math.comb(order, k) for k in range(order + 1)], dtype=float)
         self._powers = np.arange(order + 1)[:, None]
@@ -190,7 +190,7 @@ def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHba
     model = _SeriesModel(ws)
 
     def real(points):
-        return ws.run_many(points, ws.config.order).residuals
+        return ws.run_many(points).residuals
 
     best = min((_zoom(lo, hi, model) or _zoom(lo, hi, real) for lo, hi in sides), key=lambda b: b[0])
     hbar_star = best[1]

@@ -104,25 +104,26 @@ class EquivalenceReport:
         }
 
 
-def equivalence_workspace(ws: Workspace, order: int = 10, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
-    """Run the engine on ``ws`` and the oracle side by side; compare per order.
+def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
+    """Run the engine on ``ws`` and the oracle side by side; compare orders
+    0..M at the workspace's order M.
 
-    ``ws`` must have the reduced method's linear core and weight (use-L,
-    H = 1), else ConfigError; its hbar and order are not used. The engine
-    runs at hbar = -1 unless ``hbar`` overrides it (the oracle is fixed by
-    definition); passing anything other than -1 is the mutation control
-    that shows the comparison actually has teeth.
+    ``ws`` must have the reduced method's linear core, use-L, and a weight
+    H that is 1 at every node (``ws.unit_weight``), else ConfigError; its
+    hbar is not used. The engine runs at hbar = -1 unless ``hbar``
+    overrides it (the oracle is fixed by definition); passing anything
+    other than -1 is the mutation control that shows the comparison
+    actually has teeth.
     """
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
-    reduced = hpm_config(order)
-    if ws.config.lopt_mode != reduced.lopt_mode or ws.config.H != reduced.H:
+    if ws.config.lopt_mode != "use-L" or not ws.unit_weight:
         raise ConfigError(
             "the equivalence check needs a workspace with the reduced "
             "method's linear core and weight (lopt_mode 'use-L', H = 1)"
         )
-    engine_series = ws.run(hbar=reduced.hbar if hbar is None else hbar, order=order)
-    oracle_series = hpm_recursion(ws.problem, order)
+    engine_series = ws.run(hbar=REDUCED_HBAR if hbar is None else hbar)
+    oracle_series = hpm_recursion(ws.problem, ws.config.order)
     diffs = []
     for um, wm in zip(engine_series.orders, oracle_series.orders):
         scale = 1.0 + float(np.max(np.abs(wm)))
@@ -138,4 +139,4 @@ def equivalence_workspace(ws: Workspace, order: int = 10, tolerance: float = 1e-
 
 def check_equivalence(problem: ProblemSpec, order: int = 10, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
     """``equivalence_workspace`` on a workspace built for the reduced method."""
-    return equivalence_workspace(Workspace(problem, hpm_config(order)), order, tolerance, hbar)
+    return equivalence_workspace(Workspace(problem, hpm_config(order)), tolerance, hbar)

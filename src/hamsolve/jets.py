@@ -21,8 +21,6 @@ and Newton refills the two rows of a ``PartialsTape`` at every iterate.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import ConfigError
@@ -286,7 +284,7 @@ class SeriesTape:
     elementwise along the width, so the columns never mix.
     """
 
-    def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int = 1):
+    def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int):
         self._grid = grid
         self._shape = (grid.n, columns)
         self._upto = max_u_order(expr)
@@ -309,7 +307,8 @@ class SeriesTape:
 
 
 class PartialsTape:
-    """``expr_partials`` of one expression at fixed nodes, lowered once.
+    """Pointwise partials {k: d expr / d u^(k)} of one expression at fixed
+    nodes, given {k: values of u^(k)}, from a tape lowered once.
 
     The tape is one forward-mode sweep: the nodes are repeated once per
     u-derivative slot along the width, and slot k's copy seeds the
@@ -341,28 +340,16 @@ class PartialsTape:
         return dict(enumerate(self._root[1].reshape(self._slots, self._width)))
 
 
-def expr_partials(expr: OperatorExpr, r: np.ndarray, u_values: dict) -> dict:
-    """Pointwise partial derivatives of expr w.r.t. each u-derivative slot.
-
-    ``u_values`` maps derivative order -> sampled values at the nodes.
-    Returns {order: d expr / d u^(order)} arrays from a fresh
-    ``PartialsTape``.
-    """
-    return PartialsTape(expr, r)(u_values)
-
-
-def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray, partials: Optional[PartialsTape] = None) -> None:
+def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray, partials: PartialsTape) -> None:
     """Add sum_k diag(dN/du^(k) at u0) D_k, N's part of the Fréchet
     derivative of L + N at ``u0``, to the (n, n) array ``A`` in place. An
     overflowing partial enters as inf or nan without a warning; ``BcSystem``
     and Newton report the non-finite result as SingularSystemError.
-    ``partials`` is N's ``PartialsTape`` on the grid's nodes, for a caller
-    that adds the derivative at many u; by default a fresh one is lowered.
+    ``partials`` is N's ``PartialsTape`` on the grid's nodes, so a caller
+    that adds the derivative at many u lowers it once.
     """
     u0 = grid.check_length(u0)
     upto = max_u_order(N)
     if upto >= 0:
-        if partials is None:
-            partials = PartialsTape(N, grid.nodes)
         with np.errstate(over="ignore", invalid="ignore"):
             add_operator(A, grid, partials(grid.derivative_stack(u0, upto)))

@@ -125,9 +125,6 @@ class HamConfig:
     def with_hbar(self, hbar: float) -> "HamConfig":
         return replace(self, hbar=hbar)
 
-    def with_order(self, order: int) -> "HamConfig":
-        return replace(self, order=order)
-
 
 @dataclass(frozen=True)
 class SeriesSolution:

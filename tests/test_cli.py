@@ -149,14 +149,6 @@ class TestSolve:
         assert max(float(row[3]) for row in rows) < 1e-5
         capsys.readouterr()
 
-    def test_flag_source_equivalent_to_positional(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "builtin:riccati-tanh-short", "--out", str(a)]) == 0
-        assert main(
-            ["solve", "--problem", "builtin:riccati-tanh-short", "--out", str(b)]
-        ) == 0
-        assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
-
     def test_grid_override(self, tmp_path):
         rc = main(
             [
@@ -200,11 +192,7 @@ class TestUsageAndErrors:
 
     def test_no_source(self, capsys):
         assert main(["solve"]) == 1
-        assert "exactly one" in capsys.readouterr().err
-
-    def test_two_sources(self, capsys):
-        rc = main(["solve", "builtin:linear-poisson", "--problem", "x.prob"])
-        assert rc == 1
+        assert "required: PROBLEM" in capsys.readouterr().err
 
     def test_usage_errors_are_exit_one(self, capsys):
         assert main([]) == 1
@@ -377,6 +365,24 @@ class TestTrace:
         assert "partial path" in err
         _, rows = read_rows(tmp_path / "path.csv")
         assert 0.0 < float(rows[-1][0]) < 1.0
+
+    def test_file_hbar_is_not_read(self, tmp_path, capsys):
+        # the file's hbar has the series' sign and the tracer's hbar = h is
+        # the series' -h, so the tracer keeps its own default unless --hbar
+        prob = tmp_path / "riccati.prob"
+        prob.write_text(RICCATI_TEXT + "\n[ham]\nhbar = 0.5\n", encoding="utf-8")
+        paths = {}
+        for name, extra in (("file", ()), ("default", ("--hbar", "1")), ("flag", ("--hbar", "0.5"))):
+            out = tmp_path / name
+            assert main(["trace", str(prob), *extra, "--out", str(out)]) == 0
+            paths[name] = (out / "path.csv").read_bytes()
+        assert paths["file"] == paths["default"]
+        assert paths["flag"] != paths["file"]
+        capsys.readouterr()
+
+    def test_help_says_the_file_hbar_is_not_read(self, capsys):
+        assert main(["trace", "--help"]) == 0
+        assert "[ham] hbar is not read" in " ".join(capsys.readouterr().out.split())
 
     def test_step_count_flag(self, tmp_path):
         rc = main(

@@ -9,6 +9,7 @@ whole path in closed form: u(eps) = eps * u(1).
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from hamsolve import (
 from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS
 from hamsolve.expressions import max_u_order
 from hamsolve.grids import lu_condition
-from hamsolve.jets import add_nonlinear_frechet, expr_partials
+from hamsolve.jets import PartialsTape, add_nonlinear_frechet
 
 from conftest import exp_problem
 
@@ -129,7 +130,7 @@ class TestJacobian:
         ws = Workspace(MANUFACTURED.spec, HamConfig(hbar=-0.9))
         u = ws.u0 + 0.2 * np.sin(np.pi * ws.grid.nodes)
         df = ws.A_L.copy()
-        add_nonlinear_frechet(df, ws.problem.N, ws.grid, u)
+        add_nonlinear_frechet(df, ws.problem.N, ws.grid, u, PartialsTape(ws.problem.N, ws.grid.nodes))
         expected = (1.0 - eps) * ws.lopt.matrix + (eps * -0.9) * (
             ws.H_vals[:, None] * df
         )
@@ -174,6 +175,28 @@ class TestNewton:
         assert error_vs_exact(MANUFACTURED, result.u, ws.grid) < 1e-8
 
 
+class TestNewtonIterationLimit:
+    """Newton's exit when it runs out of iterations (limits 0 and 1)."""
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_unconverged_step_at_the_limit(self, limit, monkeypatch):
+        monkeypatch.setattr(continuation, "NEWTON_MAX_ITERS", limit)
+        ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
+        step = newton_at(ws, 1.0, np.zeros(ws.grid.n))
+        assert not step.converged
+        assert step.newton_iters == limit
+        assert math.isnan(step.jac_condition)
+
+    def test_trace_aborts_with_the_start_point(self, monkeypatch):
+        monkeypatch.setattr(continuation, "NEWTON_MAX_ITERS", 0)
+        ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
+        with pytest.raises(PathAbortError) as info:
+            trace_workspace(ws)
+        steps = info.value.path.steps
+        assert len(steps) == 1
+        assert steps[0].eps == 0.0
+
+
 class TestSeriesIsThePath:
     """G(eps, u) is the deformation equation at p = eps with hbar = -h, h
     the tracer's hbar, so Newton's point at eps is the series at hbar -h
@@ -183,7 +206,7 @@ class TestSeriesIsThePath:
     def gap(ws, step, hbar, order):
         """Sup distance from the step's point to the series at hbar summed
         at p = step.eps through each order 0..order."""
-        series = ws.run(hbar=hbar, order=order)
+        series = Workspace(ws.problem, replace(ws.config, order=order)).run(hbar=hbar)
         summed = np.cumsum([u * step.eps**m for m, u in enumerate(series.orders)], axis=0)
         return np.max(np.abs(step.u - summed), axis=1)
 
@@ -378,7 +401,7 @@ def plain_frechet(A_L, N, grid, u):
     upto = max_u_order(N)
     if upto < 0:
         return A
-    partials = expr_partials(N, grid.nodes, grid.derivative_stack(u, upto))
+    partials = PartialsTape(N, grid.nodes)(grid.derivative_stack(u, upto))
     for k, pk in partials.items():
         A += np.diag(pk) if k == 0 else pk[:, None] * grid.diff_matrix(k)
     return A

@@ -10,6 +10,7 @@ the first must vanish identically.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from hamsolve import (
 )
 from hamsolve.grids import GRID_KINDS, _lobatto_reference
 from hamsolve.engine import mean_square
-from hamsolve.expressions import max_u_order
+from hamsolve.expressions import U, max_u_order
 from hamsolve.jets import jet_expand
 from hamsolve.problem import series_diverges
 
@@ -58,7 +59,7 @@ class TestHandSeries:
     """tanh problem at hbar = -1: the series is the Maclaurin series."""
 
     def test_orders_match_taylor(self, tanh_ws):
-        sol = tanh_ws.run(hbar=-1.0, order=3)
+        sol = tanh_ws.run(hbar=-1.0)
         r = tanh_ws.grid.nodes
         assert np.max(np.abs(sol.orders[0])) == 0.0
         assert np.max(np.abs(sol.orders[1] - r)) < 1e-13
@@ -67,19 +68,19 @@ class TestHandSeries:
 
     def test_even_orders_cancel_bitwise(self, tanh_ws):
         # the grouped rhs coefficient hbar*H + chi is exactly 0.0 at -1
-        sol = tanh_ws.run(hbar=-1.0, order=6)
+        sol = Workspace(tanh_ws.problem, HamConfig(order=6)).run(hbar=-1.0)
         for m in (2, 4, 6):
             assert np.max(np.abs(sol.orders[m])) == 0.0
 
     def test_residual_history_frozen(self, tanh_ws):
         # exact values: 1, 1/5, 1/5, 4/81 - 4/297 + 1/1053
-        sol = tanh_ws.run(hbar=-1.0, order=3)
+        sol = tanh_ws.run(hbar=-1.0)
         want = (1.0, 0.2, 0.2, 0.0368643701976978)
         np.testing.assert_allclose(sol.residual_history, want, rtol=1e-9)
 
     def test_sympy_frozen_orders_at_half(self, tanh_ws):
         # independent symbolic recursion at hbar = -1/2 (docs/calibration.md)
-        sol = tanh_ws.run(hbar=-0.5, order=6)
+        sol = Workspace(tanh_ws.problem, HamConfig(order=6)).run(hbar=-0.5)
         r = tanh_ws.grid.nodes
         want3 = r / 8 - r**3 / 24
         want5 = r / 32 - r**3 / 16 + r**5 / 240
@@ -245,8 +246,8 @@ class TestLoptModes:
         # sums to (Lc - p L)(w - u_0) = p hbar H F(w), an error of 0.16
         # (docs/calibration.md, "Cores other than L")
         problem = exp_problem()
-        ws = Workspace(problem, HamConfig(lopt_mode="frechet-at-u0"))
-        series = ws.run(hbar=-1.0, order=30)
+        ws = Workspace(problem, HamConfig(lopt_mode="frechet-at-u0", order=30))
+        series = ws.run(hbar=-1.0)
         error = np.max(np.abs(partial_sum(series, 30) - problem.exact_values(ws.grid)))
         assert error < 1e-7
 
@@ -255,11 +256,11 @@ class TestLoptModes:
         # on the builtins dN/du(u_0) = 0, so the core is L's matrix and the
         # grouped right-hand side applies: the series is use-L's, bitwise
         spec = get_case(case_id).spec
-        use_l = Workspace(spec, HamConfig())
-        frechet = Workspace(spec, HamConfig(lopt_mode="frechet-at-u0"))
+        use_l = Workspace(spec, HamConfig(order=20))
+        frechet = Workspace(spec, HamConfig(lopt_mode="frechet-at-u0", order=20))
         for hbar in (-1.0, -0.3):
-            want = use_l.run(hbar=hbar, order=20)
-            got = frechet.run(hbar=hbar, order=20)
+            want = use_l.run(hbar=hbar)
+            got = frechet.run(hbar=hbar)
             np.testing.assert_array_equal(np.stack(got.orders), np.stack(want.orders))
             assert got.residual_history == want.residual_history
 
@@ -269,18 +270,18 @@ class TestMthOrderRhs:
 
     def test_first_order_rhs_is_one_on_riccati(self, tanh_ws):
         # rhs_1 = 1 with u(0) = 0 gives u_1 = r
-        u1 = tanh_ws.run(hbar=-1.0, order=1).orders[1]
+        u1 = tanh_ws.run(hbar=-1.0).orders[1]
         assert np.max(np.abs(u1 - tanh_ws.grid.nodes)) < 1e-14
 
     def test_first_order_rhs_scales_linearly_in_hbar(self, tanh_ws):
-        u1 = tanh_ws.run(hbar=-1.0, order=1).orders[1]
-        u1_doubled = tanh_ws.run(hbar=-2.0, order=1).orders[1]
+        u1 = tanh_ws.run(hbar=-1.0).orders[1]
+        u1_doubled = tanh_ws.run(hbar=-2.0).orders[1]
         np.testing.assert_array_equal(u1_doubled, 2.0 * u1)
 
     def test_second_order_rhs_at_reduced_hbar(self, tanh_ws):
         # rhs_2 = (hbar + 1) L u_1 + hbar D_1[N]; at hbar=-1 only -D_1 stays,
         # and D_1[u^2] = 2 u_0 u_1 = 0 since u_0 = 0
-        u2 = tanh_ws.run(hbar=-1.0, order=2).orders[2]
+        u2 = tanh_ws.run(hbar=-1.0).orders[2]
         assert np.max(np.abs(u2)) == 0.0
 
 
@@ -326,8 +327,8 @@ class TestRun:
 
     def test_config_snapshot_on_result(self):
         case = get_case(POISSON)
-        ws = Workspace(case.spec, HamConfig(order=4))
-        sol = ws.run(hbar=-0.8, order=2)
+        ws = Workspace(case.spec, HamConfig(order=2))
+        sol = ws.run(hbar=-0.8)
         assert sol.config.hbar == -0.8
         assert sol.config.order == 2
         assert sol.truncation_order == 2
@@ -337,24 +338,19 @@ class TestRun:
         # so no RuntimeWarning from a NaN or infinite hbar escapes first
         case = get_case(POISSON)
         ws = Workspace(case.spec, HamConfig())
-        bad = [{"hbar": h} for h in (0.0, float("nan"), float("inf"), -float("inf"))]
-        for kwargs in bad + [{"order": -1}]:
+        for hbar in (0.0, float("nan"), float("inf"), -float("inf")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ConfigError):
-                    ws.run(**kwargs)
-
+                    ws.run(hbar=hbar)
+        with pytest.raises(ConfigError):
+            HamConfig(order=-1)
 
     @pytest.mark.parametrize("order", [2.5, 2.7, True])
     def test_order_must_be_an_integer(self, order):
-        # at the parent run cast 2.7 to 2 and HamConfig took 2.5 and True
-        ws = Workspace(get_case(POISSON).spec, HamConfig())
+        # the order is validated once, by HamConfig; a workspace has no other
         with pytest.raises(ConfigError):
             HamConfig(order=order)
-        with pytest.raises(ConfigError):
-            ws.run(order=order)
-        with pytest.raises(ConfigError):
-            ws.run_many([-1.0], order)
 
 
 class TestResiduals:
@@ -393,6 +389,38 @@ def test_zero_weight_rejected():
     spec65 = case.spec.with_grid_n(65)
     with pytest.raises(ConfigError):
         Workspace(spec65, HamConfig(H=parse_expr("r - 0.5")))
+
+
+POISSON_SPEC = get_case(POISSON).spec
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"s": parse_expr("1 + u")}, "source term must depend on r only"),
+        ({"N": U(3)}, "above the linear operator order"),
+        ({"bcs": (POISSON_SPEC.bcs[0], ("right", 0, 0.0))}, "not a boundary condition"),
+    ],
+    ids=["s-of-u", "N-above-L", "bc-not-a-condition"],
+)
+def test_problem_rules(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(POISSON_SPEC, **changes)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"lopt_mode": "use-M"}, "unknown linear-core mode"),
+        ({"lopt_mode": 2}, "mode name or a LinearOperator"),
+        ({"H": 1.0}, "H must be an expression"),
+        ({"H": parse_expr("1 + u")}, "H must depend on r only"),
+    ],
+    ids=["unknown-mode", "mode-of-another-type", "H-not-an-expression", "H-of-u"],
+)
+def test_config_rules(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        HamConfig(**changes)
 
 
 def _batch_recursion(ws, hbar, order):
@@ -446,7 +474,8 @@ class TestOnlineJets:
     def test_einsum_calls_grow_linearly_in_order(self, monkeypatch):
         # counts, not timings: each order steps every tape node once, so
         # doubling M doubles the kernel calls (the batch path quadrupled them)
-        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig(hbar=-0.3))
+        spec = get_case("riccati-tanh-long").spec
+        workspaces = [Workspace(spec, HamConfig(hbar=-0.3, order=order)) for order in (20, 40)]
         calls = []
         einsum = np.einsum
 
@@ -456,9 +485,9 @@ class TestOnlineJets:
 
         monkeypatch.setattr(np, "einsum", counting)
         counts = []
-        for order in (20, 40):
+        for ws in workspaces:
             calls.clear()
-            ws.run(order=order)
+            ws.run()
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[1] / counts[0] <= 2.2
@@ -473,19 +502,19 @@ class TestRunMany:
     @pytest.mark.parametrize("hbar", [-1.0, -0.3])
     @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
     def test_one_column_is_run_bitwise(self, problem, hbar, order):
-        ws = Workspace(problem, HamConfig())
-        series = ws.run(hbar=hbar, order=order)
-        batch = ws.run_many([hbar], order)
+        ws = Workspace(problem, HamConfig(order=order))
+        series = ws.run(hbar=hbar)
+        batch = ws.run_many([hbar])
         np.testing.assert_array_equal(batch.partial_sums[:, 0], partial_sum(series, order))
         assert batch.residuals[0] == series.residual_history[-1]
         assert batch.diverged[0] == series.diverged
 
     def test_overflowing_column_leaves_the_other_alone(self):
-        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig())
-        batch = ws.run_many([-40.0, -0.3], 120)
+        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig(order=120))
+        batch = ws.run_many([-40.0, -0.3])
         assert not np.isfinite(batch.residuals[0]) or batch.residuals[0] > 1e100
         assert batch.diverged[0]
-        single = partial_sum(ws.run(hbar=-0.3, order=120), 120)
+        single = partial_sum(ws.run(hbar=-0.3), 120)
         err = np.max(np.abs(batch.partial_sums[:, 1] - single)) / np.max(np.abs(single))
         assert err < 1e-12
         assert not batch.diverged[1]
@@ -496,27 +525,27 @@ class TestRunMany:
         # difference of nearly equal terms and magnifies roundoff. The
         # scale has a floor of 1: linear-poisson's sum at hbar = -2 is
         # 1 - (1 + hbar)^20 = 0 times the solution, pure roundoff
-        ws = Workspace(problem, HamConfig())
+        ws = Workspace(problem, HamConfig(order=20))
         hbars = np.linspace(-2.0, -0.01, 17)
-        batch = ws.run_many(hbars, 20)
+        batch = ws.run_many(hbars)
         for k, h in enumerate(hbars):
-            U = partial_sum(ws.run(hbar=h, order=20), 20)
+            U = partial_sum(ws.run(hbar=h), 20)
             err = np.max(np.abs(batch.partial_sums[:, k] - U))
             assert err <= 1e-10 * max(1.0, np.max(np.abs(U)))
 
     def test_repeat_is_bitwise_identical(self):
-        ws = Workspace(exp_problem(), HamConfig())
+        ws = Workspace(exp_problem(), HamConfig(order=20))
         hbars = np.linspace(-2.0, -0.01, 17)
-        first = ws.run_many(hbars, 20)
-        second = ws.run_many(hbars, 20)
+        first = ws.run_many(hbars)
+        second = ws.run_many(hbars)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         ws = Workspace(get_case(POISSON).spec, HamConfig())
-        for hbars, order in (([], 3), ([-1.0, 0.0], 3), ([float("nan")], 3), ([-1.0], -1)):
+        for hbars in ([], [-1.0, 0.0], [float("nan")]):
             with pytest.raises(ConfigError):
-                ws.run_many(hbars, order)
+                ws.run_many(hbars)
 
 
 # docs/calibration.md, "One series for every hbar": the largest measured
@@ -531,14 +560,10 @@ class TestPerturbationSeries:
     U_M(hbar) = sum_k C(M, k) hbar^k v_k (docs/recursions.md)."""
 
     def test_zeroth_term_is_u0(self):
-        ws = Workspace(exp_problem(), HamConfig(lopt_mode="frechet-at-u0"))
-        v = ws.perturbation_series(5)
+        ws = Workspace(exp_problem(), HamConfig(lopt_mode="frechet-at-u0", order=5))
+        v = ws.perturbation_series()
         assert v.shape == (6, ws.grid.n)
         assert v[0].tobytes() == ws.u0.tobytes()
-
-    def test_order_is_validated(self):
-        with pytest.raises(ConfigError):
-            Workspace(get_case(POISSON).spec, HamConfig()).perturbation_series(-1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -549,11 +574,11 @@ class TestPerturbationSeries:
         hbar=st.floats(-2.5, 1.5).filter(lambda h: abs(h) >= 0.01),
     )
     def test_one_series_gives_every_hbar(self, name, mode, weight, order, hbar):
-        config = HamConfig(lopt_mode=mode, H=parse_expr(weight))
+        config = HamConfig(lopt_mode=mode, H=parse_expr(weight), order=order)
         ws = Workspace(IDENTITY_PROBLEMS[name], config)
         weights = [math.comb(order, k) * hbar**k for k in range(order + 1)]
-        terms = np.array(weights)[:, None] * ws.perturbation_series(order)
-        run = partial_sum(ws.run(hbar=hbar, order=order), order)
+        terms = np.array(weights)[:, None] * ws.perturbation_series()
+        run = partial_sum(ws.run(hbar=hbar), order)
         bound = IDENTITY_C * EPS * np.max(np.sum(np.abs(terms), axis=0))
         assert np.max(np.abs(terms.sum(axis=0) - run)) <= bound
 
@@ -565,8 +590,8 @@ class TestStackedResidualHistory:
     @pytest.mark.parametrize("hbar", [-1.0, -0.3])
     @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
     def test_entries_equal_single_residuals_bitwise(self, problem, hbar):
-        ws = Workspace(problem, HamConfig())
-        series = ws.run(hbar=hbar, order=20)
+        ws = Workspace(problem, HamConfig(order=20))
+        series = ws.run(hbar=hbar)
         assert len(series.residual_history) == 21
         for m, value in enumerate(series.residual_history):
             assert value == mean_square(ws.grid, ws.operator_values(partial_sum(series, m)))
@@ -579,9 +604,9 @@ class TestStackedResidualHistory:
             assert value == mean_square(ws.grid, ws.operator_values(partial_sum(series, m)))
 
     def test_one_operator_evaluation_per_series(self, count_calls):
-        ws = Workspace(exp_problem(), HamConfig())
+        ws = Workspace(exp_problem(), HamConfig(order=30))
         calls = count_calls("hamsolve.engine", "operator_values")
-        ws.run(order=30)
+        ws.run()
         assert len(calls) == 1
         hpm_recursion(exp_problem(), 30)
         assert len(calls) == 2
@@ -596,10 +621,10 @@ class TestDivergenceMargin:
     def test_equal_norms_do_not_flag(self, order):
         # linear-poisson at hbar = -2: u_m = -u_{m-1} in exact arithmetic,
         # so the norms only drift in the last bits
-        ws = Workspace(get_case(POISSON).spec, HamConfig())
-        assert not ws.run(hbar=-2.0, order=order).diverged
-        assert not ws.run_many([-2.0], order).diverged[0]
-        assert not ws.run_many(np.linspace(-2.0, -0.1, 17), order).diverged[0]
+        ws = Workspace(get_case(POISSON).spec, HamConfig(order=order))
+        assert not ws.run(hbar=-2.0).diverged
+        assert not ws.run_many([-2.0]).diverged[0]
+        assert not ws.run_many(np.linspace(-2.0, -0.1, 17)).diverged[0]
 
     def test_non_finite_norm_flags(self):
         assert series_diverges([0.0, 1e300, float("nan"), float("nan")])
@@ -609,15 +634,15 @@ class TestDivergenceMargin:
         spec = get_case(TANH).spec
         ws = Workspace(spec, HamConfig(H=parse_expr("1e300")))
         series = ws.run()
-        batch = ws.run_many([-1.0, -0.5], 10)
+        batch = ws.run_many([-1.0, -0.5])
         assert not np.isfinite(series.per_order_norms[2])
         assert series.diverged
         assert batch.diverged.all()
 
     def test_geometric_growth_still_flags(self):
-        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig())
-        assert ws.run(hbar=-1.0, order=15).diverged
-        assert ws.run_many([-1.0], 15).diverged[0]
+        ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig(order=15))
+        assert ws.run(hbar=-1.0).diverged
+        assert ws.run_many([-1.0]).diverged[0]
 
 
 tenths = st.integers(-10, 10).map(lambda k: f"{k / 10:.1f}")

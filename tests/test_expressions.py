@@ -113,13 +113,6 @@ def test_eval_domain_errors():
         eval_expr(parse_expr("u^(-1)"), R, {0: np.zeros_like(R)})
 
 
-def test_operator_sugar_builds_trees():
-    expr = U(2) + U(0) ** 2 - 1.0
-    want = eval_expr(parse_expr("u'' + u^2 - 1"), R, {0: R, 2: R + 2})
-    got = eval_expr(expr, R, {0: R, 2: R + 2})
-    np.testing.assert_allclose(got, want, rtol=0, atol=0)
-
-
 def test_node_validation():
     with pytest.raises(ConfigError):
         U(5)

@@ -275,6 +275,13 @@ class TestBcSolves:
         with pytest.raises(ConfigError):
             BoundaryCondition("left", 0, value)
 
+    @pytest.mark.parametrize("shape", [(15, 15), (16, 17), (17, 17)])
+    def test_matrix_shape_must_match_the_grid(self, shape):
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 1.0))
+        with pytest.raises(GridMismatchError):
+            BcSystem(np.eye(*shape), bcs, g)
+
     def test_columns_are_solved_independently(self):
         g = build_grid(CHEB, 16, 0.0, 1.0)
         bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 1.0))
@@ -441,8 +448,8 @@ def test_uniform_fd_forms_third_and_fourth_orders_on_request():
     # D_3 = D_1 D_2 and D_4 = D_2 D_2 are dense O(n^3) products; a
     # second-order problem's workspace, series and jacobian never read them
     spec = dataclasses.replace(get_case("manufactured-quad").spec, grid_kind="uniform-fd")
-    ws = Workspace(spec, HamConfig(hbar=-1.0))
-    ws.run(order=5)
+    ws = Workspace(spec, HamConfig(hbar=-1.0, order=5))
+    ws.run()
     homotopy_jacobian(ws, 0.5, ws.u0)
     grid = ws.grid
     assert grid._diffs[2] is None and grid._diffs[3] is None

@@ -202,12 +202,20 @@ def test_engine_matches_oracle_on_random_problems(problem):
 
 class TestEquivalenceWorkspace:
     def test_same_report_as_the_problem_entry_point(self):
-        # the workspace's own hbar and order are not used
-        ws = Workspace(TANH_SHORT, HamConfig(hbar=-0.4, order=3))
+        # the workspace's own hbar is not used; its order is compared
+        ws = Workspace(TANH_SHORT, HamConfig(hbar=-0.4, order=7))
         for hbar in (None, -1.01):
-            got = equivalence_workspace(ws, order=10, hbar=hbar)
-            want = check_equivalence(TANH_SHORT, order=10, hbar=hbar)
+            got = equivalence_workspace(ws, hbar=hbar)
+            want = check_equivalence(TANH_SHORT, order=7, hbar=hbar)
             assert got == want
+            assert len(got.per_order_rel_diff) == 8
+
+    def test_weight_one_at_every_node_is_the_reduced_weight(self):
+        # H = 2 - 1 is another tree than H = 1, but the same weight at every
+        # node, and the engine runs the H = 1 arithmetic on it
+        ws = Workspace(TANH_SHORT, HamConfig(H=parse_expr("2 - 1")))
+        assert ws.config.H != hpm_config().H
+        assert equivalence_workspace(ws) == check_equivalence(TANH_SHORT)
 
     @pytest.mark.parametrize(
         "config",
@@ -216,7 +224,7 @@ class TestEquivalenceWorkspace:
     )
     def test_workspace_of_another_method_rejected(self, config):
         with pytest.raises(ConfigError):
-            equivalence_workspace(Workspace(TANH_SHORT, config), order=10)
+            equivalence_workspace(Workspace(TANH_SHORT, config))
 
 
 class TestReport:

@@ -36,7 +36,7 @@ from hamsolve import (
     parse_expr,
 )
 from hamsolve.expressions import max_u_order
-from hamsolve.jets import PartialsTape, Tape, add_nonlinear_frechet, expr_partials, jet_expand
+from hamsolve.jets import PartialsTape, Tape, add_nonlinear_frechet, jet_expand
 
 DEPTH = 6
 WIDTH = 3
@@ -276,7 +276,7 @@ def test_online_rows_match_batch_bitwise(expr, seed):
 
 
 def one_sweep_partials(expr, r, vals):
-    """expr_partials as one fresh jet_expand sweep, the slots side by side."""
+    """PartialsTape's values as one fresh jet_expand sweep, the slots side by side."""
     slots, width = max_u_order(expr) + 1, r.size
     u_jets = {}
     for k in range(slots):
@@ -341,7 +341,7 @@ class TestFrechet:
         expr = parse_expr("u'' + u^2")
         r = np.linspace(0.0, 1.0, 5)
         vals = {0: np.arange(5.0), 1: np.zeros(5), 2: np.ones(5)}
-        parts = expr_partials(expr, r, vals)
+        parts = PartialsTape(expr, r)(vals)
         np.testing.assert_allclose(parts[0], 2 * vals[0], atol=1e-14)
         np.testing.assert_allclose(parts[2], np.ones(5), atol=1e-14)
         assert np.max(np.abs(parts[1])) == 0.0
@@ -366,7 +366,7 @@ class TestFrechet:
                     jet[1] = 1.0
                 u_jets[k] = jet
             want[seed] = jet_expand(expr, r, u_jets, 2)[1]
-        got = expr_partials(expr, r, vals)
+        got = PartialsTape(expr, r)(vals)
         assert sorted(got) == [0, 1, 2]
         for k in range(3):
             np.testing.assert_array_equal(got[k], want[k])
@@ -378,7 +378,7 @@ class TestFrechet:
         N = parse_expr("u^2")
         u0 = np.sin(np.pi * g.nodes)
         A = assemble_linear(L, g).copy()
-        add_nonlinear_frechet(A, N, g, u0)
+        add_nonlinear_frechet(A, N, g, u0, PartialsTape(N, g.nodes))
         want = g.diff_matrix(2) + np.diag(2.0 * u0)
         assert np.max(np.abs(A - want)) < 1e-12
 
@@ -389,7 +389,7 @@ class TestFrechet:
         rng = np.random.default_rng(31)
         u0 = rng.standard_normal(g.n)
         A = assemble_linear(L, g).copy()
-        add_nonlinear_frechet(A, N, g, u0)
+        add_nonlinear_frechet(A, N, g, u0, PartialsTape(N, g.nodes))
         d1 = g.diff_matrix(1)
         want = d1 + np.diag(d1 @ u0) + u0[:, None] * d1
         assert np.max(np.abs(A - want)) < 1e-11
@@ -398,7 +398,8 @@ class TestFrechet:
         g = build_grid("chebyshev-lobatto", 16, 0.0, 1.0)
         L = LinearOperator.from_strings(("0", "0", "1"))
         A = assemble_linear(L, g).copy()
-        add_nonlinear_frechet(A, parse_expr("0"), g, np.zeros(g.n))
+        N = parse_expr("0")
+        add_nonlinear_frechet(A, N, g, np.zeros(g.n), PartialsTape(N, g.nodes))
         assert np.max(np.abs(A - g.diff_matrix(2))) == 0.0
 
     @pytest.mark.parametrize("n_expr", ["0", "u^2", "u*u'"])

@@ -1,11 +1,13 @@
-"""The benchmark's hbar-search operations pass the benchmark's own checks.
+"""The benchmark's operations pass the benchmark's own checks.
 
 Each operation of the hbar-search workload in perfbench/workloads.py runs
 once and goes through its check: the search's residual* must reproduce
-and stay within the recorded bound. A search change that moves residual*
-past that bound then fails here, before a benchmark run. The module is
-loaded from its file, and the warning filter it sets on import is undone
-when the import returns. Nothing under perfbench/ is written.
+and stay within the recorded bound. One seeded pass of each other
+workload goes through its checks too, and the operations that fail must
+be exactly the known ones, so a new failure and a fix both show here,
+before a benchmark run. The module is loaded from its file, and the
+warning filter it sets on import is undone when the import returns.
+Nothing under perfbench/ is written.
 """
 
 import importlib.util
@@ -13,8 +15,15 @@ import sys
 import warnings
 from pathlib import Path
 
+from hamsolve import HamError
+
 NAME = "perfbench_workloads"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# the tracer aborts on these at n = 256 (ROADMAP, open items)
+KNOWN_FAILURES = {
+    "trace-fine: linear-poisson n=256",
+    "trace-fine: manufactured-quad n=256",
+}
 
 
 def load_workloads():
@@ -31,6 +40,15 @@ def load_workloads():
     return module
 
 
+def passes_check(op) -> bool:
+    """The benchmark's verdict on one operation: a raised HamError fails."""
+    try:
+        result = op.run()
+    except HamError:
+        return False
+    return op.check(result).ok
+
+
 def test_hbar_search_ops_pass_their_checks():
     ops = load_workloads().hbar_search_ops()
     assert len(ops) == 5
@@ -40,6 +58,19 @@ def test_hbar_search_ops_pass_their_checks():
         if not outcome.ok:
             failures.append(f"{op.label}: {outcome.detail}")
     assert not failures, failures
+
+
+def test_one_pass_of_each_workload_fails_only_the_known_ops():
+    workloads = load_workloads()
+    failures = set()
+    count = 0
+    for name in ("series-deep", "trace-fine", "cold-solves"):
+        for op in workloads.passes(name, seed=1)():
+            count += 1
+            if not passes_check(op):
+                failures.add(f"{name}: {op.label}")
+    assert count == 44
+    assert failures == KNOWN_FAILURES
 
 
 def test_import_leaves_the_warning_filters_alone():

@@ -94,7 +94,7 @@ class TestRoundTrip:
     def test_parsed_problem_actually_solves(self):
         parsed = parse_problem_text(RICCATI_TEXT)
         ws = Workspace(parsed.problem, parsed.config)
-        series = ws.run(hbar=-1.0, order=3)
+        series = ws.run(hbar=-1.0)
         r = ws.grid.nodes
         np.testing.assert_allclose(series.orders[1], r, atol=1e-12)
         np.testing.assert_allclose(
