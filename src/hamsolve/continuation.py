@@ -2,10 +2,14 @@
 
 G(eps, u) = (1 - eps) L_opt(u - u_0) + eps hbar H(r) F(u) on interior rows;
 boundary rows carry the BC residual of u itself, so a path point satisfies
-the problem's boundary conditions at every eps. Natural-parameter marching
-with Newton correction and step halving; no fold traversal. A fold or a
-singular embedding direction surfaces as PathAbortError with the partial
-path attached rather than being silently skipped.
+the problem's boundary conditions at every eps. An Euler-Newton
+predictor-corrector in eps (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*, ch. 2) with step halving; no fold traversal. Each
+step starts Newton from the tangent prediction u + (target - eps) t, where
+J t = -dG/deps is solved with the LU Newton already holds, and at eps = 1
+one full Newton update polishes the endpoint. A fold or a singular
+embedding direction surfaces as PathAbortError with the partial path
+attached rather than being silently skipped.
 
 Everything here runs on one engine ``Workspace``, passed first:
 ``homotopy_residual``, ``homotopy_jacobian``, ``newton_at`` and
@@ -15,8 +19,11 @@ Everything here runs on one engine ``Workspace``, passed first:
 A Newton iteration costs about one dense LU: (1 - eps) L_opt is formed once
 per eps, the factorization (``grids.factor``, the package's one LU path)
 runs in place in work arrays that a trace allocates once, and when N does
-not depend on u one LU serves every update at that eps. Every iterate is bitwise what the plain formulas give
-(docs/recursions.md, "What one Newton iteration costs").
+not depend on u one LU serves every update at that eps. The tangent of an
+accepted step costs one F evaluation and one getrs on the LU Newton holds,
+and the endpoint update one more LU. Every iterate is bitwise what the
+plain formulas give (docs/recursions.md, "What one Newton iteration costs"
+and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
@@ -165,11 +172,13 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     returned point itself when no update was needed); nan otherwise.
     """
     eps = _check_eps(eps)
-    return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws))
+    return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws))[0]
 
 
-def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays) -> PathStep:
-    """``newton_at`` in the work arrays given.
+def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays):
+    """``newton_at`` in the work arrays given, and beside its step the LU
+    factors of the last jacobian factored (None when none was), which stay
+    valid until the work arrays are next factored into.
 
     (1 - eps) L_opt is formed once per call. When N does not depend on u the
     jacobian is the same matrix at every iterate, so it is built and
@@ -190,7 +199,7 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
             if lu is None:  # no update was taken: factor the jacobian at u
                 J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
                 lu = factor(J, arrays.factors)
-            return PathStep(eps, u, it, lu_condition(lu, arrays.jacobian), True, gnorm)
+            return PathStep(eps, u, it, lu_condition(lu, arrays.jacobian), True, gnorm), lu
         if it == NEWTON_MAX_ITERS:
             break
         if lu is None or not u_independent:
@@ -211,20 +220,62 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
                 break
             scale *= 0.5
         else:
-            return PathStep(eps, u, it + 1, math.nan, False, gnorm)
-    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
+            return PathStep(eps, u, it + 1, math.nan, False, gnorm), lu
+    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm), lu
+
+
+def _tangent(ws: Workspace, eps: float, u: np.ndarray, lu):
+    """du/deps at the path point (eps, u): t with J t = -dG/deps, or None
+    when t is not finite, as a singular J's is.
+
+    dG/deps = -L_opt(u - u_0) + hbar H F(u) on interior rows and 0 on BC
+    rows. ``lu`` holds the factors of Newton's last jacobian at eps; at
+    eps = 0, J is L_opt's BC matrix, whose factors ``ws.lopt`` holds.
+    """
+    lopt = ws.lopt
+    rhs = lopt.matrix @ (u - ws.u0) - ws.config.hbar * (ws.H_vals * ws.operator_values(u))
+    if eps == 0.0:
+        t = lopt.solve(rhs, bc_values=[0.0] * len(lopt.bcs))
+    else:
+        rhs[lopt.rows] = 0.0
+        t = dgetrs(*lu, rhs, overwrite_b=True)[0]
+    return t if np.all(np.isfinite(t)) else None
+
+
+def _endpoint_update(ws: Workspace, step: PathStep, arrays: _NewtonArrays) -> PathStep:
+    """The step at eps = 1 after one more full Newton update, without a
+    line search; ``step`` itself unless the updated point passes the stop
+    test. A predicted start passes the stop test in fewer updates than a
+    zeroth-order one, so it is solved less far below the tolerance; this
+    update buys that accuracy back (docs/recursions.md).
+    """
+    u = step.u
+    np.multiply(ws.lopt.matrix, 0.0, out=arrays.scaled_lopt)  # (1 - eps) L_opt
+    J = _jacobian(ws, 1.0, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
+    lu = factor(J, arrays.factors)
+    delta = dgetrs(*lu, -homotopy_residual(ws, 1.0, u), overwrite_b=True)[0]
+    if not np.all(np.isfinite(delta)):
+        return step
+    u = u + delta
+    gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
+    if not _converged(gnorm, u):
+        return step
+    return PathStep(1.0, u, step.newton_iters + 1, lu_condition(lu, J), True, gnorm)
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
-    """March eps from 0 to 1 with warm-started Newton correction.
+    """March eps from 0 to 1 with tangent-predicted Newton correction.
 
     The tracing counterpart of ``Workspace.run``: it uses the workspace's
     grid, matrices, u_0 and ``ws.config.hbar`` and builds none of its own.
-    Failed steps halve the increment (a singular jacobian mid-path counts
-    as a failure); below the 1e-4 floor the trace aborts with the partial
-    path attached to the error. Successful steps grow the increment back,
-    capped at the initial 1/initial_steps. The last step lands on eps = 1
-    exactly.
+    Every try at a target eps, halvings included, starts Newton from
+    u + (target - eps) t, with t the tangent at the last accepted point
+    (from u itself when t is not finite). Failed steps halve the increment
+    (a singular jacobian mid-path counts as a failure); below the 1e-4
+    floor the trace aborts with the partial path attached to the error.
+    Successful steps grow the increment back, capped at the initial
+    1/initial_steps. The last step lands on eps = 1 exactly and takes one
+    more full Newton update, kept when it passes the stop test.
     """
     if initial_steps < 2:
         raise ConfigError(f"initial_steps must be >= 2, got {initial_steps}")
@@ -237,17 +288,23 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     deps = deps0
     eps = 0.0
     u = ws.u0
+    tangent = _tangent(ws, 0.0, u, None)
     arrays = _NewtonArrays.empty(ws)
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:
             target = 1.0
+        start = u if tangent is None else u + (target - eps) * tangent
         try:
-            step = _newton(ws, target, u, arrays)
+            step, lu = _newton(ws, target, start, arrays)
             converged = step.converged
         except SingularSystemError:
             converged = False
         if converged:
+            if target == 1.0:
+                step = _endpoint_update(ws, step, arrays)
+            else:
+                tangent = _tangent(ws, target, step.u, lu)
             eps, u = target, step.u
             steps.append(step)
             deps = min(2.0 * deps, deps0)

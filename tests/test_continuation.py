@@ -32,6 +32,7 @@ from hamsolve import (
     homotopy_jacobian,
     homotopy_residual,
     newton_at,
+    parse_expr,
     parse_problem_text,
     trace_path,
     trace_workspace,
@@ -187,14 +188,17 @@ class TestNewtonIterationLimit:
         assert step.newton_iters == limit
         assert math.isnan(step.jac_condition)
 
-    def test_trace_aborts_with_the_start_point(self, monkeypatch):
+    def test_trace_aborts_after_the_predicted_points_it_accepts(self, monkeypatch):
+        # with no update allowed, a step is accepted only where the tangent
+        # prediction itself passes the stop test: at the smallest
+        # increments, whose prediction error is O(deps^2)
         monkeypatch.setattr(continuation, "NEWTON_MAX_ITERS", 0)
         ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
-        with pytest.raises(PathAbortError) as info:
+        with pytest.raises(PathAbortError, match=r"near eps=0\.000610352:") as info:
             trace_workspace(ws)
         steps = info.value.path.steps
-        assert len(steps) == 1
-        assert steps[0].eps == 0.0
+        assert [step.eps for step in steps] == [0.0, 2.0**-12, 2.0**-11, 2.0**-11 + 2.0**-13]
+        assert all(step.newton_iters == 0 and step.converged for step in steps)
 
 
 class TestSeriesIsThePath:
@@ -229,6 +233,115 @@ class TestSeriesIsThePath:
             assert self.gap(ws, step, h, order)[-1] > 1e-2
         # geometric decay in M at eps = 0.05, down to Newton's floor
         assert gaps[0.05][5] < max(1e-3 * gaps[0.05][2], 1e-10)
+
+
+NON_L_CORES = [
+    (exp_problem(), "frechet-at-u0"),
+    (exp_problem(), LinearOperator.from_strings(("1", "0", "1"))),
+]
+
+
+class TestTangentPredictor:
+    """Each try at a new eps starts Newton from u + (target - eps) t, with
+    J t = -dG/deps solved on the LU Newton holds; at eps = 1 one full
+    Newton update polishes the endpoint. Bounds: docs/calibration.md."""
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "problem, lopt_mode",
+        [(get_case(c).spec, "use-L") for c in case_ids()] + NON_L_CORES,
+        ids=list(case_ids()) + ["exp-frechet-at-u0", "exp-user-core"],
+    )
+    def test_tangent_at_eps_zero_is_the_first_order(self, problem, lopt_mode, h):
+        # u(eps) is the series at hbar -h summed at p = eps, so du/deps at
+        # eps = 0 is its u_1
+        ws = Workspace(problem, HamConfig(hbar=h, lopt_mode=lopt_mode))
+        t = continuation._tangent(ws, 0.0, ws.u0, None)
+        u1 = ws.run(hbar=-h).orders[1]
+        assert float(np.max(np.abs(t - u1))) <= 1e-13 * float(np.max(np.abs(u1)))
+
+    def test_first_try_starts_from_the_tangent(self, monkeypatch):
+        ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
+        starts = record_starts(monkeypatch)
+        trace_workspace(ws, initial_steps=8)
+        t = continuation._tangent(ws, 0.0, ws.u0, None)
+        np.testing.assert_array_equal(starts[0], ws.u0 + 0.125 * t)
+        assert float(np.max(np.abs(starts[0] - ws.u0))) > 0.1
+
+    def test_singular_jacobian_falls_back_to_the_last_point(self, monkeypatch):
+        # use-L at hbar = -1 with s = 0: u = 0 solves every eps, and at
+        # eps = 1/2 the interior rows of J are exactly zero, so the tangent
+        # there is 0/0; the next try starts from u itself
+        ws = Workspace(replace(LINEAR.spec, s=parse_expr("0")), HamConfig(hbar=-1.0))
+        starts = record_starts(monkeypatch)
+        tangents = record_calls(monkeypatch, "_tangent")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = trace_workspace(ws)
+        eps = [step.eps for step in path.steps]
+        assert path.final.eps == 1.0 and 0.5 in eps
+        half = path.steps[eps.index(0.5)]
+        assert half.jac_condition == math.inf
+        assert [t is None for t in tangents] == [e == 0.5 for e in eps[:-1]]
+        np.testing.assert_array_equal(starts[eps.index(0.5)], half.u)
+        assert all(np.all(np.isfinite(start)) for start in starts)
+
+    def test_endpoint_update_keeps_the_accuracy(self, monkeypatch):
+        # the final point passes the stop test, and the worst sup error
+        # over the builtins at n 32/64/128 is no larger than the
+        # zeroth-order tracer's without the endpoint update; single
+        # configurations move both ways at the 1e-15 level
+        worst = {}
+        for predictor in (True, False):
+            errors = []
+            with monkeypatch.context() as patch:
+                if not predictor:
+                    patch.setattr(continuation, "_tangent", lambda *args: None)
+                    patch.setattr(continuation, "_endpoint_update", lambda ws, step, arrays: step)
+                for case_id in case_ids():
+                    for n in (32, 64, 128):
+                        ws = _builtin(case_id, n)
+                        final = trace_workspace(ws).final
+                        assert continuation._converged(final.residual_inf, final.u)
+                        errors.append(error_vs_exact(get_case(case_id), final.u, ws.grid))
+            worst[predictor] = max(errors)
+        assert worst[True] <= worst[False]
+
+    def test_trace_fine_factorization_count(self, monkeypatch):
+        # perfbench trace-fine's traces at n <= 128, which repeat bitwise
+        # for any BLAS thread count: 319 LUs with the zeroth-order start,
+        # 238 with the tangent predictor
+        calls = record_calls(monkeypatch, "factor")
+        for case_id in case_ids():
+            for n in (64, 128):
+                assert trace_workspace(_builtin(case_id, n)).final.eps == 1.0
+        assert len(calls) <= 238
+
+
+def record_calls(monkeypatch, name):
+    """What ``continuation``'s function ``name`` returns, call by call."""
+    results = []
+    original = getattr(continuation, name)
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(continuation, name, recording)
+    return results
+
+
+def record_starts(monkeypatch):
+    """The warm start of every Newton try a trace makes, in order."""
+    starts = []
+    newton = continuation._newton
+
+    def recording(ws, eps, warm_start, arrays):
+        starts.append(warm_start.copy())
+        return newton(ws, eps, warm_start, arrays)
+
+    monkeypatch.setattr(continuation, "_newton", recording)
+    return starts
 
 
 class TestTracePath:
@@ -368,25 +481,28 @@ class TestConditionEstimate:
 
     def test_one_factorization_per_eps_when_n_does_not_depend_on_u(self, count_calls):
         # linear-poisson's jacobian is the same at every iterate of one eps;
-        # at n = 192 Newton takes more than one update per step
+        # at n = 192 Newton takes two updates at some eps even from the
+        # predicted start. One more LU is the endpoint update's.
         ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
         attempts = count_calls("hamsolve.continuation", "_newton")
         factorizations = count_calls("hamsolve.grids", "factor")
         jacobians = count_calls("hamsolve.continuation", "_jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
-        updates = sum(step.newton_iters for step in path.steps)
-        assert updates > len(path.steps) - 1
-        assert all(step.newton_iters > 0 for step in path.steps[1:])
-        assert len(factorizations) == len(attempts)
-        assert len(jacobians) == len(attempts)
+        assert any(step.newton_iters > 1 for step in path.steps[1:-1])
+        assert len(factorizations) == len(attempts) + 1
+        assert len(jacobians) == len(attempts) + 1
 
-    def test_steps_accepted_without_update_factor_the_jacobian(self):
+    def test_steps_accepted_without_update_factor_the_jacobian(self, count_calls):
+        # every step factors the jacobian at its accepted point; the
+        # endpoint update is the one update of the trace, with its own LU
         parsed = parse_problem_text(SOLVED_AT_START)
         ws = Workspace(parsed.problem, parsed.config)
+        factorizations = count_calls("hamsolve.grids", "factor")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
-        assert all(step.newton_iters == 0 for step in path.steps)
+        assert [step.newton_iters for step in path.steps] == [0] * 16 + [1]
+        assert len(factorizations) == 17
         for step in path.steps:
             exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
             assert np.isfinite(step.jac_condition)
@@ -414,24 +530,24 @@ def plain_jacobian(ws, eps, u):
     return J
 
 
+def plain_converged(gnorm, u):
+    return gnorm < continuation.NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+
+
 def plain_newton(ws, eps, warm_start):
+    """Newton's step at eps and the LU of the last jacobian it factored."""
     def accepted(u, iters, gnorm, J, lu):
         if lu is None:
             J = plain_jacobian(ws, eps, u)
-            condition = lu_condition(lu_factor(J), J)
-        else:
-            condition = lu_condition(lu, J)
-        return PathStep(eps, u, iters, condition, True, gnorm)
-
-    def converged(gnorm, u):
-        return gnorm < continuation.NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+            lu = lu_factor(J)
+        return PathStep(eps, u, iters, lu_condition(lu, J), True, gnorm), lu
 
     u = warm_start.copy()
     g = homotopy_residual(ws, eps, u)
     gnorm = float(np.max(np.abs(g)))
     J = lu = None
     for it in range(NEWTON_MAX_ITERS):
-        if converged(gnorm, u):
+        if plain_converged(gnorm, u):
             return accepted(u, it, gnorm, J, lu)
         J = plain_jacobian(ws, eps, u)
         try:
@@ -453,10 +569,64 @@ def plain_newton(ws, eps, warm_start):
                 break
             scale *= 0.5
         else:
-            return PathStep(eps, u, it + 1, math.nan, False, gnorm)
-    if converged(gnorm, u):
+            return PathStep(eps, u, it + 1, math.nan, False, gnorm), lu
+    if plain_converged(gnorm, u):
         return accepted(u, NEWTON_MAX_ITERS, gnorm, J, lu)
-    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
+    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm), lu
+
+
+def plain_tangent(ws, u, lu):
+    """J t = -dG/deps with dG/deps = -L_opt(u - u_0) + hbar H F(u) on
+    interior rows and 0 on BC rows; None when t is not finite."""
+    dg = -(ws.lopt.matrix @ (u - ws.u0)) + ws.config.hbar * (ws.H_vals * ws.operator_values(u))
+    dg[ws.lopt.rows] = 0.0
+    t = lu_solve(lu, -dg)
+    return t if np.all(np.isfinite(t)) else None
+
+
+def plain_endpoint_update(ws, step):
+    """One full Newton update at eps = 1, kept when it passes the stop test."""
+    J = plain_jacobian(ws, 1.0, step.u)
+    lu = lu_factor(J)
+    u = step.u + lu_solve(lu, -homotopy_residual(ws, 1.0, step.u))
+    gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
+    if not plain_converged(gnorm, u):
+        return step
+    return PathStep(1.0, u, step.newton_iters + 1, lu_condition(lu, J), True, gnorm)
+
+
+def plain_trace(ws, initial_steps=16):
+    """The tracer written out: the step rule of ``trace_workspace``, each
+    try started from the tangent prediction, plain_newton, plain_tangent
+    and plain_endpoint_update; the partial path when it aborts."""
+    u = ws.u0
+    g0 = float(np.max(np.abs(homotopy_residual(ws, 0.0, u))))
+    steps = [PathStep(0.0, u, 0, ws.lopt.condition, plain_converged(g0, u), g0)]
+    t = plain_tangent(ws, u, lu_factor(plain_jacobian(ws, 0.0, u)))
+    eps = 0.0
+    deps = deps0 = 1.0 / initial_steps
+    while eps < 1.0:
+        target = min(eps + deps, 1.0)
+        if 1.0 - target < 1e-12:
+            target = 1.0
+        start = u if t is None else u + (target - eps) * t
+        try:
+            step, lu = plain_newton(ws, target, start)
+        except SingularSystemError:
+            step = None
+        if step is not None and step.converged:
+            if target == 1.0:
+                step = plain_endpoint_update(ws, step)
+            else:
+                t = plain_tangent(ws, step.u, lu)
+            eps, u = target, step.u
+            steps.append(step)
+            deps = min(2.0 * deps, deps0)
+        else:
+            deps *= 0.5
+            if deps < continuation.MIN_STEP:
+                break
+    return steps
 
 
 def traced_steps(ws):
@@ -536,36 +706,34 @@ BITWISE_CASES = [(cid, n) for cid in case_ids() for n in (32, 64)] + [("linear-p
 
 class TestNewtonBitwise:
     """The Newton rewrite (eps-only part formed once, no wrapper copies or
-    finiteness scans, one LU per eps when N does not depend on u) changes
-    no bit of any iterate, path point or condition number."""
+    finiteness scans, one LU per eps when N does not depend on u, the
+    tangent solved with the LU Newton holds) changes no bit of any iterate,
+    path point or condition number against the tracer written out with
+    lu_factor / lu_solve at the same iterates."""
 
-    def _assert_same_trace(self, ws, monkeypatch):
+    def _assert_same_trace(self, ws):
         got = traced_steps(ws)
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                continuation, "_newton", lambda ws, eps, u, arrays: plain_newton(ws, eps, u)
-            )
-            want = traced_steps(ws)
+        want = plain_trace(ws)
         assert len(got) == len(want) > 1
         for a, b in zip(got, want):
             assert step_bits(a) == step_bits(b)
 
     @pytest.mark.parametrize("case_id,n", BITWISE_CASES)
-    def test_builtin_traces(self, case_id, n, monkeypatch):
-        self._assert_same_trace(_builtin(case_id, n), monkeypatch)
+    def test_builtin_traces(self, case_id, n):
+        self._assert_same_trace(_builtin(case_id, n))
 
     @pytest.mark.parametrize("kind", ["chebyshev-lobatto", "uniform-fd"])
-    def test_nonconstant_weight_and_u_prime(self, kind, monkeypatch):
+    def test_nonconstant_weight_and_u_prime(self, kind):
         ws = _from_text(WITH_U_PRIME.format(kind=kind))
         assert np.any(ws.H_vals != 1.0)
         assert max_u_order(ws.problem.N) == 1
-        self._assert_same_trace(ws, monkeypatch)
+        self._assert_same_trace(ws)
 
-    def test_transcendental_nonlinearity(self, monkeypatch):
+    def test_transcendental_nonlinearity(self):
         # a trace lowers N's partials tape once and refills it at every
         # iterate; exp, sin, tanh and sqrt nodes keep rows of their own
         ws = _from_text(TRANSCENDENTAL)
-        self._assert_same_trace(ws, monkeypatch)
+        self._assert_same_trace(ws)
 
     @pytest.mark.parametrize("case_id", ["manufactured-quad", "riccati-tanh-short"])
     def test_frechet_at_u0_lopt_matrix(self, case_id):
