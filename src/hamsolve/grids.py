@@ -195,20 +195,24 @@ class Grid:
         if not (self.a <= x <= self.b):
             raise ConfigError(f"{x} is outside [{self.a}, {self.b}]")
         if self.kind == "chebyshev-lobatto":
-            # Closed-form barycentric weights for Lobatto nodes:
-            # (-1)^j, halved at both endpoints.  The affine map to [a, b]
-            # rescales all weights equally, which cancels in the ratio.
             diff = x - self.nodes
             hit = np.nonzero(diff == 0.0)[0]
             if hit.size:
                 return float(values[hit[0]])
-            w = np.ones(self.n)
-            w[1::2] = -1.0
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            q = w / diff
+            q = lobatto_barycentric_weights(self.n) / diff
             return float(q @ values / np.sum(q))
         return float(np.interp(x, self.nodes, values))
+
+
+def lobatto_barycentric_weights(n: int) -> np.ndarray:
+    """Barycentric weights of n Chebyshev-Lobatto points in ascending
+    order: (-1)^j, halved at both ends. The affine map to any [a, b]
+    rescales all weights equally, which cancels in the barycentric ratio."""
+    w = np.ones(n)
+    w[1::2] = -1.0
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def checked_grid_kind(kind: str) -> str:

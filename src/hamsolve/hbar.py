@@ -16,8 +16,20 @@ in F(U), and where the residual sinks to that floor it is cancellation,
 not the series, that ranks the columns. So a side of the bracket keeps
 the model only while every column it evaluates has a residual above its
 roundoff floor; otherwise that side is searched again over real columns
-(``run_many``). Everything here is deterministic: identical inputs produce
-bit-identical curves.
+(``run_many``).
+
+A side searched over real columns runs its first pass as such. U_M(hbar)
+is a polynomial of degree M in hbar, so the real partial sums at the M + 1
+Chebyshev-Lobatto points of the next bracket (one ``Workspace._march``)
+give it everywhere in that bracket, and the passes that follow rank the
+barycentric columns sum_j l_j(hbar) U_j under the same kind of guard, with
+the floor eps ||A_L|| sum_j |l_j(hbar)| |U_j|. A pass that fails the guard,
+and every pass after it, goes on over real columns. The interpolant is
+built only where it can pay off: its M + 1 columns must be fewer than the
+PASS_POINTS per pass of the passes it replaces, and the first pass's best
+residual must lie above (eps ||A_L|| ||U_best||)^2, the least floor the
+guard can read at that point, which the next pass contains. Everything
+here is deterministic: identical inputs produce bit-identical curves.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .engine import Workspace, mean_square
+from .grids import lobatto_barycentric_weights
 from .problem import HamConfig, ProblemSpec, checked_hbar
 
 PASS_POINTS = 17
@@ -106,6 +119,11 @@ def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[
     return scan_workspace(Workspace(problem, base_config), hbar_grid)
 
 
+def _best_index(values) -> int:
+    """Index of a pass's smallest residual; ties go to the earliest."""
+    return int(np.argmin([_rank(r) for r in values]))
+
+
 def _zoom(lo: float, hi: float, residuals: Callable[[np.ndarray], Optional[np.ndarray]]) -> Optional[Tuple[float, float]]:
     """(rank, hbar) of the best point of the zoom passes on one zero-free
     sub-bracket; ties go to the earliest. ``residuals`` gives a pass's
@@ -116,38 +134,117 @@ def _zoom(lo: float, hi: float, residuals: Callable[[np.ndarray], Optional[np.nd
         values = residuals(points)
         if values is None:
             return None
-        ranks = [_rank(r) for r in values]
-        i = int(np.argmin(ranks))
-        bests.append((ranks[i], float(points[i])))
+        i = _best_index(values)
+        bests.append((_rank(values[i]), float(points[i])))
         if hi - lo < BRACKET_TOL:
             return min(bests, key=lambda b: b[0])
         lo, hi = points[max(i - 1, 0)], points[min(i + 1, PASS_POINTS - 1)]
 
 
-class _SeriesModel:
-    """Residuals of U_M(hbar) = sum_k C(M, k) hbar^k v_k at the workspace's
-    order M, from one ``perturbation_series``; None for a pass with a
-    column at or below its roundoff floor (module docstring)."""
+def _passes(width: float) -> int:
+    """Zoom passes over a bracket this wide: each pass but the last narrows
+    it to two of its PASS_POINTS - 1 intervals."""
+    passes = 1
+    while width >= BRACKET_TOL:
+        width *= 2.0 / (PASS_POINTS - 1)
+        passes += 1
+    return passes
 
-    def __init__(self, ws: Workspace):
-        order = ws.config.order
+
+class _Columns:
+    """Residuals of the columns U(hbar) = sum_j w_j(hbar) c_j of stored grid
+    functions c_j, the rows of ``coeffs``; ``weights`` maps K points to the
+    (J, K) weights. None for a pass with a column at or below its roundoff
+    floor (eps ||A_L||_inf max_i sum_j |w_j| |c_j(i)|)^2, ``eps_norm`` being
+    eps ||A_L||_inf (module docstring)."""
+
+    def __init__(self, ws: Workspace, coeffs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray], eps_norm: float):
         self._ws = ws
-        self._v = ws.perturbation_series()
-        self._abs_v = np.abs(self._v)
-        self._comb = np.array([math.comb(order, k) for k in range(order + 1)], dtype=float)
-        self._powers = np.arange(order + 1)[:, None]
-        self._eps_norm = EPS * float(np.max(np.sum(np.abs(ws.A_L), axis=1)))
+        self._coeffs = coeffs
+        self._abs_coeffs = np.abs(coeffs)
+        self._weights = weights
+        self._eps_norm = eps_norm
+
+    def columns(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The columns at K points, (n, K), and the scale of each one's
+        roundoff, max_i sum_j |w_j| |c_j(i)|."""
+        weights = self._weights(points)
+        return self._coeffs.T @ weights, np.max(self._abs_coeffs.T @ np.abs(weights), axis=0)
 
     def __call__(self, points: np.ndarray) -> Optional[np.ndarray]:
         ws = self._ws
         # a column that overflows reads inf or nan and fails the guard
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = self._comb[:, None] * points**self._powers  # (M + 1, K)
-            residuals = mean_square(ws.grid, ws.operator_values(self._v.T @ weights))
-            terms = np.max(self._abs_v.T @ np.abs(weights), axis=0)
+            columns, terms = self.columns(points)
+            residuals = mean_square(ws.grid, ws.operator_values(columns))
             floors = (self._eps_norm * terms) ** 2
         trusted = np.isfinite(residuals) & np.isfinite(floors) & (residuals > floors)
         return residuals if np.all(trusted) else None
+
+
+def _series_model(ws: Workspace, eps_norm: float) -> _Columns:
+    """Columns U_M(hbar) = sum_k C(M, k) hbar^k v_k at the workspace's order
+    M, from one ``perturbation_series``."""
+    order = ws.config.order
+    comb = np.array([math.comb(order, k) for k in range(order + 1)], dtype=float)[:, None]
+    powers = np.arange(order + 1)[:, None]
+    return _Columns(ws, ws.perturbation_series(), lambda points: comb * points**powers, eps_norm)
+
+
+def _interpolant(ws: Workspace, lo: float, hi: float, eps_norm: float) -> _Columns:
+    """Columns of the degree-M polynomial in hbar through the real partial
+    sums at the M + 1 Chebyshev-Lobatto points of [lo, hi], one ``_march``,
+    in barycentric form."""
+    degree = ws.config.order
+    x = np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, degree + 1))
+    nodes = lo + (hi - lo) * (x + 1.0) / 2.0
+    nodes[0], nodes[-1] = lo, hi
+    sums = ws._march(nodes).sum(axis=0)
+    w = lobatto_barycentric_weights(degree + 1)[:, None]
+
+    def weights(points):
+        diff = points - nodes[:, None]
+        hit = diff == 0.0
+        q = w / np.where(hit, 1.0, diff)
+        ell = q / np.sum(q, axis=0)
+        at_node = np.any(hit, axis=0)
+        ell[:, at_node] = hit[:, at_node]
+        return ell
+
+    return _Columns(ws, sums.T, weights, eps_norm)
+
+
+class _RealZoom:
+    """One side's zoom passes over real columns (``run_many``). After the
+    first pass the side ranks ``_interpolant`` columns instead, where they
+    can pay off, until a pass fails their guard (module docstring)."""
+
+    def __init__(self, ws: Workspace, eps_norm: float):
+        self._ws = ws
+        self._eps_norm = eps_norm
+        self._passes = 0
+        self._above_floor = False
+        self._interpolant = None
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        ws = self._ws
+        self._passes += 1
+        if self._passes == 2 and self._above_floor and ws.config.order + 1 < PASS_POINTS * _passes(points[-1] - points[0]):
+            self._interpolant = _interpolant(ws, points[0], points[-1], self._eps_norm)
+        if self._interpolant is not None:
+            values = self._interpolant(points)
+            if values is not None:
+                return values
+            self._interpolant = None
+        batch = ws.run_many(points)
+        if self._passes == 1:
+            # the interpolant's guard reads at least this floor at the best
+            # column, which the next pass contains
+            i = _best_index(batch.residuals)
+            with np.errstate(over="ignore"):
+                floor = (self._eps_norm * np.max(np.abs(batch.partial_sums[:, i]))) ** 2
+            self._above_floor = bool(batch.residuals[i] > floor)
+        return batch.residuals
 
 
 def split_bracket(lo: float, hi: float) -> list:
@@ -177,22 +274,21 @@ def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHba
     """Residual-minimizing hbar inside the bracket, at the workspace's order.
 
     A bracket straddling zero is split (hbar = 0 is not admissible) and both
-    sides are searched by zoom passes over model columns, or over real
-    columns where the model is not trusted (module docstring); the last
-    pass on a side spans less than BRACKET_TOL. hbar_star is the best
-    column any pass evaluated. residual_star comes from one ``ws.run`` at
-    hbar_star, because a model or batched column's residual differs from
-    the single run's in the last digits; so it is exactly what ``run_ham``
-    reports there. Raises ConfigError when that residual is not finite: no
-    hbar the search evaluated had a finite residual.
+    sides are searched by zoom passes over model columns, or where the
+    model is not trusted over real and then interpolant columns (module
+    docstring); the last pass on a side spans less than BRACKET_TOL.
+    hbar_star is the best column any pass evaluated. residual_star comes
+    from one ``ws.run`` at hbar_star, because a model, interpolant or
+    batched column's residual differs from the single run's in the last
+    digits; so it is exactly what ``run_ham`` reports there. Raises
+    ConfigError when that residual is not finite: no hbar the search
+    evaluated had a finite residual.
     """
     sides = split_bracket(*bracket)
-    model = _SeriesModel(ws)
-
-    def real(points):
-        return ws.run_many(points).residuals
-
-    best = min((_zoom(lo, hi, model) or _zoom(lo, hi, real) for lo, hi in sides), key=lambda b: b[0])
+    eps_norm = EPS * float(np.max(np.sum(np.abs(ws.A_L), axis=1)))
+    model = _series_model(ws, eps_norm)
+    zooms = (_zoom(lo, hi, model) or _zoom(lo, hi, _RealZoom(ws, eps_norm)) for lo, hi in sides)
+    best = min(zooms, key=lambda b: b[0])
     hbar_star = best[1]
     residual_star = ws.run(hbar=hbar_star).residual_history[-1]
     if not math.isfinite(residual_star):

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from hamsolve import (
+    BoundaryCondition,
     ConfigError,
     HamConfig,
+    LinearOperator,
+    ProblemSpec,
     Workspace,
     get_case,
     optimal_hbar,
@@ -164,18 +167,55 @@ SEARCHES = [
     (EXP, 20, (-2.0, -0.01)),
 ]
 SEARCH_IDS = ["tanh-long-M15", "tanh-long-M40", "tanh-short-M10", "exp-M20"]
-# whether each search keeps the model on its one side: on the exp problem
-# the residual sinks to the model's roundoff floor (docs/calibration.md,
-# "Model search")
-SEARCHES_BY_PATH = [s + (model,) for s, model in zip(SEARCHES, [True, True, True, False])]
+# the batched passes of each search and whether it marches an interpolant:
+# the tanh searches keep the model; exp M = 20 fails the model's guard and
+# ranks an interpolant after one real pass; tanh-long M = 80 would need more
+# interpolant columns than the real passes it replaces, and exp M = 40 has
+# pass 1's best residual at its roundoff floor, so both zoom over real
+# columns (docs/calibration.md, "Model search")
+SEARCH_PATHS = [s + path for s, path in zip(SEARCHES, [(0, False)] * 3 + [(1, True)])] + [
+    (TANH_LONG, 80, (-2.0, -0.01), 5, False),
+    (EXP, 40, (-2.0, -0.01), 5, False),
+]
+PATH_IDS = SEARCH_IDS + ["tanh-long-M80", "exp-M40"]
+
+
+def nonzero_bc_problem(n):
+    """u'' + u^2 = 2 + (1 + r^2)^2 with u(0) = 1, u(1) = 2: exact 1 + r^2."""
+    return ProblemSpec(
+        a=0.0,
+        b=1.0,
+        L=LinearOperator.from_strings(("0", "0", "1")),
+        N=parse_expr("u^2"),
+        s=parse_expr("2 + (1 + r^2)^2"),
+        bcs=(
+            BoundaryCondition("left", 0, 1.0),
+            BoundaryCondition("right", 0, 2.0),
+        ),
+        n=n,
+        exact_solution=parse_expr("1 + r^2"),
+    )
 
 
 def zoom_only(ws, bracket, monkeypatch):
-    """``optimal_workspace`` with the model never trusted: every side
-    zooms over real columns."""
+    """``optimal_workspace`` with neither the model nor the interpolant ever
+    trusted: every side zooms over real columns."""
     with monkeypatch.context() as patch:
-        patch.setattr(hbar._SeriesModel, "__call__", lambda self, points: None)
+        patch.setattr(hbar._Columns, "__call__", lambda self, points: None)
         return optimal_workspace(ws, bracket)
+
+
+def march_widths(monkeypatch) -> list:
+    """A list that grows by the number of columns of each ``Workspace._march``."""
+    widths = []
+    march = Workspace._march
+
+    def counting(self, hbars, *args, **kwargs):
+        widths.append(len(hbars))
+        return march(self, hbars, *args, **kwargs)
+
+    monkeypatch.setattr(Workspace, "_march", counting)
+    return widths
 
 
 class TestZoomSearch:
@@ -189,19 +229,19 @@ class TestZoomSearch:
         assert opt.residual_star == again.residual_history[-1]
 
     @pytest.mark.parametrize(
-        "problem, order, bracket, model", SEARCHES_BY_PATH, ids=SEARCH_IDS
+        "problem, order, bracket, passes, interpolant", SEARCH_PATHS, ids=PATH_IDS
     )
-    def test_passes_by_path_and_one_run(self, problem, order, bracket, model, count_calls):
-        # the model path ranks model columns and runs no batched pass; a
-        # side that falls back zooms over real columns, five passes at most
-        passes = count_calls("hamsolve.engine", "Workspace.run_many")
+    def test_passes_by_path_and_one_run(self, problem, order, bracket, passes, interpolant, count_calls, monkeypatch):
+        # every search marches v once and runs hbar_star once; in between
+        # come its batched passes and at most one interpolant march
+        batched = count_calls("hamsolve.engine", "Workspace.run_many")
         runs = count_calls("hamsolve.engine", "Workspace.run")
+        widths = march_widths(monkeypatch)
         optimal_hbar(problem, HamConfig(order=order), bracket)
-        if model:
-            assert len(passes) == 0
-        else:
-            assert 1 <= len(passes) <= 5
+        assert len(batched) == passes
         assert len(runs) == 1
+        between = [hbar.PASS_POINTS] * passes + ([order + 1] if interpolant else [])
+        assert widths == [1] + between + [1]
 
     def test_straddling_bracket_passes_per_side(self, count_calls):
         passes = count_calls("hamsolve.engine", "Workspace.run_many")
@@ -233,7 +273,8 @@ class TestWorkspaceEntryPoints:
 class TestModelSearch:
     """The search ranks model columns, U_M(hbar) = sum_k C(M, k) hbar^k
     v_k, and falls back to real columns on a side where a column's
-    residual is not above its roundoff floor."""
+    residual is not above its roundoff floor; after the fallback's first
+    pass it ranks interpolant columns under the same kind of guard."""
 
     @pytest.mark.parametrize("problem, order, bracket", SEARCHES, ids=SEARCH_IDS)
     def test_no_worse_than_the_real_column_zoom(self, problem, order, bracket, monkeypatch):
@@ -242,14 +283,31 @@ class TestModelSearch:
         assert optimal_workspace(ws, bracket).residual_star <= zoom.residual_star
 
     @pytest.mark.parametrize(
-        "problem, order, bracket",
-        SEARCHES + [(TANH_LONG, 15, (-1.0, 1.0)), (TANH_LONG, 60, (-2.0, -0.01))],
-        ids=SEARCH_IDS + ["tanh-long-M15-straddling", "tanh-long-M60"],
+        "problem, config, bracket",
+        [(problem, HamConfig(order=order), bracket) for problem, order, bracket in SEARCHES]
+        + [
+            (TANH_LONG, HamConfig(order=15), (-1.0, 1.0)),
+            (TANH_LONG, HamConfig(order=60), (-2.0, -0.01)),
+            (TANH_LONG, HamConfig(order=80), (-2.0, -0.01)),
+            (EXP, HamConfig(order=20, lopt_mode="frechet-at-u0"), (-2.0, -0.01)),
+            (EXP, HamConfig(order=20, H=parse_expr("1 + r")), (-2.0, -0.01)),
+            (nonzero_bc_problem(64), HamConfig(order=20), (-1.5, -0.05)),
+        ],
+        ids=SEARCH_IDS
+        + [
+            "tanh-long-M15-straddling",
+            "tanh-long-M60",
+            "tanh-long-M80",
+            "exp-M20-frechet",
+            "exp-M20-weighted",
+            "nonzero-bc-n64",
+        ],
     )
-    def test_same_point_as_the_real_column_zoom(self, problem, order, bracket, monkeypatch):
-        # measured: every pass of the model picks the zoom's column, so the
-        # searches land on the same hbar bitwise (docs/calibration.md)
-        ws = Workspace(problem, HamConfig(order=order))
+    def test_same_point_as_the_real_column_zoom(self, problem, config, bracket, monkeypatch):
+        # measured: every pass of the model or the interpolant picks the
+        # zoom's column, so the searches land on the same hbar bitwise
+        # (docs/calibration.md)
+        ws = Workspace(problem, config)
         assert optimal_workspace(ws, bracket) == zoom_only(ws, bracket, monkeypatch)
 
     def test_one_perturbation_series_per_search(self, count_calls):
@@ -270,3 +328,31 @@ class TestModelSearch:
         # report a residual_star of nan or inf
         with pytest.raises(ConfigError, match=re.escape(str(bracket))):
             optimal_hbar(problem, config, bracket)
+
+
+class TestInterpolant:
+    """U_M(hbar) is a polynomial of degree M in hbar, so the barycentric
+    interpolant through the partial sums at M + 1 Chebyshev-Lobatto points
+    is U_M itself, up to roundoff."""
+
+    # measured maximum 1.9e3 (docs/calibration.md, "Model search")
+    IDENTITY_C = 2e4
+
+    @pytest.mark.parametrize(
+        "config, bracket",
+        [
+            (HamConfig(order=20), (-1.53, -1.28)),
+            (HamConfig(order=20, lopt_mode="frechet-at-u0"), (-1.39, -1.14)),
+            (HamConfig(order=20, H=parse_expr("1 + r")), (-0.93, -0.68)),
+        ],
+        ids=["use-L", "frechet-at-u0", "weighted"],
+    )
+    def test_matches_the_real_columns(self, config, bracket):
+        ws = Workspace(EXP, config)
+        interpolant = hbar._interpolant(ws, *bracket, eps_norm=1.0)
+        rng = np.random.default_rng(7)
+        points = np.concatenate([bracket, np.sort(rng.uniform(*bracket, 15))])
+        columns, terms = interpolant.columns(points)
+        real = ws.run_many(points).partial_sums
+        error = np.max(np.abs(columns - real), axis=0)
+        assert np.all(error <= self.IDENTITY_C * hbar.EPS * terms)
