@@ -328,9 +328,10 @@ def run_criteria(echo: Callable[[str], None] = print) -> List[CriterionResult]:
 def write_bench_artifacts(outdir) -> None:
     """Per-benchmark CSV/JSON artifacts, fully deterministic.
 
-    One series workspace per case serves the series, the hbar scan and the
-    engine side of the equivalence check; the trace has its own at
-    TRACE_HBAR, and the oracle builds its own grid by design.
+    One series workspace per case serves the series, the hbar scan and
+    both sides of the equivalence check (the oracle steps its own
+    recursion on the workspace's grid and factored L); the trace has its
+    own at TRACE_HBAR.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

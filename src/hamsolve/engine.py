@@ -49,7 +49,9 @@ class Workspace:
     Every series runs at ``config.order``; hbar is the one setting a call
     may change, and nothing here depends on it, so one workspace serves a
     whole hbar scan. Instances are not thread-safe to build but immutable
-    afterwards.
+    afterwards: the engine, the tracer and the oracle read the same arrays,
+    so ``A_L``, ``s_vals``, ``H_vals``, ``u0``, the core's matrix and the
+    grid's nodes, matrices and weights are read-only.
     """
 
     def __init__(self, problem: ProblemSpec, config: HamConfig):
@@ -64,6 +66,10 @@ class Workspace:
         self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
+        grid = self.grid
+        matrices = (D for D in grid._diffs if D is not None)  # Grid.diff_matrix freezes the rest
+        for arr in (self.A_L, self.s_vals, self.H_vals, self.u0, self.lopt.matrix, grid.nodes, grid.quad_weights, *matrices):
+            arr.setflags(write=False)
 
     def _march(self, hbars: np.ndarray, deformation: bool = True) -> np.ndarray:
         """Orders u_0..u_M of K series side by side, shape (M + 1, n, K).

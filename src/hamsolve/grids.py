@@ -138,9 +138,11 @@ class Grid:
         D = self._diffs[order - 1]
         if D is None:
             # uniform-fd's D_3 = D_1 D_2 and D_4 = D_2 D_2: dense O(n^3)
-            # products that only third- and fourth-order problems read
+            # products that only third- and fourth-order problems read;
+            # every later caller shares the cached one, so it is read-only
             D1, D2 = self._diffs[:2]
             D = self._diffs[order - 1] = (D1 if order == 3 else D2) @ D2
+            D.setflags(write=False)
         return D
 
     def sample(self, expr) -> np.ndarray:

@@ -10,15 +10,17 @@ of p (see docs/recursions.md):
     order m >= 2: L(w_m) = -C_{m-1}[N]            homogeneous BCs
 
 where C_k[N] is the k-th series coefficient of N applied to w_0..w_k.
-hpm_recursion deliberately re-implements this loop rather than delegating
-to the general deformation engine; equivalence_workspace then runs both
-and compares order by order. Keeping the loop independent is what makes the
-comparison evidence rather than tautology, so nothing in hpm_recursion may
-call the engine's recursion entry points (a test enforces this on the
-source text). The norms, divergence flag and residual history are
-measurements, not part of the recursion, so the result comes from the
-engine's one series constructor (``series_solution``, one stacked F(U)
-pass) on the oracle's own matrices.
+``_reduced_orders`` deliberately re-implements this loop rather than
+delegating to the general deformation engine; it steps its own ``jets.Tape``
+one row per order. Keeping the loop independent is what makes the
+comparison evidence rather than tautology, so neither it nor hpm_recursion
+may call the engine's recursion entry points (a test enforces this on the
+source text). hpm_recursion runs the loop on a grid, L and LU of its own;
+the norms, divergence flag and residual history are measurements, not part
+of the recursion, so they come from the engine's one series constructor
+(``series_solution``, one stacked F(U) pass) on the oracle's matrices.
+equivalence_workspace runs the loop on the workspace's grid, L and factored
+core, once it has checked that the core is L's own BC system.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import numpy as np
 from .engine import Workspace, operator_values, series_solution
 from .errors import ConfigError
 from .expressions import Const, max_u_order
-from .grids import BcSystem, assemble_linear
-from .jets import jet_expand
-from .problem import HamConfig, ProblemSpec, SeriesSolution
+from .grids import BcSystem, Grid, assemble_linear, bc_row, bc_row_indices
+from .jets import Tape
+from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar
 
 REDUCED_HBAR = -1.0
 
@@ -47,38 +49,61 @@ def hpm_config(order: int = 10) -> HamConfig:
     )
 
 
+def _checked_order(order: int) -> int:
+    if order < 1:
+        raise ConfigError(f"reduced recursion needs order >= 1, got {order}")
+    return order
+
+
+def _reduced_orders(problem: ProblemSpec, grid: Grid, A: np.ndarray, system: BcSystem, order: int) -> np.ndarray:
+    """Orders w_0..w_M of the reduced recursion, shape (M + 1, n), given
+    the problem's grid, its assembled L ``A`` and ``system``, A's BC system
+    under the problem's BCs.
+
+    N is lowered once onto a tape of depth M whose leaves hold D_k w_j in
+    row j; order m writes row m-1 of the leaves from w_{m-1}, steps the
+    tape at row m-1 and reads C_{m-1}[N] from the root's row m-1.
+    """
+    s_vals = grid.sample(problem.s)
+    upto = max_u_order(problem.N)
+    homogeneous = (0.0,) * len(problem.bcs)
+    leaves = {k: np.zeros((order, grid.n)) for k in range(upto + 1)}
+    tape = Tape()
+    coeffs = tape.lower(problem.N, grid.nodes, leaves, order)
+
+    orders = np.empty((order + 1, grid.n))
+    u_ref = system.solve(np.zeros(grid.n))
+    orders[0] = system.solve(A @ u_ref)
+    for m in range(1, order + 1):
+        # as a (1, n, 1) stack the newest order takes one matrix-vector
+        # product, so row m-1 of leaf k is bitwise D_k w_{m-1}
+        stack = grid.derivative_stack(orders[m - 1][None, :, None], upto)
+        for k, leaf in leaves.items():
+            leaf[m - 1] = stack[k][0, :, 0]
+        tape.step(m - 1)
+        if m == 1:
+            rhs = s_vals - A @ orders[0] - coeffs[0]
+        else:
+            rhs = -coeffs[m - 1]
+        orders[m] = system.solve(rhs, bc_values=homogeneous)
+    return orders
+
+
 def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     """Run the reduced method's own recursion up to the given order.
 
     Independent of the deformation engine by design; see the module
-    docstring. Returns a SeriesSolution so downstream tooling (partial
-    sums, residuals) applies unchanged.
+    docstring. Builds its own grid, L and BC system, and returns a
+    SeriesSolution so downstream tooling (partial sums, residuals) applies
+    unchanged.
     """
-    config = hpm_config(order)
-    if order < 1:
-        raise ConfigError(f"reduced recursion needs order >= 1, got {order}")
+    config = hpm_config(_checked_order(order))
     grid = problem.make_grid()
     A = assemble_linear(problem.L, grid)
     system = BcSystem(A, problem.bcs, grid)
-    s_vals = grid.sample(problem.s)
-    homogeneous = (0.0,) * len(problem.bcs)
-
-    u_ref = system.solve(np.zeros(grid.n))
-    w0 = system.solve(A @ u_ref)
-    orders = [w0]
-    for m in range(1, order + 1):
-        # as an (m, n, 1) stack each order takes one matrix-vector product,
-        # so row j of jet k is bitwise D_k w_j
-        stack = grid.derivative_stack(np.stack(orders)[:, :, None], max_u_order(problem.N))
-        coeffs = jet_expand(problem.N, grid.nodes, {k: d[:, :, 0] for k, d in stack.items()}, m)
-        if m == 1:
-            rhs = s_vals - A @ w0 - coeffs[0]
-        else:
-            rhs = -coeffs[m - 1]
-        orders.append(system.solve(rhs, bc_values=homogeneous))
-
-    F = partial(operator_values, problem.N, grid, A, s_vals)
-    return series_solution(grid, F, np.stack(orders)[:, :, None], config)
+    orders = _reduced_orders(problem, grid, A, system, order)
+    F = partial(operator_values, problem.N, grid, A, grid.sample(problem.s))
+    return series_solution(grid, F, orders[:, :, None], config)
 
 
 @dataclass(frozen=True)
@@ -110,10 +135,12 @@ def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optiona
 
     ``ws`` must have the reduced method's linear core, use-L, and a weight
     H that is 1 at every node (``ws.unit_weight``), else ConfigError; its
-    hbar is not used. The engine runs at hbar = -1 unless ``hbar``
-    overrides it (the oracle is fixed by definition); passing anything
-    other than -1 is the mutation control that shows the comparison
-    actually has teeth.
+    hbar is not used. The oracle runs on the workspace's grid, assembled L
+    and factored core, and checks first that the core's matrix is L's with
+    the problem's BC rows, else ConfigError. The engine runs at hbar = -1
+    unless ``hbar`` overrides it (the oracle is fixed by definition);
+    passing anything other than -1 is the mutation control that shows the
+    comparison actually has teeth.
     """
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
@@ -122,10 +149,18 @@ def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optiona
             "the equivalence check needs a workspace with the reduced "
             "method's linear core and weight (lopt_mode 'use-L', H = 1)"
         )
-    engine_series = ws.run(hbar=REDUCED_HBAR if hbar is None else hbar)
-    oracle_series = hpm_recursion(ws.problem, ws.config.order)
+    order = _checked_order(ws.config.order)
+    engine_hbar = checked_hbar(REDUCED_HBAR if hbar is None else hbar)
+    problem, grid, system = ws.problem, ws.grid, ws.lopt
+    expected = ws.A_L.copy()
+    for i, bc in zip(bc_row_indices(grid, problem.bcs), problem.bcs):
+        expected[i] = bc_row(grid, bc)
+    if system.bcs != tuple(problem.bcs) or not np.array_equal(system.matrix, expected):
+        raise ConfigError("the workspace's core is not L's own BC system")
+    engine_orders = ws._march(np.array([engine_hbar]))[:, :, 0]
+    oracle_orders = _reduced_orders(problem, grid, ws.A_L, system, order)
     diffs = []
-    for um, wm in zip(engine_series.orders, oracle_series.orders):
+    for um, wm in zip(engine_orders, oracle_orders):
         scale = 1.0 + float(np.max(np.abs(wm)))
         diffs.append(float(np.max(np.abs(um - wm))) / scale)
     worst = max(diffs)

@@ -88,10 +88,9 @@ def test_criterion_6_builds_one_grid_per_case(count_calls):
     assert len(calls) == 3
 
 
-def test_bench_artifacts_build_three_grids_per_case(tmp_path, count_calls):
+def test_bench_artifacts_build_two_grids_per_case(tmp_path, count_calls):
     # per case: the series workspace (series, solution.csv, the hbar scan
-    # and the engine side of the equivalence check), the trace (and
-    # path.csv), and the oracle of the equivalence check
+    # and both sides of the equivalence check), and the trace (and path.csv)
     calls = count_calls("hamsolve.grids", "build_grid")
     write_bench_artifacts(tmp_path)
-    assert len(calls) == 4 * 3
+    assert len(calls) == 4 * 2

@@ -391,6 +391,30 @@ def test_zero_weight_rejected():
         Workspace(spec65, HamConfig(H=parse_expr("r - 0.5")))
 
 
+@pytest.mark.parametrize(
+    "array",
+    [
+        lambda ws: ws.A_L,
+        lambda ws: ws.s_vals,
+        lambda ws: ws.H_vals,
+        lambda ws: ws.u0,
+        lambda ws: ws.lopt.matrix,
+        lambda ws: ws.grid.nodes,
+        lambda ws: ws.grid.quad_weights,
+        lambda ws: ws.grid.diff_matrix(1),
+        lambda ws: ws.grid.diff_matrix(2),
+        lambda ws: ws.grid.diff_matrix(3),  # uniform-fd forms it on first request
+    ],
+    ids=["A_L", "s_vals", "H_vals", "u0", "lopt.matrix", "nodes", "quad_weights", "D1", "D2", "D3"],
+)
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_workspace_arrays_are_read_only(array, kind):
+    # the engine, the tracer and the oracle read the same arrays
+    ws = Workspace(replace(get_case(POISSON).spec, grid_kind=kind), HamConfig())
+    with pytest.raises(ValueError):
+        array(ws)[0] = 1.0
+
+
 POISSON_SPEC = get_case(POISSON).spec
 
 

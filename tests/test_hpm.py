@@ -4,11 +4,13 @@ The oracle's first few orders on the short Riccati case are computable by
 hand (w1 = r, w2 = 0, w3 = -r^3/3), which checks the oracle itself before
 it is trusted to judge the engine. A source scan keeps the oracle honest:
 its recursion must not delegate to the engine's. A property test compares
-engine and oracle on random polynomial problems.
+engine and oracle on random polynomial problems, and another compares the
+oracle's stepped tape with a whole-series re-expansion at every order.
 """
 
 import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +41,10 @@ from hamsolve import (
     parse_expr,
     run_ham,
 )
-from hamsolve.hpm import REDUCED_HBAR
+from hamsolve.expressions import max_u_order
+from hamsolve.grids import GRID_KINDS, BcSystem, assemble_linear
+from hamsolve.hpm import REDUCED_HBAR, _reduced_orders
+from hamsolve.jets import jet_expand
 
 TANH_SHORT = get_case("riccati-tanh-short").spec
 
@@ -91,8 +96,9 @@ class TestOracleRecursion:
         assert len(series.residual_history) == 11
         assert len(calls) == 1
 
-    def test_recursion_source_does_not_call_the_engine(self):
-        source = inspect.getsource(hpm_recursion)
+    @pytest.mark.parametrize("function", [hpm_recursion, _reduced_orders], ids=lambda f: f.__name__)
+    def test_recursion_source_does_not_call_the_engine(self, function):
+        source = inspect.getsource(function)
         forbidden_names = (
             "mth_order_rhs", "run_ham", "Workspace", ".run(",
             "_march", "run_many", "SeriesTape",
@@ -163,6 +169,38 @@ class TestEquivalence:
     def test_order_validated(self):
         with pytest.raises(ConfigError):
             check_equivalence(TANH_SHORT, order=0)
+        with pytest.raises(ConfigError):
+            equivalence_workspace(Workspace(TANH_SHORT, hpm_config(0)))
+
+    @pytest.mark.parametrize("hbar", [0.0, float("nan"), float("inf")])
+    def test_hbar_validated(self, hbar):
+        with pytest.raises(ConfigError):
+            check_equivalence(TANH_SHORT, hbar=hbar)
+
+    def test_one_set_up_and_no_re_expansion(self, count_calls):
+        # counts, not timings: the oracle runs on the workspace's grid, L
+        # and factored core, and steps its own tape once per order
+        grids = count_calls("hamsolve.grids", "build_grid")
+        assemblies = count_calls("hamsolve.grids", "assemble_linear")
+        systems = count_calls("hamsolve.grids", "BcSystem.__init__")
+        expansions = count_calls("hamsolve.jets", "jet_expand")
+        report = check_equivalence(get_case("manufactured-quad").spec, order=10)
+        assert report.passed
+        assert (len(grids), len(assemblies), len(systems), len(expansions)) == (1, 1, 1, 0)
+
+    @pytest.mark.parametrize("swap", ["another core", "other BC values"])
+    def test_core_other_than_l_rejected(self, swap):
+        # the oracle reads the workspace's core, so it checks that the core
+        # is L's own BC system rather than trust the engine's choice
+        ws = Workspace(TANH_SHORT, hpm_config())
+        if swap == "another core":
+            core = LinearOperator(TANH_SHORT.L.coeffs[:1] + (Const(2.0),))
+            ws.lopt = Workspace(TANH_SHORT, HamConfig(lopt_mode=core)).lopt
+        else:
+            bcs = (BoundaryCondition("left", 0, 0.5),)
+            ws.lopt = BcSystem(ws.A_L, bcs, ws.grid)
+        with pytest.raises(ConfigError, match="not L's own BC system"):
+            equivalence_workspace(ws)
 
 
 coefficient = st.floats(-1.0, 1.0)
@@ -198,6 +236,42 @@ def test_engine_matches_oracle_on_random_problems(problem):
     # agree to roundoff only; bitwise agreement holds for the builtins alone
     report = check_equivalence(problem, order=8)
     assert report.passed, report.as_dict()
+
+
+def _batch_reexpansion(problem, grid, A, system, order):
+    """w_0..w_order with C_{m-1}[N] from ``jet_expand`` over the stacked
+    orders at every order: O(M^2) tape calls, the reference for the
+    oracle's one stepped tape."""
+    s_vals = grid.sample(problem.s)
+    homogeneous = (0.0,) * len(problem.bcs)
+    u_ref = system.solve(np.zeros(grid.n))
+    orders = [system.solve(A @ u_ref)]
+    for m in range(1, order + 1):
+        stack = grid.derivative_stack(np.stack(orders)[:, :, None], max_u_order(problem.N))
+        coeffs = jet_expand(problem.N, grid.nodes, {k: d[:, :, 0] for k, d in stack.items()}, m)
+        rhs = s_vals - A @ orders[0] - coeffs[0] if m == 1 else -coeffs[m - 1]
+        orders.append(system.solve(rhs, bc_values=homogeneous))
+    return np.stack(orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=random_problems(),
+    N=st.sampled_from([None, "exp(u)", "sin(u)", "u*u'"]),
+    kind=st.sampled_from(GRID_KINDS),
+    order=st.integers(1, 25),
+)
+def test_stepped_tape_equals_batch_reexpansion_bitwise(problem, N, kind, order):
+    problem = replace(problem, grid_kind=kind, N=problem.N if N is None else parse_expr(N))
+    grid = problem.make_grid()
+    A = assemble_linear(problem.L, grid)
+    system = BcSystem(A, problem.bcs, grid)
+    # a series that overflows must still agree, inf and nan included
+    with np.errstate(all="ignore"):
+        want = _batch_reexpansion(problem, grid, A, system, order)
+        got = _reduced_orders(problem, grid, A, system, order)
+    assert got.shape == (order + 1, grid.n)
+    np.testing.assert_array_equal(got, want)
 
 
 class TestEquivalenceWorkspace:
