@@ -65,7 +65,7 @@ class Workspace:
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
-        self.u0 = self.lopt.solve(np.zeros(self.grid.n))
+        self.u0 = _zeroth_order(self.lopt)
         grid = self.grid
         matrices = (D for D in grid._diffs if D is not None)  # Grid.diff_matrix freezes the rest
         for arr in (self.A_L, self.s_vals, self.H_vals, self.u0, self.lopt.matrix, grid.nodes, grid.quad_weights, *matrices):
@@ -80,33 +80,59 @@ class Workspace:
         alone. With K = 1 each step is the single-series arithmetic. With
         ``deformation`` False the loop drops the chi_m term and takes the
         non-grouped rhs, which is ``perturbation_series``'s recursion.
+
+        Each order is one tape push, one product with A_L and one in-place
+        solve, with the rhs formed in (n, K) buffers allocated once; the
+        in-place steps keep every rounding of the expressions in the
+        comments, so each order is bitwise what they give.
         """
         grouped = self._grouped and deformation
         order = self.config.order
+        n, K = self.grid.n, len(hbars)
         H = self.H_vals[:, None]
-        homogeneous = (0.0,) * len(self.problem.bcs)
+        weigh = not self.unit_weight  # scaling by H = 1 changes no bit: skipped
+        rows, solve = self.lopt.rows, self.lopt._solve
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
-        tape = SeriesTape(self.problem.N, self.grid, order, len(hbars))
-        orders = np.empty((order + 1, self.grid.n, len(hbars)))
+        tape = SeriesTape(self.problem.N, self.grid, order, K)
+        orders = np.empty((order + 1, n, K))
         orders[0] = self.u0[:, None]
+        t, work = np.empty((n, K)), np.empty((n, K))
+        rhs = np.empty((n, K), order="F")  # column-major: getrs solves it in place
+        if grouped:
+            coef = {chi: hbars * H + chi for chi in (0.0, 1.0)}  # hbar H + chi_m
         # an order that overflows shows in the norms and the divergence flag
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, order + 1):
                 u_prev = orders[m - 1]
-                forcing = tape.push(u_prev)
-                # rhs_m from u_{m-1} and forcing = D_{m-1}[N] (module docstring)
                 chi = 0.0 if m == 1 else 1.0
-                t = self.A_L @ u_prev
+                # forcing = D_{m-1}[N] - delta_{m,1} s (module docstring)
+                forcing = tape.push(u_prev)
                 if m == 1:
-                    forcing = forcing - self.s_vals[:, None]
+                    forcing = np.subtract(forcing, self.s_vals[:, None], out=work)
+                np.matmul(self.A_L, u_prev, out=t)
                 if grouped:
-                    rhs = (hbars * H + chi) * t + hbars * (H * forcing)
+                    # rhs = (hbar H + chi) t + hbar (H forcing)
+                    if weigh:
+                        forcing = np.multiply(H, forcing, out=work)
+                    np.multiply(hbars, forcing, out=work)
+                    t *= coef[chi]
+                    np.add(t, work, out=rhs)
                 else:
-                    rhs = hbars * (H * (t + forcing))
+                    # rhs = hbar (H (t + forcing)) + chi (L_opt u_{m-1})
+                    np.add(t, forcing, out=work)
+                    if weigh:
+                        work *= H
+                    np.multiply(hbars, work, out=rhs)
                     if deformation:
-                        # the solve overwrites the BC rows the core's matrix holds
-                        rhs = rhs + chi * (self.lopt.matrix @ u_prev)
-                orders[m] = self.lopt.solve(rhs, bc_values=homogeneous)
+                        np.matmul(self.lopt.matrix, u_prev, out=t)
+                        # a product by chi = 1 changes no bit; 0 * (L_opt u_0)
+                        # is kept, as it is nan where L_opt u_0 overflows
+                        if chi == 0.0:
+                            t *= chi
+                        rhs += t
+                for i in rows:  # homogeneous BCs
+                    rhs[i] = 0.0
+                orders[m] = solve(rhs)
         return orders
 
     def run(self, hbar: Optional[float] = None) -> SeriesSolution:
@@ -132,9 +158,11 @@ class Workspace:
         U = orders.sum(axis=0)
         f = self.operator_values(U)
         norms = np.max(np.abs(orders), axis=1)
+        # as a contiguous (K, n, 1) stack each column takes one quadrature
+        # dot, bitwise the value it gets alone (a strided view does not)
         return SeriesBatch(
             partial_sums=U,
-            residuals=np.array([mean_square(self.grid, f[:, k]) for k in range(hbars.size)]),
+            residuals=mean_square(self.grid, np.ascontiguousarray(f.T)[:, :, None])[:, 0],
             diverged=np.array([series_diverges(col) for col in norms.T]),
         )
 
@@ -204,6 +232,14 @@ def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: n
     )
 
 
+def _zeroth_order(system: BcSystem) -> np.ndarray:
+    """The core's solution with zero interior rows and the BCs' own values."""
+    rhs = np.zeros(system.grid.n)
+    for i, bc in zip(system.rows, system.bcs):
+        rhs[i] = bc.value
+    return system._solve(rhs)
+
+
 def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray):
     """The factored linear core, and whether its matrix equals ``A_L``,
     which decides the grouped right-hand side (module docstring)."""
@@ -222,7 +258,7 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
         # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
         # definition deterministically)
         core = A_L.copy()
-        u0 = system.solve(np.zeros(grid.n))
+        u0 = _zeroth_order(system)
         add_nonlinear_frechet(core, problem.N, grid, u0, PartialsTape(problem.N, grid.nodes))
     return BcSystem(core, problem.bcs, grid), np.array_equal(core, A_L)
 

@@ -4,13 +4,16 @@ Two grid kinds: ``chebyshev-lobatto`` (spectral, with Clenshaw-Curtis
 quadrature) and ``uniform-fd`` (second-order finite differences with
 trapezoid quadrature). Nodes are always ascending with nodes[0] = a and
 nodes[-1] = b. Differentiation matrices are dense; boundary conditions are
-imposed by row replacement. uniform-fd's third- and fourth-order matrices
-are products of its first two, formed on the first request for them.
+imposed by row replacement. The third- and fourth-order matrices are lazy:
+a grid forms them on the first request for them, because only third- and
+fourth-order problems read them.
 
 The Chebyshev-Lobatto nodes, matrices and weights on [-1, 1] depend on n
 alone, so they are built once per n (``_lobatto_reference``, the last
 LOBATTO_CACHE_SIZE sizes, about 2 MB each at n = 256) and every grid of that
-size scales its own copies from them.
+size scales its own copies from them: D_1 and D_2 when it is built, D_3 and
+D_4 when first asked. uniform-fd's D_3 and D_4 are products of its first
+two.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     SingularOperatorError,
     SingularSystemError,
 )
-from .expressions import MAX_DERIVATIVE_ORDER, LinearOperator, eval_expr
+from .expressions import MAX_DERIVATIVE_ORDER, Const, LinearOperator, eval_expr
 
 GRID_KINDS = ("chebyshev-lobatto", "uniform-fd")
 COND_LIMIT = 1e14
@@ -137,21 +140,28 @@ class Grid:
             raise ConfigError(f"derivative order {order} outside 1..{MAX_DERIVATIVE_ORDER}")
         D = self._diffs[order - 1]
         if D is None:
-            # uniform-fd's D_3 = D_1 D_2 and D_4 = D_2 D_2: dense O(n^3)
-            # products that only third- and fourth-order problems read;
-            # every later caller shares the cached one, so it is read-only
-            D1, D2 = self._diffs[:2]
-            D = self._diffs[order - 1] = (D1 if order == 3 else D2) @ D2
+            # D_3 and D_4 (module docstring); uniform-fd's are dense O(n^3)
+            # products D_1 D_2 and D_2 D_2. Every later caller shares the
+            # cached one, so it is read-only
+            if self.kind == "chebyshev-lobatto":
+                D = _lobatto_reference(self.n)[1][order - 1] * (2.0 / (self.b - self.a)) ** order
+            else:
+                D1, D2 = self._diffs[:2]
+                D = (D1 if order == 3 else D2) @ D2
             D.setflags(write=False)
+            self._diffs[order - 1] = D
         return D
 
     def sample(self, expr) -> np.ndarray:
         """An expression in r alone at the nodes, as a fresh float array of
         shape (n,); a constant is broadcast to every node. ConfigError if
         it is not finite at some node."""
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
-        vals = np.array(np.broadcast_to(vals, (self.n,)))
+        if isinstance(expr, Const):
+            vals = np.full(self.n, float(expr.value))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
+            vals = np.array(np.broadcast_to(vals, (self.n,)))
         bad = np.nonzero(~np.isfinite(vals))[0]
         if bad.size:
             raise ConfigError(f"an expression in r is {vals[bad[0]]} at r = {self.nodes[bad[0]]}")
@@ -244,7 +254,7 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     if kind == "chebyshev-lobatto":
         x, DM, w = _lobatto_reference(n)
         nodes = a + (b - a) * (x + 1.0) / 2.0
-        diffs = [D * scale ** (k + 1) for k, D in enumerate(DM)]
+        diffs = [D * scale ** (k + 1) for k, D in enumerate(DM[:2])] + [None, None]  # see diff_matrix
         weights = w / scale
     else:
         nodes = np.linspace(a, b, n)
@@ -308,8 +318,13 @@ def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
 
 def add_operator(A: np.ndarray, grid: Grid, coeffs: dict) -> None:
     """Add sum_k diag(c_k) D_k to the (n, n) array ``A`` in place, from
-    ``coeffs`` = {k: c_k at the nodes}; c_0 goes onto the diagonal."""
+    ``coeffs`` = {k: c_k at the nodes}; c_0 goes onto the diagonal. A c_k
+    that is zero at every node is skipped, and D_k is not formed for it:
+    its zeros would change no entry of an ``A`` built, as every caller's
+    is, by sums onto +0.0, since such a sum is never -0.0."""
     for k, ck in coeffs.items():
+        if not np.any(ck):
+            continue
         if k == 0:
             A.flat[:: grid.n + 1] += ck
         else:
@@ -383,7 +398,8 @@ def lu_condition(lu, matrix: np.ndarray) -> float:
     alt_est = 2.0 * float(np.abs(solve(alt)).sum()) / (3.0 * n)
     if not alt_est <= est:  # also lets a non-finite solve through
         est = alt_est
-    condition = float(np.linalg.norm(matrix, 1)) * est
+    # ||A||_1 by numpy.linalg.norm's own formula, without its checks
+    condition = float(np.abs(matrix).sum(axis=0).max()) * est
     return condition if math.isfinite(condition) else math.inf
 
 
@@ -459,9 +475,16 @@ class BcSystem:
             raise ConfigError(f"need one finite value per BC ({len(self.bcs)}), got {bc_values!r}")
         for i, v in zip(self.rows, bc_values):
             rhs[i] = v
+        return self._solve(rhs)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for ``rhs``, a column-major float array of shape
+        (n,) or (n, K) whose BC rows already hold the BC values, solved in
+        place: ``solve`` without its checks, for callers that build their
+        right-hand sides themselves (the engine's zeroth-order solve and
+        order march)."""
         # LAPACK's getrs, which lu_solve wraps, without the wrapper's
         # per-call checks: no finiteness scan, so a non-finite column is
         # solved (into non-finite values) instead of raising
-        x, _ = dgetrs(*self._lu, rhs, overwrite_b=True)
-        return x
+        return dgetrs(*self._lu, rhs, overwrite_b=True)[0]
 

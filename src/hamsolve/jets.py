@@ -132,13 +132,14 @@ class Tape:
 
     def exp(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
+        ku = np.zeros_like(u)  # row k holds k u_k, written as row k arrives
 
         def row(m):
             if m == 0:
                 out[0] = checked_call("exp", u[0])
                 return
-            ks = np.arange(1, m + 1, dtype=float)
-            out[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], out[m - 1 :: -1]) / m
+            np.multiply(m, u[m], out=ku[m])
+            out[m] = np.einsum("ij,ij->j", ku[1 : m + 1], out[m - 1 :: -1]) / m
 
         self._rows.append(row)
         return out
@@ -163,16 +164,16 @@ class Tape:
     def sin_cos(self, u: np.ndarray):
         s = np.zeros_like(u)
         c = np.zeros_like(u)
+        ku = np.zeros_like(u)  # as in exp
 
         def row(m):
             if m == 0:
                 s[0] = checked_call("sin", u[0])
                 c[0] = checked_call("cos", u[0])
                 return
-            ks = np.arange(1, m + 1, dtype=float)
-            du = u[1 : m + 1]
-            s[m] = np.einsum("i,ij,ij->j", ks, du, c[m - 1 :: -1]) / m
-            c[m] = -np.einsum("i,ij,ij->j", ks, du, s[m - 1 :: -1]) / m
+            np.multiply(m, u[m], out=ku[m])
+            s[m] = np.einsum("ij,ij->j", ku[1 : m + 1], c[m - 1 :: -1]) / m
+            c[m] = -np.einsum("ij,ij->j", ku[1 : m + 1], s[m - 1 :: -1]) / m
 
         self._rows.append(row)
         return s, c
@@ -180,14 +181,15 @@ class Tape:
     def tanh(self, u: np.ndarray) -> np.ndarray:
         t = np.zeros_like(u)
         g = np.zeros_like(u)  # g = 1 - t^2, filled alongside t
+        ku = np.zeros_like(u)  # as in exp
 
         def row(m):
             if m == 0:
                 t[0] = checked_call("tanh", u[0])
                 g[0] = 1.0 - t[0] ** 2
                 return
-            ks = np.arange(1, m + 1, dtype=float)
-            t[m] = np.einsum("i,ij,ij->j", ks, u[1 : m + 1], g[m - 1 :: -1]) / m
+            np.multiply(m, u[m], out=ku[m])
+            t[m] = np.einsum("ij,ij->j", ku[1 : m + 1], g[m - 1 :: -1]) / m
             g[m] = -np.einsum("ij,ij->j", t[: m + 1], t[m::-1])
 
         self._rows.append(row)
@@ -273,10 +275,11 @@ class SeriesTape:
     """Taylor rows of ``expr`` applied to a series fed one order at a time.
 
     The online counterpart of ``jet_expand`` over the derivative stack of
-    all orders: ``push`` takes the next order u_j, forms D_k u_j once for
-    every referenced derivative order k with ``Grid.derivative_stack``,
-    steps the tape at row j and returns row j of the expression. A run to
-    order M costs O(M) recurrence calls per node instead of O(M^2).
+    all orders: ``push`` takes the next order u_j, writes u_j and D_k u_j,
+    one matrix product for every referenced derivative order k, straight
+    into row j of the leaves, steps the tape at row j and returns row j of
+    the expression. A run to order M costs O(M) recurrence calls per node
+    instead of O(M^2). An expression free of u has no leaves.
 
     ``columns`` series run side by side: an order is an (n, columns) array,
     and the tape has width n * columns with each node repeated ``columns``
@@ -285,22 +288,25 @@ class SeriesTape:
     """
 
     def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int):
-        self._grid = grid
         self._shape = (grid.n, columns)
-        self._upto = max_u_order(expr)
+        upto = max_u_order(expr)
         width = grid.n * columns
-        self._leaves = {k: np.zeros((depth, width)) for k in range(self._upto + 1)}
+        self._leaves = [np.zeros((depth, width)) for _ in range(upto + 1)]
+        self._diffs = [grid.diff_matrix(k) for k in range(1, upto + 1)]
         self._tape = Tape()
         nodes = np.repeat(grid.nodes, columns)
-        self._root = self._tape.lower(expr, nodes, self._leaves, depth)
+        self._root = self._tape.lower(expr, nodes, dict(enumerate(self._leaves)), depth)
         self._next = 0
 
     def push(self, u: np.ndarray) -> np.ndarray:
-        """Row j of the expression, shape (n, columns), from u_j of that shape."""
+        """Row j of the expression, shape (n, columns), from u_j, a
+        C-contiguous float array of that shape (unchecked: the engine's
+        own orders)."""
         j = self._next
-        stack = self._grid.derivative_stack(u, self._upto)
-        for k, leaf in self._leaves.items():
-            leaf[j] = stack[k].reshape(-1)
+        if self._leaves:
+            self._leaves[0][j] = u.reshape(-1)
+        for D, leaf in zip(self._diffs, self._leaves[1:]):
+            np.matmul(D, u, out=leaf[j].reshape(self._shape))
         self._tape.step(j)
         self._next = j + 1
         return self._root[j].reshape(self._shape)

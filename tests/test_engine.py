@@ -557,6 +557,18 @@ class TestRunMany:
             err = np.max(np.abs(batch.partial_sums[:, k] - U))
             assert err <= 1e-10 * max(1.0, np.max(np.abs(U)))
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
+    def test_residuals_equal_the_per_column_loop_bitwise(self, problem, n):
+        # one stacked quadrature over a contiguous (K, n, 1) copy; the
+        # reference is the loop it replaced, one mean_square per column
+        ws = Workspace(problem.with_grid_n(n), HamConfig(order=12))
+        hbars = np.linspace(-2.0, -0.01, 17)
+        batch = ws.run_many(hbars)
+        f = ws.operator_values(batch.partial_sums)
+        want = np.array([mean_square(ws.grid, f[:, k]) for k in range(hbars.size)])
+        assert batch.residuals.tobytes() == want.tobytes()
+
     def test_repeat_is_bitwise_identical(self):
         ws = Workspace(exp_problem(), HamConfig(order=20))
         hbars = np.linspace(-2.0, -0.01, 17)

@@ -138,6 +138,8 @@ class TestBuildGrid:
     def test_sample_is_a_fresh_array_per_node(self):
         g = build_grid(CHEB, 16, 0.0, 1.0)
         np.testing.assert_array_equal(g.sample(hamsolve.Const(2.0)), np.full(16, 2.0))
+        with pytest.raises(ConfigError):
+            g.sample(hamsolve.Const(math.inf))
         r = g.sample(hamsolve.Coord())
         np.testing.assert_array_equal(r, g.nodes)
         assert not np.shares_memory(r, g.nodes)
@@ -444,20 +446,60 @@ def test_fd_stencils_equal_row_by_row_assembly():
     np.testing.assert_array_equal(_fd_second(n, h)[1:-1], D2[1:-1])
 
 
-def test_uniform_fd_forms_third_and_fourth_orders_on_request():
-    # D_3 = D_1 D_2 and D_4 = D_2 D_2 are dense O(n^3) products; a
-    # second-order problem's workspace, series and jacobian never read them
-    spec = dataclasses.replace(get_case("manufactured-quad").spec, grid_kind="uniform-fd")
+@pytest.mark.parametrize("kind", [CHEB, "uniform-fd"])
+def test_third_and_fourth_orders_are_formed_on_request(kind):
+    # Chebyshev-Lobatto scales its reference D_3 and D_4, and uniform-fd
+    # forms the dense O(n^3) products D_1 D_2 and D_2 D_2, on the first
+    # request; a second-order problem's workspace, series and jacobian
+    # never read them
+    spec = dataclasses.replace(get_case("manufactured-quad").spec, grid_kind=kind)
     ws = Workspace(spec, HamConfig(hbar=-1.0, order=5))
     ws.run()
     homotopy_jacobian(ws, 0.5, ws.u0)
     grid = ws.grid
     assert grid._diffs[2] is None and grid._diffs[3] is None
-    D1, D2 = grid.diff_matrix(1), grid.diff_matrix(2)
-    for order, product in ((3, D1 @ D2), (4, D2 @ D2)):
+    if kind == CHEB:
+        reference = _lobatto_reference(grid.n)[1]
+        scale = 2.0 / (grid.b - grid.a)
+        expected = {k: reference[k - 1] * scale**k for k in (3, 4)}
+    else:
+        D1, D2 = grid.diff_matrix(1), grid.diff_matrix(2)
+        expected = {3: D1 @ D2, 4: D2 @ D2}
+    for order, want in expected.items():
         D = grid.diff_matrix(order)
-        assert D.tobytes() == product.tobytes()
+        assert D.tobytes() == want.tobytes()
+        assert not D.flags.writeable
         assert grid.diff_matrix(order) is D
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [("0", "0", "1"), ("r", "0", "1"), ("0", "1 - r", "0", "0", "2")],
+    ids=["second-order", "zero-first-order-term", "fourth-order-without-third"],
+)
+@pytest.mark.parametrize("kind", [CHEB, "uniform-fd"])
+def test_assembly_skips_zero_coefficients_bitwise(kind, coeffs):
+    # a term that is zero at every node is not added, and its D_k is not
+    # formed; the matrix is bitwise the sum over every term
+    op = LinearOperator.from_strings(coeffs)
+    grid = build_grid(kind, 20, 0.0, 1.5)
+    A = assemble_linear(op, grid)
+    assert [D is not None for D in grid._diffs[2:]] == [False, op.order == 4]
+    fresh = build_grid(kind, 20, 0.0, 1.5)
+    want = np.zeros((fresh.n, fresh.n))
+    for k, c in enumerate(op.coeffs):
+        values = fresh.sample(c)
+        want += np.diag(values) if k == 0 else values[:, None] * fresh.diff_matrix(k)
+    assert A.tobytes() == want.tobytes()
+
+
+def test_one_norm_is_numpys():
+    # lu_condition takes ||A||_1 by numpy.linalg.norm's formula directly
+    rng = np.random.default_rng(3)
+    for A in (rng.standard_normal((9, 9)), np.diag([1.0, -np.inf, 2.0]), np.full((4, 4), np.nan)):
+        want = np.linalg.norm(A, 1)
+        got = np.abs(A).sum(axis=0).max()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_quadrature_equals_single_calls_bitwise():

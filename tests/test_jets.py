@@ -275,6 +275,63 @@ def test_online_rows_match_batch_bitwise(expr, seed):
         np.testing.assert_array_equal(root[: m + 1], want[: m + 1])
 
 
+def _three_operand_rows(fn, u, first):
+    """Rows 1.. of exp, sin_cos or tanh of the jet ``u`` by the recurrences
+    with the weights k as a third einsum operand, the form the tape had
+    before it stored k u_k per row; ``first`` holds the tape's row 0."""
+    jets = {key: np.zeros_like(u) for key in first}
+    for key, row0 in first.items():
+        jets[key][0] = row0
+    for m in range(1, u.shape[0]):
+        ks = np.arange(1, m + 1, dtype=float)
+        du = u[1 : m + 1]
+        if fn == "exp":
+            out = jets["exp"]
+            out[m] = np.einsum("i,ij,ij->j", ks, du, out[m - 1 :: -1]) / m
+        elif fn == "sin_cos":
+            s, c = jets["sin"], jets["cos"]
+            s[m] = np.einsum("i,ij,ij->j", ks, du, c[m - 1 :: -1]) / m
+            c[m] = -np.einsum("i,ij,ij->j", ks, du, s[m - 1 :: -1]) / m
+        else:
+            t, g = jets["tanh"], jets["g"]
+            t[m] = np.einsum("i,ij,ij->j", ks, du, g[m - 1 :: -1]) / m
+            g[m] = -np.einsum("ij,ij->j", t[: m + 1], t[m::-1])
+    return jets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fn=st.sampled_from(["exp", "sin_cos", "tanh"]),
+    depth=st.integers(2, 80),
+    n=st.integers(8, 64),
+    columns=st.sampled_from([1, 17]),
+    decay=st.floats(0.2, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prescaled_rows_equal_three_operand_form_bitwise(fn, depth, n, columns, decay, seed):
+    # exp, sin_cos and tanh store k u_k once per row and take a
+    # two-operand einsum; every row must be bitwise the three-operand one,
+    # at tape widths n and 17 n (a 17-column hbar pass)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((depth, n * columns)) * decay ** np.arange(depth)[:, None]
+    tape = Tape()
+    if fn == "exp":
+        got = {"exp": tape.exp(u)}
+    elif fn == "sin_cos":
+        got = dict(zip(("sin", "cos"), tape.sin_cos(u)))
+    else:
+        got = {"tanh": tape.tanh(u)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(depth):
+            tape.step(m)
+        first = {key: jet[0] for key, jet in got.items()}
+        if fn == "tanh":
+            first["g"] = 1.0 - got["tanh"][0] ** 2
+        want = _three_operand_rows(fn, u, first)
+    for key, jet in got.items():
+        assert jet.tobytes() == want[key].tobytes(), key
+
+
 def one_sweep_partials(expr, r, vals):
     """PartialsTape's values as one fresh jet_expand sweep, the slots side by side."""
     slots, width = max_u_order(expr) + 1, r.size
