@@ -17,18 +17,19 @@ Everything here runs on one engine ``Workspace``, passed first:
 ``trace_path(problem, config, initial_steps)`` builds the workspace first.
 
 A Newton iteration costs about one dense LU: (1 - eps) L_opt is formed once
-per eps, the factorization (``grids.factor``, the package's one LU path)
-runs in place in work arrays that a trace allocates once, and when N does
-not depend on u one LU serves every update at that eps. The tangent of an
-accepted step costs one F evaluation and one getrs on the LU Newton holds,
+per eps, the factorization (``grids.LU``, the package's one LU type) runs
+in place in work arrays that a trace allocates once, and when N does not
+depend on u one LU serves every update at that eps. The tangent of an
+accepted step costs one F evaluation and one solve with the LU Newton holds
+(at eps = 0, L_opt's own, since the jacobian there is L_opt's BC matrix),
 and the endpoint update one more LU. Every iterate is bitwise what the
 plain formulas give (docs/recursions.md, "What one Newton iteration costs"
 and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
-estimate ``grids.lu_condition`` takes from the LU factorization that
-Newton's last update already computed, which is the jacobian at the iterate
+estimate ``LU.condition`` takes from the LU factorization that Newton's
+last update already computed, which is the jacobian at the iterate
 one update before the accepted point (at the point itself when Newton
 took no update). At eps = 0 the jacobian is exactly L_opt's BC-modified
 matrix, so the step reuses that system's condition.
@@ -49,12 +50,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrs
 
 from .errors import ConfigError, PathAbortError, SingularSystemError
 from .engine import Workspace
 from .expressions import max_u_order
-from .grids import factor, lu_condition
+from .grids import LU
 from .jets import PartialsTape, add_nonlinear_frechet
 from .problem import HamConfig, ProblemSpec
 
@@ -156,6 +156,12 @@ class _NewtonArrays(NamedTuple):
         partials = PartialsTape(ws.problem.N, ws.grid.nodes)
         return cls(np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F"), partials)
 
+    def factor_jacobian(self, ws: Workspace, eps: float, u: np.ndarray) -> LU:
+        """The LU of the jacobian at (eps, u), built in ``jacobian`` and
+        factored into ``factors``; ``scaled_lopt`` holds (1 - eps) L_opt's
+        matrix already."""
+        return LU(_jacobian(ws, eps, self.scaled_lopt, u, self.jacobian, self.partials), self.factors)
+
 
 def _converged(gnorm: float, u: np.ndarray) -> bool:
     return gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
@@ -176,9 +182,9 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
 
 
 def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays):
-    """``newton_at`` in the work arrays given, and beside its step the LU
-    factors of the last jacobian factored (None when none was), which stay
-    valid until the work arrays are next factored into.
+    """``newton_at`` in the work arrays given, and beside its step the ``LU``
+    of the last jacobian factored (None when none was), which stays valid
+    until the work arrays are next factored into.
 
     (1 - eps) L_opt is formed once per call. When N does not depend on u the
     jacobian is the same matrix at every iterate, so it is built and
@@ -197,15 +203,13 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
     for it in range(NEWTON_MAX_ITERS + 1):
         if _converged(gnorm, u):
             if lu is None:  # no update was taken: factor the jacobian at u
-                J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
-                lu = factor(J, arrays.factors)
-            return PathStep(eps, u, it, lu_condition(lu, arrays.jacobian), True, gnorm), lu
+                lu = arrays.factor_jacobian(ws, eps, u)
+            return PathStep(eps, u, it, lu.condition(), True, gnorm), lu
         if it == NEWTON_MAX_ITERS:
             break
         if lu is None or not u_independent:
-            J = _jacobian(ws, eps, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
-            lu = factor(J, arrays.factors)
-        delta = dgetrs(*lu, -g, overwrite_b=True)[0]
+            lu = arrays.factor_jacobian(ws, eps, u)
+        delta = lu.solve(-g)
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError(
                 f"embedding jacobian is singular or not finite at eps={eps:g}"
@@ -224,21 +228,18 @@ def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonAr
     return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm), lu
 
 
-def _tangent(ws: Workspace, eps: float, u: np.ndarray, lu):
-    """du/deps at the path point (eps, u): t with J t = -dG/deps, or None
-    when t is not finite, as a singular J's is.
+def _tangent(ws: Workspace, u: np.ndarray, lu: LU):
+    """du/deps at a path point u: t with J t = -dG/deps, or None when t is
+    not finite, as a singular J's is.
 
     dG/deps = -L_opt(u - u_0) + hbar H F(u) on interior rows and 0 on BC
-    rows. ``lu`` holds the factors of Newton's last jacobian at eps; at
-    eps = 0, J is L_opt's BC matrix, whose factors ``ws.lopt`` holds.
+    rows. ``lu`` is the LU of Newton's last jacobian at the point's eps; at
+    eps = 0, J is L_opt's BC matrix, so it is ``ws.lopt.lu``.
     """
     lopt = ws.lopt
     rhs = lopt.matrix @ (u - ws.u0) - ws.config.hbar * (ws.H_vals * ws.operator_values(u))
-    if eps == 0.0:
-        t = lopt.solve(rhs, bc_values=[0.0] * len(lopt.bcs))
-    else:
-        rhs[lopt.rows] = 0.0
-        t = dgetrs(*lu, rhs, overwrite_b=True)[0]
+    rhs[lopt.rows] = 0.0
+    t = lu.solve(rhs)
     return t if np.all(np.isfinite(t)) else None
 
 
@@ -251,16 +252,15 @@ def _endpoint_update(ws: Workspace, step: PathStep, arrays: _NewtonArrays) -> Pa
     """
     u = step.u
     np.multiply(ws.lopt.matrix, 0.0, out=arrays.scaled_lopt)  # (1 - eps) L_opt
-    J = _jacobian(ws, 1.0, arrays.scaled_lopt, u, arrays.jacobian, arrays.partials)
-    lu = factor(J, arrays.factors)
-    delta = dgetrs(*lu, -homotopy_residual(ws, 1.0, u), overwrite_b=True)[0]
+    lu = arrays.factor_jacobian(ws, 1.0, u)
+    delta = lu.solve(-homotopy_residual(ws, 1.0, u))
     if not np.all(np.isfinite(delta)):
         return step
     u = u + delta
     gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
     if not _converged(gnorm, u):
         return step
-    return PathStep(1.0, u, step.newton_iters + 1, lu_condition(lu, J), True, gnorm)
+    return PathStep(1.0, u, step.newton_iters + 1, lu.condition(), True, gnorm)
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
@@ -288,7 +288,7 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     deps = deps0
     eps = 0.0
     u = ws.u0
-    tangent = _tangent(ws, 0.0, u, None)
+    tangent = _tangent(ws, u, ws.lopt.lu)
     arrays = _NewtonArrays.empty(ws)
     while eps < 1.0:
         target = min(eps + deps, 1.0)
@@ -304,7 +304,7 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
             if target == 1.0:
                 step = _endpoint_update(ws, step, arrays)
             else:
-                tangent = _tangent(ws, target, step.u, lu)
+                tangent = _tangent(ws, step.u, lu)
             eps, u = target, step.u
             steps.append(step)
             deps = min(2.0 * deps, deps0)

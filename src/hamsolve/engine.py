@@ -65,7 +65,7 @@ class Workspace:
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
-        self.u0 = _zeroth_order(self.lopt)
+        self.u0 = self.lopt.solve(np.zeros(self.grid.n))
         grid = self.grid
         matrices = (D for D in grid._diffs if D is not None)  # Grid.diff_matrix freezes the rest
         for arr in (self.A_L, self.s_vals, self.H_vals, self.u0, self.lopt.matrix, grid.nodes, grid.quad_weights, *matrices):
@@ -91,7 +91,7 @@ class Workspace:
         n, K = self.grid.n, len(hbars)
         H = self.H_vals[:, None]
         weigh = not self.unit_weight  # scaling by H = 1 changes no bit: skipped
-        rows, solve = self.lopt.rows, self.lopt._solve
+        rows, solve = self.lopt.rows, self.lopt.lu.solve
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
         tape = SeriesTape(self.problem.N, self.grid, order, K)
         orders = np.empty((order + 1, n, K))
@@ -232,14 +232,6 @@ def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: n
     )
 
 
-def _zeroth_order(system: BcSystem) -> np.ndarray:
-    """The core's solution with zero interior rows and the BCs' own values."""
-    rhs = np.zeros(system.grid.n)
-    for i, bc in zip(system.rows, system.bcs):
-        rhs[i] = bc.value
-    return system._solve(rhs)
-
-
 def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray):
     """The factored linear core, and whether its matrix equals ``A_L``,
     which decides the grouped right-hand side (module docstring)."""
@@ -258,7 +250,7 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
         # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
         # definition deterministically)
         core = A_L.copy()
-        u0 = _zeroth_order(system)
+        u0 = system.solve(np.zeros(grid.n))
         add_nonlinear_frechet(core, problem.N, grid, u0, PartialsTape(problem.N, grid.nodes))
     return BcSystem(core, problem.bcs, grid), np.array_equal(core, A_L)
 

@@ -14,6 +14,9 @@ LOBATTO_CACHE_SIZE sizes, about 2 MB each at n = 256) and every grid of that
 size scales its own copies from them: D_1 and D_2 when it is built, D_3 and
 D_4 when first asked. uniform-fd's D_3 and D_4 are products of its first
 two.
+
+``LU`` is the package's one LU type: every factorization, solve
+and condition estimate, ``BcSystem``'s and the path tracer's, goes through it.
 """
 
 from __future__ import annotations
@@ -358,73 +361,80 @@ def bc_row_indices(grid: Grid, bcs) -> list:
     return rows
 
 
-def lu_condition(lu, matrix: np.ndarray) -> float:
-    """1-norm condition number of ``matrix`` from its LU factors ``lu`` (as
-    ``lu_factor`` returns them), without forming the inverse.
-
-    ||A||_1 times Hager's lower bound on ||A^-1||_1, iterated as LAPACK's
-    dlacn2 does (Hager, SIAM J. Sci. Stat. Comput. 5 (1984) 311; Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 15): at most 11
-    O(n^2) solves with the factors, against the O(n^3) of the inverse.
-    This is LAPACK's dgecon estimator with its solves done by getrs, the
-    solver everything else here uses: dgecon's own result changed in the
-    last bit with where its work arrays landed in memory, and a condition
-    number written to the path files must repeat bitwise. An exactly
-    singular matrix gives inf (its solves are not finite).
+class LU:
+    """The LU factorization of a square ``matrix``, from getrf run in place
+    on a copy in ``out``, a column-major array of its shape; ``matrix``
+    stays intact for the norm in ``condition``. Factors held in a work
+    array are valid until that array is next factored into. There is no
+    scan for non-finite entries, and a zero pivot is not an error: solves
+    are then not finite and ``condition`` reads inf.
     """
-    factors, piv = lu
-    n = factors.shape[0]
 
-    def solve(b, trans=0):
-        return dgetrs(factors, piv, b, trans=trans, overwrite_b=True)[0]
+    def __init__(self, matrix: np.ndarray, out: np.ndarray):
+        self.matrix = matrix
+        np.copyto(out, matrix)
+        with warnings.catch_warnings():
+            # scipy warns on a zero pivot, which the callers report themselves
+            warnings.simplefilter("ignore", LinAlgWarning)
+            self.factors, self.piv = lu_factor(out, overwrite_a=True, check_finite=False)
 
-    x = np.full(n, 1.0 / n)
-    est, j = 0.0, -1
-    for _ in range(5):
-        y = solve(x)
-        found = float(np.abs(y).sum())
-        if not found > est:  # no gain: the bound is reached
-            break
-        est = found
-        z = np.abs(solve(np.where(y >= 0.0, 1.0, -1.0), trans=1))
-        last, j = j, int(np.argmax(z))
-        if last >= 0 and z[last] == z[j]:
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    # dlacn2's second test vector, for matrices that defeat the iteration
-    alt = np.linspace(1.0, 2.0, n)
-    alt[1::2] *= -1.0
-    alt_est = 2.0 * float(np.abs(solve(alt)).sum()) / (3.0 * n)
-    if not alt_est <= est:  # also lets a non-finite solve through
-        est = alt_est
-    # ||A||_1 by numpy.linalg.norm's own formula, without its checks
-    condition = float(np.abs(matrix).sum(axis=0).max()) * est
-    return condition if math.isfinite(condition) else math.inf
+    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """x with A x = ``rhs`` (A^T x = ``rhs`` for ``trans`` = 1), for
+        ``rhs`` of shape (n,) or (n, K), solved in place when it is a
+        column-major float array. LAPACK's getrs, which lu_solve wraps,
+        without the wrapper's per-call checks: no finiteness scan, so a
+        non-finite column is solved (into non-finite values) instead of
+        raising, and the columns never mix."""
+        return dgetrs(self.factors, self.piv, rhs, trans=trans, overwrite_b=True)[0]
 
+    def condition(self) -> float:
+        """1-norm condition number of ``matrix``, without forming the
+        inverse.
 
-def factor(matrix: np.ndarray, out: np.ndarray):
-    """LU factors of ``matrix``, as ``lu_factor`` returns them, from getrf
-    run in place on a copy in ``out``, a column-major array of its shape;
-    ``matrix`` stays intact for ``lu_condition``. There is no scan for
-    non-finite entries, and a zero pivot is not an error: solves with the
-    factors are then not finite and ``lu_condition`` reads inf.
-    """
-    np.copyto(out, matrix)
-    with warnings.catch_warnings():
-        # scipy warns on a zero pivot, which the callers report themselves
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(out, overwrite_a=True, check_finite=False)
+        ||A||_1 times Hager's lower bound on ||A^-1||_1, iterated as
+        LAPACK's dlacn2 does (Hager, SIAM J. Sci. Stat. Comput. 5 (1984)
+        311; Higham, *Accuracy and Stability of Numerical Algorithms*,
+        ch. 15): at most 11 O(n^2) solves with the factors, against the
+        O(n^3) of the inverse. This is LAPACK's dgecon estimator with its
+        solves done by ``solve``: dgecon's own result changed in the last
+        bit with where its work arrays landed in memory, and a condition
+        number written to the path files must repeat bitwise. An exactly
+        singular matrix gives inf (its solves are not finite).
+        """
+        n = self.factors.shape[0]
+        x = np.full(n, 1.0 / n)
+        est, j = 0.0, -1
+        for _ in range(5):
+            y = self.solve(x)
+            found = float(np.abs(y).sum())
+            if not found > est:  # no gain: the bound is reached
+                break
+            est = found
+            z = np.abs(self.solve(np.where(y >= 0.0, 1.0, -1.0), trans=1))
+            last, j = j, int(np.argmax(z))
+            if last >= 0 and z[last] == z[j]:
+                break
+            x = np.zeros(n)
+            x[j] = 1.0
+        # dlacn2's second test vector, for matrices that defeat the iteration
+        alt = np.linspace(1.0, 2.0, n)
+        alt[1::2] *= -1.0
+        alt_est = 2.0 * float(np.abs(self.solve(alt)).sum()) / (3.0 * n)
+        if not alt_est <= est:  # also lets a non-finite solve through
+            est = alt_est
+        # ||A||_1 by numpy.linalg.norm's own formula, without its checks
+        condition = float(np.abs(self.matrix).sum(axis=0).max()) * est
+        return condition if math.isfinite(condition) else math.inf
 
 
 class BcSystem:
     """A linear operator with BC rows replaced, LU-factored once.
 
-    The factorization is reused for every right-hand side (the zeroth-order
-    solve, all higher-order solves, and Newton steps share it when the
-    matrix is the same), and ``condition``, the 1-norm condition number, is
-    ``lu_condition`` on it. Instances are immutable after construction and
-    safe to share across threads.
+    ``lu``, the factorization, serves every right-hand side: the zeroth-order
+    solve, all higher-order solves, and the tracer's tangent at eps = 0,
+    where it is the homotopy's whole jacobian. ``condition``, the 1-norm
+    condition number, is ``lu.condition()``. Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, matrix: np.ndarray, bcs, grid: Grid):
@@ -448,8 +458,8 @@ class BcSystem:
         # the matrix holds user expressions' values: NaN or inf is an error
         if not np.all(np.isfinite(A)):
             raise SingularSystemError("BC-modified system has non-finite entries")
-        self._lu = factor(A, np.empty_like(A, order="F"))
-        self.condition = lu_condition(self._lu, A)
+        self.lu = LU(A, np.empty_like(A, order="F"))
+        self.condition = self.lu.condition()
         if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
             raise SingularSystemError(
                 f"BC-modified system is numerically singular (cond ~ {self.condition:.3e})"
@@ -475,16 +485,4 @@ class BcSystem:
             raise ConfigError(f"need one finite value per BC ({len(self.bcs)}), got {bc_values!r}")
         for i, v in zip(self.rows, bc_values):
             rhs[i] = v
-        return self._solve(rhs)
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for ``rhs``, a column-major float array of shape
-        (n,) or (n, K) whose BC rows already hold the BC values, solved in
-        place: ``solve`` without its checks, for callers that build their
-        right-hand sides themselves (the engine's zeroth-order solve and
-        order march)."""
-        # LAPACK's getrs, which lu_solve wraps, without the wrapper's
-        # per-call checks: no finiteness scan, so a non-finite column is
-        # solved (into non-finite values) instead of raising
-        return dgetrs(*self._lu, rhs, overwrite_b=True)[0]
-
+        return self.lu.solve(rhs)

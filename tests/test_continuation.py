@@ -39,7 +39,7 @@ from hamsolve import (
 )
 from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS
 from hamsolve.expressions import max_u_order
-from hamsolve.grids import lu_condition
+from hamsolve.grids import LU
 from hamsolve.jets import PartialsTape, add_nonlinear_frechet
 
 from conftest import exp_problem
@@ -256,7 +256,7 @@ class TestTangentPredictor:
         # u(eps) is the series at hbar -h summed at p = eps, so du/deps at
         # eps = 0 is its u_1
         ws = Workspace(problem, HamConfig(hbar=h, lopt_mode=lopt_mode))
-        t = continuation._tangent(ws, 0.0, ws.u0, None)
+        t = continuation._tangent(ws, ws.u0, ws.lopt.lu)
         u1 = ws.run(hbar=-h).orders[1]
         assert float(np.max(np.abs(t - u1))) <= 1e-13 * float(np.max(np.abs(u1)))
 
@@ -264,7 +264,7 @@ class TestTangentPredictor:
         ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
         starts = record_starts(monkeypatch)
         trace_workspace(ws, initial_steps=8)
-        t = continuation._tangent(ws, 0.0, ws.u0, None)
+        t = continuation._tangent(ws, ws.u0, ws.lopt.lu)
         np.testing.assert_array_equal(starts[0], ws.u0 + 0.125 * t)
         assert float(np.max(np.abs(starts[0] - ws.u0))) > 0.1
 
@@ -311,7 +311,7 @@ class TestTangentPredictor:
         # perfbench trace-fine's traces at n <= 128, which repeat bitwise
         # for any BLAS thread count: 319 LUs with the zeroth-order start,
         # 238 with the tangent predictor
-        calls = record_calls(monkeypatch, "factor")
+        calls = record_calls(monkeypatch, "LU")
         for case_id in case_ids():
             for n in (64, 128):
                 assert trace_workspace(_builtin(case_id, n)).final.eps == 1.0
@@ -469,7 +469,7 @@ class TestConditionEstimate:
     def test_one_jacobian_and_one_factorization_per_newton_update(self, count_calls):
         # N depends on u, so every update builds and factors its own jacobian
         ws = Workspace(MANUFACTURED.spec.with_grid_n(64), HamConfig(hbar=1.0))
-        factorizations = count_calls("hamsolve.grids", "factor")
+        factorizations = count_calls("hamsolve.grids", "LU.__init__")
         jacobians = count_calls("hamsolve.continuation", "_jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
@@ -485,7 +485,7 @@ class TestConditionEstimate:
         # predicted start. One more LU is the endpoint update's.
         ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
         attempts = count_calls("hamsolve.continuation", "_newton")
-        factorizations = count_calls("hamsolve.grids", "factor")
+        factorizations = count_calls("hamsolve.grids", "LU.__init__")
         jacobians = count_calls("hamsolve.continuation", "_jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
@@ -498,7 +498,7 @@ class TestConditionEstimate:
         # endpoint update is the one update of the trace, with its own LU
         parsed = parse_problem_text(SOLVED_AT_START)
         ws = Workspace(parsed.problem, parsed.config)
-        factorizations = count_calls("hamsolve.grids", "factor")
+        factorizations = count_calls("hamsolve.grids", "LU.__init__")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         assert [step.newton_iters for step in path.steps] == [0] * 16 + [1]
@@ -511,7 +511,8 @@ class TestConditionEstimate:
 
 # Newton as first written, the reference for the bitwise tests below: the
 # Fréchet matrix with np.diag, the jacobian from the plain formula at every
-# iterate, and lu_factor / lu_solve with their default finiteness checks
+# iterate, and lu_factor / lu_solve with their default finiteness checks;
+# only the condition estimate is the library's, on a fresh grids.LU
 def plain_frechet(A_L, N, grid, u):
     A = np.array(A_L, dtype=float)
     upto = max_u_order(N)
@@ -530,6 +531,10 @@ def plain_jacobian(ws, eps, u):
     return J
 
 
+def plain_condition(J):
+    return LU(J, np.empty_like(J, order="F")).condition()
+
+
 def plain_converged(gnorm, u):
     return gnorm < continuation.NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
 
@@ -540,7 +545,7 @@ def plain_newton(ws, eps, warm_start):
         if lu is None:
             J = plain_jacobian(ws, eps, u)
             lu = lu_factor(J)
-        return PathStep(eps, u, iters, lu_condition(lu, J), True, gnorm), lu
+        return PathStep(eps, u, iters, plain_condition(J), True, gnorm), lu
 
     u = warm_start.copy()
     g = homotopy_residual(ws, eps, u)
@@ -592,7 +597,7 @@ def plain_endpoint_update(ws, step):
     gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
     if not plain_converged(gnorm, u):
         return step
-    return PathStep(1.0, u, step.newton_iters + 1, lu_condition(lu, J), True, gnorm)
+    return PathStep(1.0, u, step.newton_iters + 1, plain_condition(J), True, gnorm)
 
 
 def plain_trace(ws, initial_steps=16):

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgecon
 
 import hamsolve
 from hamsolve import (
@@ -42,7 +42,7 @@ from hamsolve.grids import (
     _fd_first,
     _fd_second,
     _lobatto_reference,
-    lu_condition,
+    LU,
 )
 
 CHEB = "chebyshev-lobatto"
@@ -356,12 +356,12 @@ def test_condition_repeats_bitwise(case_id):
     # LAPACK's dgecon gave two values on these matrices, depending on where
     # its work arrays landed in memory; path.csv needs one
     system = Workspace(get_case(case_id).spec.with_grid_n(256), HamConfig()).lopt
-    lu = lu_factor(system.matrix)
+    lu = LU(system.matrix, np.empty_like(system.matrix, order="F"))
     held, values = [], set()
     for stride in (97, 257):
         for k in range(60):
             held.append(np.empty(stride * k + 1))  # moves the next allocations
-            values.add(lu_condition(lu, system.matrix))
+            values.add(lu.condition())
     assert values == {system.condition}
 
 
@@ -379,12 +379,92 @@ def test_workspaces_form_no_inverse(monkeypatch):
 
 def test_source_forms_no_dense_inverse():
     # condition numbers come from an LU the code already has
-    # (grids.lu_condition); the inverse costs several factorizations
+    # (grids.LU.condition); the inverse costs several factorizations
     package = pathlib.Path(hamsolve.__file__).parent
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         for forbidden in ("linalg.cond(", "linalg.inv("):
             assert forbidden not in source, (path.name, forbidden)
+
+
+def test_lapack_is_called_from_grids_alone():
+    # every factorization, solve and condition estimate goes through grids.LU
+    package = pathlib.Path(hamsolve.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for entry in ("dgetrs", "lu_factor"):
+            assert (entry in source) == (path.name == "grids.py"), (path.name, entry)
+
+
+class TestLU:
+    """grids.LU: getrf in place in a column-major work array, getrs
+    solves, and the Hager/dlacn2 condition estimate."""
+
+    @staticmethod
+    def _lu(A):
+        return LU(A, np.empty_like(A, order="F"))
+
+    def _matrix(self, n=12):
+        rng = np.random.default_rng(7)
+        return rng.standard_normal((n, n)) + n * np.eye(n)
+
+    def test_block_columns_are_solved_on_their_own(self):
+        # a column of an (n, K) block is bitwise what it gets in any other
+        # block, whatever its neighbours and position. Against a single
+        # column it agrees to roundoff only: OpenBLAS's triangular solve
+        # with one right-hand side rounds differently from one with several
+        A = self._matrix()
+        lu = self._lu(A)
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((A.shape[0], 5))
+        got = lu.solve(np.array(B, order="F"))
+        for k in range(B.shape[1]):
+            other = rng.standard_normal((A.shape[0], 3))
+            other[:, 1] = B[:, k]
+            assert lu.solve(np.array(other, order="F"))[:, 1].tobytes() == got[:, k].tobytes()
+            np.testing.assert_allclose(got[:, k], lu.solve(B[:, k].copy()), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(A @ got, B, rtol=0, atol=1e-12)
+
+    def test_block_is_solved_in_place(self):
+        lu = self._lu(self._matrix())
+        rhs = np.ones((12, 3), order="F")
+        assert lu.solve(rhs) is rhs
+
+    def test_matrix_stays_intact(self):
+        A = self._matrix()
+        before = A.copy()
+        out = np.empty_like(A, order="F")
+        lu = LU(A, out)
+        assert lu.matrix is A
+        assert A.tobytes() == before.tobytes()
+        assert lu.factors is out  # factored in place in the work array
+
+    def test_trans_solves_the_transpose(self):
+        A = self._matrix()
+        b = np.arange(1.0, 13.0)
+        x = self._lu(A).solve(b.copy(), trans=1)
+        np.testing.assert_allclose(A.T @ x, b, rtol=0, atol=1e-12)
+        assert not np.allclose(A @ x, b)
+
+    def test_condition_is_dgecons_estimate(self):
+        # the same estimator as LAPACK's dgecon, and so a lower bound on
+        # the exact condition number, which it misses on this matrix
+        A = self._matrix()
+        lu = self._lu(A)
+        rcond, info = dgecon(lu.factors, np.abs(A).sum(axis=0).max(), norm="1")
+        assert info == 0
+        assert lu.condition() == pytest.approx(1.0 / rcond, rel=1e-14)
+        assert lu.condition() < np.linalg.cond(A, 1)
+
+    def test_zero_pivot_is_not_finite_without_a_warning(self):
+        A = self._matrix()
+        A[:, 3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lu = self._lu(A)
+            x = lu.solve(np.ones(A.shape[0]))
+            assert not np.all(np.isfinite(x))
+            assert lu.condition() == math.inf
 
 
 class TestLobattoReference:
@@ -494,7 +574,7 @@ def test_assembly_skips_zero_coefficients_bitwise(kind, coeffs):
 
 
 def test_one_norm_is_numpys():
-    # lu_condition takes ||A||_1 by numpy.linalg.norm's formula directly
+    # LU.condition takes ||A||_1 by numpy.linalg.norm's formula directly
     rng = np.random.default_rng(3)
     for A in (rng.standard_normal((9, 9)), np.diag([1.0, -np.inf, 2.0]), np.full((4, 4), np.nan)):
         want = np.linalg.norm(A, 1)
