@@ -44,25 +44,29 @@ BUILTIN_PREFIX = "builtin:"
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each command takes only the flags it reads
     problem_opts = argparse.ArgumentParser(add_help=False)
     problem_opts.add_argument(
         "problem", metavar="PROBLEM", help="problem file path or builtin:<id>"
     )
-    problem_opts.add_argument("--hbar", type=float, default=None)
-    problem_opts.add_argument(
-        "--order", type=int, default=None, help="series truncation order"
-    )
     problem_opts.add_argument(
         "--grid-n", type=int, default=None, help="override grid point count"
     )
-    problem_opts.add_argument(
+    hbar_opt = argparse.ArgumentParser(add_help=False)
+    hbar_opt.add_argument("--hbar", type=float, default=None)
+    order_opt = argparse.ArgumentParser(add_help=False)
+    order_opt.add_argument(
+        "--order", type=int, default=None, help="series truncation order"
+    )
+    core_opts = argparse.ArgumentParser(add_help=False)
+    core_opts.add_argument(
         "--lopt",
         choices=("use-L", "frechet", "file"),
         default="file",
         help="linear core: the problem's L, its linearization at u0, or "
         "whatever the problem file configures (default)",
     )
-    problem_opts.add_argument(
+    core_opts.add_argument(
         "--H", dest="weight", metavar="EXPR", default=None,
         help="auxiliary weight expression in r",
     )
@@ -78,16 +82,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Series solver for nonlinear two-point ODE problems "
         "with tunable convergence control.",
     )
+    # what a command without one of the flags reads in its place
+    parser.set_defaults(hbar=None, order=None, lopt="file", weight=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser(
-        "solve", parents=[problem_opts, out_opts],
+        "solve", parents=[problem_opts, hbar_opt, order_opt, core_opts, out_opts],
         help="run the series and write series.csv + solution.csv",
     )
     p_solve.set_defaults(func=cmd_solve)
 
     p_hscan = sub.add_parser(
-        "hscan", parents=[problem_opts, out_opts],
+        "hscan", parents=[problem_opts, order_opt, core_opts, out_opts],
         help="sweep hbar and write hbar_curve.csv",
     )
     p_hscan.add_argument(
@@ -98,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hscan.set_defaults(func=cmd_hscan)
 
     p_trace = sub.add_parser(
-        "trace", parents=[problem_opts, out_opts],
+        "trace", parents=[problem_opts, hbar_opt, core_opts, out_opts],
         help="trace the embedding path and write path.csv",
         description="Trace the embedding path and write path.csv. The "
         f"tracer runs at hbar = {TRACE_HBAR:+g} unless --hbar is given; a "
@@ -109,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_check = sub.add_parser(
-        "hpm-check", parents=[problem_opts, out_opts],
+        "hpm-check", parents=[problem_opts, hbar_opt, order_opt, out_opts],
         help="compare the engine against the independent reduced-method "
         "oracle and write equivalence.json",
     )

@@ -16,15 +16,16 @@ Everything here runs on one engine ``Workspace``, passed first:
 ``trace_workspace(ws, initial_steps)``, which marches the whole path.
 ``trace_path(problem, config, initial_steps)`` builds the workspace first.
 
-A Newton iteration costs about one dense LU: (1 - eps) L_opt is formed once
-per eps, the factorization (``grids.LU``, the package's one LU type) runs
-in place in work arrays that a trace allocates once, and when N does not
-depend on u one LU serves every update at that eps. The tangent of an
-accepted step costs one F evaluation and one solve with the LU Newton holds
-(at eps = 0, L_opt's own, since the jacobian there is L_opt's BC matrix),
-and the endpoint update one more LU. Every iterate is bitwise what the
-plain formulas give (docs/recursions.md, "What one Newton iteration costs"
-and "The tangent predictor").
+A trace keeps Newton's state in one corrector object: the work arrays
+that the jacobian is built in and factored in place (``grids.LU``, the
+package's one LU type), (1 - eps) L_opt formed once per eps, and the LU of
+the last jacobian factored, L_opt's own until Newton factors one (the
+jacobian at eps = 0 is L_opt's BC matrix). A Newton iteration costs about
+one dense LU, and when N does not depend on u one LU serves every update
+at an eps. The tangent of an accepted step costs one F evaluation and one
+solve with that LU, and the endpoint update one more LU. Every iterate is
+bitwise what the plain formulas give (docs/recursions.md, "What one Newton
+iteration costs" and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -118,53 +118,126 @@ def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """d G/d u at (eps, u), dense, with BC rows in place."""
     eps = _check_eps(eps)
     u = ws.grid.check_length(u)
-    n = ws.grid.n
-    partials = PartialsTape(ws.problem.N, ws.grid.nodes)
-    return _jacobian(ws, eps, ws.lopt.matrix * (1.0 - eps), u, np.empty((n, n)), partials)
-
-
-def _jacobian(ws: Workspace, eps: float, scaled_lopt: np.ndarray, u: np.ndarray, out: np.ndarray, partials: PartialsTape) -> np.ndarray:
-    """``homotopy_jacobian`` written into ``out``, given ``scaled_lopt`` =
-    (1 - eps) L_opt's matrix, the part that does not depend on u, and N's
-    ``partials`` tape on the grid's nodes."""
-    lopt = ws.lopt
-    np.copyto(out, ws.A_L)
-    add_nonlinear_frechet(out, ws.problem.N, ws.grid, u, partials)
-    # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
-    # scaling by H = 1 changes no bit, so that pass is skipped
-    if not ws.unit_weight:
-        out *= ws.H_vals[:, None]
-    out *= eps * ws.config.hbar
-    out += scaled_lopt
-    out[lopt.rows] = lopt.matrix[lopt.rows]
-    return out
-
-
-class _NewtonArrays(NamedTuple):
-    """The n x n work arrays of Newton solves, and N's partials tape. A
-    trace reuses one set for all its solves: fresh arrays this large are
-    page-faulted in anew, and the tape is lowered once."""
-
-    scaled_lopt: np.ndarray  # (1 - eps) L_opt's matrix
-    jacobian: np.ndarray
-    factors: np.ndarray  # column-major, so LAPACK factors it in place
-    partials: PartialsTape
-
-    @classmethod
-    def empty(cls, ws: Workspace) -> "_NewtonArrays":
-        n = ws.grid.n
-        partials = PartialsTape(ws.problem.N, ws.grid.nodes)
-        return cls(np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F"), partials)
-
-    def factor_jacobian(self, ws: Workspace, eps: float, u: np.ndarray) -> LU:
-        """The LU of the jacobian at (eps, u), built in ``jacobian`` and
-        factored into ``factors``; ``scaled_lopt`` holds (1 - eps) L_opt's
-        matrix already."""
-        return LU(_jacobian(ws, eps, self.scaled_lopt, u, self.jacobian, self.partials), self.factors)
+    return _Corrector(ws).jacobian(eps, u)
 
 
 def _converged(gnorm: float, u: np.ndarray) -> bool:
     return gnorm < NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
+
+
+class _Corrector:
+    """Newton's state on one workspace: the n x n work arrays, N's partials
+    tape, (1 - eps) L_opt's matrix at the eps last asked for, and ``lu``,
+    the LU of the last jacobian factored. ``lu`` starts as ``ws.lopt.lu``,
+    the jacobian's at eps = 0, and stays valid until the next
+    factorization. A trace builds one for all its solves: fresh arrays
+    this large are page-faulted in anew, and the tape is lowered once.
+    """
+
+    def __init__(self, ws: Workspace):
+        n = ws.grid.n
+        self.ws = ws
+        self.partials = PartialsTape(ws.problem.N, ws.grid.nodes)
+        self.u_independent = max_u_order(ws.problem.N) < 0
+        self.scaled_lopt = np.empty((n, n))
+        self.J = np.empty((n, n))
+        self.factors = np.empty((n, n), order="F")  # LAPACK factors it in place
+        self.scaled_eps = None  # the eps that scaled_lopt was formed at
+        self.lu = ws.lopt.lu
+
+    def jacobian(self, eps: float, u: np.ndarray) -> np.ndarray:
+        """``homotopy_jacobian`` written into ``J``."""
+        ws, lopt, out = self.ws, self.ws.lopt, self.J
+        if eps != self.scaled_eps:  # the part that does not depend on u
+            np.multiply(lopt.matrix, 1.0 - eps, out=self.scaled_lopt)
+            self.scaled_eps = eps
+        np.copyto(out, ws.A_L)
+        add_nonlinear_frechet(out, ws.problem.N, ws.grid, u, self.partials)
+        # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
+        # scaling by H = 1 changes no bit, so that pass is skipped
+        if not ws.unit_weight:
+            out *= ws.H_vals[:, None]
+        out *= eps * ws.config.hbar
+        out += self.scaled_lopt
+        out[lopt.rows] = lopt.matrix[lopt.rows]
+        return out
+
+    def update(self, eps: float, u: np.ndarray, g: np.ndarray, refactor: bool = True) -> np.ndarray:
+        """The Newton update at (eps, u) for G = ``g``, solved with the
+        jacobian factored at u, or with ``lu`` as it stands when not
+        ``refactor``. Neither the factorization nor the solve scans for
+        non-finite entries: an exactly singular jacobian, or a non-finite
+        one at an iterate where G is not finite either, gives a non-finite
+        update, reported as SingularSystemError (docs/recursions.md)."""
+        if refactor:
+            self.lu = LU(self.jacobian(eps, u), self.factors)
+        delta = self.lu.solve(-g)
+        if not np.all(np.isfinite(delta)):
+            raise SingularSystemError(
+                f"embedding jacobian is singular or not finite at eps={eps:g}"
+            )
+        return delta
+
+    def newton(self, eps: float, warm_start: np.ndarray) -> PathStep:
+        """``newton_at``. When N does not depend on u the jacobian is the
+        same matrix at every iterate, so it is built and factored once and
+        its LU serves every update."""
+        ws = self.ws
+        u = ws.grid.check_length(warm_start).copy()
+        g = homotopy_residual(ws, eps, u)
+        gnorm = float(np.max(np.abs(g)))
+        for it in range(NEWTON_MAX_ITERS + 1):
+            if _converged(gnorm, u):
+                if it == 0:  # no update was taken: factor the jacobian at u
+                    self.lu = LU(self.jacobian(eps, u), self.factors)
+                return PathStep(eps, u, it, self.lu.condition(), True, gnorm)
+            if it == NEWTON_MAX_ITERS:
+                break
+            delta = self.update(eps, u, g, refactor=it == 0 or not self.u_independent)
+            scale = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                trial = u + scale * delta
+                g_trial = homotopy_residual(ws, eps, trial)
+                t_norm = float(np.max(np.abs(g_trial)))
+                if t_norm < gnorm:
+                    u, g, gnorm = trial, g_trial, t_norm
+                    break
+                scale *= 0.5
+            else:
+                return PathStep(eps, u, it + 1, math.nan, False, gnorm)
+        return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
+
+    def tangent(self, u: np.ndarray):
+        """du/deps at a path point u: t with J t = -dG/deps, or None when t
+        is not finite, as a singular J's is.
+
+        dG/deps = -L_opt(u - u_0) + hbar H F(u) on interior rows and 0 on BC
+        rows. J's LU is ``lu``: Newton's last at the point's eps, or at
+        eps = 0 L_opt's own.
+        """
+        ws, lopt = self.ws, self.ws.lopt
+        rhs = lopt.matrix @ (u - ws.u0) - ws.config.hbar * (ws.H_vals * ws.operator_values(u))
+        rhs[lopt.rows] = 0.0
+        t = self.lu.solve(rhs)
+        return t if np.all(np.isfinite(t)) else None
+
+    def polish(self, step: PathStep) -> PathStep:
+        """The step at eps = 1 after one more full Newton update, without a
+        line search; ``step`` itself unless the update is finite and the
+        updated point passes the stop test. A predicted start passes the
+        stop test in fewer updates than a zeroth-order one, so it is solved
+        less far below the tolerance; this update buys that accuracy back
+        (docs/recursions.md).
+        """
+        ws = self.ws
+        try:
+            u = step.u + self.update(1.0, step.u, homotopy_residual(ws, 1.0, step.u))
+        except SingularSystemError:
+            return step
+        gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
+        if not _converged(gnorm, u):
+            return step
+        return PathStep(1.0, u, step.newton_iters + 1, self.lu.condition(), True, gnorm)
 
 
 def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
@@ -178,89 +251,7 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     returned point itself when no update was needed); nan otherwise.
     """
     eps = _check_eps(eps)
-    return _newton(ws, eps, warm_start, _NewtonArrays.empty(ws))[0]
-
-
-def _newton(ws: Workspace, eps: float, warm_start: np.ndarray, arrays: _NewtonArrays):
-    """``newton_at`` in the work arrays given, and beside its step the ``LU``
-    of the last jacobian factored (None when none was), which stays valid
-    until the work arrays are next factored into.
-
-    (1 - eps) L_opt is formed once per call. When N does not depend on u the
-    jacobian is the same matrix at every iterate, so it is built and
-    factored once and its LU serves every update. Neither the factorization
-    nor the solves scan for non-finite entries: an exactly singular
-    jacobian, or a non-finite one at an iterate where G is not finite
-    either, gives a non-finite update, reported as SingularSystemError
-    (docs/recursions.md).
-    """
-    u = ws.grid.check_length(warm_start).copy()
-    g = homotopy_residual(ws, eps, u)
-    gnorm = float(np.max(np.abs(g)))
-    np.multiply(ws.lopt.matrix, 1.0 - eps, out=arrays.scaled_lopt)
-    u_independent = max_u_order(ws.problem.N) < 0
-    lu = None
-    for it in range(NEWTON_MAX_ITERS + 1):
-        if _converged(gnorm, u):
-            if lu is None:  # no update was taken: factor the jacobian at u
-                lu = arrays.factor_jacobian(ws, eps, u)
-            return PathStep(eps, u, it, lu.condition(), True, gnorm), lu
-        if it == NEWTON_MAX_ITERS:
-            break
-        if lu is None or not u_independent:
-            lu = arrays.factor_jacobian(ws, eps, u)
-        delta = lu.solve(-g)
-        if not np.all(np.isfinite(delta)):
-            raise SingularSystemError(
-                f"embedding jacobian is singular or not finite at eps={eps:g}"
-            )
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            trial = u + scale * delta
-            g_trial = homotopy_residual(ws, eps, trial)
-            t_norm = float(np.max(np.abs(g_trial)))
-            if t_norm < gnorm:
-                u, g, gnorm = trial, g_trial, t_norm
-                break
-            scale *= 0.5
-        else:
-            return PathStep(eps, u, it + 1, math.nan, False, gnorm), lu
-    return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm), lu
-
-
-def _tangent(ws: Workspace, u: np.ndarray, lu: LU):
-    """du/deps at a path point u: t with J t = -dG/deps, or None when t is
-    not finite, as a singular J's is.
-
-    dG/deps = -L_opt(u - u_0) + hbar H F(u) on interior rows and 0 on BC
-    rows. ``lu`` is the LU of Newton's last jacobian at the point's eps; at
-    eps = 0, J is L_opt's BC matrix, so it is ``ws.lopt.lu``.
-    """
-    lopt = ws.lopt
-    rhs = lopt.matrix @ (u - ws.u0) - ws.config.hbar * (ws.H_vals * ws.operator_values(u))
-    rhs[lopt.rows] = 0.0
-    t = lu.solve(rhs)
-    return t if np.all(np.isfinite(t)) else None
-
-
-def _endpoint_update(ws: Workspace, step: PathStep, arrays: _NewtonArrays) -> PathStep:
-    """The step at eps = 1 after one more full Newton update, without a
-    line search; ``step`` itself unless the updated point passes the stop
-    test. A predicted start passes the stop test in fewer updates than a
-    zeroth-order one, so it is solved less far below the tolerance; this
-    update buys that accuracy back (docs/recursions.md).
-    """
-    u = step.u
-    np.multiply(ws.lopt.matrix, 0.0, out=arrays.scaled_lopt)  # (1 - eps) L_opt
-    lu = arrays.factor_jacobian(ws, 1.0, u)
-    delta = lu.solve(-homotopy_residual(ws, 1.0, u))
-    if not np.all(np.isfinite(delta)):
-        return step
-    u = u + delta
-    gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
-    if not _converged(gnorm, u):
-        return step
-    return PathStep(1.0, u, step.newton_iters + 1, lu.condition(), True, gnorm)
+    return _Corrector(ws).newton(eps, warm_start)
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
@@ -288,23 +279,23 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     deps = deps0
     eps = 0.0
     u = ws.u0
-    tangent = _tangent(ws, u, ws.lopt.lu)
-    arrays = _NewtonArrays.empty(ws)
+    corrector = _Corrector(ws)
+    tangent = corrector.tangent(u)
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:
             target = 1.0
         start = u if tangent is None else u + (target - eps) * tangent
         try:
-            step, lu = _newton(ws, target, start, arrays)
+            step = corrector.newton(target, start)
             converged = step.converged
         except SingularSystemError:
             converged = False
         if converged:
             if target == 1.0:
-                step = _endpoint_update(ws, step, arrays)
+                step = corrector.polish(step)
             else:
-                tangent = _tangent(ws, step.u, lu)
+                tangent = corrector.tangent(step.u)
             eps, u = target, step.u
             steps.append(step)
             deps = min(2.0 * deps, deps0)

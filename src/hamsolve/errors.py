@@ -17,19 +17,18 @@ class ParseError(HamError, ValueError):
     """Expression or problem-file text could not be parsed.
 
     ``line`` is 1-based when the source is a problem file, None for bare
-    expression strings. ``column`` is 1-based within the offending line.
+    expression strings. ``column`` is 1-based within the expression text;
+    in a problem file that is the entry's value, so it counts from the
+    start of the value, not of the line. The message states the location
+    once: "line L, column C: ...".
     """
 
     def __init__(self, message, line=None, column=None):
         self.message = message
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}: "
-        elif column is not None:
-            where = f"column {column}: "
-        super().__init__(where + message)
+        where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column)) if at is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class SingularOperatorError(HamError, ValueError):

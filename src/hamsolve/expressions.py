@@ -240,7 +240,7 @@ class _Tokens:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def error(self, message: str) -> ParseError:
-        return ParseError(f"{message} (at column {self.pos + 1})", column=self.pos + 1)
+        return ParseError(message, column=self.pos + 1)
 
     def take_number(self) -> float:
         self._skip_ws()

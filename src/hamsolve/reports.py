@@ -29,9 +29,7 @@ def format_value(v) -> str:
         return str(int(v))
     if v is None:
         return ""
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+    return format(float(v), ".17g")
 
 
 def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:

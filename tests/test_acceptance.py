@@ -8,10 +8,15 @@ gamed green, and weakening the thresholds here would hide the finding.
 Everything else must stay green.
 """
 
+import pytest
+
+import hamsolve.acceptance as acceptance
 from hamsolve.acceptance import (
     CRITERIA,
     criterion_3_continuation,
     criterion_6_exact_recovery,
+    criterion_8_determinism,
+    run_criteria,
     write_bench_artifacts,
 )
 
@@ -94,3 +99,39 @@ def test_bench_artifacts_build_two_grids_per_case(tmp_path, count_calls):
     calls = count_calls("hamsolve.grids", "build_grid")
     write_bench_artifacts(tmp_path)
     assert len(calls) == 4 * 2
+
+
+def test_a_criterion_that_raises_is_a_fail_line(monkeypatch):
+    # one criterion must not sink the rest
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", ((1, "broken", broken), (2, "fine", lambda: (True, "ok")))
+    )
+    lines = []
+    results = run_criteria(echo=lines.append)
+    assert lines == ["FAIL 1 broken: raised RuntimeError: boom", "PASS 2 fine: ok"]
+    assert [result.passed for result in results] == [False, True]
+
+
+@pytest.mark.parametrize(
+    "second, differing",
+    [({"path.csv": "2\n"}, "path.csv"), ({"extra.csv": "1\n"}, "extra.csv")],
+    ids=["content", "file-set"],
+)
+def test_criterion_8_names_the_differing_files(monkeypatch, second, differing):
+    runs = []
+
+    def artifacts(outdir):
+        files = {"same.csv": "1\n", "path.csv": "1\n"}
+        if runs:
+            files.update(second)
+        runs.append(outdir)
+        outdir.mkdir(parents=True)
+        for name, text in files.items():
+            (outdir / name).write_text(text, encoding="utf-8")
+
+    monkeypatch.setattr(acceptance, "write_bench_artifacts", artifacts)
+    assert criterion_8_determinism() == (False, f"differing files: {differing}")
+    assert len(runs) == 2

@@ -5,11 +5,17 @@ warning from solve, 3 continuation abort from trace.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamsolve.cli import _scan_points, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RICCATI_TEXT = """\
 [domain]
@@ -170,6 +176,23 @@ class TestSolve:
         )
         assert rc == 0
 
+    def test_lopt_flag_overrides_the_file_core(self, tmp_path):
+        # --lopt use-L beats a file's frechet-at-u0 core: the run is the
+        # file's with no [ham] block, and not the file's own
+        core = tmp_path / "frechet.prob"
+        core.write_text(BOUNDARY_DATA_TEXT + "\n[ham]\nlopt_mode = frechet-at-u0\n", encoding="utf-8")
+        plain = tmp_path / "plain.prob"
+        plain.write_text(BOUNDARY_DATA_TEXT, encoding="utf-8")
+        series = {}
+        for name, prob, extra in (
+            ("flag", core, ("--lopt", "use-L")), ("file", core, ()), ("plain", plain, ()),
+        ):
+            out = tmp_path / name
+            assert main(["solve", str(prob), "--grid-n", "32", *extra, "--out", str(out)]) == 0
+            series[name] = (out / "series.csv").read_bytes()
+        assert series["flag"] == series["plain"]
+        assert series["file"] != series["plain"]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["solve", "builtin:manufactured-quad", "--order", "8"]
@@ -212,6 +235,30 @@ class TestUsageAndErrors:
     def test_help_is_exit_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamsolve.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hamsolve")
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("hscan", "--hbar", "0"),  # the scan sweeps --range instead
+            ("trace", "--order", "5"),  # a trace runs no series
+            ("hpm-check", "--lopt", "use-L"),  # the check fixes L_opt = L
+            ("hpm-check", "--H", "1 + r"),  # and H = 1
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, command, flag, value, tmp_path, capsys):
+        rc = main([command, "builtin:linear-poisson", flag, value, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_zero_hbar_rejected(self, capsys):
         rc = main(["solve", "builtin:linear-poisson", "--hbar", "0"])

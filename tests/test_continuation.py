@@ -256,7 +256,7 @@ class TestTangentPredictor:
         # u(eps) is the series at hbar -h summed at p = eps, so du/deps at
         # eps = 0 is its u_1
         ws = Workspace(problem, HamConfig(hbar=h, lopt_mode=lopt_mode))
-        t = continuation._tangent(ws, ws.u0, ws.lopt.lu)
+        t = continuation._Corrector(ws).tangent(ws.u0)
         u1 = ws.run(hbar=-h).orders[1]
         assert float(np.max(np.abs(t - u1))) <= 1e-13 * float(np.max(np.abs(u1)))
 
@@ -264,7 +264,7 @@ class TestTangentPredictor:
         ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
         starts = record_starts(monkeypatch)
         trace_workspace(ws, initial_steps=8)
-        t = continuation._tangent(ws, ws.u0, ws.lopt.lu)
+        t = continuation._Corrector(ws).tangent(ws.u0)
         np.testing.assert_array_equal(starts[0], ws.u0 + 0.125 * t)
         assert float(np.max(np.abs(starts[0] - ws.u0))) > 0.1
 
@@ -274,7 +274,7 @@ class TestTangentPredictor:
         # there is 0/0; the next try starts from u itself
         ws = Workspace(replace(LINEAR.spec, s=parse_expr("0")), HamConfig(hbar=-1.0))
         starts = record_starts(monkeypatch)
-        tangents = record_calls(monkeypatch, "_tangent")
+        tangents = record_calls(monkeypatch, continuation._Corrector, "tangent")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             path = trace_workspace(ws)
@@ -296,8 +296,8 @@ class TestTangentPredictor:
             errors = []
             with monkeypatch.context() as patch:
                 if not predictor:
-                    patch.setattr(continuation, "_tangent", lambda *args: None)
-                    patch.setattr(continuation, "_endpoint_update", lambda ws, step, arrays: step)
+                    patch.setattr(continuation._Corrector, "tangent", lambda self, u: None)
+                    patch.setattr(continuation._Corrector, "polish", lambda self, step: step)
                 for case_id in case_ids():
                     for n in (32, 64, 128):
                         ws = _builtin(case_id, n)
@@ -311,36 +311,36 @@ class TestTangentPredictor:
         # perfbench trace-fine's traces at n <= 128, which repeat bitwise
         # for any BLAS thread count: 319 LUs with the zeroth-order start,
         # 238 with the tangent predictor
-        calls = record_calls(monkeypatch, "LU")
+        calls = record_calls(monkeypatch, continuation, "LU")
         for case_id in case_ids():
             for n in (64, 128):
                 assert trace_workspace(_builtin(case_id, n)).final.eps == 1.0
         assert len(calls) <= 238
 
 
-def record_calls(monkeypatch, name):
-    """What ``continuation``'s function ``name`` returns, call by call."""
+def record_calls(monkeypatch, holder, name):
+    """What ``holder``'s function or method ``name`` returns, call by call."""
     results = []
-    original = getattr(continuation, name)
+    original = getattr(holder, name)
 
     def recording(*args):
         results.append(original(*args))
         return results[-1]
 
-    monkeypatch.setattr(continuation, name, recording)
+    monkeypatch.setattr(holder, name, recording)
     return results
 
 
 def record_starts(monkeypatch):
     """The warm start of every Newton try a trace makes, in order."""
     starts = []
-    newton = continuation._newton
+    newton = continuation._Corrector.newton
 
-    def recording(ws, eps, warm_start, arrays):
+    def recording(corrector, eps, warm_start):
         starts.append(warm_start.copy())
-        return newton(ws, eps, warm_start, arrays)
+        return newton(corrector, eps, warm_start)
 
-    monkeypatch.setattr(continuation, "_newton", recording)
+    monkeypatch.setattr(continuation._Corrector, "newton", recording)
     return starts
 
 
@@ -470,7 +470,7 @@ class TestConditionEstimate:
         # N depends on u, so every update builds and factors its own jacobian
         ws = Workspace(MANUFACTURED.spec.with_grid_n(64), HamConfig(hbar=1.0))
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
-        jacobians = count_calls("hamsolve.continuation", "_jacobian")
+        jacobians = count_calls("hamsolve.continuation", "_Corrector.jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         assert len(path.steps) == 17  # no step failed, so every update counts
@@ -484,9 +484,9 @@ class TestConditionEstimate:
         # at n = 192 Newton takes two updates at some eps even from the
         # predicted start. One more LU is the endpoint update's.
         ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
-        attempts = count_calls("hamsolve.continuation", "_newton")
+        attempts = count_calls("hamsolve.continuation", "_Corrector.newton")
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
-        jacobians = count_calls("hamsolve.continuation", "_jacobian")
+        jacobians = count_calls("hamsolve.continuation", "_Corrector.jacobian")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         assert any(step.newton_iters > 1 for step in path.steps[1:-1])
@@ -813,8 +813,17 @@ class TestTypedFailures:
             with pytest.raises(SingularSystemError):
                 newton_at(ws, 0.5, ws.u0)
 
+    def test_endpoint_polish_keeps_the_step_when_its_update_is_not_finite(self):
+        # exp(800) overflows in G and in the jacobian at u_0 alike
+        ws = _from_text(OVERFLOWING)
+        corrector = continuation._Corrector(ws)
+        with pytest.raises(SingularSystemError):
+            corrector.update(1.0, ws.u0, homotopy_residual(ws, 1.0, ws.u0))
+        step = PathStep(1.0, ws.u0, 3, 1.0, True, 0.0)
+        assert corrector.polish(step) is step
+
     def test_singular_eps_counts_as_a_failed_step(self, count_calls):
-        attempts = count_calls("hamsolve.continuation", "_newton")
+        attempts = count_calls("hamsolve.continuation", "_Corrector.newton")
         ws = Workspace(LINEAR.spec, HamConfig(hbar=-1.0))
         steps = traced_steps(ws)
         eps = [step.eps for step in steps]

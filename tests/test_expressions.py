@@ -45,6 +45,8 @@ def test_parse_eval_roundtrip_against_numpy():
         ("sqrt(r)^3", lambda r, u: np.sqrt(R) ** 3),
         ("u^(-2)", lambda r, u: u[0] ** -2.0),
         ("1.5e2*r", lambda r, u: 150.0 * r),
+        ("1e-3*r", lambda r, u: 1e-3 * r),
+        ("2E+2 - u", lambda r, u: 200.0 - u[0]),
     ]
     u = {0: 0.5 + R, 1: np.cos(R), 2: R**2}
     for text, want in cases:
@@ -79,6 +81,10 @@ def test_too_many_primes_rejected():
         ("q + 1", 2),       # unknown name, consumed before erroring
         ("u^u", 3),         # exponent must be a literal
         ("(1+2", 5),        # unclosed paren
+        ("u^(2", 5),        # unclosed exponent
+        ("sin u", 5),       # call without parentheses
+        ("1.2.3", 1),       # two decimal points
+        ("u + $", 5),       # unknown character
     ],
 )
 def test_parse_errors_carry_columns(text, column):
@@ -86,6 +92,9 @@ def test_parse_errors_carry_columns(text, column):
         parse_expr(text)
     assert err.value.column == column
     assert f"column {column}" in str(err.value)
+    # the location is stated once, ahead of the message
+    assert str(err.value) == f"column {column}: {err.value.message}"
+    assert "column" not in err.value.message
 
 
 def test_empty_expression_rejected():

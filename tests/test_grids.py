@@ -7,6 +7,7 @@ solutions. The k! bound is asserted only where double precision can hold it
 """
 
 import dataclasses
+import inspect
 import math
 import pathlib
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from scipy.linalg.lapack import dgecon
 
 import hamsolve
+import hamsolve.continuation as continuation
 from hamsolve import (
     BcSystem,
     BoundaryCondition,
@@ -179,6 +181,14 @@ class TestInterpolate:
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):
             g.interpolate(np.zeros(16), 1.5)
+
+    def test_uniform_fd_is_piecewise_linear(self):
+        # the probe that hscan and trace read on uniform-fd problems
+        g = build_grid("uniform-fd", 21, 0.0, 1.0)
+        f = g.nodes**2
+        assert g.interpolate(f, float(g.nodes[7])) == f[7]
+        mid = 0.5 * (g.nodes[7] + g.nodes[8])
+        assert g.interpolate(f, mid) == pytest.approx(0.5 * (f[7] + f[8]), rel=1e-15)
 
     def test_deterministic(self):
         g = build_grid(CHEB, 32, 0.0, 3.0)
@@ -385,6 +395,16 @@ def test_source_forms_no_dense_inverse():
         source = path.read_text(encoding="utf-8")
         for forbidden in ("linalg.cond(", "linalg.inv("):
             assert forbidden not in source, (path.name, forbidden)
+
+
+def test_continuation_builds_and_factors_jacobians_in_its_corrector_alone():
+    # Newton's state lives in one object: no other code in the tracer
+    # builds or factors a jacobian
+    source = pathlib.Path(continuation.__file__).read_text(encoding="utf-8")
+    corrector = inspect.getsource(continuation._Corrector)
+    outside = source.replace(corrector, "")
+    for call in ("LU(", "add_nonlinear_frechet("):
+        assert call in corrector and call not in outside, call
 
 
 def test_lapack_is_called_from_grids_alone():

@@ -212,8 +212,11 @@ class TestLineAnchoredErrors:
         text = MINIMAL_TEXT.replace("L = 0, 0, 1", "L = 0, 0, 1\nN = u^")
         with pytest.raises(ParseError) as info:
             parse_problem_text(text)
-        assert info.value.line == line_of(text, "N = u^")
-        assert info.value.column is not None
+        line = line_of(text, "N = u^")
+        assert info.value.line == line
+        # the column counts from the start of the value, not of the line
+        assert info.value.column == 3
+        assert str(info.value) == f"line {line}, column 3: exponent must be a numeric literal"
 
     def test_unknown_key(self):
         text = MINIMAL_TEXT.replace("b = 2", "b = 2\nwidth = 4")
