@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PathAbortError, SingularSystemError
+from .errors import ConfigError, PathAbortError, SingularSystemError, is_integer
 from .engine import Workspace
 from .expressions import max_u_order
 from .grids import LU
@@ -268,8 +268,8 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     1/initial_steps. The last step lands on eps = 1 exactly and takes one
     more full Newton update, kept when it passes the stop test.
     """
-    if initial_steps < 2:
-        raise ConfigError(f"initial_steps must be >= 2, got {initial_steps}")
+    if not (is_integer(initial_steps) and initial_steps >= 2):
+        raise ConfigError(f"initial_steps must be an integer >= 2, got {initial_steps!r}")
     g0norm = float(np.max(np.abs(homotopy_residual(ws, 0.0, ws.u0))))
     # the jacobian at eps = 0 is exactly ws.lopt.matrix
     steps = [

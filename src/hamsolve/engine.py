@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, RangeError, is_integer
 from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
 from .jets import PartialsTape, SeriesTape, add_nonlinear_frechet
@@ -145,26 +145,18 @@ class Workspace:
 
         The K columns march together: one tape K grids wide, one matrix
         product and one K-column triangular solve per order. Only the final
-        partial sums, their residuals and the divergence flags are formed.
-        A column's partial sum agrees with ``run`` at its hbar to roundoff
-        but not bitwise, because a K-column matrix product rounds
-        differently from a matrix-vector product; with K = 1 it is bitwise
-        equal.
+        partial sums, their residuals (``mean_square``) and the flags
+        (``_divergence``) are formed. A column's partial sum agrees with
+        ``run`` at its hbar to roundoff but not bitwise, because a K-column
+        matrix product rounds differently from a matrix-vector product; with
+        K = 1 it is bitwise equal, and so are the residual and the flag.
         """
         hbars = np.array([checked_hbar(h) for h in hbars])
         if hbars.size == 0:
             raise ConfigError("no hbar values to run")
         orders = self._march(hbars)
         U = orders.sum(axis=0)
-        f = self.operator_values(U)
-        norms = np.max(np.abs(orders), axis=1)
-        # as a contiguous (K, n, 1) stack each column takes one quadrature
-        # dot, bitwise the value it gets alone (a strided view does not)
-        return SeriesBatch(
-            partial_sums=U,
-            residuals=mean_square(self.grid, np.ascontiguousarray(f.T)[:, :, None])[:, 0],
-            diverged=np.array([series_diverges(col) for col in norms.T]),
-        )
+        return SeriesBatch(U, mean_square(self.grid, self.operator_values(U)), _divergence(orders)[1])
 
     def perturbation_series(self) -> np.ndarray:
         """Coefficients v_0..v_M of the weak-nonlinearity series, (M + 1, n),
@@ -205,37 +197,50 @@ def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.nda
 
 
 def mean_square(grid: Grid, f: np.ndarray):
-    """Mean of f^2 over the domain, by the grid's quadrature rule; one value
-    per column for (n, K) or (S, n, K) grid functions, as ``integrate``."""
+    """Mean of f^2 over the domain, by the grid's quadrature rule: a float
+    for one grid function, one value per column for (n, K) or (S, n, K)
+    ones. Each column takes its own quadrature dot, as a contiguous (n, 1)
+    block of one stack, bitwise what it gets alone; a product with a
+    strided (n, K) block rounds differently."""
+    f = grid.check_columns(f)
+    K = f.shape[-1] if f.ndim > 1 else 1
+    stack = np.ascontiguousarray(f.reshape(-1, grid.n, K).transpose(0, 2, 1)).reshape(-1, grid.n, 1)
     with np.errstate(over="ignore"):  # a residual past the range reads inf
-        return integrate(grid, f * f) / (grid.b - grid.a)
+        squares = integrate(grid, stack * stack)[:, 0] / (grid.b - grid.a)
+    return float(squares[0]) if f.ndim == 1 else squares.reshape(f.shape[:-2] + (K,))
+
+
+def _divergence(orders: np.ndarray):
+    """Per-order sup norms, (M + 1, K), and ``series_diverges`` flags, (K,), of (M + 1, n, K) orders."""
+    norms = np.max(np.abs(orders), axis=1)
+    return norms, np.array([series_diverges(column) for column in norms.T.tolist()])
 
 
 def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: np.ndarray, config: HamConfig) -> SeriesSolution:
     """The SeriesSolution of the orders u_0..u_M, given as an (M + 1, n, 1)
     stack; ``F`` is ``operator_values`` on the problem's matrices.
 
-    The per-order sup norms set the divergence flag. For the residual
-    history the partial sums are summed in order, as a running sum would,
-    and go through one stacked F(U): each takes one matrix-vector product
-    per matrix and one quadrature dot, so each value is bitwise what a call
-    on that partial sum alone gives.
+    The norms and the flag come from ``_divergence``, as ``run_many``'s do.
+    The partial sums, summed in order as a running sum would, go through one
+    stacked F(U) and ``mean_square``: one matrix-vector product per matrix
+    and one quadrature dot each, bitwise what a partial sum gets alone.
     """
-    squares = mean_square(grid, F(np.cumsum(orders, axis=0)))
-    norms = np.max(np.abs(orders), axis=(1, 2)).tolist()
+    norms, diverged = _divergence(orders)
     return SeriesSolution(
         orders=tuple(orders[:, :, 0]),
         config=config,
-        per_order_norms=tuple(norms),
-        residual_history=tuple(squares[:, 0].tolist()),
-        diverged=series_diverges(norms),
+        per_order_norms=tuple(norms[:, 0].tolist()),
+        residual_history=tuple(mean_square(grid, F(np.cumsum(orders, axis=0)))[:, 0].tolist()),
+        diverged=bool(diverged[0]),
     )
 
 
 def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray):
-    """The factored linear core, and whether its matrix equals ``A_L``,
-    which decides the grouped right-hand side (module docstring)."""
+    """The factored linear core of each mode (use-L's is ``A_L`` itself), and
+    whether its matrix equals ``A_L``, which decides the grouped right-hand
+    side (module docstring)."""
     mode = config.lopt_mode
+    core = A_L
     if isinstance(mode, LinearOperator):
         if mode.order != len(problem.bcs):
             raise ConfigError(
@@ -243,31 +248,25 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
                 f"{mode.order} BCs, problem has {len(problem.bcs)}"
             )
         core = assemble_linear(mode, grid)
-    else:
-        system = BcSystem(A_L, problem.bcs, grid)
-        if mode == "use-L":
-            return system, True
-        # frechet-at-u0: linearize F at the u0 of plain L (breaks the circular
-        # definition deterministically)
+    elif mode == "frechet-at-u0":
+        # linearize F at the u0 of plain L (breaks the circular definition
+        # deterministically)
         core = A_L.copy()
-        u0 = system.solve(np.zeros(grid.n))
+        u0 = BcSystem(A_L, problem.bcs, grid).solve(np.zeros(grid.n))
         add_nonlinear_frechet(core, problem.N, grid, u0, PartialsTape(problem.N, grid.nodes))
-    return BcSystem(core, problem.bcs, grid), np.array_equal(core, A_L)
+    return BcSystem(core, problem.bcs, grid), core is A_L or np.array_equal(core, A_L)
 
 
 def run_ham(problem: ProblemSpec, config: HamConfig) -> SeriesSolution:
     """Full series run: u_0 then order-m solves up to the truncation order.
 
-    The result's ``diverged`` flag is set when the per-order sup norms grow
-    three times in a row or an order is not finite (``series_diverges``);
-    the series is still returned.
+    The result's ``diverged`` flag is ``series_diverges`` of the per-order
+    sup norms; a diverged series is still returned.
     """
     return Workspace(problem, config).run()
 
 
 def partial_sum(series: SeriesSolution, upto: int) -> np.ndarray:
-    if not 0 <= upto <= series.truncation_order:
-        raise RangeError(
-            f"partial sum order {upto} outside 0..{series.truncation_order}"
-        )
+    if not (is_integer(upto) and 0 <= upto <= series.truncation_order):
+        raise RangeError(f"partial sum order {upto!r} outside 0..{series.truncation_order}")
     return np.add.reduce(np.stack(series.orders[: upto + 1]), axis=0)

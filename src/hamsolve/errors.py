@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its rule for integer arguments."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer argument (an order, a size, a count):
+    an ``Integral`` that is not a bool, so ``np.int64`` passes and 2.0 or
+    True do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class HamError(Exception):

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, is_integer
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -52,10 +52,8 @@ class U(OperatorExpr):
     order: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.order <= MAX_DERIVATIVE_ORDER:
-            raise ConfigError(
-                f"derivative order {self.order} outside 0..{MAX_DERIVATIVE_ORDER}"
-            )
+        if not (is_integer(self.order) and 0 <= self.order <= MAX_DERIVATIVE_ORDER):
+            raise ConfigError(f"derivative order {self.order!r} outside 0..{MAX_DERIVATIVE_ORDER}")
 
 
 @dataclass(frozen=True)

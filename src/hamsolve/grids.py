@@ -35,6 +35,7 @@ from .errors import (
     GridMismatchError,
     SingularOperatorError,
     SingularSystemError,
+    is_integer,
 )
 from .expressions import MAX_DERIVATIVE_ORDER, Const, LinearOperator, eval_expr
 
@@ -139,8 +140,8 @@ class Grid:
     quad_weights: np.ndarray
 
     def diff_matrix(self, order: int) -> np.ndarray:
-        if not 1 <= order <= MAX_DERIVATIVE_ORDER:
-            raise ConfigError(f"derivative order {order} outside 1..{MAX_DERIVATIVE_ORDER}")
+        if not (is_integer(order) and 1 <= order <= MAX_DERIVATIVE_ORDER):
+            raise ConfigError(f"derivative order {order!r} outside 1..{MAX_DERIVATIVE_ORDER}")
         D = self._diffs[order - 1]
         if D is None:
             # D_3 and D_4 (module docstring); uniform-fd's are dense O(n^3)
@@ -207,8 +208,8 @@ class Grid:
     def interpolate(self, values: np.ndarray, x: float) -> float:
         """Value of the grid function at an off-grid point x in [a, b]."""
         values = self.check_length(values)
-        if not (self.a <= x <= self.b):
-            raise ConfigError(f"{x} is outside [{self.a}, {self.b}]")
+        if not (isinstance(x, numbers.Real) and self.a <= x <= self.b):
+            raise ConfigError(f"point {x!r} is not in [{self.a}, {self.b}]")
         if self.kind == "chebyshev-lobatto":
             diff = x - self.nodes
             hit = np.nonzero(diff == 0.0)[0]
@@ -244,7 +245,7 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     empty or unbounded interval.
     """
     checked_grid_kind(kind)
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+    if not is_integer(n):
         raise ConfigError(f"grid size must be an integer, got {n!r}")
     if n < 8:
         raise ConfigError(f"grid needs at least 8 nodes, got {n}")
@@ -292,8 +293,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.location not in ("left", "right"):
             raise ConfigError(f"BC location must be left or right, got {self.location!r}")
-        if self.derivative_order < 0:
-            raise ConfigError("BC derivative order must be >= 0")
+        if not (is_integer(self.derivative_order) and self.derivative_order >= 0):
+            raise ConfigError(f"BC derivative order must be an integer >= 0, got {self.derivative_order!r}")
         # the BC solves skip LAPACK input checks, so a non-finite value
         # would come back as a silent NaN
         if not math.isfinite(self.value):

@@ -252,10 +252,12 @@ def split_bracket(lo: float, hi: float) -> list:
 
     hbar = 0 is not admissible, so a bracket that reaches zero is cut back
     to BRACKET_TOL on each side; a side left empty is dropped. Raises
-    ConfigError for an empty bracket or one that lies within BRACKET_TOL
-    of zero.
+    ConfigError for a non-finite or empty bracket, or one that lies within
+    BRACKET_TOL of zero.
     """
     lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"hbar bracket ({lo}, {hi}) must be finite")
     if not (lo < hi):
         raise ConfigError(f"empty hbar bracket ({lo}, {hi})")
     if hi < 0.0 or lo > 0.0:

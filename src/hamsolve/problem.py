@@ -9,13 +9,12 @@ also applies to any substitute linear operator chosen for the solve.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .expressions import (
     Const,
     LinearOperator,
@@ -84,10 +83,13 @@ class ProblemSpec:
 
 def checked_hbar(hbar) -> float:
     """hbar as a float; ConfigError unless it is a nonzero finite real."""
-    hbar = float(hbar)
-    if hbar == 0.0 or not math.isfinite(hbar):
-        raise ConfigError("hbar must be a nonzero finite real")
-    return hbar
+    try:
+        value = float(hbar)
+    except (TypeError, ValueError):
+        value = math.nan
+    if value == 0.0 or not math.isfinite(value):
+        raise ConfigError(f"hbar must be a nonzero finite real, got {hbar!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class HamConfig:
             raise ConfigError("H must be an expression")
         if contains_u(self.H):
             raise ConfigError("H must depend on r only")
-        if not isinstance(self.order, numbers.Integral) or isinstance(self.order, bool):
+        if not is_integer(self.order):
             raise ConfigError(f"truncation order must be an integer, got {self.order!r}")
         if self.order < 0:
             raise ConfigError(f"truncation order must be >= 0, got {self.order}")

@@ -364,6 +364,8 @@ class TestTracePath:
     def test_initial_steps_validated(self):
         with pytest.raises(ConfigError):
             trace_path(LINEAR.spec, HamConfig(hbar=1.0), initial_steps=1)
+        with pytest.raises(ConfigError):
+            trace_path(LINEAR.spec, HamConfig(hbar=1.0), initial_steps=3.7)
 
     def test_linear_path_is_proportional(self):
         config = HamConfig(hbar=1.0)

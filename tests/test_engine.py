@@ -36,7 +36,7 @@ from hamsolve import (
     partial_sum,
     run_ham,
 )
-from hamsolve.grids import GRID_KINDS, _lobatto_reference
+from hamsolve.grids import GRID_KINDS, _lobatto_reference, build_grid
 from hamsolve.engine import mean_square
 from hamsolve.expressions import U, max_u_order
 from hamsolve.jets import jet_expand
@@ -379,6 +379,9 @@ class TestResiduals:
             partial_sum(sol, 3)
         with pytest.raises(RangeError):
             partial_sum(sol, -1)
+        with pytest.raises(RangeError):
+            partial_sum(sol, 1.5)
+        np.testing.assert_array_equal(partial_sum(sol, np.int64(2)), partial_sum(sol, 2))
 
 
 def test_zero_weight_rejected():
@@ -439,12 +442,19 @@ def test_problem_rules(changes, message):
         ({"lopt_mode": 2}, "mode name or a LinearOperator"),
         ({"H": 1.0}, "H must be an expression"),
         ({"H": parse_expr("1 + u")}, "H must depend on r only"),
+        ({"hbar": "x"}, "hbar must be a nonzero finite real"),
     ],
-    ids=["unknown-mode", "mode-of-another-type", "H-not-an-expression", "H-of-u"],
+    ids=["unknown-mode", "mode-of-another-type", "H-not-an-expression", "H-of-u", "hbar-not-a-number"],
 )
 def test_config_rules(changes, message):
     with pytest.raises(ConfigError, match=message):
         HamConfig(**changes)
+
+
+def test_numeric_strings_and_numpy_integers_are_accepted():
+    config = HamConfig(hbar="-0.5", order=np.int64(3))
+    assert config.hbar == -0.5
+    assert len(run_ham(POISSON_SPEC, config).orders) == 4
 
 
 def _batch_recursion(ws, hbar, order):
@@ -568,6 +578,16 @@ class TestRunMany:
         f = ws.operator_values(batch.partial_sums)
         want = np.array([mean_square(ws.grid, f[:, k]) for k in range(hbars.size)])
         assert batch.residuals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", [2, 3, 17, 41])
+    @pytest.mark.parametrize("n", [16, 33, 64, 128, 256])
+    def test_mean_square_of_a_block_is_each_columns_own_bitwise(self, n, K):
+        # every column takes its own quadrature dot, the value it gets alone
+        grid = build_grid("chebyshev-lobatto", n, 0.0, 1.0)
+        f = np.random.default_rng(n * K).standard_normal((n, K))
+        want = np.array([mean_square(grid, f[:, k]) for k in range(K)])
+        assert mean_square(grid, f).tobytes() == want.tobytes()
+        assert mean_square(grid, np.stack([f, f])).tobytes() == np.stack([want, want]).tobytes()
 
     def test_repeat_is_bitwise_identical(self):
         ws = Workspace(exp_problem(), HamConfig(order=20))

@@ -125,6 +125,10 @@ def test_eval_domain_errors():
 def test_node_validation():
     with pytest.raises(ConfigError):
         U(5)
+    for order in (1.5, True):
+        with pytest.raises(ConfigError):
+            U(order)
+    assert U(np.int64(2)) == U(2)
     with pytest.raises(ConfigError):
         Call("sinh", Coord())
 

@@ -110,6 +110,8 @@ class TestBuildGrid:
             build_grid(CHEB, 7, 0.0, 1.0)
         with pytest.raises(ConfigError):
             build_grid(CHEB, 16, 1.0, 1.0)
+        with pytest.raises(ConfigError):
+            build_grid(CHEB, 16, 0.0, 1.0).diff_matrix(1.5)
 
     @pytest.mark.parametrize("n", [8.5, 16.0])
     def test_size_must_be_an_integer(self, n):
@@ -181,6 +183,11 @@ class TestInterpolate:
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):
             g.interpolate(np.zeros(16), 1.5)
+
+    def test_point_must_be_a_real(self):
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        with pytest.raises(ConfigError):
+            g.interpolate(np.zeros(16), "x")
 
     def test_uniform_fd_is_piecewise_linear(self):
         # the probe that hscan and trace read on uniform-fd problems
@@ -281,6 +288,10 @@ class TestBcSolves:
             BoundaryCondition("top", 0, 0.0)
         with pytest.raises(ConfigError):
             BoundaryCondition("left", -1, 0.0)
+        for order in (1.5, True):
+            with pytest.raises(ConfigError):
+                BoundaryCondition("right", order, 0.0)
+        assert BoundaryCondition("right", np.int64(1), 0.0).derivative_order == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_bc_value_must_be_finite(self, value):

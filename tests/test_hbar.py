@@ -149,6 +149,11 @@ class TestOptimalHbar:
         with pytest.raises(ConfigError):
             optimal_hbar(LINEAR, HamConfig(order=2), (-0.5, -1.5))
 
+    @pytest.mark.parametrize("bracket", [(-math.inf, -1.0), (-2.0, math.nan), (-1.0, math.inf)])
+    def test_non_finite_bracket_rejected(self, bracket):
+        with pytest.raises(ConfigError, match=re.escape(str(bracket))):
+            optimal_hbar(LINEAR, HamConfig(order=2), bracket)
+
     def test_bracket_pinched_around_zero_rejected(self):
         with pytest.raises(ConfigError):
             optimal_hbar(LINEAR, HamConfig(order=2), (-5e-4, 5e-4))
