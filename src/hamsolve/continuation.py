@@ -51,11 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PathAbortError, SingularSystemError, is_integer
+from .errors import ConfigError, PathAbortError, SingularSystemError, is_integer, real_argument
 from .engine import Workspace
-from .expressions import max_u_order
 from .grids import LU
-from .jets import PartialsTape, add_nonlinear_frechet
+from .jets import PartialsTape
 from .problem import HamConfig, ProblemSpec
 
 # the tracer's default hbar: the series' usual hbar = -1 with its sign
@@ -95,15 +94,9 @@ class ContinuationPath:
         return self.steps[-1]
 
 
-def _check_eps(eps: float) -> float:
-    if not 0.0 <= eps <= 1.0:
-        raise ConfigError(f"eps={eps} outside [0, 1]")
-    return float(eps)
-
-
 def homotopy_residual(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """G(eps, u) with BC residuals on the boundary rows."""
-    eps = _check_eps(eps)
+    eps = real_argument(eps, "eps", 0.0, 1.0)
     u = ws.grid.check_length(u)
     lopt = ws.lopt
     g = (1.0 - eps) * (lopt.matrix @ (u - ws.u0))
@@ -116,7 +109,7 @@ def homotopy_residual(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
 
 def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """d G/d u at (eps, u), dense, with BC rows in place."""
-    eps = _check_eps(eps)
+    eps = real_argument(eps, "eps", 0.0, 1.0)
     u = ws.grid.check_length(u)
     return _Corrector(ws).jacobian(eps, u)
 
@@ -138,7 +131,6 @@ class _Corrector:
         n = ws.grid.n
         self.ws = ws
         self.partials = PartialsTape(ws.problem.N, ws.grid.nodes)
-        self.u_independent = max_u_order(ws.problem.N) < 0
         self.scaled_lopt = np.empty((n, n))
         self.J = np.empty((n, n))
         self.factors = np.empty((n, n), order="F")  # LAPACK factors it in place
@@ -152,7 +144,7 @@ class _Corrector:
             np.multiply(lopt.matrix, 1.0 - eps, out=self.scaled_lopt)
             self.scaled_eps = eps
         np.copyto(out, ws.A_L)
-        add_nonlinear_frechet(out, ws.problem.N, ws.grid, u, self.partials)
+        self.partials.add_frechet(out, ws.grid, u)
         # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
         # scaling by H = 1 changes no bit, so that pass is skipped
         if not ws.unit_weight:
@@ -193,7 +185,7 @@ class _Corrector:
                 return PathStep(eps, u, it, self.lu.condition(), True, gnorm)
             if it == NEWTON_MAX_ITERS:
                 break
-            delta = self.update(eps, u, g, refactor=it == 0 or not self.u_independent)
+            delta = self.update(eps, u, g, refactor=it == 0 or not self.partials.u_independent)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 trial = u + scale * delta
@@ -250,7 +242,7 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     factored, the one at the iterate before the last update (at the
     returned point itself when no update was needed); nan otherwise.
     """
-    eps = _check_eps(eps)
+    eps = real_argument(eps, "eps", 0.0, 1.0)
     return _Corrector(ws).newton(eps, warm_start)
 
 

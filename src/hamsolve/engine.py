@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, RangeError, is_integer
 from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, integrate
-from .jets import PartialsTape, SeriesTape, add_nonlinear_frechet
+from .jets import PartialsTape, SeriesTape
 from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
 
 
@@ -50,8 +50,9 @@ class Workspace:
     may change, and nothing here depends on it, so one workspace serves a
     whole hbar scan. Instances are not thread-safe to build but immutable
     afterwards: the engine, the tracer and the oracle read the same arrays,
-    so ``A_L``, ``s_vals``, ``H_vals``, ``u0``, the core's matrix and the
-    grid's nodes, matrices and weights are read-only.
+    so each array is read-only. The workspace freezes those it builds,
+    ``A_L``, ``s_vals``, ``H_vals`` and ``u0``; the grid and the core's
+    ``BcSystem`` freeze their own.
     """
 
     def __init__(self, problem: ProblemSpec, config: HamConfig):
@@ -66,9 +67,7 @@ class Workspace:
         self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
-        grid = self.grid
-        matrices = (D for D in grid._diffs if D is not None)  # Grid.diff_matrix freezes the rest
-        for arr in (self.A_L, self.s_vals, self.H_vals, self.u0, self.lopt.matrix, grid.nodes, grid.quad_weights, *matrices):
+        for arr in (self.A_L, self.s_vals, self.H_vals, self.u0):
             arr.setflags(write=False)
 
     def _march(self, hbars: np.ndarray, deformation: bool = True) -> np.ndarray:
@@ -253,7 +252,7 @@ def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L:
         # deterministically)
         core = A_L.copy()
         u0 = BcSystem(A_L, problem.bcs, grid).solve(np.zeros(grid.n))
-        add_nonlinear_frechet(core, problem.N, grid, u0, PartialsTape(problem.N, grid.nodes))
+        PartialsTape(problem.N, grid.nodes).add_frechet(core, grid, u0)
     return BcSystem(core, problem.bcs, grid), core is A_L or np.array_equal(core, A_L)
 
 

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and its rule for integer arguments."""
+"""Exception types shared across the package, and its two rules for
+arguments: ``is_integer`` for orders, sizes and counts, ``real_argument``
+for hbar, eps, domain ends, BC values, points and tolerances."""
 
+import math
 import numbers
 
 
@@ -8,6 +11,20 @@ def is_integer(value) -> bool:
     an ``Integral`` that is not a bool, so ``np.int64`` passes and 2.0 or
     True do not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def real_argument(value, name: str, low: float = -math.inf, high: float = math.inf, nonzero: bool = False) -> float:
+    """``value`` as a float when ``float()`` takes it (``np.float64`` and
+    numeric strings do) and the value is finite, in [low, high] and, if
+    ``nonzero``, not zero; else a ConfigError that names the argument."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and low <= x <= high and not (nonzero and x == 0.0)):
+        bounds = f" in [{low:g}, {high:g}]" if math.isfinite(low) or math.isfinite(high) else ""
+        raise ConfigError(f"{name} must be a {'nonzero ' if nonzero else ''}finite real{bounds}, got {value!r}")
+    return x
 
 
 class HamError(Exception):

@@ -60,10 +60,18 @@ class U(OperatorExpr):
 class Sum(OperatorExpr):
     terms: tuple
 
+    def __post_init__(self):
+        if not self.terms:
+            raise ConfigError("a sum needs at least one term")
+
 
 @dataclass(frozen=True)
 class Product(OperatorExpr):
     factors: tuple
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ConfigError("a product needs at least one factor")
 
 
 @dataclass(frozen=True)

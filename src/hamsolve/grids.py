@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +35,7 @@ from .errors import (
     SingularOperatorError,
     SingularSystemError,
     is_integer,
+    real_argument,
 )
 from .expressions import MAX_DERIVATIVE_ORDER, Const, LinearOperator, eval_expr
 
@@ -129,7 +129,9 @@ def _fd_second(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """A fixed 1-D collocation grid with its derivative and quadrature data."""
+    """A fixed 1-D collocation grid with its derivative and quadrature data.
+    Each array is this grid's own and read-only from birth: ``build_grid``
+    freezes the nodes, weights, D_1 and D_2, ``diff_matrix`` D_3 and D_4."""
 
     kind: str
     n: int
@@ -208,8 +210,7 @@ class Grid:
     def interpolate(self, values: np.ndarray, x: float) -> float:
         """Value of the grid function at an off-grid point x in [a, b]."""
         values = self.check_length(values)
-        if not (isinstance(x, numbers.Real) and self.a <= x <= self.b):
-            raise ConfigError(f"point {x!r} is not in [{self.a}, {self.b}]")
+        x = real_argument(x, "point", self.a, self.b)
         if self.kind == "chebyshev-lobatto":
             diff = x - self.nodes
             hit = np.nonzero(diff == 0.0)[0]
@@ -241,17 +242,13 @@ def checked_grid_kind(kind: str) -> str:
 def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     """Construct a grid of ``n`` nodes on [a, b].
 
-    Raises ConfigError for unknown kinds, a non-integer n or n < 8, or an
-    empty or unbounded interval.
+    Raises ConfigError for unknown kinds, a non-integer n or n < 8, ends
+    that are not real arguments, or an empty interval.
     """
     checked_grid_kind(kind)
-    if not is_integer(n):
-        raise ConfigError(f"grid size must be an integer, got {n!r}")
-    if n < 8:
-        raise ConfigError(f"grid needs at least 8 nodes, got {n}")
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ConfigError(f"domain [{a}, {b}] must be finite")
+    if not (is_integer(n) and n >= 8):
+        raise ConfigError(f"grid size must be an integer >= 8, got {n!r}")
+    a, b = real_argument(a, "domain end a"), real_argument(b, "domain end b")
     if not b > a:
         raise ConfigError(f"domain [{a}, {b}] is empty")
     scale = 2.0 / (b - a)
@@ -267,6 +264,8 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
         weights = np.full(n, h)
         weights[0] = weights[-1] = h / 2.0
     nodes[0], nodes[-1] = a, b  # pin endpoints exactly against roundoff
+    for arr in (nodes, weights, *diffs[:2]):
+        arr.setflags(write=False)
     return Grid(kind, n, a, b, nodes, diffs, weights)
 
 
@@ -283,7 +282,8 @@ class BoundaryCondition:
     """A point condition d^k u/dr^k (endpoint) = value.
 
     location is "left" or "right"; derivative_order must be strictly less
-    than the order of the operator being solved.
+    than the order of the operator being solved; value is a real argument
+    (``errors.real_argument``), stored as a float.
     """
 
     location: str
@@ -297,8 +297,7 @@ class BoundaryCondition:
             raise ConfigError(f"BC derivative order must be an integer >= 0, got {self.derivative_order!r}")
         # the BC solves skip LAPACK input checks, so a non-finite value
         # would come back as a silent NaN
-        if not math.isfinite(self.value):
-            raise ConfigError(f"BC value must be finite, got {self.value}")
+        object.__setattr__(self, "value", real_argument(self.value, "BC value"))
 
 
 def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
@@ -434,7 +433,8 @@ class BcSystem:
     ``lu``, the factorization, serves every right-hand side: the zeroth-order
     solve, all higher-order solves, and the tracer's tangent at eps = 0,
     where it is the homotopy's whole jacobian. ``condition``, the 1-norm
-    condition number, is ``lu.condition()``. Instances are immutable after
+    condition number, is ``lu.condition()``. ``matrix``, their matrix, is
+    the system's own read-only copy. Instances are immutable after
     construction and safe to share across threads.
     """
 
@@ -455,6 +455,7 @@ class BcSystem:
             raise GridMismatchError(f"matrix shape {A.shape} does not match grid n={grid.n}")
         for i, bc in zip(self.rows, bcs):
             A[i] = bc_row(grid, bc)
+        A.setflags(write=False)
         self.matrix = A
         # the matrix holds user expressions' values: NaN or inf is an error
         if not np.all(np.isfinite(A)):
@@ -475,15 +476,15 @@ class BcSystem:
         ``rhs`` is one right-hand side of shape (n,) or K of them as the
         columns of an (n, K) array; the columns are solved independently, so
         a non-finite column does not touch the others. bc_values None means
-        "use each BC's own value"; otherwise it holds one finite value per
+        "use each BC's own value"; otherwise it holds one real argument per
         BC (zeros for homogeneous versions of the same conditions), else
         ConfigError.
         """
         rhs = np.array(self.grid.check_columns(rhs), order="F")
         if bc_values is None:
             bc_values = [bc.value for bc in self.bcs]
-        elif len(bc_values) != len(self.bcs) or not all(map(math.isfinite, bc_values)):
-            raise ConfigError(f"need one finite value per BC ({len(self.bcs)}), got {bc_values!r}")
+        elif len(bc_values) != len(self.bcs):
+            raise ConfigError(f"need one value per BC ({len(self.bcs)}), got {bc_values!r}")
         for i, v in zip(self.rows, bc_values):
-            rhs[i] = v
+            rhs[i] = real_argument(v, "BC value")
         return self.lu.solve(rhs)

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real_argument
 from .engine import Workspace, mean_square
 from .grids import lobatto_barycentric_weights
 from .problem import HamConfig, ProblemSpec, checked_hbar
@@ -255,9 +255,8 @@ def split_bracket(lo: float, hi: float) -> list:
     ConfigError for a non-finite or empty bracket, or one that lies within
     BRACKET_TOL of zero.
     """
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"hbar bracket ({lo}, {hi}) must be finite")
+    name = f"each end of the hbar bracket ({lo!r}, {hi!r})"
+    lo, hi = real_argument(lo, name), real_argument(hi, name)
     if not (lo < hi):
         raise ConfigError(f"empty hbar bracket ({lo}, {hi})")
     if hi < 0.0 or lo > 0.0:

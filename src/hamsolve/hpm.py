@@ -25,7 +25,6 @@ core, once it has checked that the core is L's own BC system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -33,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import Workspace, operator_values, series_solution
-from .errors import ConfigError
+from .errors import ConfigError, is_integer, real_argument
 from .expressions import Const, max_u_order
 from .grids import BcSystem, Grid, assemble_linear, bc_row, bc_row_indices
 from .jets import Tape
@@ -50,8 +49,8 @@ def hpm_config(order: int = 10) -> HamConfig:
 
 
 def _checked_order(order: int) -> int:
-    if order < 1:
-        raise ConfigError(f"reduced recursion needs order >= 1, got {order}")
+    if not (is_integer(order) and order >= 1):
+        raise ConfigError(f"reduced recursion needs an integer order >= 1, got {order!r}")
     return order
 
 
@@ -142,8 +141,7 @@ def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optiona
     passing anything other than -1 is the mutation control that shows the
     comparison actually has teeth.
     """
-    if not (tolerance > 0.0 and math.isfinite(tolerance)):
-        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
+    tolerance = real_argument(tolerance, "tolerance", low=0.0, nonzero=True)
     if ws.config.lopt_mode != "use-L" or not ws.unit_weight:
         raise ConfigError(
             "the equivalence check needs a workspace with the reduced "
@@ -167,7 +165,7 @@ def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optiona
     return EquivalenceReport(
         per_order_rel_diff=tuple(diffs),
         max_rel_diff=worst,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=worst < tolerance,
     )
 

@@ -314,7 +314,8 @@ class SeriesTape:
 
 class PartialsTape:
     """Pointwise partials {k: d expr / d u^(k)} of one expression at fixed
-    nodes, given {k: values of u^(k)}, from a tape lowered once.
+    nodes, given {k: values of u^(k)}, from a tape lowered once, and the
+    expression's Fréchet derivative built from them (``add_frechet``).
 
     The tape is one forward-mode sweep: the nodes are repeated once per
     u-derivative slot along the width, and slot k's copy seeds the
@@ -323,13 +324,14 @@ class PartialsTape:
     reads, so each call is bitwise a freshly lowered tape's, and a caller
     that needs the partials at many u (Newton) lowers the tape once. The
     arrays returned are views of the tape's buffers, valid until the next
-    call.
+    call. ``u_independent`` says the expression reads no u: its derivative is 0.
     """
 
     def __init__(self, expr: OperatorExpr, r: np.ndarray):
         r = np.asarray(r, dtype=float)
         self._width = r.shape[0]
         self._slots = max_u_order(expr) + 1
+        self.u_independent = self._slots == 0
         self._leaves = {}
         for k in range(self._slots):
             jet = np.zeros((2, self._slots, self._width))
@@ -345,17 +347,13 @@ class PartialsTape:
         self._tape.step(1)
         return dict(enumerate(self._root[1].reshape(self._slots, self._width)))
 
-
-def add_nonlinear_frechet(A: np.ndarray, N: OperatorExpr, grid: Grid, u0: np.ndarray, partials: PartialsTape) -> None:
-    """Add sum_k diag(dN/du^(k) at u0) D_k, N's part of the Fréchet
-    derivative of L + N at ``u0``, to the (n, n) array ``A`` in place. An
-    overflowing partial enters as inf or nan without a warning; ``BcSystem``
-    and Newton report the non-finite result as SingularSystemError.
-    ``partials`` is N's ``PartialsTape`` on the grid's nodes, so a caller
-    that adds the derivative at many u lowers it once.
-    """
-    u0 = grid.check_length(u0)
-    upto = max_u_order(N)
-    if upto >= 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            add_operator(A, grid, partials(grid.derivative_stack(u0, upto)))
+    def add_frechet(self, A: np.ndarray, grid: Grid, u: np.ndarray) -> None:
+        """Add sum_k diag(d expr/du^(k) at u) D_k, the Fréchet derivative
+        at ``u`` on the grid the tape was lowered on, to the (n, n) array
+        ``A`` in place. An overflowing partial enters as inf or nan without
+        a warning; ``BcSystem`` and Newton report it as SingularSystemError.
+        """
+        u = grid.check_length(u)
+        if not self.u_independent:
+            with np.errstate(over="ignore", invalid="ignore"):
+                add_operator(A, grid, self(grid.derivative_stack(u, self._slots - 1)))

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, real_argument
 from .expressions import (
     Const,
     LinearOperator,
@@ -49,6 +49,12 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "bcs", tuple(self.bcs))
+        if not isinstance(self.L, LinearOperator):
+            raise ConfigError("L must be a LinearOperator")
+        optional = () if self.exact_solution is None else ("exact_solution",)
+        for name in ("N", "s", *optional):
+            if not isinstance(getattr(self, name), OperatorExpr):
+                raise ConfigError(f"{name} must be an expression")
         if contains_u(self.s):
             raise ConfigError("source term must depend on r only")
         if self.exact_solution is not None and contains_u(self.exact_solution):
@@ -82,14 +88,8 @@ class ProblemSpec:
 
 
 def checked_hbar(hbar) -> float:
-    """hbar as a float; ConfigError unless it is a nonzero finite real."""
-    try:
-        value = float(hbar)
-    except (TypeError, ValueError):
-        value = math.nan
-    if value == 0.0 or not math.isfinite(value):
-        raise ConfigError(f"hbar must be a nonzero finite real, got {hbar!r}")
-    return value
+    """hbar as a float; ConfigError unless it is a nonzero real argument."""
+    return real_argument(hbar, "hbar", nonzero=True)
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,8 @@ class HamConfig:
             raise ConfigError("H must be an expression")
         if contains_u(self.H):
             raise ConfigError("H must depend on r only")
-        if not is_integer(self.order):
-            raise ConfigError(f"truncation order must be an integer, got {self.order!r}")
-        if self.order < 0:
-            raise ConfigError(f"truncation order must be >= 0, got {self.order}")
+        if not (is_integer(self.order) and self.order >= 0):
+            raise ConfigError(f"truncation order must be an integer >= 0, got {self.order!r}")
 
     def with_hbar(self, hbar: float) -> "HamConfig":
         return replace(self, hbar=hbar)

@@ -40,7 +40,7 @@ from hamsolve import (
 from hamsolve.continuation import MAX_HALVINGS, NEWTON_MAX_ITERS
 from hamsolve.expressions import max_u_order
 from hamsolve.grids import LU
-from hamsolve.jets import PartialsTape, add_nonlinear_frechet
+from hamsolve.jets import PartialsTape
 
 from conftest import exp_problem
 
@@ -55,7 +55,7 @@ def smooth_field(grid):
 
 
 class TestResidual:
-    @pytest.mark.parametrize("eps", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("eps", [-0.1, 1.1, 2.0, "x", None])
     def test_eps_range_checked(self, eps):
         ws = Workspace(LINEAR.spec, HamConfig())
         with pytest.raises(ConfigError):
@@ -64,6 +64,13 @@ class TestResidual:
             homotopy_jacobian(ws, eps, ws.u0)
         with pytest.raises(ConfigError):
             newton_at(ws, eps, ws.u0)
+
+    def test_eps_is_any_real_argument(self):
+        ws = Workspace(LINEAR.spec, HamConfig())
+        u = smooth_field(ws.grid)
+        want = homotopy_residual(ws, 0.5, u)
+        for eps in ("0.5", np.float64(0.5)):
+            np.testing.assert_array_equal(homotopy_residual(ws, eps, u), want)
 
     def test_zeroth_order_is_root_at_eps_zero(self):
         config = HamConfig(hbar=1.0)
@@ -131,7 +138,7 @@ class TestJacobian:
         ws = Workspace(MANUFACTURED.spec, HamConfig(hbar=-0.9))
         u = ws.u0 + 0.2 * np.sin(np.pi * ws.grid.nodes)
         df = ws.A_L.copy()
-        add_nonlinear_frechet(df, ws.problem.N, ws.grid, u, PartialsTape(ws.problem.N, ws.grid.nodes))
+        PartialsTape(ws.problem.N, ws.grid.nodes).add_frechet(df, ws.grid, u)
         expected = (1.0 - eps) * ws.lopt.matrix + (eps * -0.9) * (
             ws.H_vals[:, None] * df
         )

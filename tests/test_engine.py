@@ -36,7 +36,7 @@ from hamsolve import (
     partial_sum,
     run_ham,
 )
-from hamsolve.grids import GRID_KINDS, _lobatto_reference, build_grid
+from hamsolve.grids import GRID_KINDS, BcSystem, _lobatto_reference, assemble_linear, build_grid
 from hamsolve.engine import mean_square
 from hamsolve.expressions import U, max_u_order
 from hamsolve.jets import jet_expand
@@ -394,6 +394,16 @@ def test_zero_weight_rejected():
         Workspace(spec65, HamConfig(H=parse_expr("r - 0.5")))
 
 
+def _bare_grid(ws):
+    # a grid of the workspace's kind and size, built outside any workspace
+    return build_grid(ws.grid.kind, ws.grid.n, ws.grid.a, ws.grid.b)
+
+
+def _bare_system(ws):
+    grid = _bare_grid(ws)
+    return BcSystem(assemble_linear(ws.problem.L, grid), ws.problem.bcs, grid)
+
+
 @pytest.mark.parametrize(
     "array",
     [
@@ -407,8 +417,17 @@ def test_zero_weight_rejected():
         lambda ws: ws.grid.diff_matrix(1),
         lambda ws: ws.grid.diff_matrix(2),
         lambda ws: ws.grid.diff_matrix(3),  # uniform-fd forms it on first request
+        # the grid and the BC system freeze their own arrays as they build them
+        lambda ws: _bare_grid(ws).nodes,
+        lambda ws: _bare_grid(ws).quad_weights,
+        lambda ws: _bare_grid(ws).diff_matrix(1),
+        lambda ws: _bare_grid(ws).diff_matrix(2),
+        lambda ws: _bare_system(ws).matrix,
     ],
-    ids=["A_L", "s_vals", "H_vals", "u0", "lopt.matrix", "nodes", "quad_weights", "D1", "D2", "D3"],
+    ids=[
+        "A_L", "s_vals", "H_vals", "u0", "lopt.matrix", "nodes", "quad_weights", "D1", "D2", "D3",
+        "bare-grid-nodes", "bare-grid-quad_weights", "bare-grid-D1", "bare-grid-D2", "bare-BcSystem-matrix",
+    ],
 )
 @pytest.mark.parametrize("kind", GRID_KINDS)
 def test_workspace_arrays_are_read_only(array, kind):
@@ -427,8 +446,13 @@ POISSON_SPEC = get_case(POISSON).spec
         ({"s": parse_expr("1 + u")}, "source term must depend on r only"),
         ({"N": U(3)}, "above the linear operator order"),
         ({"bcs": (POISSON_SPEC.bcs[0], ("right", 0, 0.0))}, "not a boundary condition"),
+        # each failed later, inside Grid.sample, eval_expr or L.order
+        ({"N": None}, "N must be an expression"),
+        ({"s": 1.0}, "s must be an expression"),
+        ({"exact_solution": 1.0}, "exact_solution must be an expression"),
+        ({"L": None}, "L must be a LinearOperator"),
     ],
-    ids=["s-of-u", "N-above-L", "bc-not-a-condition"],
+    ids=["s-of-u", "N-above-L", "bc-not-a-condition", "N-none", "s-a-float", "exact-a-float", "L-none"],
 )
 def test_problem_rules(changes, message):
     with pytest.raises(ConfigError, match=message):

@@ -133,6 +133,13 @@ def test_node_validation():
         Call("sinh", Coord())
 
 
+@pytest.mark.parametrize("node", [Sum, Product])
+def test_empty_sum_or_product_is_rejected_at_construction(node):
+    # evaluated, it raised IndexError
+    with pytest.raises(ConfigError):
+        node(())
+
+
 def test_walkable_tree_shapes():
     expr = parse_expr("u'' + 2*sin(pi*r)*u")
     assert isinstance(expr, Sum)

@@ -120,12 +120,23 @@ class TestBuildGrid:
         with pytest.raises(ConfigError):
             Workspace(dataclasses.replace(get_case("linear-poisson").spec, n=n), HamConfig())
 
-    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), ("a", 1.0), (0.0, None)])
     def test_domain_must_be_finite(self, a, b):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):
                 build_grid(CHEB, 16, a, b)
+
+    def test_problem_domain_is_checked_by_the_same_rule(self):
+        spec = dataclasses.replace(get_case("linear-poisson").spec, a="x")
+        with pytest.raises(ConfigError, match="domain end a"):
+            spec.make_grid()
+
+    def test_numeric_domain_ends_pass(self):
+        g = build_grid(CHEB, 16, "0", np.float64(1.0))
+        want = build_grid(CHEB, 16, 0.0, 1.0)
+        assert (g.a, g.b) == (0.0, 1.0) and type(g.a) is float
+        np.testing.assert_array_equal(g.nodes, want.nodes)
 
     def test_diff_order_bounds(self):
         g = build_grid(CHEB, 16, 0.0, 1.0)
@@ -188,6 +199,12 @@ class TestInterpolate:
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):
             g.interpolate(np.zeros(16), "x")
+
+    def test_point_is_any_real_argument(self):
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        f = np.sin(np.pi * g.nodes)
+        for x in ("0.5", np.float64(0.5)):
+            assert g.interpolate(f, x) == g.interpolate(f, 0.5)
 
     def test_uniform_fd_is_piecewise_linear(self):
         # the probe that hscan and trace read on uniform-fd problems
@@ -267,7 +284,7 @@ class TestBcSolves:
         assert inhom[0] == pytest.approx(3.0, abs=1e-12)
         assert inhom[-1] == pytest.approx(7.0, abs=1e-12)
 
-    @pytest.mark.parametrize("bc_values", [(0.0,), (0.0, 0.0, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    @pytest.mark.parametrize("bc_values", [(0.0,), (0.0, 0.0, 0.0), (0.0, math.nan), (math.inf, 0.0), ("x", 0.0), (0.0, None)])
     def test_bc_values_one_finite_value_per_bc(self, bc_values):
         # unchecked, a short list left the right BC row at the rhs value
         # 1.0, extra values were dropped and NaN gave a NaN solution
@@ -293,10 +310,15 @@ class TestBcSolves:
                 BoundaryCondition("right", order, 0.0)
         assert BoundaryCondition("right", np.int64(1), 0.0).derivative_order == 1
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None])
     def test_bc_value_must_be_finite(self, value):
         with pytest.raises(ConfigError):
             BoundaryCondition("left", 0, value)
+
+    @pytest.mark.parametrize("value", ["1", np.float64(1.0), 1], ids=["str", "float64", "int"])
+    def test_bc_value_is_stored_as_a_float(self, value):
+        bc = BoundaryCondition("left", 0, value)
+        assert bc.value == 1.0 and type(bc.value) is float
 
     @pytest.mark.parametrize("shape", [(15, 15), (16, 17), (17, 17)])
     def test_matrix_shape_must_match_the_grid(self, shape):
@@ -414,7 +436,7 @@ def test_continuation_builds_and_factors_jacobians_in_its_corrector_alone():
     source = pathlib.Path(continuation.__file__).read_text(encoding="utf-8")
     corrector = inspect.getsource(continuation._Corrector)
     outside = source.replace(corrector, "")
-    for call in ("LU(", "add_nonlinear_frechet("):
+    for call in ("LU(", "add_frechet("):
         assert call in corrector and call not in outside, call
 
 
@@ -517,18 +539,17 @@ class TestLobattoReference:
                 arr[0] = 1.0
 
     def test_grids_of_one_size_share_no_arrays(self):
-        # on [-1, 1] the scale is 1, where sharing the reference is tempting
+        # on [-1, 1] the scale is 1, where sharing the reference is tempting;
+        # a grid's arrays are read-only, so the memory itself is compared
+        def arrays(g):
+            return (g.nodes, g.quad_weights, *(g.diff_matrix(k) for k in range(1, MAX_DERIVATIVE_ORDER + 1)))
+
         first = build_grid(CHEB, 16, -1.0, 1.0)
         second = build_grid(CHEB, 16, -1.0, 1.0)
-        before = second.diff_matrix(1).copy()
-        first.diff_matrix(1)[:] = 0.0
-        first.nodes[:] = 0.0
-        first.quad_weights[:] = 0.0
-        np.testing.assert_array_equal(second.diff_matrix(1), before)
-        third = build_grid(CHEB, 16, -1.0, 1.0)
-        np.testing.assert_array_equal(third.diff_matrix(1), before)
-        np.testing.assert_array_equal(third.nodes, second.nodes)
-        np.testing.assert_array_equal(third.quad_weights, second.quad_weights)
+        nodes, diffs, weights = _lobatto_reference(16)
+        for mine in arrays(first):
+            for other in (*arrays(second), nodes, weights, *diffs):
+                assert not np.shares_memory(mine, other)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (0.3, 2.7), (-5.0, 1e-3)])
     def test_scaled_reference_equals_direct_construction_bitwise(self, a, b):

@@ -154,6 +154,14 @@ class TestOptimalHbar:
         with pytest.raises(ConfigError, match=re.escape(str(bracket))):
             optimal_hbar(LINEAR, HamConfig(order=2), bracket)
 
+    @pytest.mark.parametrize("bracket", [("x", 1.0), (-1.0, None)])
+    def test_bracket_ends_are_real_arguments(self, bracket):
+        with pytest.raises(ConfigError, match="hbar bracket"):
+            hbar.split_bracket(*bracket)
+
+    def test_numeric_bracket_ends_pass(self):
+        assert hbar.split_bracket("-1.5", np.float64(-0.5)) == [(-1.5, -0.5)]
+
     def test_bracket_pinched_around_zero_rejected(self):
         with pytest.raises(ConfigError):
             optimal_hbar(LINEAR, HamConfig(order=2), (-5e-4, 5e-4))

@@ -160,7 +160,7 @@ class TestEquivalence:
         with pytest.raises(ConfigError):
             check_equivalence(TANH_SHORT, tolerance=-1e-10)
 
-    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), "x", None])
     def test_tolerance_must_be_finite(self, tolerance):
         # an infinite tolerance passed even the mutation control
         with pytest.raises(ConfigError):
@@ -171,6 +171,12 @@ class TestEquivalence:
             check_equivalence(TANH_SHORT, order=0)
         with pytest.raises(ConfigError):
             equivalence_workspace(Workspace(TANH_SHORT, hpm_config(0)))
+
+    @pytest.mark.parametrize("order", ["x", 2.5, None])
+    def test_recursion_order_is_an_integer_argument(self, order):
+        # a string or None failed the order < 1 comparison with TypeError
+        with pytest.raises(ConfigError):
+            hpm_recursion(TANH_SHORT, order)
 
     @pytest.mark.parametrize("hbar", [0.0, float("nan"), float("inf")])
     def test_hbar_validated(self, hbar):

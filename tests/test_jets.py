@@ -36,7 +36,7 @@ from hamsolve import (
     parse_expr,
 )
 from hamsolve.expressions import max_u_order
-from hamsolve.jets import PartialsTape, Tape, add_nonlinear_frechet, jet_expand
+from hamsolve.jets import PartialsTape, Tape, jet_expand
 
 DEPTH = 6
 WIDTH = 3
@@ -435,7 +435,7 @@ class TestFrechet:
         N = parse_expr("u^2")
         u0 = np.sin(np.pi * g.nodes)
         A = assemble_linear(L, g).copy()
-        add_nonlinear_frechet(A, N, g, u0, PartialsTape(N, g.nodes))
+        PartialsTape(N, g.nodes).add_frechet(A, g, u0)
         want = g.diff_matrix(2) + np.diag(2.0 * u0)
         assert np.max(np.abs(A - want)) < 1e-12
 
@@ -446,17 +446,21 @@ class TestFrechet:
         rng = np.random.default_rng(31)
         u0 = rng.standard_normal(g.n)
         A = assemble_linear(L, g).copy()
-        add_nonlinear_frechet(A, N, g, u0, PartialsTape(N, g.nodes))
+        PartialsTape(N, g.nodes).add_frechet(A, g, u0)
         d1 = g.diff_matrix(1)
         want = d1 + np.diag(d1 @ u0) + u0[:, None] * d1
         assert np.max(np.abs(A - want)) < 1e-11
+
+    @pytest.mark.parametrize("text, independent", [("0", True), ("sin(r)", True), ("u^2", False), ("u*u'", False)])
+    def test_tape_flags_an_expression_free_of_u(self, text, independent):
+        assert PartialsTape(parse_expr(text), np.linspace(0.0, 1.0, 8)).u_independent is independent
 
     def test_reference_matrix_pure_linear(self):
         g = build_grid("chebyshev-lobatto", 16, 0.0, 1.0)
         L = LinearOperator.from_strings(("0", "0", "1"))
         A = assemble_linear(L, g).copy()
         N = parse_expr("0")
-        add_nonlinear_frechet(A, N, g, np.zeros(g.n), PartialsTape(N, g.nodes))
+        PartialsTape(N, g.nodes).add_frechet(A, g, np.zeros(g.n))
         assert np.max(np.abs(A - g.diff_matrix(2))) == 0.0
 
     @pytest.mark.parametrize("n_expr", ["0", "u^2", "u*u'"])
