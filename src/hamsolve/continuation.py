@@ -22,10 +22,10 @@ package's one LU type), (1 - eps) L_opt formed once per eps, and the LU of
 the last jacobian factored, L_opt's own until Newton factors one (the
 jacobian at eps = 0 is L_opt's BC matrix). A Newton iteration costs about
 one dense LU, and when N does not depend on u one LU serves every update
-at an eps. The tangent of an accepted step costs one F evaluation and one
-solve with that LU, and the endpoint update one more LU. Every iterate is
-bitwise what the plain formulas give (docs/recursions.md, "What one Newton
-iteration costs" and "The tangent predictor").
+at an eps. The tangent of an accepted step costs two G evaluations, one
+with F, and one solve with that LU, and the endpoint update one more LU.
+Every iterate is bitwise what the plain formulas give (docs/recursions.md,
+"What one Newton iteration costs" and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
@@ -203,14 +203,11 @@ class _Corrector:
         """du/deps at a path point u: t with J t = -dG/deps, or None when t
         is not finite, as a singular J's is.
 
-        dG/deps = -L_opt(u - u_0) + hbar H F(u) on interior rows and 0 on BC
+        G is affine in eps: dG/deps = G(1, u) - G(0, u), exactly 0 on BC
         rows. J's LU is ``lu``: Newton's last at the point's eps, or at
         eps = 0 L_opt's own.
         """
-        ws, lopt = self.ws, self.ws.lopt
-        rhs = lopt.matrix @ (u - ws.u0) - ws.config.hbar * (ws.H_vals * ws.operator_values(u))
-        rhs[lopt.rows] = 0.0
-        t = self.lu.solve(rhs)
+        t = self.lu.solve(homotopy_residual(self.ws, 0.0, u) - homotopy_residual(self.ws, 1.0, u))
         return t if np.all(np.isfinite(t)) else None
 
     def polish(self, step: PathStep) -> PathStep:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, toeplitz
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dgetrf, dgetrs
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -239,6 +238,13 @@ def checked_grid_kind(kind: str) -> str:
     return kind
 
 
+def checked_grid_size(n: int) -> int:
+    """``n`` itself; ConfigError unless it is an integer >= 8."""
+    if not (is_integer(n) and n >= 8):
+        raise ConfigError(f"grid size must be an integer >= 8, got {n!r}")
+    return n
+
+
 def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     """Construct a grid of ``n`` nodes on [a, b].
 
@@ -246,8 +252,7 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     that are not real arguments, or an empty interval.
     """
     checked_grid_kind(kind)
-    if not (is_integer(n) and n >= 8):
-        raise ConfigError(f"grid size must be an integer >= 8, got {n!r}")
+    checked_grid_size(n)
     a, b = real_argument(a, "domain end a"), real_argument(b, "domain end b")
     if not b > a:
         raise ConfigError(f"domain [{a}, {b}] is empty")
@@ -362,21 +367,18 @@ def bc_row_indices(grid: Grid, bcs) -> list:
 
 
 class LU:
-    """The LU factorization of a square ``matrix``, from getrf run in place
-    on a copy in ``out``, a column-major array of its shape; ``matrix``
-    stays intact for the norm in ``condition``. Factors held in a work
-    array are valid until that array is next factored into. There is no
-    scan for non-finite entries, and a zero pivot is not an error: solves
-    are then not finite and ``condition`` reads inf.
+    """The LU factorization of a square ``matrix``: LAPACK's getrf, called
+    directly as ``solve`` calls getrs, factors a copy in place in ``out``,
+    a column-major array of its shape; ``matrix`` stays intact for the norm
+    in ``condition``. Factors in a work array are valid until it is next
+    factored into. No finiteness scan and no warning: a zero pivot (info >
+    0) is not an error, solves are then not finite and ``condition`` is inf.
     """
 
     def __init__(self, matrix: np.ndarray, out: np.ndarray):
         self.matrix = matrix
         np.copyto(out, matrix)
-        with warnings.catch_warnings():
-            # scipy warns on a zero pivot, which the callers report themselves
-            warnings.simplefilter("ignore", LinAlgWarning)
-            self.factors, self.piv = lu_factor(out, overwrite_a=True, check_finite=False)
+        self.factors, self.piv, _ = dgetrf(out, overwrite_a=True)
 
     def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """x with A x = ``rhs`` (A^T x = ``rhs`` for ``trans`` = 1), for
@@ -433,9 +435,10 @@ class BcSystem:
     ``lu``, the factorization, serves every right-hand side: the zeroth-order
     solve, all higher-order solves, and the tracer's tangent at eps = 0,
     where it is the homotopy's whole jacobian. ``condition``, the 1-norm
-    condition number, is ``lu.condition()``. ``matrix``, their matrix, is
-    the system's own read-only copy. Instances are immutable after
-    construction and safe to share across threads.
+    condition number, is ``lu.condition()``. ``matrix``, their matrix, and
+    ``interior``, the mask of the non-BC rows, are the system's own
+    read-only arrays. Instances are immutable after construction and safe
+    to share across threads.
     """
 
     def __init__(self, matrix: np.ndarray, bcs, grid: Grid):
@@ -468,6 +471,7 @@ class BcSystem:
             )
         interior = np.ones(grid.n, dtype=bool)
         interior[self.rows] = False
+        interior.setflags(write=False)
         self.interior = interior
 
     def solve(self, rhs: np.ndarray, bc_values=None) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ConfigError, ParseError
 from .expressions import Const, LinearOperator, parse_expr
-from .grids import BoundaryCondition, checked_grid_kind
+from .grids import BoundaryCondition, checked_grid_kind, checked_grid_size
 from .problem import ZERO, HamConfig, ProblemSpec
 
 SECTIONS = ("domain", "operator", "bcs", "ham", "lopt", "exact")
@@ -70,7 +70,7 @@ def parse_problem_text(text: str) -> ParsedProblem:
     a = domain.take("a", float)
     b = domain.take("b", float)
     kind = domain.take("kind", checked_grid_kind, "chebyshev-lobatto")
-    n = domain.take("n", int, 64)
+    n = domain.take("n", _grid_size, 64)
     domain.finish()
 
     operator = _Section("operator", sections["operator"])
@@ -220,6 +220,10 @@ def _split_top_level(value: str) -> List[str]:
     if any(not p for p in parts):
         raise ParseError("empty item in comma-separated list")
     return parts
+
+
+def _grid_size(value: str) -> int:
+    return checked_grid_size(_converted(int, "n", value))
 
 
 def _bc(value: str) -> BoundaryCondition:

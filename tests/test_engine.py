@@ -412,6 +412,7 @@ def _bare_system(ws):
         lambda ws: ws.H_vals,
         lambda ws: ws.u0,
         lambda ws: ws.lopt.matrix,
+        lambda ws: ws.lopt.interior,
         lambda ws: ws.grid.nodes,
         lambda ws: ws.grid.quad_weights,
         lambda ws: ws.grid.diff_matrix(1),
@@ -425,7 +426,7 @@ def _bare_system(ws):
         lambda ws: _bare_system(ws).matrix,
     ],
     ids=[
-        "A_L", "s_vals", "H_vals", "u0", "lopt.matrix", "nodes", "quad_weights", "D1", "D2", "D3",
+        "A_L", "s_vals", "H_vals", "u0", "lopt.matrix", "lopt.interior", "nodes", "quad_weights", "D1", "D2", "D3",
         "bare-grid-nodes", "bare-grid-quad_weights", "bare-grid-D1", "bare-grid-D2", "bare-BcSystem-matrix",
     ],
 )

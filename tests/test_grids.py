@@ -440,12 +440,23 @@ def test_continuation_builds_and_factors_jacobians_in_its_corrector_alone():
         assert call in corrector and call not in outside, call
 
 
+def test_tracer_spells_G_in_homotopy_residual_alone():
+    # G's two terms and its BC rows are written once, in homotopy_residual:
+    # the tangent reads dG/deps from it, and the corrector's one write to
+    # the BC rows is the jacobian's
+    corrector = inspect.getsource(continuation._Corrector)
+    jacobian = inspect.getsource(continuation._Corrector.jacobian)
+    assert "operator_values" not in corrector
+    assert "lopt.rows] =" not in corrector.replace(jacobian, "")
+    assert "homotopy_residual(" in inspect.getsource(continuation._Corrector.tangent)
+
+
 def test_lapack_is_called_from_grids_alone():
     # every factorization, solve and condition estimate goes through grids.LU
     package = pathlib.Path(hamsolve.__file__).parent
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        for entry in ("dgetrs", "lu_factor"):
+        for entry in ("dgetrf", "dgetrs"):
             assert (entry in source) == (path.name == "grids.py"), (path.name, entry)
 
 
@@ -508,6 +519,19 @@ class TestLU:
         assert info == 0
         assert lu.condition() == pytest.approx(1.0 / rcond, rel=1e-14)
         assert lu.condition() < np.linalg.cond(A, 1)
+
+    def test_factoring_touches_no_warning_state(self, monkeypatch):
+        # the process-wide warning filters are not swapped per factorization
+        def touched(*args, **kwargs):
+            raise AssertionError("warning state touched")
+
+        A = self._matrix()
+        A[:, 3] = 0.0
+        with monkeypatch.context() as patched:  # undone before pytest reports
+            patched.setattr(warnings, "catch_warnings", touched)
+            patched.setattr(warnings, "simplefilter", touched)
+            lu = self._lu(A)
+        assert not np.all(np.isfinite(lu.solve(np.ones(A.shape[0]))))
 
     def test_zero_pivot_is_not_finite_without_a_warning(self):
         A = self._matrix()

@@ -265,7 +265,7 @@ BAD_VALUES = {
     "a": bad_floats,
     "b": bad_floats,
     "hbar": bad_floats,
-    "n": bad_ints,
+    "n": bad_ints | st.sampled_from(["7", "0", "-3"]),  # below the minimum of 8
     "order": bad_ints,
     "kind": words,
     "N": bad_exprs,
