@@ -22,10 +22,13 @@ package's one LU type), (1 - eps) L_opt formed once per eps, and the LU of
 the last jacobian factored, L_opt's own until Newton factors one (the
 jacobian at eps = 0 is L_opt's BC matrix). A Newton iteration costs about
 one dense LU, and when N does not depend on u one LU serves every update
-at an eps. The tangent of an accepted step costs two G evaluations, one
-with F, and one solve with that LU, and the endpoint update one more LU.
-Every iterate is bitwise what the plain formulas give (docs/recursions.md,
-"What one Newton iteration costs" and "The tangent predictor").
+at an eps. Newton keeps G's parts at the point it accepts, L_opt(u - u_0),
+H F(u) and the BC rows' residuals, and G at any eps is one combination of
+them, so the tangent of an accepted step evaluates no G: it costs two
+O(n) combinations and one solve with that LU, and the endpoint update one
+more LU. Every iterate is bitwise what the plain formulas give
+(docs/recursions.md, "What one Newton iteration costs" and "The tangent
+predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -97,13 +101,38 @@ class ContinuationPath:
 def homotopy_residual(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """G(eps, u) with BC residuals on the boundary rows."""
     eps = real_argument(eps, "eps", 0.0, 1.0)
-    u = ws.grid.check_length(u)
+    return _residual(ws, eps, _parts(ws, ws.grid.check_length(u), eps > 0.0))
+
+
+class _Parts(NamedTuple):
+    """G's parts at one u, from which ``_residual`` forms G at any eps."""
+
+    u: np.ndarray
+    lopt_term: np.ndarray  # L_opt(u - u_0)
+    weighted_F: Optional[np.ndarray]  # H F(u), None when not read
+    bc_residuals: list  # (BC row) @ u - value, one per BC
+
+
+def _parts(ws: Workspace, u: np.ndarray, with_F: bool = True) -> _Parts:
+    """G's parts at u, H F(u) only ``with_F``: G(0, u) reads no F, which
+    may overflow where L_opt does not."""
     lopt = ws.lopt
-    g = (1.0 - eps) * (lopt.matrix @ (u - ws.u0))
-    if eps > 0.0:  # G(0, u) reads no F, which may overflow where L_opt does not
-        g += (eps * ws.config.hbar) * (ws.H_vals * ws.operator_values(u))
-    for i, bc in zip(lopt.rows, lopt.bcs):
-        g[i] = lopt.matrix[i] @ u - bc.value
+    return _Parts(
+        u,
+        lopt.matrix @ (u - ws.u0),
+        ws.H_vals * ws.operator_values(u) if with_F else None,
+        [lopt.matrix[i] @ u - bc.value for i, bc in zip(lopt.rows, lopt.bcs)],
+    )
+
+
+def _residual(ws: Workspace, eps: float, parts: _Parts) -> np.ndarray:
+    """G(eps, u) = (1 - eps) L_opt(u - u_0) + (eps hbar) H F(u), with the
+    BC residuals on the BC rows, from u's ``parts``."""
+    g = (1.0 - eps) * parts.lopt_term
+    if eps > 0.0:
+        g += (eps * ws.config.hbar) * parts.weighted_F
+    for i, residual in zip(ws.lopt.rows, parts.bc_residuals):
+        g[i] = residual
     return g
 
 
@@ -120,31 +149,40 @@ def _converged(gnorm: float, u: np.ndarray) -> bool:
 
 class _Corrector:
     """Newton's state on one workspace: the n x n work arrays, N's partials
-    tape, (1 - eps) L_opt's matrix at the eps last asked for, and ``lu``,
-    the LU of the last jacobian factored. ``lu`` starts as ``ws.lopt.lu``,
-    the jacobian's at eps = 0, and stays valid until the next
-    factorization. A trace builds one for all its solves: fresh arrays
-    this large are page-faulted in anew, and the tape is lowered once.
+    tape, (1 - eps) L_opt's matrix at the eps last asked for, ``lu``, the
+    LU of the last jacobian factored, and ``parts``, G's parts at the point
+    Newton last returned (None before Newton runs). ``lu`` starts as
+    ``ws.lopt.lu``, the jacobian's at eps = 0; after that its factors
+    overwrite ``J``, and stay valid until the next jacobian is built.
+    Every work array is column-major, as LAPACK factors ``J`` in place,
+    and so are the corrector's copies of A_L, L_opt's matrix and the D_k
+    (k >= 1) that N's partials multiply, so that building ``J`` reads
+    nothing across the two layouts. A trace builds one corrector for all
+    its solves: fresh arrays this large are page-faulted in anew, and the
+    tape is lowered once.
     """
 
     def __init__(self, ws: Workspace):
         n = ws.grid.n
         self.ws = ws
         self.partials = PartialsTape(ws.problem.N, ws.grid.nodes)
-        self.scaled_lopt = np.empty((n, n))
-        self.J = np.empty((n, n))
-        self.factors = np.empty((n, n), order="F")  # LAPACK factors it in place
+        self.A_L = np.array(ws.A_L, order="F")
+        self.lopt_matrix = np.array(ws.lopt.matrix, order="F")
+        self.diffs = {k: np.array(ws.grid.diff_matrix(k), order="F") for k in range(1, ws.u_order + 1)}
+        self.scaled_lopt = np.empty((n, n), order="F")
+        self.J = np.empty((n, n), order="F")
         self.scaled_eps = None  # the eps that scaled_lopt was formed at
         self.lu = ws.lopt.lu
+        self.parts = None
 
     def jacobian(self, eps: float, u: np.ndarray) -> np.ndarray:
         """``homotopy_jacobian`` written into ``J``."""
         ws, lopt, out = self.ws, self.ws.lopt, self.J
         if eps != self.scaled_eps:  # the part that does not depend on u
-            np.multiply(lopt.matrix, 1.0 - eps, out=self.scaled_lopt)
+            np.multiply(self.lopt_matrix, 1.0 - eps, out=self.scaled_lopt)
             self.scaled_eps = eps
-        np.copyto(out, ws.A_L)
-        self.partials.add_frechet(out, ws.grid, u)
+        np.copyto(out, self.A_L)
+        self.partials.add_frechet(out, ws.grid, u, self.diffs.__getitem__)
         # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
         # scaling by H = 1 changes no bit, so that pass is skipped
         if not ws.unit_weight:
@@ -162,7 +200,7 @@ class _Corrector:
         one at an iterate where G is not finite either, gives a non-finite
         update, reported as SingularSystemError (docs/recursions.md)."""
         if refactor:
-            self.lu = LU(self.jacobian(eps, u), self.factors)
+            self.lu = LU(self.jacobian(eps, u))
         delta = self.lu.solve(-g)
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError(
@@ -175,13 +213,15 @@ class _Corrector:
         same matrix at every iterate, so it is built and factored once and
         its LU serves every update."""
         ws = self.ws
-        u = ws.grid.check_length(warm_start).copy()
-        g = homotopy_residual(ws, eps, u)
+        with_F = eps > 0.0
+        u = warm_start.copy()
+        self.parts = _parts(ws, u, with_F)
+        g = _residual(ws, eps, self.parts)
         gnorm = float(np.max(np.abs(g)))
         for it in range(NEWTON_MAX_ITERS + 1):
             if _converged(gnorm, u):
                 if it == 0:  # no update was taken: factor the jacobian at u
-                    self.lu = LU(self.jacobian(eps, u), self.factors)
+                    self.lu = LU(self.jacobian(eps, u))
                 return PathStep(eps, u, it, self.lu.condition(), True, gnorm)
             if it == NEWTON_MAX_ITERS:
                 break
@@ -189,25 +229,36 @@ class _Corrector:
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 trial = u + scale * delta
-                g_trial = homotopy_residual(ws, eps, trial)
+                parts = _parts(ws, trial, with_F)
+                g_trial = _residual(ws, eps, parts)
                 t_norm = float(np.max(np.abs(g_trial)))
                 if t_norm < gnorm:
-                    u, g, gnorm = trial, g_trial, t_norm
+                    u, g, gnorm, self.parts = trial, g_trial, t_norm, parts
                     break
                 scale *= 0.5
             else:
                 return PathStep(eps, u, it + 1, math.nan, False, gnorm)
         return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
 
+    def _parts_at(self, u: np.ndarray) -> _Parts:
+        """G's parts at u with F: the ones Newton kept when u is the point
+        it last returned, at eps > 0; else formed anew."""
+        kept = self.parts
+        if kept is not None and kept.u is u and kept.weighted_F is not None:
+            return kept
+        return _parts(self.ws, u)
+
     def tangent(self, u: np.ndarray):
         """du/deps at a path point u: t with J t = -dG/deps, or None when t
         is not finite, as a singular J's is.
 
         G is affine in eps: dG/deps = G(1, u) - G(0, u), exactly 0 on BC
-        rows. J's LU is ``lu``: Newton's last at the point's eps, or at
-        eps = 0 L_opt's own.
+        rows, formed from u's parts, which evaluates no G when u is the
+        point Newton last returned. J's LU is ``lu``: Newton's last at the
+        point's eps, or at eps = 0 L_opt's own.
         """
-        t = self.lu.solve(homotopy_residual(self.ws, 0.0, u) - homotopy_residual(self.ws, 1.0, u))
+        ws, parts = self.ws, self._parts_at(u)
+        t = self.lu.solve(_residual(ws, 0.0, parts) - _residual(ws, 1.0, parts))
         return t if np.all(np.isfinite(t)) else None
 
     def polish(self, step: PathStep) -> PathStep:
@@ -220,12 +271,14 @@ class _Corrector:
         """
         ws = self.ws
         try:
-            u = step.u + self.update(1.0, step.u, homotopy_residual(ws, 1.0, step.u))
+            u = step.u + self.update(1.0, step.u, _residual(ws, 1.0, self._parts_at(step.u)))
         except SingularSystemError:
             return step
-        gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
+        parts = _parts(ws, u)
+        gnorm = float(np.max(np.abs(_residual(ws, 1.0, parts))))
         if not _converged(gnorm, u):
             return step
+        self.parts = parts
         return PathStep(1.0, u, step.newton_iters + 1, self.lu.condition(), True, gnorm)
 
 
@@ -240,7 +293,7 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     returned point itself when no update was needed); nan otherwise.
     """
     eps = real_argument(eps, "eps", 0.0, 1.0)
-    return _Corrector(ws).newton(eps, warm_start)
+    return _Corrector(ws).newton(eps, ws.grid.check_length(warm_start))
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:

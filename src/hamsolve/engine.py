@@ -65,6 +65,7 @@ class Workspace:
         if np.any(self.H_vals == 0.0):
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
+        self.u_order = max_u_order(problem.N)  # N's highest derivative of u, -1 if none
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
         for arr in (self.A_L, self.s_vals, self.H_vals, self.u0):
@@ -177,21 +178,26 @@ class Workspace:
     def operator_values(self, U: np.ndarray) -> np.ndarray:
         """F(U) = L U + N(U) - s at every node (BC rows included); U may be
         (n, K) columns or an (S, n, K) stack of them."""
-        return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U)
+        return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U, self.u_order)
 
 
-def operator_values(N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray) -> np.ndarray:
+def operator_values(
+    N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray, u_order: int
+) -> np.ndarray:
     """F(U) = A_L U + N(U) - s sampled at every node (BC rows included).
 
     ``U`` is one grid function, K of them as (n, K) columns, or a stack
     (S, n, K) of such blocks; the matrices act on each block on its own.
+    ``u_order`` is ``max_u_order(N)``, walked once by the caller rather
+    than on every call.
     """
     U = grid.check_columns(U)
     nodes = grid.nodes.reshape((grid.n, 1) if U.ndim > 1 else (grid.n,))
     # a diverged U gives non-finite values, which the residual reports
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = grid.derivative_stack(U, max_u_order(N))
-        nl = np.broadcast_to(np.asarray(eval_expr(N, nodes, stack), dtype=float), U.shape)
+        stack = grid.derivative_stack(U, u_order)
+        # an N that reads no u (or no r) broadcasts in the sum, to U's shape
+        nl = np.asarray(eval_expr(N, nodes, stack), dtype=float)
         return A_L @ U + nl - s_vals.reshape(nodes.shape)
 
 

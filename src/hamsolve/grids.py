@@ -4,16 +4,17 @@ Two grid kinds: ``chebyshev-lobatto`` (spectral, with Clenshaw-Curtis
 quadrature) and ``uniform-fd`` (second-order finite differences with
 trapezoid quadrature). Nodes are always ascending with nodes[0] = a and
 nodes[-1] = b. Differentiation matrices are dense; boundary conditions are
-imposed by row replacement. The third- and fourth-order matrices are lazy:
-a grid forms them on the first request for them, because only third- and
-fourth-order problems read them.
+imposed by row replacement. They are lazy: a grid forms each D_k on the
+first request for it, because only the problems that read u^(k) need it (a
+riccati problem never reads D_2, a u'' problem with Dirichlet data and an
+N without u' never reads D_1).
 
 The Chebyshev-Lobatto nodes, matrices and weights on [-1, 1] depend on n
 alone, so they are built once per n (``_lobatto_reference``, the last
-LOBATTO_CACHE_SIZE sizes, about 2 MB each at n = 256) and every grid of that
-size scales its own copies from them: D_1 and D_2 when it is built, D_3 and
-D_4 when first asked. uniform-fd's D_3 and D_4 are products of its first
-two.
+LOBATTO_CACHE_SIZE sizes, about 2 MB each at n = 256). A grid of that size
+looks them up once, when it is built, and scales its own copy of each D_k
+from them when first asked. uniform-fd builds D_1 and D_2 from their
+stencils and forms D_3 and D_4 as products of those two.
 
 ``LU`` is the package's one LU type: every factorization, solve
 and condition estimate, ``BcSystem``'s and the path tracer's, goes through it.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -130,7 +131,9 @@ def _fd_second(n: int, h: float) -> np.ndarray:
 class Grid:
     """A fixed 1-D collocation grid with its derivative and quadrature data.
     Each array is this grid's own and read-only from birth: ``build_grid``
-    freezes the nodes, weights, D_1 and D_2, ``diff_matrix`` D_3 and D_4."""
+    freezes the nodes and weights, ``diff_matrix`` each D_k it forms.
+    ``_reference`` holds the shared Chebyshev-Lobatto D_k on [-1, 1] that
+    a Chebyshev-Lobatto grid scales its own from (empty for uniform-fd)."""
 
     kind: str
     n: int
@@ -139,20 +142,22 @@ class Grid:
     nodes: np.ndarray
     _diffs: list
     quad_weights: np.ndarray
+    _reference: tuple
 
     def diff_matrix(self, order: int) -> np.ndarray:
         if not (is_integer(order) and 1 <= order <= MAX_DERIVATIVE_ORDER):
             raise ConfigError(f"derivative order {order!r} outside 1..{MAX_DERIVATIVE_ORDER}")
         D = self._diffs[order - 1]
         if D is None:
-            # D_3 and D_4 (module docstring); uniform-fd's are dense O(n^3)
-            # products D_1 D_2 and D_2 D_2. Every later caller shares the
-            # cached one, so it is read-only
+            # formed on first request (module docstring); uniform-fd's D_3
+            # and D_4 are dense O(n^3) products D_1 D_2 and D_2 D_2. Every
+            # later caller shares the cached one, so it is read-only
             if self.kind == "chebyshev-lobatto":
-                D = _lobatto_reference(self.n)[1][order - 1] * (2.0 / (self.b - self.a)) ** order
+                D = self._reference[order - 1] * (2.0 / (self.b - self.a)) ** order
+            elif order <= 2:
+                D = (_fd_first, _fd_second)[order - 1](self.n, (self.b - self.a) / (self.n - 1))
             else:
-                D1, D2 = self._diffs[:2]
-                D = (D1 if order == 3 else D2) @ D2
+                D = self.diff_matrix(order - 2) @ self.diff_matrix(2)
             D.setflags(write=False)
             self._diffs[order - 1] = D
         return D
@@ -256,22 +261,20 @@ def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
     a, b = real_argument(a, "domain end a"), real_argument(b, "domain end b")
     if not b > a:
         raise ConfigError(f"domain [{a}, {b}] is empty")
-    scale = 2.0 / (b - a)
     if kind == "chebyshev-lobatto":
-        x, DM, w = _lobatto_reference(n)
+        x, reference, w = _lobatto_reference(n)
         nodes = a + (b - a) * (x + 1.0) / 2.0
-        diffs = [D * scale ** (k + 1) for k, D in enumerate(DM[:2])] + [None, None]  # see diff_matrix
-        weights = w / scale
+        weights = w / (2.0 / (b - a))
     else:
+        reference = ()
         nodes = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
-        diffs = [_fd_first(n, h), _fd_second(n, h), None, None]  # see diff_matrix
         weights = np.full(n, h)
         weights[0] = weights[-1] = h / 2.0
     nodes[0], nodes[-1] = a, b  # pin endpoints exactly against roundoff
-    for arr in (nodes, weights, *diffs[:2]):
+    for arr in (nodes, weights):
         arr.setflags(write=False)
-    return Grid(kind, n, a, b, nodes, diffs, weights)
+    return Grid(kind, n, a, b, nodes, [None] * MAX_DERIVATIVE_ORDER, weights, reference)
 
 
 def integrate(grid: Grid, values: np.ndarray):
@@ -319,24 +322,36 @@ def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
             f"leading coefficient of the order-{op.order} operator vanishes "
             f"at r = {where}"
         )
-    A = np.zeros((grid.n, grid.n))
-    add_operator(A, grid, dict(enumerate(coeffs)))
+    coeffs = dict(enumerate(coeffs))
+    first = min(k for k, ck in coeffs.items() if np.any(ck))
+    if first == 0:
+        A = np.zeros((grid.n, grid.n))
+    else:
+        # the first term straight into the new matrix: += 0.0 turns its
+        # -0.0 entries into the +0.0 that a sum onto zeros gives
+        A = coeffs.pop(first)[:, None] * grid.diff_matrix(first)
+        A += 0.0
+    add_operator(A, grid.diff_matrix, coeffs)
     return A
 
 
-def add_operator(A: np.ndarray, grid: Grid, coeffs: dict) -> None:
+def add_operator(A: np.ndarray, diff_matrix, coeffs: dict) -> None:
     """Add sum_k diag(c_k) D_k to the (n, n) array ``A`` in place, from
-    ``coeffs`` = {k: c_k at the nodes}; c_0 goes onto the diagonal. A c_k
-    that is zero at every node is skipped, and D_k is not formed for it:
-    its zeros would change no entry of an ``A`` built, as every caller's
-    is, by sums onto +0.0, since such a sum is never -0.0."""
+    ``coeffs`` = {k: c_k at the nodes}, with D_k = ``diff_matrix(k)``: a
+    grid's own, or copies in A's layout where A is column-major (a
+    product across the two layouts is several times slower). c_0 goes onto
+    the diagonal. A c_k that is zero at every node is skipped, and D_k is
+    not formed for it: its zeros would change no entry of an ``A`` built,
+    as every caller's is, by sums onto +0.0, since such a sum is never
+    -0.0."""
     for k, ck in coeffs.items():
         if not np.any(ck):
             continue
         if k == 0:
-            A.flat[:: grid.n + 1] += ck
+            diagonal = np.einsum("ii->i", A)  # a writable view
+            diagonal += ck
         else:
-            A += ck[:, None] * grid.diff_matrix(k)
+            A += ck[:, None] * diff_matrix(k)
 
 
 def bc_row(grid: Grid, bc: BoundaryCondition) -> np.ndarray:
@@ -367,18 +382,19 @@ def bc_row_indices(grid: Grid, bcs) -> list:
 
 
 class LU:
-    """The LU factorization of a square ``matrix``: LAPACK's getrf, called
-    directly as ``solve`` calls getrs, factors a copy in place in ``out``,
-    a column-major array of its shape; ``matrix`` stays intact for the norm
-    in ``condition``. Factors in a work array are valid until it is next
-    factored into. No finiteness scan and no warning: a zero pivot (info >
-    0) is not an error, solves are then not finite and ``condition`` is inf.
+    """The LU factorization of a square column-major float array ``a``, in
+    place: LAPACK's getrf, called directly as ``solve`` calls getrs, after
+    ``norm``, ||a||_1 for ``condition``, is read. ``a`` then holds the
+    factors, valid until it is next written into. No finiteness scan and
+    no warning: a zero pivot (info > 0) is not an error, solves are then
+    not finite and ``condition`` is inf.
     """
 
-    def __init__(self, matrix: np.ndarray, out: np.ndarray):
-        self.matrix = matrix
-        np.copyto(out, matrix)
-        self.factors, self.piv, _ = dgetrf(out, overwrite_a=True)
+    def __init__(self, a: np.ndarray):
+        # LAPACK's 1-norm sums each column row by row, bitwise
+        # numpy.linalg.norm's abs(a).sum(axis=0).max(), without forming |a|
+        self.norm = float(dlange("1", a))
+        self.factors, self.piv, _ = dgetrf(a, overwrite_a=True)
 
     def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """x with A x = ``rhs`` (A^T x = ``rhs`` for ``trans`` = 1), for
@@ -424,8 +440,7 @@ class LU:
         alt_est = 2.0 * float(np.abs(self.solve(alt)).sum()) / (3.0 * n)
         if not alt_est <= est:  # also lets a non-finite solve through
             est = alt_est
-        # ||A||_1 by numpy.linalg.norm's own formula, without its checks
-        condition = float(np.abs(self.matrix).sum(axis=0).max()) * est
+        condition = self.norm * est
         return condition if math.isfinite(condition) else math.inf
 
 
@@ -463,7 +478,7 @@ class BcSystem:
         # the matrix holds user expressions' values: NaN or inf is an error
         if not np.all(np.isfinite(A)):
             raise SingularSystemError("BC-modified system has non-finite entries")
-        self.lu = LU(A, np.empty_like(A, order="F"))
+        self.lu = LU(np.array(A, order="F"))
         self.condition = self.lu.condition()
         if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
             raise SingularSystemError(

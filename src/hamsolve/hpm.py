@@ -101,7 +101,7 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     A = assemble_linear(problem.L, grid)
     system = BcSystem(A, problem.bcs, grid)
     orders = _reduced_orders(problem, grid, A, system, order)
-    F = partial(operator_values, problem.N, grid, A, grid.sample(problem.s))
+    F = partial(operator_values, problem.N, grid, A, grid.sample(problem.s), u_order=max_u_order(problem.N))
     return series_solution(grid, F, orders[:, :, None], config)
 
 

@@ -347,13 +347,16 @@ class PartialsTape:
         self._tape.step(1)
         return dict(enumerate(self._root[1].reshape(self._slots, self._width)))
 
-    def add_frechet(self, A: np.ndarray, grid: Grid, u: np.ndarray) -> None:
+    def add_frechet(self, A: np.ndarray, grid: Grid, u: np.ndarray, diff_matrix=None) -> None:
         """Add sum_k diag(d expr/du^(k) at u) D_k, the Fréchet derivative
         at ``u`` on the grid the tape was lowered on, to the (n, n) array
-        ``A`` in place. An overflowing partial enters as inf or nan without
-        a warning; ``BcSystem`` and Newton report it as SingularSystemError.
+        ``A`` in place, with D_k from ``diff_matrix`` (``add_operator``;
+        the grid's own by default). An overflowing partial enters as inf or
+        nan without a warning; ``BcSystem`` and Newton report it as
+        SingularSystemError.
         """
         u = grid.check_length(u)
         if not self.u_independent:
             with np.errstate(over="ignore", invalid="ignore"):
-                add_operator(A, grid, self(grid.derivative_stack(u, self._slots - 1)))
+                partials = self(grid.derivative_stack(u, self._slots - 1))
+                add_operator(A, grid.diff_matrix if diff_matrix is None else diff_matrix, partials)

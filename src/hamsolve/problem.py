@@ -31,6 +31,7 @@ DIVERGENCE_STREAK = 3
 GROWTH_MARGIN = 1e-9
 
 ZERO = Const(0.0)
+LOPT_MODES = ("use-L", "frechet-at-u0")  # the linear cores chosen by name
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,13 @@ def checked_hbar(hbar) -> float:
     return real_argument(hbar, "hbar", nonzero=True)
 
 
+def checked_order(order) -> int:
+    """``order`` itself; ConfigError unless it is an integer >= 0."""
+    if not (is_integer(order) and order >= 0):
+        raise ConfigError(f"truncation order must be an integer >= 0, got {order!r}")
+    return order
+
+
 @dataclass(frozen=True)
 class HamConfig:
     """Tunable solve parameters: linear-core choice, hbar, weight, order.
@@ -107,7 +115,7 @@ class HamConfig:
 
     def __post_init__(self):
         if isinstance(self.lopt_mode, str):
-            if self.lopt_mode not in ("use-L", "frechet-at-u0"):
+            if self.lopt_mode not in LOPT_MODES:
                 raise ConfigError(
                     f"unknown linear-core mode {self.lopt_mode!r}; use "
                     "'use-L', 'frechet-at-u0', or pass a LinearOperator"
@@ -119,8 +127,7 @@ class HamConfig:
             raise ConfigError("H must be an expression")
         if contains_u(self.H):
             raise ConfigError("H must depend on r only")
-        if not (is_integer(self.order) and self.order >= 0):
-            raise ConfigError(f"truncation order must be an integer >= 0, got {self.order!r}")
+        checked_order(self.order)
 
     def with_hbar(self, hbar: float) -> "HamConfig":
         return replace(self, hbar=hbar)

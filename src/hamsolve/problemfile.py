@@ -42,7 +42,7 @@ from typing import List, Optional, Tuple
 from .errors import ConfigError, ParseError
 from .expressions import Const, LinearOperator, parse_expr
 from .grids import BoundaryCondition, checked_grid_kind, checked_grid_size
-from .problem import ZERO, HamConfig, ProblemSpec
+from .problem import LOPT_MODES, ZERO, HamConfig, ProblemSpec, checked_order
 
 SECTIONS = ("domain", "operator", "bcs", "ham", "lopt", "exact")
 
@@ -86,10 +86,10 @@ def parse_problem_text(text: str) -> ParsedProblem:
     exact_sec.finish()
 
     ham = _Section("ham", sections.get("ham", []))
-    lopt_mode = ham.take("lopt_mode", str, "use-L")
+    lopt_mode = ham.take("lopt_mode", _lopt_mode, "use-L")
     hbar = ham.take("hbar", float, -1.0)
     H = ham.take("H", parse_expr, Const(1.0))
-    order = ham.take("order", int, 10)
+    order = ham.take("order", _order, 10)
     ham.finish()
 
     lopt = _Section("lopt", sections.get("lopt", []))
@@ -224,6 +224,17 @@ def _split_top_level(value: str) -> List[str]:
 
 def _grid_size(value: str) -> int:
     return checked_grid_size(_converted(int, "n", value))
+
+
+def _order(value: str) -> int:
+    return checked_order(_converted(int, "order", value))
+
+
+def _lopt_mode(value: str) -> str:
+    modes = LOPT_MODES + ("user",)
+    if value not in modes:
+        raise ParseError(f"unknown linear-core mode {value!r}; use one of {', '.join(modes)}")
+    return value
 
 
 def _bc(value: str) -> BoundaryCondition:

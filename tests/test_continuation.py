@@ -267,6 +267,37 @@ class TestTangentPredictor:
         u1 = ws.run(hbar=-h).orders[1]
         assert float(np.max(np.abs(t - u1))) <= 1e-13 * float(np.max(np.abs(u1)))
 
+    @pytest.mark.parametrize(
+        "make_ws",
+        [lambda c=c: _builtin(c, 32) for c in case_ids()]
+        + [
+            lambda: Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0, H=parse_expr("exp(-r)"))),
+            lambda: _from_text(WITH_U_PRIME.format(kind="chebyshev-lobatto")),
+            lambda: Workspace(exp_problem(), HamConfig(hbar=1.0, lopt_mode="frechet-at-u0")),
+        ],
+        ids=list(case_ids()) + ["non-unit-H", "u-prime", "exp-frechet-at-u0"],
+    )
+    def test_tangent_from_kept_parts_equals_two_residuals_bitwise(self, make_ws, count_calls):
+        # at u_0 and at two points Newton accepts, the tangent from the G
+        # parts Newton kept evaluates no F and is bitwise the solve of
+        # G(0, u) - G(1, u) with the LU the corrector holds
+        ws = make_ws()
+        corrector = continuation._Corrector(ws)
+        u, eps, t = ws.u0, 0.0, corrector.tangent(ws.u0)
+        assert t.tobytes() == ws.lopt.lu.solve(homotopy_residual(ws, 0.0, u) - homotopy_residual(ws, 1.0, u)).tobytes()
+        evaluations = count_calls("hamsolve.engine", "Workspace.operator_values")
+        for target in (1.0 / 16, 1.0 / 8):
+            step = corrector.newton(target, u + (target - eps) * t)
+            assert step.converged and corrector.parts.u is step.u
+            u, eps, before = step.u, target, len(evaluations)
+            t = corrector.tangent(u)
+            assert len(evaluations) == before
+            want = corrector.lu.solve(homotopy_residual(ws, 0.0, u) - homotopy_residual(ws, 1.0, u))
+            assert t.tobytes() == want.tobytes()
+        # at any other point the parts are its own, not the ones kept
+        want = corrector.lu.solve(homotopy_residual(ws, 0.0, ws.u0) - homotopy_residual(ws, 1.0, ws.u0))
+        assert corrector.tangent(ws.u0).tobytes() == want.tobytes()
+
     def test_first_try_starts_from_the_tangent(self, monkeypatch):
         ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
         starts = record_starts(monkeypatch)
@@ -541,7 +572,7 @@ def plain_jacobian(ws, eps, u):
 
 
 def plain_condition(J):
-    return LU(J, np.empty_like(J, order="F")).condition()
+    return LU(np.array(J, order="F")).condition()
 
 
 def plain_converged(gnorm, u):

@@ -10,11 +10,12 @@ import dataclasses
 import inspect
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dgecon, dlange
 
 import hamsolve
 import hamsolve.continuation as continuation
@@ -36,6 +37,7 @@ from hamsolve import (
     get_case,
     homotopy_jacobian,
     integrate,
+    trace_workspace,
 )
 from hamsolve.expressions import MAX_DERIVATIVE_ORDER
 from hamsolve.grids import (
@@ -399,7 +401,7 @@ def test_condition_repeats_bitwise(case_id):
     # LAPACK's dgecon gave two values on these matrices, depending on where
     # its work arrays landed in memory; path.csv needs one
     system = Workspace(get_case(case_id).spec.with_grid_n(256), HamConfig()).lopt
-    lu = LU(system.matrix, np.empty_like(system.matrix, order="F"))
+    lu = LU(np.array(system.matrix, order="F"))
     held, values = [], set()
     for stride in (97, 257):
         for k in range(60):
@@ -440,15 +442,28 @@ def test_continuation_builds_and_factors_jacobians_in_its_corrector_alone():
         assert call in corrector and call not in outside, call
 
 
-def test_tracer_spells_G_in_homotopy_residual_alone():
-    # G's two terms and its BC rows are written once, in homotopy_residual:
-    # the tangent reads dG/deps from it, and the corrector's one write to
-    # the BC rows is the jacobian's
+def test_tracer_spells_G_in_one_combiner():
+    # G's terms are computed once, in _parts, and its eps-combination and
+    # BC rows are written once, in _residual: homotopy_residual, Newton,
+    # the tangent and the endpoint update all form G through the two, and
+    # the corrector's one write to the BC rows is the jacobian's
+    source = pathlib.Path(continuation.__file__).read_text(encoding="utf-8")
     corrector = inspect.getsource(continuation._Corrector)
     jacobian = inspect.getsource(continuation._Corrector.jacobian)
+    residual = inspect.getsource(continuation._residual)
+    parts = inspect.getsource(continuation._parts)
+    outside = source.replace(residual, "").replace(parts, "").replace(jacobian, "")
+    for term in ("1.0 - eps", "eps * ws.config.hbar", "operator_values", "bc.value"):
+        assert term not in outside, term
     assert "operator_values" not in corrector
     assert "lopt.rows] =" not in corrector.replace(jacobian, "")
-    assert "homotopy_residual(" in inspect.getsource(continuation._Corrector.tangent)
+    for user in (
+        continuation.homotopy_residual,
+        continuation._Corrector.newton,
+        continuation._Corrector.tangent,
+        continuation._Corrector.polish,
+    ):
+        assert "_residual(ws, " in inspect.getsource(user), user
 
 
 def test_lapack_is_called_from_grids_alone():
@@ -461,12 +476,12 @@ def test_lapack_is_called_from_grids_alone():
 
 
 class TestLU:
-    """grids.LU: getrf in place in a column-major work array, getrs
-    solves, and the Hager/dlacn2 condition estimate."""
+    """grids.LU: getrf in place in a column-major array, getrs solves, and
+    the Hager/dlacn2 condition estimate."""
 
     @staticmethod
     def _lu(A):
-        return LU(A, np.empty_like(A, order="F"))
+        return LU(np.array(A, order="F"))
 
     def _matrix(self, n=12):
         rng = np.random.default_rng(7)
@@ -494,14 +509,15 @@ class TestLU:
         rhs = np.ones((12, 3), order="F")
         assert lu.solve(rhs) is rhs
 
-    def test_matrix_stays_intact(self):
+    def test_factors_in_place_after_reading_the_norm(self):
+        # the array given holds the factors, and the 1-norm that condition()
+        # reads is the matrix's own, taken before the factors overwrote it
         A = self._matrix()
-        before = A.copy()
-        out = np.empty_like(A, order="F")
-        lu = LU(A, out)
-        assert lu.matrix is A
-        assert A.tobytes() == before.tobytes()
-        assert lu.factors is out  # factored in place in the work array
+        a = np.array(A, order="F")
+        lu = LU(a)
+        assert lu.factors is a
+        assert not np.array_equal(a, A)
+        assert np.float64(lu.norm).tobytes() == np.linalg.norm(A, 1).tobytes()
 
     def test_trans_solves_the_transpose(self):
         A = self._matrix()
@@ -630,13 +646,16 @@ def test_third_and_fourth_orders_are_formed_on_request(kind):
 
 @pytest.mark.parametrize(
     "coeffs",
-    [("0", "0", "1"), ("r", "0", "1"), ("0", "1 - r", "0", "0", "2")],
-    ids=["second-order", "zero-first-order-term", "fourth-order-without-third"],
+    [("0", "0", "1"), ("r", "0", "1"), ("0", "1 - r", "0", "0", "2"), ("0", "-r", "-1")],
+    ids=["second-order", "zero-first-order-term", "fourth-order-without-third", "negative-zero-first-term"],
 )
 @pytest.mark.parametrize("kind", [CHEB, "uniform-fd"])
 def test_assembly_skips_zero_coefficients_bitwise(kind, coeffs):
     # a term that is zero at every node is not added, and its D_k is not
-    # formed; the matrix is bitwise the sum over every term
+    # formed; the matrix is bitwise the sum over every term onto zeros,
+    # also where the first term, written straight into the matrix, has
+    # -0.0 entries that the next term does not turn into +0.0 (-r is -0.0
+    # at r = 0, and so are -r and -1 times a zero of D_1 and D_2)
     op = LinearOperator.from_strings(coeffs)
     grid = build_grid(kind, 20, 0.0, 1.5)
     A = assemble_linear(op, grid)
@@ -650,12 +669,52 @@ def test_assembly_skips_zero_coefficients_bitwise(kind, coeffs):
 
 
 def test_one_norm_is_numpys():
-    # LU.condition takes ||A||_1 by numpy.linalg.norm's formula directly
+    # LU takes ||A||_1 as LAPACK's 1-norm of the column-major array it
+    # factors, which sums each column row by row, as numpy.linalg.norm's
+    # formula does: bitwise equal, on entries of very different sizes,
+    # where the order of the sum shows, and on non-finite ones
     rng = np.random.default_rng(3)
-    for A in (rng.standard_normal((9, 9)), np.diag([1.0, -np.inf, 2.0]), np.full((4, 4), np.nan)):
+    wide = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-12, 12, (40, 40))
+    for A in (rng.standard_normal((9, 9)), wide, np.diag([1.0, -np.inf, 2.0]), np.full((4, 4), np.nan)):
         want = np.linalg.norm(A, 1)
-        got = np.abs(A).sum(axis=0).max()
-        assert got.tobytes() == want.tobytes()
+        assert np.abs(A).sum(axis=0).max().tobytes() == want.tobytes()
+        assert np.float64(dlange("1", np.array(A, order="F"))).tobytes() == want.tobytes()
+        assert np.float64(LU(np.array(A, order="F")).norm).tobytes() == want.tobytes()
+
+
+class TestAllocations:
+    """No n x n array that is not kept: tracemalloc sees numpy's buffers,
+    and a grid forms a D_k only when something reads it."""
+
+    def test_condition_forms_no_n_by_n_array(self):
+        n = 128
+        A = np.random.default_rng(4).standard_normal((n, n)) + n * np.eye(n)
+        lu = LU(np.array(A, order="F"))
+        lu.condition()
+        tracemalloc.start()
+        try:
+            lu.condition()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    @pytest.mark.parametrize(
+        "case_id, unread",
+        [("linear-poisson", 1), ("manufactured-quad", 1), ("riccati-tanh-short", 2)],
+    )
+    @pytest.mark.parametrize("kind", [CHEB, "uniform-fd"])
+    def test_workspace_forms_only_the_diff_matrices_it_reads(self, kind, case_id, unread):
+        # a u'' problem with Dirichlet data and N free of u' never reads
+        # D_1 with use-L; a riccati problem never reads D_2. Neither does
+        # a series, a jacobian or a trace on the workspace
+        spec = dataclasses.replace(get_case(case_id).spec, grid_kind=kind)
+        ws = Workspace(spec, HamConfig(hbar=1.0, order=5))
+        ws.run(hbar=-1.0)
+        homotopy_jacobian(ws, 0.5, ws.u0)
+        trace_workspace(ws, initial_steps=4)
+        assert ws.grid._diffs[unread - 1] is None
+        assert ws.grid._diffs[2 - unread] is not None
 
 
 def test_stacked_quadrature_equals_single_calls_bitwise():

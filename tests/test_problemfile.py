@@ -242,6 +242,14 @@ class TestLineAnchoredErrors:
         text = MINIMAL_TEXT.replace("L = 0, 0, 1", "L = (0, 0, 1")
         self.check(text, "unbalanced", line_of(text, "L = (0"))
 
+    def test_negative_order(self):
+        text = RICCATI_TEXT.replace("order = 6", "order = -1")
+        self.check(text, "integer >= 0, got -1", line_of(text, "order = -1"))
+
+    def test_unknown_lopt_mode(self):
+        text = RICCATI_TEXT.replace("order = 6", "order = 6\nlopt_mode = bogus")
+        self.check(text, "unknown linear-core mode 'bogus'", line_of(text, "lopt_mode = bogus"))
+
     def test_empty_list_item(self):
         text = MINIMAL_TEXT.replace("L = 0, 0, 1", "L = 0,, 1")
         self.check(text, "empty item", line_of(text, "L = 0,, 1"))
@@ -250,7 +258,7 @@ class TestLineAnchoredErrors:
 # RICCATI_TEXT with every key whose value a line-level error can spoil
 FULL_TEXT = RICCATI_TEXT.replace(
     "b = 1\n", "b = 1\nkind = chebyshev-lobatto\nn = 32\n"
-).replace("order = 6\n", "order = 6\nH = 1\n")
+).replace("order = 6\n", "order = 6\nH = 1\nlopt_mode = use-L\n")
 
 # letters that spell no number, no expression name and no section
 words = st.text(alphabet="bcdgjkmpqvwxz", min_size=1, max_size=8)
@@ -266,7 +274,8 @@ BAD_VALUES = {
     "b": bad_floats,
     "hbar": bad_floats,
     "n": bad_ints | st.sampled_from(["7", "0", "-3"]),  # below the minimum of 8
-    "order": bad_ints,
+    "order": bad_ints | st.sampled_from(["-1", "-12"]),  # below the minimum of 0
+    "lopt_mode": words | st.sampled_from(["bogus", "use-l", "frechet", "User"]),
     "kind": words,
     "N": bad_exprs,
     "s": bad_exprs,
