@@ -22,13 +22,15 @@ package's one LU type), (1 - eps) L_opt formed once per eps, and the LU of
 the last jacobian factored, L_opt's own until Newton factors one (the
 jacobian at eps = 0 is L_opt's BC matrix). A Newton iteration costs about
 one dense LU, and when N does not depend on u one LU serves every update
-at an eps. Newton keeps G's parts at the point it accepts, L_opt(u - u_0),
-H F(u) and the BC rows' residuals, and G at any eps is one combination of
-them, so the tangent of an accepted step evaluates no G: it costs two
-O(n) combinations and one solve with that LU, and the endpoint update one
-more LU. Every iterate is bitwise what the plain formulas give
-(docs/recursions.md, "What one Newton iteration costs" and "The tangent
-predictor").
+at an eps. G at any eps is one combination of G's parts at u,
+L_opt(u - u_0), H F(u) and the BC rows' residuals. Newton returns the parts
+of the point it accepts beside the step, and the trace hands them to the
+tangent and to the endpoint update, so neither evaluates G: the tangent
+costs two O(n) combinations and one solve with that LU, and the endpoint
+update one more LU. The trace forms u_0's parts once, with F, and reads
+step 0's G and the first tangent from them. Every iterate is bitwise what
+the plain formulas give (docs/recursions.md, "What one Newton iteration
+costs" and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
@@ -107,7 +109,6 @@ def homotopy_residual(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
 class _Parts(NamedTuple):
     """G's parts at one u, from which ``_residual`` forms G at any eps."""
 
-    u: np.ndarray
     lopt_term: np.ndarray  # L_opt(u - u_0)
     weighted_F: Optional[np.ndarray]  # H F(u), None when not read
     bc_residuals: list  # (BC row) @ u - value, one per BC
@@ -118,7 +119,6 @@ def _parts(ws: Workspace, u: np.ndarray, with_F: bool = True) -> _Parts:
     may overflow where L_opt does not."""
     lopt = ws.lopt
     return _Parts(
-        u,
         lopt.matrix @ (u - ws.u0),
         ws.H_vals * ws.operator_values(u) if with_F else None,
         [lopt.matrix[i] @ u - bc.value for i, bc in zip(lopt.rows, lopt.bcs)],
@@ -149,9 +149,10 @@ def _converged(gnorm: float, u: np.ndarray) -> bool:
 
 class _Corrector:
     """Newton's state on one workspace: the n x n work arrays, N's partials
-    tape, (1 - eps) L_opt's matrix at the eps last asked for, ``lu``, the
-    LU of the last jacobian factored, and ``parts``, G's parts at the point
-    Newton last returned (None before Newton runs). ``lu`` starts as
+    tape, (1 - eps) L_opt's matrix at the eps last asked for, and ``lu``,
+    the LU of the last jacobian factored. It keeps no point or G: ``newton``
+    returns G's parts at the point it accepts, and ``tangent`` and
+    ``polish`` read only the parts they are given. ``lu`` starts as
     ``ws.lopt.lu``, the jacobian's at eps = 0; after that its factors
     overwrite ``J``, and stay valid until the next jacobian is built.
     Every work array is column-major, as LAPACK factors ``J`` in place,
@@ -173,7 +174,6 @@ class _Corrector:
         self.J = np.empty((n, n), order="F")
         self.scaled_eps = None  # the eps that scaled_lopt was formed at
         self.lu = ws.lopt.lu
-        self.parts = None
 
     def jacobian(self, eps: float, u: np.ndarray) -> np.ndarray:
         """``homotopy_jacobian`` written into ``J``."""
@@ -208,77 +208,68 @@ class _Corrector:
             )
         return delta
 
-    def newton(self, eps: float, warm_start: np.ndarray) -> PathStep:
-        """``newton_at``. When N does not depend on u the jacobian is the
-        same matrix at every iterate, so it is built and factored once and
-        its LU serves every update."""
+    def newton(self, eps: float, warm_start: np.ndarray) -> tuple[PathStep, _Parts]:
+        """``newton_at``, and G's parts at the point it returns (without F
+        at eps = 0). When N does not depend on u the jacobian is the same
+        matrix at every iterate, so it is built and factored once and its
+        LU serves every update."""
         ws = self.ws
         with_F = eps > 0.0
         u = warm_start.copy()
-        self.parts = _parts(ws, u, with_F)
-        g = _residual(ws, eps, self.parts)
+        parts = _parts(ws, u, with_F)
+        g = _residual(ws, eps, parts)
         gnorm = float(np.max(np.abs(g)))
         for it in range(NEWTON_MAX_ITERS + 1):
             if _converged(gnorm, u):
                 if it == 0:  # no update was taken: factor the jacobian at u
                     self.lu = LU(self.jacobian(eps, u))
-                return PathStep(eps, u, it, self.lu.condition(), True, gnorm)
+                return PathStep(eps, u, it, self.lu.condition(), True, gnorm), parts
             if it == NEWTON_MAX_ITERS:
                 break
             delta = self.update(eps, u, g, refactor=it == 0 or not self.partials.u_independent)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 trial = u + scale * delta
-                parts = _parts(ws, trial, with_F)
-                g_trial = _residual(ws, eps, parts)
+                trial_parts = _parts(ws, trial, with_F)
+                g_trial = _residual(ws, eps, trial_parts)
                 t_norm = float(np.max(np.abs(g_trial)))
                 if t_norm < gnorm:
-                    u, g, gnorm, self.parts = trial, g_trial, t_norm, parts
+                    u, g, gnorm, parts = trial, g_trial, t_norm, trial_parts
                     break
                 scale *= 0.5
             else:
-                return PathStep(eps, u, it + 1, math.nan, False, gnorm)
-        return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm)
+                return PathStep(eps, u, it + 1, math.nan, False, gnorm), parts
+        return PathStep(eps, u, NEWTON_MAX_ITERS, math.nan, False, gnorm), parts
 
-    def _parts_at(self, u: np.ndarray) -> _Parts:
-        """G's parts at u with F: the ones Newton kept when u is the point
-        it last returned, at eps > 0; else formed anew."""
-        kept = self.parts
-        if kept is not None and kept.u is u and kept.weighted_F is not None:
-            return kept
-        return _parts(self.ws, u)
-
-    def tangent(self, u: np.ndarray):
-        """du/deps at a path point u: t with J t = -dG/deps, or None when t
-        is not finite, as a singular J's is.
+    def tangent(self, parts: _Parts):
+        """du/deps at a path point: t with J t = -dG/deps, or None when t is
+        not finite, as a singular J's is.
 
         G is affine in eps: dG/deps = G(1, u) - G(0, u), exactly 0 on BC
-        rows, formed from u's parts, which evaluates no G when u is the
-        point Newton last returned. J's LU is ``lu``: Newton's last at the
-        point's eps, or at eps = 0 L_opt's own.
+        rows, formed from the point's ``parts`` (with F), so the tangent
+        evaluates no G. J's LU is ``lu``: Newton's last at the point's eps,
+        or at eps = 0 L_opt's own.
         """
-        ws, parts = self.ws, self._parts_at(u)
+        ws = self.ws
         t = self.lu.solve(_residual(ws, 0.0, parts) - _residual(ws, 1.0, parts))
         return t if np.all(np.isfinite(t)) else None
 
-    def polish(self, step: PathStep) -> PathStep:
+    def polish(self, step: PathStep, parts: _Parts) -> PathStep:
         """The step at eps = 1 after one more full Newton update, without a
-        line search; ``step`` itself unless the update is finite and the
-        updated point passes the stop test. A predicted start passes the
-        stop test in fewer updates than a zeroth-order one, so it is solved
-        less far below the tolerance; this update buys that accuracy back
-        (docs/recursions.md).
+        line search, G read from the point's ``parts``; ``step`` itself
+        unless the update is finite and the updated point passes the stop
+        test. A predicted start passes the stop test in fewer updates than
+        a zeroth-order one, so it is solved less far below the tolerance;
+        this update buys that accuracy back (docs/recursions.md).
         """
         ws = self.ws
         try:
-            u = step.u + self.update(1.0, step.u, _residual(ws, 1.0, self._parts_at(step.u)))
+            u = step.u + self.update(1.0, step.u, _residual(ws, 1.0, parts))
         except SingularSystemError:
             return step
-        parts = _parts(ws, u)
-        gnorm = float(np.max(np.abs(_residual(ws, 1.0, parts))))
+        gnorm = float(np.max(np.abs(_residual(ws, 1.0, _parts(ws, u)))))
         if not _converged(gnorm, u):
             return step
-        self.parts = parts
         return PathStep(1.0, u, step.newton_iters + 1, self.lu.condition(), True, gnorm)
 
 
@@ -293,7 +284,7 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     returned point itself when no update was needed); nan otherwise.
     """
     eps = real_argument(eps, "eps", 0.0, 1.0)
-    return _Corrector(ws).newton(eps, ws.grid.check_length(warm_start))
+    return _Corrector(ws).newton(eps, ws.grid.check_length(warm_start))[0]
 
 
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
@@ -312,7 +303,8 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     """
     if not (is_integer(initial_steps) and initial_steps >= 2):
         raise ConfigError(f"initial_steps must be an integer >= 2, got {initial_steps!r}")
-    g0norm = float(np.max(np.abs(homotopy_residual(ws, 0.0, ws.u0))))
+    parts = _parts(ws, ws.u0)  # with F, which the first tangent reads
+    g0norm = float(np.max(np.abs(_residual(ws, 0.0, parts))))
     # the jacobian at eps = 0 is exactly ws.lopt.matrix
     steps = [
         PathStep(0.0, ws.u0, 0, ws.lopt.condition, _converged(g0norm, ws.u0), g0norm)
@@ -322,22 +314,22 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     eps = 0.0
     u = ws.u0
     corrector = _Corrector(ws)
-    tangent = corrector.tangent(u)
+    tangent = corrector.tangent(parts)
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:
             target = 1.0
         start = u if tangent is None else u + (target - eps) * tangent
         try:
-            step = corrector.newton(target, start)
+            step, parts = corrector.newton(target, start)
             converged = step.converged
         except SingularSystemError:
             converged = False
         if converged:
             if target == 1.0:
-                step = corrector.polish(step)
+                step = corrector.polish(step, parts)
             else:
-                tangent = corrector.tangent(step.u)
+                tangent = corrector.tangent(parts)
             eps, u = target, step.u
             steps.append(step)
             deps = min(2.0 * deps, deps0)

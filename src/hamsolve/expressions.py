@@ -2,11 +2,11 @@
 
 An expression is an immutable tree built from:
 
-* ``Const(c)`` -- a real constant
+* ``Const(c)`` -- a finite real constant
 * ``Coord()`` -- the independent coordinate ``r``
 * ``U(k)`` -- the k-th derivative of the unknown, 0 <= k <= 4
 * ``Sum(terms)`` / ``Product(factors)`` -- n-ary sum / product
-* ``Power(base, exponent)`` -- real exponent
+* ``Power(base, exponent)`` -- finite real exponent
 * ``Call(name, arg)`` -- one of sin, cos, exp, log, tanh, sqrt
 
 Trees are plain data; evaluation, Taylor-jet propagation and linearization
@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, is_integer
+from .errors import ConfigError, DomainError, ParseError, is_integer, real_argument
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -38,6 +38,9 @@ class OperatorExpr:
 @dataclass(frozen=True)
 class Const(OperatorExpr):
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", real_argument(self.value, "constant"))
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,9 @@ class Product(OperatorExpr):
 class Power(OperatorExpr):
     base: OperatorExpr
     exponent: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", real_argument(self.exponent, "exponent"))
 
 
 @dataclass(frozen=True)
@@ -266,10 +272,14 @@ class _Tokens:
                 self.pos = mark  # not an exponent, e.g. '2e' followed by junk
         token = self.text[start:self.pos]
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             self.pos = start
             raise self.error(f"bad number literal {token!r}")
+        if math.isinf(value):
+            self.pos = start
+            raise self.error(f"number literal {token!r} overflows a float")
+        return value
 
     def take_name(self) -> str:
         self._skip_ws()

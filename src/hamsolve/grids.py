@@ -167,7 +167,7 @@ class Grid:
         shape (n,); a constant is broadcast to every node. ConfigError if
         it is not finite at some node."""
         if isinstance(expr, Const):
-            vals = np.full(self.n, float(expr.value))
+            vals = np.full(self.n, expr.value)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
                 vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)

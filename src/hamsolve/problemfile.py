@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import ConfigError, ParseError
-from .expressions import Const, LinearOperator, parse_expr
+from .errors import ConfigError, ParseError, real_argument
+from .expressions import Const, LinearOperator, OperatorExpr, contains_u, parse_expr
 from .grids import BoundaryCondition, checked_grid_kind, checked_grid_size
-from .problem import LOPT_MODES, ZERO, HamConfig, ProblemSpec, checked_order
+from .problem import LOPT_MODES, ZERO, HamConfig, ProblemSpec, checked_hbar, checked_order
 
 SECTIONS = ("domain", "operator", "bcs", "ham", "lopt", "exact")
 
@@ -67,8 +67,8 @@ def parse_problem_file(path) -> ParsedProblem:
 def parse_problem_text(text: str) -> ParsedProblem:
     sections = _split_sections(text)
     domain = _Section("domain", sections["domain"])
-    a = domain.take("a", float)
-    b = domain.take("b", float)
+    a = domain.take("a", _domain_end("a"))
+    b = domain.take("b", _domain_end("b"))
     kind = domain.take("kind", checked_grid_kind, "chebyshev-lobatto")
     n = domain.take("n", _grid_size, 64)
     domain.finish()
@@ -76,19 +76,19 @@ def parse_problem_text(text: str) -> ParsedProblem:
     operator = _Section("operator", sections["operator"])
     L = operator.take("L", _operator)
     N = operator.take("N", parse_expr, ZERO)
-    s = operator.take("s", parse_expr, ZERO)
+    s = operator.take("s", _in_r("source term"), ZERO)
     operator.finish()
 
     bcs = _read_bcs(sections["bcs"])
 
     exact_sec = _Section("exact", sections.get("exact", []))
-    exact = exact_sec.take("u", parse_expr, None)
+    exact = exact_sec.take("u", _in_r("exact solution"), None)
     exact_sec.finish()
 
     ham = _Section("ham", sections.get("ham", []))
     lopt_mode = ham.take("lopt_mode", _lopt_mode, "use-L")
-    hbar = ham.take("hbar", float, -1.0)
-    H = ham.take("H", parse_expr, Const(1.0))
+    hbar = ham.take("hbar", checked_hbar, -1.0)
+    H = ham.take("H", _in_r("H"), Const(1.0))
     order = ham.take("order", _order, 10)
     ham.finish()
 
@@ -193,6 +193,23 @@ def _converted(convert, key: str, value: str, line: Optional[int] = None):
     except ValueError as exc:
         what = "an integer" if convert is int else "a number"
         raise ParseError(f"{key} must be {what}, got {value!r}", line=line) from exc
+
+
+def _domain_end(key: str):
+    """The converter for domain end ``key``: a number, and finite."""
+    return lambda value: real_argument(_converted(float, key, value), f"domain end {key}")
+
+
+def _in_r(what: str):
+    """The converter for an expression in r alone, ``what`` naming it."""
+
+    def convert(value: str) -> OperatorExpr:
+        expr = parse_expr(value)
+        if contains_u(expr):
+            raise ParseError(f"{what} must be an expression in r only, got {value!r}")
+        return expr
+
+    return convert
 
 
 def _operator(value: str) -> LinearOperator:

@@ -263,7 +263,7 @@ class TestTangentPredictor:
         # u(eps) is the series at hbar -h summed at p = eps, so du/deps at
         # eps = 0 is its u_1
         ws = Workspace(problem, HamConfig(hbar=h, lopt_mode=lopt_mode))
-        t = continuation._Corrector(ws).tangent(ws.u0)
+        t = continuation._Corrector(ws).tangent(continuation._parts(ws, ws.u0))
         u1 = ws.run(hbar=-h).orders[1]
         assert float(np.max(np.abs(t - u1))) <= 1e-13 * float(np.max(np.abs(u1)))
 
@@ -279,30 +279,31 @@ class TestTangentPredictor:
     )
     def test_tangent_from_kept_parts_equals_two_residuals_bitwise(self, make_ws, count_calls):
         # at u_0 and at two points Newton accepts, the tangent from the G
-        # parts Newton kept evaluates no F and is bitwise the solve of
+        # parts Newton returned evaluates no F and is bitwise the solve of
         # G(0, u) - G(1, u) with the LU the corrector holds
         ws = make_ws()
         corrector = continuation._Corrector(ws)
-        u, eps, t = ws.u0, 0.0, corrector.tangent(ws.u0)
+        u, eps, t = ws.u0, 0.0, corrector.tangent(continuation._parts(ws, ws.u0))
         assert t.tobytes() == ws.lopt.lu.solve(homotopy_residual(ws, 0.0, u) - homotopy_residual(ws, 1.0, u)).tobytes()
         evaluations = count_calls("hamsolve.engine", "Workspace.operator_values")
         for target in (1.0 / 16, 1.0 / 8):
-            step = corrector.newton(target, u + (target - eps) * t)
-            assert step.converged and corrector.parts.u is step.u
+            step, parts = corrector.newton(target, u + (target - eps) * t)
+            assert step.converged
             u, eps, before = step.u, target, len(evaluations)
-            t = corrector.tangent(u)
+            t = corrector.tangent(parts)
             assert len(evaluations) == before
             want = corrector.lu.solve(homotopy_residual(ws, 0.0, u) - homotopy_residual(ws, 1.0, u))
             assert t.tobytes() == want.tobytes()
-        # at any other point the parts are its own, not the ones kept
+        # the tangent reads the parts it is given, whichever point Newton
+        # returned last
         want = corrector.lu.solve(homotopy_residual(ws, 0.0, ws.u0) - homotopy_residual(ws, 1.0, ws.u0))
-        assert corrector.tangent(ws.u0).tobytes() == want.tobytes()
+        assert corrector.tangent(continuation._parts(ws, ws.u0)).tobytes() == want.tobytes()
 
     def test_first_try_starts_from_the_tangent(self, monkeypatch):
         ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
         starts = record_starts(monkeypatch)
         trace_workspace(ws, initial_steps=8)
-        t = continuation._Corrector(ws).tangent(ws.u0)
+        t = continuation._Corrector(ws).tangent(continuation._parts(ws, ws.u0))
         np.testing.assert_array_equal(starts[0], ws.u0 + 0.125 * t)
         assert float(np.max(np.abs(starts[0] - ws.u0))) > 0.1
 
@@ -334,8 +335,8 @@ class TestTangentPredictor:
             errors = []
             with monkeypatch.context() as patch:
                 if not predictor:
-                    patch.setattr(continuation._Corrector, "tangent", lambda self, u: None)
-                    patch.setattr(continuation._Corrector, "polish", lambda self, step: step)
+                    patch.setattr(continuation._Corrector, "tangent", lambda self, parts: None)
+                    patch.setattr(continuation._Corrector, "polish", lambda self, step, parts: step)
                 for case_id in case_ids():
                     for n in (32, 64, 128):
                         ws = _builtin(case_id, n)
@@ -860,7 +861,7 @@ class TestTypedFailures:
         with pytest.raises(SingularSystemError):
             corrector.update(1.0, ws.u0, homotopy_residual(ws, 1.0, ws.u0))
         step = PathStep(1.0, ws.u0, 3, 1.0, True, 0.0)
-        assert corrector.polish(step) is step
+        assert corrector.polish(step, continuation._parts(ws, ws.u0)) is step
 
     def test_singular_eps_counts_as_a_failed_step(self, count_calls):
         attempts = count_calls("hamsolve.continuation", "_Corrector.newton")

@@ -85,6 +85,9 @@ def test_too_many_primes_rejected():
         ("sin u", 5),       # call without parentheses
         ("1.2.3", 1),       # two decimal points
         ("u + $", 5),       # unknown character
+        ("1e400 + u", 1),   # a literal that overflows a float
+        ("2*1e400", 3),
+        ("u^1e400", 3),
     ],
 )
 def test_parse_errors_carry_columns(text, column):
@@ -131,6 +134,22 @@ def test_node_validation():
     assert U(np.int64(2)) == U(2)
     with pytest.raises(ConfigError):
         Call("sinh", Coord())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [Const, lambda v: Power(U(0), v)],
+    ids=["Const", "Power"],
+)
+def test_constants_and_exponents_are_finite_reals(make):
+    # a bad value failed only inside a solve, or gave a NaN series
+    for bad in ("x", None, math.inf, -math.inf, math.nan, 1e300 * 1e300):
+        with pytest.raises(ConfigError):
+            make(bad)
+    for good in (2, np.float64(1.5), "0.25"):
+        node = make(good)
+        value = node.value if isinstance(node, Const) else node.exponent
+        assert type(value) is float and value == float(good)
 
 
 @pytest.mark.parametrize("node", [Sum, Product])

@@ -6,6 +6,7 @@ solutions. The k! bound is asserted only where double precision can hold it
 (measured in docs/calibration.md); the error grows like eps * n^(2k).
 """
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -464,6 +465,14 @@ def test_tracer_spells_G_in_one_combiner():
         continuation._Corrector.polish,
     ):
         assert "_residual(ws, " in inspect.getsource(user), user
+    # G's parts travel as arguments: the corrector keeps none, and no code
+    # in the tracer tells two points apart by identity (only `is None`)
+    assert "self.parts" not in corrector
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.Is, ast.IsNot)):
+                    assert isinstance(right, ast.Constant) and right.value is None, ast.unparse(node)
 
 
 def test_lapack_is_called_from_grids_alone():

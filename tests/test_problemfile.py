@@ -286,6 +286,18 @@ BAD_VALUES = {
         ["", "left, 0", "left, 0, 0, 0", "middle, 0, 0", "left, x, 0", "left, 0, x", "left, -1, 0", "left, 0, nan"]
     ),
 }
+# values that read as a number or an expression but break their entry's
+# rule; each fails at its own line, not later in a set-up without one
+RULE_BREAKERS = {
+    "a": ["nan", "inf", "1e400"],
+    "b": ["nan", "inf", "1e400"],
+    "hbar": ["nan", "inf", "1e400", "0"],
+    "s": ["u", "u'"],
+    "H": ["u", "u'"],
+    "u": ["u", "u'"],
+}
+for _key, _values in RULE_BREAKERS.items():
+    BAD_VALUES[_key] = BAD_VALUES[_key] | st.sampled_from(_values)
 
 
 @st.composite
@@ -316,6 +328,16 @@ def test_malformed_line_raises_parse_error_at_that_line(case):
     with pytest.raises(ParseError) as info:
         parse_problem_text(text)
     assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k, values in RULE_BREAKERS.items() for v in values])
+def test_rule_breaking_value_fails_at_its_line(key, value):
+    lines = FULL_TEXT.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split("=", 1)[0].strip() == key)
+    lines[i] = f"{key} = {value}"
+    with pytest.raises(ParseError) as info:
+        parse_problem_text("\n".join(lines))
+    assert info.value.line == i + 1
 
 
 class TestCrossEntryErrors:
