@@ -170,6 +170,8 @@ class _Corrector:
         self.A_L = np.array(ws.A_L, order="F")
         self.lopt_matrix = np.array(ws.lopt.matrix, order="F")
         self.diffs = {k: np.array(ws.grid.diff_matrix(k), order="F") for k in range(1, ws.u_order + 1)}
+        # where each diag(dN/du^(k)) D_k is formed, for an N that reads u'
+        self.term = np.empty((n, n), order="F") if self.diffs else None
         self.scaled_lopt = np.empty((n, n), order="F")
         self.J = np.empty((n, n), order="F")
         self.scaled_eps = None  # the eps that scaled_lopt was formed at
@@ -182,7 +184,7 @@ class _Corrector:
             np.multiply(self.lopt_matrix, 1.0 - eps, out=self.scaled_lopt)
             self.scaled_eps = eps
         np.copyto(out, self.A_L)
-        self.partials.add_frechet(out, ws.grid, u, self.diffs.__getitem__)
+        self.partials.add_frechet(out, ws.grid, u, self.diffs.__getitem__, self.term)
         # in place, with the same roundings as (1 - eps) M + (eps hbar) (H df);
         # scaling by H = 1 changes no bit, so that pass is skipped
         if not ws.unit_weight:

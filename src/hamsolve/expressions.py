@@ -12,14 +12,19 @@ An expression is an immutable tree built from:
 Trees are plain data; evaluation, Taylor-jet propagation and linearization
 live in separate modules. ``log``/``sqrt`` (and non-integer powers) require
 strictly positive arguments and are checked at evaluation time, never
-assumed.
+assumed. A part of a tree that reads neither u nor r is evaluated once,
+when its node is built (``folded``), and one that is not finite is a
+ConfigError there, as is a product whose constant factors multiply to
+inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -32,7 +37,14 @@ UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "sqrt")
 
 class OperatorExpr:
     """Base class of the nodes; a tree comes from ``parse_expr`` or from
-    the node constructors below."""
+    the node constructors below.
+
+    ``folded`` is the value of a node that reads neither u nor r, set when
+    the node is built (``_fold``); it is None for a node that reads either,
+    and for a constant outside its function's domain (log, sqrt or a
+    power), which evaluation reports as DomainError."""
+
+    folded = None
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,7 @@ class Const(OperatorExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "value", real_argument(self.value, "constant"))
+        object.__setattr__(self, "folded", self.value)
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,9 @@ class Sum(OperatorExpr):
     def __post_init__(self):
         if not self.terms:
             raise ConfigError("a sum needs at least one term")
+        values = [_folded(t) for t in self.terms]
+        if None not in values:
+            _fold(self, functools.reduce(operator.add, values))
 
 
 @dataclass(frozen=True)
@@ -75,6 +91,10 @@ class Product(OperatorExpr):
     def __post_init__(self):
         if not self.factors:
             raise ConfigError("a product needs at least one factor")
+        constants = [v for v in map(_folded, self.factors) if v is not None]
+        if constants:
+            value = functools.reduce(operator.mul, constants)
+            _fold(self, value, keep=len(constants) == len(self.factors))
 
 
 @dataclass(frozen=True)
@@ -84,6 +104,11 @@ class Power(OperatorExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", real_argument(self.exponent, "exponent"))
+        if _folded(self.base) is not None:
+            try:
+                _fold(self, float(checked_power(self.base.folded, self.exponent)))
+            except DomainError:  # left to evaluation, which reports it
+                pass
 
 
 @dataclass(frozen=True)
@@ -94,21 +119,49 @@ class Call(OperatorExpr):
     def __post_init__(self):
         if self.name not in UNARY_FUNCTIONS:
             raise ConfigError(f"unknown function {self.name!r}")
+        if _folded(self.arg) is not None:
+            try:
+                with np.errstate(over="ignore"):  # exp past the range: see _fold
+                    _fold(self, float(checked_call(self.name, self.arg.folded)))
+            except DomainError:  # left to evaluation, which reports it
+                pass
+
+
+def _folded(child) -> Optional[float]:
+    """``child.folded``; ConfigError if ``child`` is not an expression."""
+    if not isinstance(child, OperatorExpr):
+        raise ConfigError(f"not an expression: {child!r}")
+    return child.folded
+
+
+def _fold(node: OperatorExpr, value: float, keep: bool = True) -> None:
+    """Keep ``value``, computed with ``eval_expr``'s arithmetic, as
+    ``node.folded`` (unless not ``keep``). ConfigError if it is not
+    finite: a part free of u and r that is not finite, or a product whose
+    constant factors multiply past the range, would reach every node as
+    inf or nan."""
+    if not math.isfinite(value):
+        raise ConfigError(f"a part of an expression free of u and r is {value}")
+    if keep:
+        object.__setattr__(node, "folded", value)
 
 
 def walk(expr: OperatorExpr) -> Iterator[OperatorExpr]:
-    """Yield every node of the tree, root first."""
-    yield expr
-    if isinstance(expr, Sum):
-        for t in expr.terms:
-            yield from walk(t)
-    elif isinstance(expr, Product):
-        for f in expr.factors:
-            yield from walk(f)
-    elif isinstance(expr, Power):
-        yield from walk(expr.base)
-    elif isinstance(expr, Call):
-        yield from walk(expr.arg)
+    """Yield every node of the tree, root first: each node before its
+    children, and the children in order. One explicit stack, so a deep
+    tree costs no generator per level."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Sum):
+            stack.extend(reversed(node.terms))
+        elif isinstance(node, Product):
+            stack.extend(reversed(node.factors))
+        elif isinstance(node, Power):
+            stack.append(node.base)
+        elif isinstance(node, Call):
+            stack.append(node.arg)
 
 
 def max_u_order(expr: OperatorExpr) -> int:
@@ -174,22 +227,31 @@ def eval_expr(expr: OperatorExpr, r, u: UTable | None = None):
 
 
 def checked_power(base, exponent: float):
-    """``base ** exponent``; DomainError where that is undefined."""
+    """``base ** exponent``; DomainError where that is undefined. A Python
+    float power past the range is inf, not an OverflowError."""
     if float(exponent).is_integer():
-        k = int(exponent)
-        if k < 0 and np.any(np.asarray(base) == 0.0):
+        exponent = int(exponent)
+        if exponent < 0 and _anywhere(base == 0.0):
             raise DomainError("negative power of zero")
-        return base ** k
-    if np.any(np.asarray(base) <= 0.0):
+    elif _anywhere(base <= 0.0):
         raise DomainError(
             f"non-integer power {exponent} requires a strictly positive base"
         )
-    return base ** exponent
+    try:
+        return base ** exponent
+    except OverflowError:  # a Python float past the range: inf, as a product gives
+        return math.copysign(math.inf, base) if exponent % 2 else math.inf
+
+
+def _anywhere(mask) -> bool:
+    """Whether ``mask``, a bool or a numpy array of them, is True anywhere:
+    a Python float's comparison gives a bool, which skips numpy."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 def checked_call(name: str, arg):
     """numpy's ``name`` at ``arg``; DomainError where that is undefined."""
-    if name in ("log", "sqrt") and np.any(np.asarray(arg) <= 0.0):
+    if name in ("log", "sqrt") and _anywhere(arg <= 0.0):
         raise DomainError(f"{name} requires a strictly positive argument")
     return getattr(np, name)(arg)
 

@@ -37,7 +37,7 @@ from .errors import (
     is_integer,
     real_argument,
 )
-from .expressions import MAX_DERIVATIVE_ORDER, Const, LinearOperator, eval_expr
+from .expressions import MAX_DERIVATIVE_ORDER, LinearOperator, eval_expr
 
 GRID_KINDS = ("chebyshev-lobatto", "uniform-fd")
 COND_LIMIT = 1e14
@@ -164,14 +164,14 @@ class Grid:
 
     def sample(self, expr) -> np.ndarray:
         """An expression in r alone at the nodes, as a fresh float array of
-        shape (n,); a constant is broadcast to every node. ConfigError if
-        it is not finite at some node."""
-        if isinstance(expr, Const):
-            vals = np.full(self.n, expr.value)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
-            vals = np.array(np.broadcast_to(vals, (self.n,)))
+        shape (n,). A constant (``OperatorExpr.folded``) is broadcast to
+        every node unscanned: its node was checked finite when built.
+        ConfigError if the expression is not finite at some node."""
+        if expr.folded is not None:
+            return np.full(self.n, expr.folded)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            vals = np.asarray(eval_expr(expr, self.nodes), dtype=float)
+        vals = np.array(np.broadcast_to(vals, (self.n,)))
         bad = np.nonzero(~np.isfinite(vals))[0]
         if bad.size:
             raise ConfigError(f"an expression in r is {vals[bad[0]]} at r = {self.nodes[bad[0]]}")
@@ -335,15 +335,16 @@ def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
     return A
 
 
-def add_operator(A: np.ndarray, diff_matrix, coeffs: dict) -> None:
+def add_operator(A: np.ndarray, diff_matrix, coeffs: dict, work=None) -> None:
     """Add sum_k diag(c_k) D_k to the (n, n) array ``A`` in place, from
     ``coeffs`` = {k: c_k at the nodes}, with D_k = ``diff_matrix(k)``: a
     grid's own, or copies in A's layout where A is column-major (a
     product across the two layouts is several times slower). c_0 goes onto
-    the diagonal. A c_k that is zero at every node is skipped, and D_k is
-    not formed for it: its zeros would change no entry of an ``A`` built,
-    as every caller's is, by sums onto +0.0, since such a sum is never
-    -0.0."""
+    the diagonal. Each diag(c_k) D_k (k >= 1) is formed in ``work``, an
+    (n, n) array in A's layout, or in a fresh one when ``work`` is None. A
+    c_k that is zero at every node is skipped, and D_k is not formed for
+    it: its zeros would change no entry of an ``A`` built, as every
+    caller's is, by sums onto +0.0, since such a sum is never -0.0."""
     for k, ck in coeffs.items():
         if not np.any(ck):
             continue
@@ -351,7 +352,7 @@ def add_operator(A: np.ndarray, diff_matrix, coeffs: dict) -> None:
             diagonal = np.einsum("ii->i", A)  # a writable view
             diagonal += ck
         else:
-            A += ck[:, None] * diff_matrix(k)
+            A += np.multiply(ck[:, None], diff_matrix(k), out=work)
 
 
 def bc_row(grid: Grid, bc: BoundaryCondition) -> np.ndarray:

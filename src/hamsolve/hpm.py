@@ -19,8 +19,8 @@ source text). hpm_recursion runs the loop on a grid, L and LU of its own;
 the norms, divergence flag and residual history are measurements, not part
 of the recursion, so they come from the engine's one series constructor
 (``series_solution``, one stacked F(U) pass) on the oracle's matrices.
-equivalence_workspace runs the loop on the workspace's grid, L and factored
-core, once it has checked that the core is L's own BC system.
+equivalence_workspace runs the loop on the workspace's grid, L, factored
+core and sampled s, once it has checked that the core is L's own BC system.
 """
 
 from __future__ import annotations
@@ -54,37 +54,39 @@ def _checked_order(order: int) -> int:
     return order
 
 
-def _reduced_orders(problem: ProblemSpec, grid: Grid, A: np.ndarray, system: BcSystem, order: int) -> np.ndarray:
+def _reduced_orders(problem: ProblemSpec, grid: Grid, A: np.ndarray, system: BcSystem, s_vals: np.ndarray, order: int) -> np.ndarray:
     """Orders w_0..w_M of the reduced recursion, shape (M + 1, n), given
-    the problem's grid, its assembled L ``A`` and ``system``, A's BC system
-    under the problem's BCs.
+    the problem's grid, its assembled L ``A``, ``system``, A's BC system
+    under the problem's BCs, and s sampled at the nodes.
 
     N is lowered once onto a tape of depth M whose leaves hold D_k w_j in
-    row j; order m writes row m-1 of the leaves from w_{m-1}, steps the
-    tape at row m-1 and reads C_{m-1}[N] from the root's row m-1.
+    row j; order m writes w_{m-1} and each D_k w_{m-1}, one matrix-vector
+    product, into row m-1 of the leaves, steps the tape at row m-1 and
+    reads C_{m-1}[N] from the root's row m-1. Orders 1..M solve with the
+    factored system directly, their BC rows zeroed (homogeneous BCs).
     """
-    s_vals = grid.sample(problem.s)
     upto = max_u_order(problem.N)
-    homogeneous = (0.0,) * len(problem.bcs)
-    leaves = {k: np.zeros((order, grid.n)) for k in range(upto + 1)}
+    leaves = [np.zeros((order, grid.n)) for _ in range(upto + 1)]
+    diffs = [grid.diff_matrix(k) for k in range(1, upto + 1)]
     tape = Tape()
-    coeffs = tape.lower(problem.N, grid.nodes, leaves, order)
+    coeffs = tape.lower(problem.N, grid.nodes, dict(enumerate(leaves)), order)
 
     orders = np.empty((order + 1, grid.n))
     u_ref = system.solve(np.zeros(grid.n))
     orders[0] = system.solve(A @ u_ref)
     for m in range(1, order + 1):
-        # as a (1, n, 1) stack the newest order takes one matrix-vector
-        # product, so row m-1 of leaf k is bitwise D_k w_{m-1}
-        stack = grid.derivative_stack(orders[m - 1][None, :, None], upto)
-        for k, leaf in leaves.items():
-            leaf[m - 1] = stack[k][0, :, 0]
+        w = orders[m - 1]
+        if leaves:
+            leaves[0][m - 1] = w
+        for D, leaf in zip(diffs, leaves[1:]):
+            np.matmul(D, w, out=leaf[m - 1])
         tape.step(m - 1)
         if m == 1:
             rhs = s_vals - A @ orders[0] - coeffs[0]
         else:
             rhs = -coeffs[m - 1]
-        orders[m] = system.solve(rhs, bc_values=homogeneous)
+        rhs[system.rows] = 0.0
+        orders[m] = system.lu.solve(rhs)
     return orders
 
 
@@ -92,16 +94,17 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     """Run the reduced method's own recursion up to the given order.
 
     Independent of the deformation engine by design; see the module
-    docstring. Builds its own grid, L and BC system, and returns a
-    SeriesSolution so downstream tooling (partial sums, residuals) applies
-    unchanged.
+    docstring. Builds its own grid, L and BC system, and samples s once
+    for the recursion and the residuals, and returns a SeriesSolution so
+    downstream tooling (partial sums, residuals) applies unchanged.
     """
     config = hpm_config(_checked_order(order))
     grid = problem.make_grid()
     A = assemble_linear(problem.L, grid)
     system = BcSystem(A, problem.bcs, grid)
-    orders = _reduced_orders(problem, grid, A, system, order)
-    F = partial(operator_values, problem.N, grid, A, grid.sample(problem.s), u_order=max_u_order(problem.N))
+    s_vals = grid.sample(problem.s)
+    orders = _reduced_orders(problem, grid, A, system, s_vals, order)
+    F = partial(operator_values, problem.N, grid, A, s_vals, u_order=max_u_order(problem.N))
     return series_solution(grid, F, orders[:, :, None], config)
 
 
@@ -156,11 +159,10 @@ def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optiona
     if system.bcs != tuple(problem.bcs) or not np.array_equal(system.matrix, expected):
         raise ConfigError("the workspace's core is not L's own BC system")
     engine_orders = ws._march(np.array([engine_hbar]))[:, :, 0]
-    oracle_orders = _reduced_orders(problem, grid, ws.A_L, system, order)
-    diffs = []
-    for um, wm in zip(engine_orders, oracle_orders):
-        scale = 1.0 + float(np.max(np.abs(wm)))
-        diffs.append(float(np.max(np.abs(um - wm))) / scale)
+    oracle_orders = _reduced_orders(problem, grid, ws.A_L, system, ws.s_vals, order)
+    # per order, in one pass: max |u_m - w_m| / (1 + max |w_m|)
+    scales = 1.0 + np.max(np.abs(oracle_orders), axis=1)
+    diffs = (np.max(np.abs(engine_orders - oracle_orders), axis=1) / scales).tolist()
     worst = max(diffs)
     return EquivalenceReport(
         per_order_rel_diff=tuple(diffs),

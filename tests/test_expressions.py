@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hamsolve import (
     Call,
@@ -26,7 +27,10 @@ from hamsolve import (
     eval_expr,
     max_u_order,
     parse_expr,
+    walk,
 )
+
+from test_jets import expression_trees
 
 R = np.linspace(0.1, 0.9, 7)
 
@@ -152,11 +156,109 @@ def test_constants_and_exponents_are_finite_reals(make):
         assert type(value) is float and value == float(good)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Sum((1.0, U(0))), lambda: Product((U(0), "x")), lambda: Power(2.0, 3.0), lambda: Call("sin", None)],
+    ids=["Sum", "Product", "Power", "Call"],
+)
+def test_children_must_be_expressions(make):
+    # a raw number in a tree failed only when evaluated, with TypeError
+    with pytest.raises(ConfigError, match="not an expression"):
+        make()
+
+
 @pytest.mark.parametrize("node", [Sum, Product])
 def test_empty_sum_or_product_is_rejected_at_construction(node):
     # evaluated, it raised IndexError
     with pytest.raises(ConfigError):
         node(())
+
+
+def preorder(expr):
+    """Every node, by the recursive definition: the node, then each
+    child's pre-order in turn."""
+    if isinstance(expr, Sum):
+        children = expr.terms
+    elif isinstance(expr, Product):
+        children = expr.factors
+    elif isinstance(expr, Power):
+        children = (expr.base,)
+    elif isinstance(expr, Call):
+        children = (expr.arg,)
+    else:
+        children = ()
+    return [expr] + [node for child in children for node in preorder(child)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=expression_trees)
+def test_walk_is_the_recursive_pre_order(expr):
+    got, want = list(walk(expr)), preorder(expr)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+    orders = [n.order for n in want if isinstance(n, U)]
+    assert max_u_order(expr) == max(orders, default=-1)
+
+
+def test_walk_is_not_bounded_by_the_recursion_limit():
+    # a generator per level raised RecursionError below 3000 levels
+    expr = U(1)
+    for _ in range(3000):
+        expr = Call("sin", expr)
+    assert sum(1 for _ in walk(expr)) == 3001
+    assert max_u_order(expr) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e300*1e300*u^2", "u^2*1e300*1e300", "exp(1000)*u^2", "(1e200)^2*u^2", "u + (-1e200)^3", "1e-200^(-2)*u"],
+)
+def test_constant_past_the_range_is_rejected_at_construction(text):
+    # each literal is finite; the NaN series or the OverflowError came later
+    with pytest.raises(ConfigError, match="free of u and r is -?inf"):
+        parse_expr(text)
+
+
+def test_node_constructors_reject_a_constant_past_the_range():
+    big, u2 = Const(1e300), Power(U(0), 2.0)
+    for make in (
+        lambda: Product((big, u2, big)),
+        lambda: Sum((Product((big, big)), u2)),
+        lambda: Power(Const(1e200), 2.0),
+        lambda: Call("exp", Const(1000.0)),
+    ):
+        with pytest.raises(ConfigError):
+            make()
+    # the constant factors alone decide, in order: 1e300 * 1e-300 is 1
+    assert Product((big, u2, Const(1e-300))).folded is None
+    assert Product((big, Const(1e-300))).folded == 1e300 * 1e-300
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=expression_trees)
+def test_folded_value_is_the_evaluation_bitwise(expr):
+    # Grid.sample broadcasts a folded value in place of evaluating
+    if expr.folded is not None:
+        value = eval_expr(expr, 0.5)
+        assert np.float64(value).tobytes() == np.float64(expr.folded).tobytes()
+    assert expr.folded is None or not any(isinstance(n, (U, Coord)) for n in walk(expr))
+
+
+def test_constant_outside_a_domain_is_left_to_evaluation():
+    for text in ("log(0 - 1)*u", "sqrt(0 - 2)", "1/0*u", "(0 - 8)^0.5"):
+        expr = parse_expr(text)
+        assert expr.folded is None
+        with pytest.raises(DomainError):
+            eval_expr(expr, R, {0: R})
+
+
+@pytest.mark.parametrize(
+    "base, exponent, want",
+    [(1e200, 2.0, math.inf), (-1e200, 3.0, -math.inf), (1e200, 2.5, math.inf), (-1e-200, -3.0, -math.inf)],
+)
+def test_power_past_the_range_is_inf_not_overflow_error(base, exponent, want):
+    # Python's float power raises OverflowError where numpy's gives inf
+    assert eval_expr(Power(Coord(), exponent), base) == want
 
 
 def test_walkable_tree_shapes():

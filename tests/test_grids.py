@@ -48,6 +48,7 @@ from hamsolve.grids import (
     _fd_second,
     _lobatto_reference,
     LU,
+    add_operator,
 )
 
 CHEB = "chebyshev-lobatto"
@@ -162,9 +163,21 @@ class TestBuildGrid:
         np.testing.assert_array_equal(r, g.nodes)
         assert not np.shares_memory(r, g.nodes)
 
-    @pytest.mark.parametrize("text", ["1e300*1e300", "1e300*1e300 + r", "-1e300*1e300*(1 + r)"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e300*1e300",
+            "1e300*1e300 + r",
+            "-1e300*1e300*(1 + r)",
+            "exp(1000*r)",
+            "(1e300*r)*1e300 + r",
+            "-(1e200*r)^2*(1 + r)",
+        ],
+    )
     def test_sample_rejects_non_finite_values(self, text):
-        # 1e300*1e300 is inf without a numpy warning
+        # 1e300*1e300 is inf without a numpy warning; a constant part that
+        # is not finite is rejected when its node is built, the last three
+        # only where they are sampled (inf at r = 1)
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):
             g.sample(hamsolve.parse_expr(text))
@@ -172,7 +185,7 @@ class TestBuildGrid:
     @pytest.mark.parametrize("field", ["s", "H"])
     def test_non_finite_source_or_weight_is_a_config_error(self, field):
         spec, config = get_case("riccati-tanh-short").spec, HamConfig()
-        inf = hamsolve.parse_expr("1e300*1e300")
+        inf = hamsolve.parse_expr("exp(1000*r)")  # inf at r = 1
         if field == "s":
             spec = dataclasses.replace(spec, s=inf)
         else:
@@ -708,6 +721,31 @@ class TestAllocations:
             tracemalloc.stop()
         assert peak < n * n * 8
 
+    def test_jacobian_of_an_n_that_reads_u_prime_forms_no_n_by_n_array(self):
+        # u'' + 0.5 u u' = 1 + r: each diag(dN/du^(k)) D_k is formed in the
+        # corrector's own work array (a fresh n x n product per term before)
+        n = 128
+        spec = hamsolve.ProblemSpec(
+            a=0.0,
+            b=1.0,
+            L=LinearOperator.from_strings(("0", "0", "1")),
+            N=hamsolve.parse_expr("0.5*u*u'"),
+            s=hamsolve.parse_expr("1 + r"),
+            bcs=(BoundaryCondition("left", 0, 0.2), BoundaryCondition("right", 0, -0.3)),
+            n=n,
+        )
+        ws = Workspace(spec, HamConfig(hbar=1.0, H=hamsolve.parse_expr("1 + 0.5*r")))
+        corrector = continuation._Corrector(ws)
+        u = ws.u0 + 0.1 * np.sin(np.pi * ws.grid.nodes)
+        corrector.jacobian(0.5, u)
+        tracemalloc.start()
+        try:
+            corrector.jacobian(0.5, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
     @pytest.mark.parametrize(
         "case_id, unread",
         [("linear-poisson", 1), ("manufactured-quad", 1), ("riccati-tanh-short", 2)],
@@ -724,6 +762,18 @@ class TestAllocations:
         trace_workspace(ws, initial_steps=4)
         assert ws.grid._diffs[unread - 1] is None
         assert ws.grid._diffs[2 - unread] is not None
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_operator_terms_formed_in_a_work_array_are_bitwise_fresh_ones(layout):
+    g = build_grid(CHEB, 24, 0.0, 2.0)
+    rng = np.random.default_rng(11)
+    coeffs = {k: rng.standard_normal(g.n) for k in range(4)}
+    start = np.array(rng.standard_normal((g.n, g.n)), order=layout)
+    fresh, kept = start.copy(order=layout), start.copy(order=layout)
+    add_operator(fresh, g.diff_matrix, coeffs)
+    add_operator(kept, g.diff_matrix, coeffs, np.empty_like(kept))
+    assert fresh.tobytes() == kept.tobytes()
 
 
 def test_stacked_quadrature_equals_single_calls_bitwise():

@@ -41,12 +41,25 @@ from hamsolve import (
     parse_expr,
     run_ham,
 )
+import hamsolve.hpm as hpm
 from hamsolve.expressions import max_u_order
 from hamsolve.grids import GRID_KINDS, BcSystem, assemble_linear
 from hamsolve.hpm import REDUCED_HBAR, _reduced_orders
 from hamsolve.jets import jet_expand
 
+from conftest import exp_problem
+
 TANH_SHORT = get_case("riccati-tanh-short").spec
+# u'' + 0.5 u u' = 1 + r: N reads u', so the oracle's leaves hold D_1 w_j
+U_U_PRIME = ProblemSpec(
+    a=0.0,
+    b=1.0,
+    L=LinearOperator.from_strings(("0", "0", "1")),
+    N=parse_expr("0.5*u*u'"),
+    s=parse_expr("1 + r"),
+    bcs=(BoundaryCondition("left", 0, 0.2), BoundaryCondition("right", 0, -0.3)),
+)
+ORACLE_PROBLEMS = {**{c: get_case(c).spec for c in case_ids()}, "exp": exp_problem(), "u u'": U_U_PRIME}
 
 
 class TestReducedConfig:
@@ -183,6 +196,41 @@ class TestEquivalence:
         with pytest.raises(ConfigError):
             check_equivalence(TANH_SHORT, hbar=hbar)
 
+    @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+    def test_oracle_orders_are_hpm_recursions_bitwise(self, monkeypatch, name):
+        # the check's oracle runs on the workspace's grid, L, core and
+        # sampled s; hpm_recursion on its own. Both must give the same bits
+        problem = ORACLE_PROBLEMS[name]
+        seen = []
+
+        def recording(*args):
+            seen.append(_reduced_orders(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(hpm, "_reduced_orders", recording)
+        check_equivalence(problem, order=10)
+        (got,) = seen
+        want = hpm_recursion(problem, order=10).orders
+        assert got.shape == (11, problem.n)
+        for m, w in enumerate(want):
+            assert got[m].tobytes() == w.tobytes()
+
+    def test_check_samples_nothing_and_solves_only_order_zero(self, count_calls):
+        # counts, not timings: the oracle reads the workspace's s, and
+        # orders 1..M solve through the core's LU with their BC rows zeroed
+        ws = Workspace(U_U_PRIME, hpm_config(10))
+        samples = count_calls("hamsolve.grids", "Grid.sample")
+        solves = count_calls("hamsolve.grids", "BcSystem.solve")
+        assert equivalence_workspace(ws).passed
+        assert (len(samples), len(solves)) == (0, 2)
+
+    def test_recursion_samples_s_once(self, count_calls):
+        # L's three coefficients when L is assembled, then s once for the
+        # recursion and the residuals
+        samples = count_calls("hamsolve.grids", "Grid.sample")
+        hpm_recursion(U_U_PRIME, order=10)
+        assert len(samples) == len(U_U_PRIME.L.coeffs) + 1
+
     def test_one_set_up_and_no_re_expansion(self, count_calls):
         # counts, not timings: the oracle runs on the workspace's grid, L
         # and factored core, and steps its own tape once per order
@@ -275,7 +323,7 @@ def test_stepped_tape_equals_batch_reexpansion_bitwise(problem, N, kind, order):
     # a series that overflows must still agree, inf and nan included
     with np.errstate(all="ignore"):
         want = _batch_reexpansion(problem, grid, A, system, order)
-        got = _reduced_orders(problem, grid, A, system, order)
+        got = _reduced_orders(problem, grid, A, system, grid.sample(problem.s), order)
     assert got.shape == (order + 1, grid.n)
     np.testing.assert_array_equal(got, want)
 

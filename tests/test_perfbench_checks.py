@@ -5,11 +5,13 @@ once and goes through its check: the search's residual* must reproduce
 and stay within the recorded bound. One seeded pass of each other
 workload goes through its checks too, and the operations that fail must
 be exactly the known ones, so a new failure and a fix both show here,
-before a benchmark run. The module is loaded from its file, and the
+before a benchmark run. One seeded cold-solves pass must also repeat its
+pinned op digests bit for bit. The module is loaded from its file, and the
 warning filter it sets on import is undone when the import returns.
 Nothing under perfbench/ is written.
 """
 
+import hashlib
 import importlib.util
 import sys
 import warnings
@@ -19,6 +21,12 @@ from hamsolve import HamError
 
 NAME = "perfbench_workloads"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# sha256 over the op digests of cold-solves' first pass at seed 1: its 16
+# parsed problems cover every nonlinearity of the workload (0, u^2,
+# exp(u), sin(u), u u'), both grid kinds, every n and random domains,
+# none of which the golden digests reach. Any change of a bit of a
+# series, a residual or the equivalence report shows here
+COLD_PASS_SHA256 = "726f669887a2b2e461a743e5c90ad7aa7ac21c4c5ae197f30f014d4783c8b2e5"
 # the tracer aborts on these at n = 256 (ROADMAP, open items)
 KNOWN_FAILURES = {
     "trace-fine: linear-poisson n=256",
@@ -71,6 +79,13 @@ def test_one_pass_of_each_workload_fails_only_the_known_ops():
                 failures.add(f"{name}: {op.label}")
     assert count == 44
     assert failures == KNOWN_FAILURES
+
+
+def test_cold_solves_pass_repeats_its_pinned_digests():
+    h = hashlib.sha256()
+    for op in load_workloads().passes("cold-solves", seed=1)():
+        h.update(op.digest(op.run()).encode())
+    assert h.hexdigest() == COLD_PASS_SHA256
 
 
 def test_import_leaves_the_warning_filters_alone():

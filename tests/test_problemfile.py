@@ -208,6 +208,36 @@ class TestLineAnchoredErrors:
         text = MINIMAL_TEXT.replace("b = 2", "b = 2\nkind = hexagonal")
         self.check(text, "unknown grid kind", line_of(text, "hexagonal"))
 
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("operator", "N = 1e300*1e300*u^2"),
+            ("operator", "N = u^2*1e300*1e300"),
+            ("operator", "N = exp(1000)*u^2"),
+            ("operator", "N = (1e200)^2*u^2"),
+            ("operator", "s = (1e200)^2"),
+            ("operator", "L = 0, 0, 1e300*1e300"),
+            ("exact", "u = exp(1000)*r"),
+            ("ham", "H = 2 - exp(800)"),
+        ],
+    )
+    def test_constant_past_the_range(self, section, entry):
+        # each literal is finite; a NaN series or a bare OverflowError
+        # came only from the solve
+        if section == "operator":
+            lines = entry if entry.startswith("L") else "L = 0, 0, 1\n" + entry
+            text = MINIMAL_TEXT.replace("L = 0, 0, 1", lines)
+        else:
+            text = MINIMAL_TEXT + f"\n[{section}]\n{entry}\n"
+        self.check(text, "free of u and r is -?inf", line_of(text, entry))
+
+    def test_constant_factors_within_the_range_solve(self):
+        text = RICCATI_TEXT.replace("N = u^2", "N = 1e300*1e-300*u^2")
+        parsed = parse_problem_text(text)
+        series = Workspace(parsed.problem, parsed.config).run()
+        assert np.all(np.isfinite(series.residual_history))
+        assert not series.diverged
+
     def test_bad_expression_keeps_column(self):
         text = MINIMAL_TEXT.replace("L = 0, 0, 1", "L = 0, 0, 1\nN = u^")
         with pytest.raises(ParseError) as info:
