@@ -116,11 +116,15 @@ class _Parts(NamedTuple):
 
 def _parts(ws: Workspace, u: np.ndarray, with_F: bool = True) -> _Parts:
     """G's parts at u, H F(u) only ``with_F``: G(0, u) reads no F, which
-    may overflow where L_opt does not."""
+    may overflow where L_opt does not. Scaling by H = 1 changes no bit, so
+    that product is skipped."""
     lopt = ws.lopt
+    weighted_F = ws.operator_values(u) if with_F else None
+    if with_F and not ws.unit_weight:
+        weighted_F *= ws.H_vals
     return _Parts(
         lopt.matrix @ (u - ws.u0),
-        ws.H_vals * ws.operator_values(u) if with_F else None,
+        weighted_F,
         [lopt.matrix[i] @ u - bc.value for i, bc in zip(lopt.rows, lopt.bcs)],
     )
 
@@ -169,7 +173,7 @@ class _Corrector:
         self.partials = PartialsTape(ws.problem.N, ws.grid.nodes)
         self.A_L = np.array(ws.A_L, order="F")
         self.lopt_matrix = np.array(ws.lopt.matrix, order="F")
-        self.diffs = {k: np.array(ws.grid.diff_matrix(k), order="F") for k in range(1, ws.u_order + 1)}
+        self.diffs = {k: np.array(ws.grid.diff_matrix(k), order="F") for k in range(1, ws.problem.N.u_order + 1)}
         # where each diag(dN/du^(k)) D_k is formed, for an N that reads u'
         self.term = np.empty((n, n), order="F") if self.diffs else None
         self.scaled_lopt = np.empty((n, n), order="F")

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, RangeError, is_integer
-from .expressions import LinearOperator, OperatorExpr, eval_expr, max_u_order
+from .expressions import LinearOperator, OperatorExpr, eval_expr
 from .grids import BcSystem, Grid, assemble_linear, integrate
 from .jets import PartialsTape, SeriesTape
 from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar, series_diverges
@@ -49,8 +49,9 @@ class Workspace:
     Every series runs at ``config.order``; hbar is the one setting a call
     may change, and nothing here depends on it, so one workspace serves a
     whole hbar scan. Instances are not thread-safe to build but immutable
-    afterwards: the engine, the tracer and the oracle read the same arrays,
-    so each array is read-only. The workspace freezes those it builds,
+    afterwards, so threads may run one at once (``LU.solve``): the engine,
+    the tracer and the oracle read the same arrays, so each array is
+    read-only. The workspace freezes those it builds,
     ``A_L``, ``s_vals``, ``H_vals`` and ``u0``; the grid and the core's
     ``BcSystem`` freeze their own.
     """
@@ -62,10 +63,9 @@ class Workspace:
         self.A_L = assemble_linear(problem.L, self.grid)
         self.s_vals = self.grid.sample(problem.s)
         self.H_vals = self.grid.sample(config.H)
-        if np.any(self.H_vals == 0.0):
+        if (self.H_vals == 0.0).any():
             raise ConfigError("auxiliary weight H vanishes at a grid node")
-        self.unit_weight = not np.any(self.H_vals != 1.0)  # H = 1 at every node
-        self.u_order = max_u_order(problem.N)  # N's highest derivative of u, -1 if none
+        self.unit_weight = not (self.H_vals != 1.0).any()  # H = 1 at every node
         self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
         self.u0 = self.lopt.solve(np.zeros(self.grid.n))
         for arr in (self.A_L, self.s_vals, self.H_vals, self.u0):
@@ -178,24 +178,22 @@ class Workspace:
     def operator_values(self, U: np.ndarray) -> np.ndarray:
         """F(U) = L U + N(U) - s at every node (BC rows included); U may be
         (n, K) columns or an (S, n, K) stack of them."""
-        return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U, self.u_order)
+        return operator_values(self.problem.N, self.grid, self.A_L, self.s_vals, U)
 
 
 def operator_values(
-    N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray, u_order: int
+    N: OperatorExpr, grid: Grid, A_L: np.ndarray, s_vals: np.ndarray, U: np.ndarray
 ) -> np.ndarray:
     """F(U) = A_L U + N(U) - s sampled at every node (BC rows included).
 
     ``U`` is one grid function, K of them as (n, K) columns, or a stack
     (S, n, K) of such blocks; the matrices act on each block on its own.
-    ``u_order`` is ``max_u_order(N)``, walked once by the caller rather
-    than on every call.
     """
     U = grid.check_columns(U)
     nodes = grid.nodes.reshape((grid.n, 1) if U.ndim > 1 else (grid.n,))
     # a diverged U gives non-finite values, which the residual reports
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = grid.derivative_stack(U, u_order)
+        stack = grid.derivative_stack(U, N.u_order)
         # an N that reads no u (or no r) broadcasts in the sum, to U's shape
         nl = np.asarray(eval_expr(N, nodes, stack), dtype=float)
         return A_L @ U + nl - s_vals.reshape(nodes.shape)

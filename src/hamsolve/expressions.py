@@ -42,9 +42,13 @@ class OperatorExpr:
     ``folded`` is the value of a node that reads neither u nor r, set when
     the node is built (``_fold``); it is None for a node that reads either,
     and for a constant outside its function's domain (log, sqrt or a
-    power), which evaluation reports as DomainError."""
+    power), which evaluation reports as DomainError. ``u_order``, also set
+    when the node is built, is the highest derivative order of u the
+    subtree reads: k for ``U(k)``, the largest of the children's for a
+    sum, product, power or call, and -1 for a subtree free of u."""
 
     folded = None
+    u_order = -1
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,7 @@ class U(OperatorExpr):
     def __post_init__(self):
         if not (is_integer(self.order) and 0 <= self.order <= MAX_DERIVATIVE_ORDER):
             raise ConfigError(f"derivative order {self.order!r} outside 0..{MAX_DERIVATIVE_ORDER}")
+        object.__setattr__(self, "u_order", self.order)
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class Sum(OperatorExpr):
         if not self.terms:
             raise ConfigError("a sum needs at least one term")
         values = [_folded(t) for t in self.terms]
+        _set_u_order(self, self.terms)
         if None not in values:
             _fold(self, functools.reduce(operator.add, values))
 
@@ -92,6 +98,7 @@ class Product(OperatorExpr):
         if not self.factors:
             raise ConfigError("a product needs at least one factor")
         constants = [v for v in map(_folded, self.factors) if v is not None]
+        _set_u_order(self, self.factors)
         if constants:
             value = functools.reduce(operator.mul, constants)
             _fold(self, value, keep=len(constants) == len(self.factors))
@@ -109,6 +116,7 @@ class Power(OperatorExpr):
                 _fold(self, float(checked_power(self.base.folded, self.exponent)))
             except DomainError:  # left to evaluation, which reports it
                 pass
+        _set_u_order(self, (self.base,))
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,7 @@ class Call(OperatorExpr):
                     _fold(self, float(checked_call(self.name, self.arg.folded)))
             except DomainError:  # left to evaluation, which reports it
                 pass
+        _set_u_order(self, (self.arg,))
 
 
 def _folded(child) -> Optional[float]:
@@ -132,6 +141,11 @@ def _folded(child) -> Optional[float]:
     if not isinstance(child, OperatorExpr):
         raise ConfigError(f"not an expression: {child!r}")
     return child.folded
+
+
+def _set_u_order(node: OperatorExpr, children) -> None:
+    """``node.u_order`` from its ``children``, each checked by ``_folded``."""
+    object.__setattr__(node, "u_order", max(c.u_order for c in children))
 
 
 def _fold(node: OperatorExpr, value: float, keep: bool = True) -> None:
@@ -165,12 +179,13 @@ def walk(expr: OperatorExpr) -> Iterator[OperatorExpr]:
 
 
 def max_u_order(expr: OperatorExpr) -> int:
-    """Highest derivative order of the unknown referenced, -1 if none."""
-    return max((n.order for n in walk(expr) if isinstance(n, U)), default=-1)
+    """Highest derivative order of the unknown referenced, -1 if none:
+    ``expr.u_order``."""
+    return expr.u_order
 
 
 def contains_u(expr: OperatorExpr) -> bool:
-    return max_u_order(expr) >= 0
+    return expr.u_order >= 0
 
 
 # Values for the unknown are supplied as a mapping {derivative order: value};
@@ -188,7 +203,8 @@ def eval_expr(expr: OperatorExpr, r, u: UTable | None = None):
             expressions that do not reference the unknown.
 
     Returns:
-        Scalar or ndarray matching the broadcast shape of the inputs.
+        Scalar or ndarray matching the broadcast shape of the inputs; a
+        node's ``folded`` value, unevaluated, where it has one.
 
     Raises:
         DomainError: log/sqrt of a non-positive value, non-integer power of
@@ -196,8 +212,8 @@ def eval_expr(expr: OperatorExpr, r, u: UTable | None = None):
         ConfigError: the expression references a derivative order missing
             from ``u``.
     """
-    if isinstance(expr, Const):
-        return expr.value
+    if isinstance(expr, OperatorExpr) and expr.folded is not None:
+        return expr.folded  # computed with this arithmetic when built
     if isinstance(expr, Coord):
         return r
     if isinstance(expr, U):
@@ -279,7 +295,7 @@ class LinearOperator:
         for k, c in enumerate(coeffs):
             if not isinstance(c, OperatorExpr):
                 raise ConfigError(f"coefficient {k} is not an expression")
-            if contains_u(c):
+            if c.u_order >= 0:
                 raise ConfigError(
                     f"coefficient {k} references the unknown; linear operator "
                     "coefficients may depend on r only"

@@ -309,21 +309,23 @@ class BoundaryCondition:
 
 
 def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
-    """Dense matrix of sum_k c_k(r) d^k/dr^k on the grid.
+    """Dense matrix of sum_k c_k(r) d^k/dr^k on the grid. A lower
+    coefficient that is the constant 0 (``folded``) is neither sampled nor
+    scanned: ``add_operator`` would skip it.
 
     Raises SingularOperatorError if the leading coefficient vanishes at any
     node.
     """
-    coeffs = [grid.sample(c) for c in op.coeffs]
-    lead = coeffs[-1]
-    if np.any(lead == 0.0):
+    lead = grid.sample(op.coeffs[-1])
+    if (lead == 0.0).any():
         where = grid.nodes[np.nonzero(lead == 0.0)[0][0]]
         raise SingularOperatorError(
             f"leading coefficient of the order-{op.order} operator vanishes "
             f"at r = {where}"
         )
-    coeffs = dict(enumerate(coeffs))
-    first = min(k for k, ck in coeffs.items() if np.any(ck))
+    coeffs = {k: grid.sample(c) for k, c in enumerate(op.coeffs[:-1]) if c.folded != 0.0}
+    coeffs[op.order] = lead
+    first = min(k for k, ck in coeffs.items() if ck.any())
     if first == 0:
         A = np.zeros((grid.n, grid.n))
     else:
@@ -346,7 +348,7 @@ def add_operator(A: np.ndarray, diff_matrix, coeffs: dict, work=None) -> None:
     it: its zeros would change no entry of an ``A`` built, as every
     caller's is, by sums onto +0.0, since such a sum is never -0.0."""
     for k, ck in coeffs.items():
-        if not np.any(ck):
+        if not ck.any():
             continue
         if k == 0:
             diagonal = np.einsum("ii->i", A)  # a writable view
@@ -382,6 +384,17 @@ def bc_row_indices(grid: Grid, bcs) -> list:
     return rows
 
 
+@functools.lru_cache(maxsize=LOBATTO_CACHE_SIZE)
+def _alternating(n: int) -> np.ndarray:
+    """dlacn2's second test vector, (-1)^i (1 + i / (n - 1)), built once
+    per n (the last LOBATTO_CACHE_SIZE sizes): read-only, so every solve
+    takes a copy."""
+    alt = np.linspace(1.0, 2.0, n)
+    alt[1::2] *= -1.0
+    alt.setflags(write=False)
+    return alt
+
+
 class LU:
     """The LU factorization of a square column-major float array ``a``, in
     place: LAPACK's getrf, called directly as ``solve`` calls getrs, after
@@ -403,8 +416,10 @@ class LU:
         column-major float array. LAPACK's getrs, which lu_solve wraps,
         without the wrapper's per-call checks: no finiteness scan, so a
         non-finite column is solved (into non-finite values) instead of
-        raising, and the columns never mix."""
-        return dgetrs(self.factors, self.piv, rhs, trans=trans, overwrite_b=True)[0]
+        raising, and the columns never mix. scipy's getrs wrapper shifts
+        the pivots to 1-based and back in place, with the GIL released, so
+        each call gets a copy: threads may then solve with one LU at once."""
+        return dgetrs(self.factors, self.piv.copy(), rhs, trans=trans, overwrite_b=True)[0]
 
     def condition(self) -> float:
         """1-norm condition number of ``matrix``, without forming the
@@ -436,9 +451,7 @@ class LU:
             x = np.zeros(n)
             x[j] = 1.0
         # dlacn2's second test vector, for matrices that defeat the iteration
-        alt = np.linspace(1.0, 2.0, n)
-        alt[1::2] *= -1.0
-        alt_est = 2.0 * float(np.abs(self.solve(alt)).sum()) / (3.0 * n)
+        alt_est = 2.0 * float(np.abs(self.solve(_alternating(n).copy())).sum()) / (3.0 * n)
         if not alt_est <= est:  # also lets a non-finite solve through
             est = alt_est
         condition = self.norm * est
@@ -454,7 +467,7 @@ class BcSystem:
     condition number, is ``lu.condition()``. ``matrix``, their matrix, and
     ``interior``, the mask of the non-BC rows, are the system's own
     read-only arrays. Instances are immutable after construction and safe
-    to share across threads.
+    to share across threads (``LU.solve``).
     """
 
     def __init__(self, matrix: np.ndarray, bcs, grid: Grid):
@@ -477,11 +490,11 @@ class BcSystem:
         A.setflags(write=False)
         self.matrix = A
         # the matrix holds user expressions' values: NaN or inf is an error
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise SingularSystemError("BC-modified system has non-finite entries")
         self.lu = LU(np.array(A, order="F"))
-        self.condition = self.lu.condition()
-        if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
+        self.condition = self.lu.condition()  # a float, inf if not finite
+        if self.condition > COND_LIMIT:
             raise SingularSystemError(
                 f"BC-modified system is numerically singular (cond ~ {self.condition:.3e})"
             )
@@ -502,9 +515,11 @@ class BcSystem:
         """
         rhs = np.array(self.grid.check_columns(rhs), order="F")
         if bc_values is None:
-            bc_values = [bc.value for bc in self.bcs]
+            bc_values = [bc.value for bc in self.bcs]  # checked by BoundaryCondition
         elif len(bc_values) != len(self.bcs):
             raise ConfigError(f"need one value per BC ({len(self.bcs)}), got {bc_values!r}")
+        else:
+            bc_values = [real_argument(v, "BC value") for v in bc_values]
         for i, v in zip(self.rows, bc_values):
-            rhs[i] = real_argument(v, "BC value")
+            rhs[i] = v
         return self.lu.solve(rhs)

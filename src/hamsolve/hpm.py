@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import Workspace, operator_values, series_solution
 from .errors import ConfigError, is_integer, real_argument
-from .expressions import Const, max_u_order
+from .expressions import Const
 from .grids import BcSystem, Grid, assemble_linear, bc_row, bc_row_indices
 from .jets import Tape
 from .problem import HamConfig, ProblemSpec, SeriesSolution, checked_hbar
@@ -65,7 +65,7 @@ def _reduced_orders(problem: ProblemSpec, grid: Grid, A: np.ndarray, system: BcS
     reads C_{m-1}[N] from the root's row m-1. Orders 1..M solve with the
     factored system directly, their BC rows zeroed (homogeneous BCs).
     """
-    upto = max_u_order(problem.N)
+    upto = problem.N.u_order
     leaves = [np.zeros((order, grid.n)) for _ in range(upto + 1)]
     diffs = [grid.diff_matrix(k) for k in range(1, upto + 1)]
     tape = Tape()
@@ -104,7 +104,7 @@ def hpm_recursion(problem: ProblemSpec, order: int) -> SeriesSolution:
     system = BcSystem(A, problem.bcs, grid)
     s_vals = grid.sample(problem.s)
     orders = _reduced_orders(problem, grid, A, system, s_vals, order)
-    F = partial(operator_values, problem.N, grid, A, s_vals, u_order=max_u_order(problem.N))
+    F = partial(operator_values, problem.N, grid, A, s_vals)
     return series_solution(grid, F, orders[:, :, None], config)
 
 

@@ -35,7 +35,6 @@ from .expressions import (
     U,
     checked_call,
     checked_power,
-    max_u_order,
 )
 from .grids import Grid, add_operator
 
@@ -289,7 +288,7 @@ class SeriesTape:
 
     def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int):
         self._shape = (grid.n, columns)
-        upto = max_u_order(expr)
+        upto = expr.u_order
         width = grid.n * columns
         self._leaves = [np.zeros((depth, width)) for _ in range(upto + 1)]
         self._diffs = [grid.diff_matrix(k) for k in range(1, upto + 1)]
@@ -330,7 +329,7 @@ class PartialsTape:
     def __init__(self, expr: OperatorExpr, r: np.ndarray):
         r = np.asarray(r, dtype=float)
         self._width = r.shape[0]
-        self._slots = max_u_order(expr) + 1
+        self._slots = expr.u_order + 1
         self.u_independent = self._slots == 0
         self._leaves = {}
         for k in range(self._slots):

@@ -19,8 +19,6 @@ from .expressions import (
     Const,
     LinearOperator,
     OperatorExpr,
-    contains_u,
-    max_u_order,
 )
 from .grids import BoundaryCondition, Grid, build_grid
 
@@ -56,15 +54,15 @@ class ProblemSpec:
         for name in ("N", "s", *optional):
             if not isinstance(getattr(self, name), OperatorExpr):
                 raise ConfigError(f"{name} must be an expression")
-        if contains_u(self.s):
+        if self.s.u_order >= 0:
             raise ConfigError("source term must depend on r only")
-        if self.exact_solution is not None and contains_u(self.exact_solution):
+        if self.exact_solution is not None and self.exact_solution.u_order >= 0:
             raise ConfigError("exact solution must be an expression in r only")
-        if max_u_order(self.N) > self.L.order:
+        if self.N.u_order > self.L.order:
             # N may reference lower derivatives; the leading one stays in L
             raise ConfigError(
                 "nonlinear part references derivative order "
-                f"{max_u_order(self.N)} above the linear operator order "
+                f"{self.N.u_order} above the linear operator order "
                 f"{self.L.order}"
             )
         for bc in self.bcs:
@@ -125,7 +123,7 @@ class HamConfig:
         object.__setattr__(self, "hbar", checked_hbar(self.hbar))
         if not isinstance(self.H, OperatorExpr):
             raise ConfigError("H must be an expression")
-        if contains_u(self.H):
+        if self.H.u_order >= 0:
             raise ConfigError("H must depend on r only")
         checked_order(self.order)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError, ParseError, real_argument
-from .expressions import Const, LinearOperator, OperatorExpr, contains_u, parse_expr
+from .expressions import Const, LinearOperator, OperatorExpr, parse_expr
 from .grids import BoundaryCondition, checked_grid_kind, checked_grid_size
 from .problem import LOPT_MODES, ZERO, HamConfig, ProblemSpec, checked_hbar, checked_order
 
@@ -205,7 +205,7 @@ def _in_r(what: str):
 
     def convert(value: str) -> OperatorExpr:
         expr = parse_expr(value)
-        if contains_u(expr):
+        if expr.u_order >= 0:
             raise ParseError(f"{what} must be an expression in r only, got {value!r}")
         return expr
 

@@ -6,11 +6,13 @@ the 1-based column carried by ParseError.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import hamsolve
 from hamsolve import (
     Call,
     ConfigError,
@@ -23,14 +25,19 @@ from hamsolve import (
     Product,
     Sum,
     U,
+    case_ids,
     contains_u,
     eval_expr,
+    get_case,
     max_u_order,
     parse_expr,
+    parse_problem_text,
     walk,
 )
+from hamsolve.expressions import checked_call, checked_power
 
 from test_jets import expression_trees
+from test_perfbench_checks import load_workloads
 
 R = np.linspace(0.1, 0.9, 7)
 
@@ -190,6 +197,37 @@ def preorder(expr):
     return [expr] + [node for child in children for node in preorder(child)]
 
 
+def reference_eval(expr, r, u):
+    """``eval_expr`` by its recursive definition: every node evaluated,
+    none read from its ``folded`` value."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Coord):
+        return r
+    if isinstance(expr, U):
+        return u[expr.order]
+    if isinstance(expr, Sum):
+        total = reference_eval(expr.terms[0], r, u)
+        for t in expr.terms[1:]:
+            total = total + reference_eval(t, r, u)
+        return total
+    if isinstance(expr, Product):
+        prod = reference_eval(expr.factors[0], r, u)
+        for f in expr.factors[1:]:
+            prod = prod * reference_eval(f, r, u)
+        return prod
+    if isinstance(expr, Power):
+        return checked_power(reference_eval(expr.base, r, u), expr.exponent)
+    return checked_call(expr.name, reference_eval(expr.arg, r, u))
+
+
+def same_bits(got, want, shape) -> bool:
+    def as_bytes(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), shape).tobytes()
+
+    return as_bytes(got) == as_bytes(want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(expr=expression_trees)
 def test_walk_is_the_recursive_pre_order(expr):
@@ -197,7 +235,11 @@ def test_walk_is_the_recursive_pre_order(expr):
     assert len(got) == len(want)
     assert all(a is b for a, b in zip(got, want))
     orders = [n.order for n in want if isinstance(n, U)]
-    assert max_u_order(expr) == max(orders, default=-1)
+    # every node's u_order, set when it was built, is its subtree's walk
+    for node in want:
+        assert node.u_order == max((n.order for n in preorder(node) if isinstance(n, U)), default=-1)
+    assert max_u_order(expr) == expr.u_order == max(orders, default=-1)
+    assert contains_u(expr) == bool(orders)
 
 
 def test_walk_is_not_bounded_by_the_recursion_limit():
@@ -206,7 +248,55 @@ def test_walk_is_not_bounded_by_the_recursion_limit():
     for _ in range(3000):
         expr = Call("sin", expr)
     assert sum(1 for _ in walk(expr)) == 3001
+    assert expr.u_order == max(n.order for n in walk(expr) if isinstance(n, U)) == 1
     assert max_u_order(expr) == 1
+
+
+def test_walks_are_not_called_outside_expressions():
+    # each node carries its u_order, so no module walks a tree to find it;
+    # walk, max_u_order and contains_u stay public for callers outside
+    package = pathlib.Path(hamsolve.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "expressions.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        for call in ("walk(", "max_u_order(", "contains_u("):
+            assert call not in source, (path.name, call)
+
+
+def _problem_expressions(spec):
+    yield from spec.L.coeffs
+    yield spec.N
+    yield spec.s
+    if spec.exact_solution is not None:
+        yield spec.exact_solution
+
+
+def _cold_solves_problems():
+    workloads = load_workloads()
+    rng = np.random.default_rng(1)
+    return [parse_problem_text(workloads.cold_problem_text(rng)) for _ in range(32)]
+
+
+def test_eval_reads_folded_values_bitwise_on_every_builtin_and_cold_solves_expression():
+    # eval_expr returns a folded node's value instead of evaluating it:
+    # bitwise what the recursive evaluation of that node gives
+    specs = [get_case(cid).spec for cid in case_ids()]
+    parsed = _cold_solves_problems()
+    specs += [p.problem for p in parsed]
+    exprs = [e for spec in specs for e in _problem_expressions(spec)] + [p.config.H for p in parsed]
+    assert any(e.folded is not None for e in exprs)
+    assert any(isinstance(e, Product) and e.folded is None and any(f.folded is not None for f in e.factors) for e in exprs)
+    r = np.linspace(0.05, 1.45, 33)
+    u = {0: np.sin(r) + 0.5, 1: np.cos(r), 2: -np.sin(r)}
+    for expr in exprs:
+        assert same_bits(eval_expr(expr, r, u), reference_eval(expr, r, u), r.shape), expr
+
+
+def test_eval_of_a_non_node_is_a_type_error():
+    for bad in (1.0, "u", None):
+        with pytest.raises(TypeError):
+            eval_expr(bad, R)
 
 
 @pytest.mark.parametrize(
@@ -237,11 +327,22 @@ def test_node_constructors_reject_a_constant_past_the_range():
 @settings(max_examples=100, deadline=None)
 @given(expr=expression_trees)
 def test_folded_value_is_the_evaluation_bitwise(expr):
-    # Grid.sample broadcasts a folded value in place of evaluating
+    # Grid.sample broadcasts a folded value, and eval_expr returns it, in
+    # place of evaluating the node
     if expr.folded is not None:
-        value = eval_expr(expr, 0.5)
+        value = reference_eval(expr, 0.5, {})
         assert np.float64(value).tobytes() == np.float64(expr.folded).tobytes()
     assert expr.folded is None or not any(isinstance(n, (U, Coord)) for n in walk(expr))
+    r = np.linspace(0.1, 0.9, 5)
+    u = {0: 0.5 + r, 1: np.cos(r), 2: r * r}
+    with np.errstate(all="ignore"):
+        try:
+            want = reference_eval(expr, r, u)
+        except DomainError:
+            with pytest.raises(DomainError):
+                eval_expr(expr, r, u)
+        else:
+            assert same_bits(eval_expr(expr, r, u), want, r.shape)
 
 
 def test_constant_outside_a_domain_is_left_to_evaluation():

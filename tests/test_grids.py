@@ -11,6 +11,9 @@ import dataclasses
 import inspect
 import math
 import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -46,6 +49,7 @@ from hamsolve.grids import (
     _clencurt,
     _fd_first,
     _fd_second,
+    _alternating,
     _lobatto_reference,
     LU,
     add_operator,
@@ -410,18 +414,33 @@ def test_condition_matches_exact_one_norm(case_id, n):
     assert system.condition == pytest.approx(exact, rel=1e-10)
 
 
-@pytest.mark.parametrize("case_id", ["riccati-tanh-short", "riccati-tanh-long"])
-def test_condition_repeats_bitwise(case_id):
-    # LAPACK's dgecon gave two values on these matrices, depending on where
-    # its work arrays landed in memory; path.csv needs one
-    system = Workspace(get_case(case_id).spec.with_grid_n(256), HamConfig()).lopt
+@pytest.mark.parametrize("n", [64, 128, 192, 256])
+@pytest.mark.parametrize("case_id", case_ids())
+def test_condition_repeats_bitwise(case_id, n):
+    # LAPACK's dgecon gave two values on the riccati matrices at n = 256,
+    # depending on where its work arrays landed in memory; path.csv needs
+    # one. trace-fine's problems and sizes, with dlacn2's second test
+    # vector built anew and then read from its cache
+    system = Workspace(get_case(case_id).spec.with_grid_n(n), HamConfig(hbar=1.0)).lopt
     lu = LU(np.array(system.matrix, order="F"))
+    _alternating.cache_clear()
     held, values = [], set()
     for stride in (97, 257):
         for k in range(60):
             held.append(np.empty(stride * k + 1))  # moves the next allocations
             values.add(lu.condition())
     assert values == {system.condition}
+
+
+def test_alternating_vector_is_the_signed_linspace_bitwise_and_read_only():
+    # LU.condition's cached test vector: solves take copies of it
+    for n in (8, 64, 257):
+        want = np.linspace(1.0, 2.0, n)
+        want[1::2] *= -1.0
+        alt = _alternating(n)
+        assert alt.tobytes() == want.tobytes()
+        assert not alt.flags.writeable
+        assert _alternating(n) is alt
 
 
 def test_workspaces_form_no_inverse(monkeypatch):
@@ -581,6 +600,46 @@ class TestLU:
             assert not np.all(np.isfinite(x))
             assert lu.condition() == math.inf
 
+    def test_threads_share_one_lu(self):
+        # scipy's getrs wrapper shifts the pivots it is given to 1-based and
+        # back in place, with the GIL released: two threads solving with one
+        # array of pivots read each other's shifted copy, which aborted the
+        # process or gave a wrong solve. The check runs in a child process,
+        # so an abort fails this test instead of ending the test run
+        script = textwrap.dedent("""
+            import threading
+            import numpy as np
+            from hamsolve import HamConfig, Workspace, get_case
+            from hamsolve.grids import LU
+
+            def in_two_threads(task, want):
+                bad = []
+                def work():
+                    bad.extend(got.tobytes() != want.tobytes() for got in task())
+                threads = [threading.Thread(target=work) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                return sum(bad)
+
+            rng = np.random.default_rng(0)
+            lu = LU(np.array(rng.standard_normal((128, 128)) + 128.0 * np.eye(128), order="F"))
+            b = rng.standard_normal(128)
+            solves = in_two_threads(lambda: [lu.solve(b.copy()) for _ in range(3000)], lu.solve(b.copy()))
+            spec = get_case("riccati-tanh-long").spec.with_grid_n(128)
+            ws = Workspace(spec, HamConfig(order=40))
+            want = np.stack(ws.run().orders)
+            runs = in_two_threads(lambda: [np.stack(ws.run().orders) for _ in range(20)], want)
+            print(solves, runs)
+        """)
+        env = {**__import__("os").environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        src = str(pathlib.Path(hamsolve.__file__).parents[1])
+        env["PYTHONPATH"] = src + (":" + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["0", "0"]
+
 
 class TestLobattoReference:
     """The Chebyshev-Lobatto data on [-1, 1] is built once per n and shared."""
@@ -668,20 +727,40 @@ def test_third_and_fourth_orders_are_formed_on_request(kind):
 
 @pytest.mark.parametrize(
     "coeffs",
-    [("0", "0", "1"), ("r", "0", "1"), ("0", "1 - r", "0", "0", "2"), ("0", "-r", "-1")],
-    ids=["second-order", "zero-first-order-term", "fourth-order-without-third", "negative-zero-first-term"],
+    [
+        ("0", "0", "1"),
+        ("r", "0", "1"),
+        ("0", "1 - r", "0", "0", "2"),
+        ("0", "-r", "-1"),
+        ("0*r", "0", "1"),
+        ("1", "0*r", "r + 1", "2"),
+        ("0", "0", "1 + r", "-2"),
+    ],
+    ids=[
+        "second-order",
+        "zero-first-order-term",
+        "fourth-order-without-third",
+        "negative-zero-first-term",
+        "unfolded-zero-term",
+        "third-order-with-unfolded-zero-first-term",
+        "third-order",
+    ],
 )
 @pytest.mark.parametrize("kind", [CHEB, "uniform-fd"])
-def test_assembly_skips_zero_coefficients_bitwise(kind, coeffs):
+def test_assembly_skips_zero_coefficients_bitwise(kind, coeffs, count_calls):
     # a term that is zero at every node is not added, and its D_k is not
     # formed; the matrix is bitwise the sum over every term onto zeros,
     # also where the first term, written straight into the matrix, has
     # -0.0 entries that the next term does not turn into +0.0 (-r is -0.0
-    # at r = 0, and so are -r and -1 times a zero of D_1 and D_2)
+    # at r = 0, and so are -r and -1 times a zero of D_1 and D_2). A
+    # coefficient that is the constant 0 is not even sampled; 0*r is not
+    # folded, so it is sampled, found zero and skipped
     op = LinearOperator.from_strings(coeffs)
     grid = build_grid(kind, 20, 0.0, 1.5)
+    samples = count_calls("hamsolve.grids", "Grid.sample")
     A = assemble_linear(op, grid)
-    assert [D is not None for D in grid._diffs[2:]] == [False, op.order == 4]
+    assert len(samples) == sum(c.folded != 0.0 for c in op.coeffs)
+    assert [D is not None for D in grid._diffs[2:]] == [op.order == 3, op.order == 4]
     fresh = build_grid(kind, 20, 0.0, 1.5)
     want = np.zeros((fresh.n, fresh.n))
     for k, c in enumerate(op.coeffs):
