@@ -26,7 +26,7 @@ from .acceptance import bench
 from .benchmarks import get_case
 from .continuation import TRACE_HBAR, trace_workspace
 from .engine import Workspace
-from .errors import ConfigError, HamError, PathAbortError
+from .errors import HamError, PathAbortError, integer_argument
 from .expressions import parse_expr
 from .hbar import scan_hbar, split_bracket
 from .hpm import check_equivalence
@@ -182,8 +182,7 @@ def cmd_solve(args) -> int:
 
 
 def _scan_points(lo: float, hi: float, points: int) -> np.ndarray:
-    if points < 2:
-        raise ConfigError(f"hscan needs at least 2 points, got {points}")
+    integer_argument(points, "hscan --points", 2)
     sides = split_bracket(lo, hi)
     if len(sides) == 1:
         return np.linspace(*sides[0], points)

@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, PathAbortError, SingularSystemError, is_integer, real_argument
+from .errors import PathAbortError, SingularSystemError, integer_argument, real_argument
 from .engine import Workspace
 from .grids import LU
 from .jets import PartialsTape
@@ -307,8 +307,7 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     1/initial_steps. The last step lands on eps = 1 exactly and takes one
     more full Newton update, kept when it passes the stop test.
     """
-    if not (is_integer(initial_steps) and initial_steps >= 2):
-        raise ConfigError(f"initial_steps must be an integer >= 2, got {initial_steps!r}")
+    integer_argument(initial_steps, "initial_steps", 2)
     parts = _parts(ws, ws.u0)  # with F, which the first tangent reads
     g0norm = float(np.max(np.abs(_residual(ws, 0.0, parts))))
     # the jacobian at eps = 0 is exactly ws.lopt.matrix

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, RangeError, is_integer
+from .errors import ConfigError, RangeError, integer_argument
 from .expressions import LinearOperator, OperatorExpr, eval_expr
 from .grids import BcSystem, Grid, assemble_linear, integrate
 from .jets import PartialsTape, SeriesTape
@@ -270,6 +270,5 @@ def run_ham(problem: ProblemSpec, config: HamConfig) -> SeriesSolution:
 
 
 def partial_sum(series: SeriesSolution, upto: int) -> np.ndarray:
-    if not (is_integer(upto) and 0 <= upto <= series.truncation_order):
-        raise RangeError(f"partial sum order {upto!r} outside 0..{series.truncation_order}")
+    integer_argument(upto, "partial sum order", 0, series.truncation_order, RangeError)
     return np.add.reduce(np.stack(series.orders[: upto + 1]), axis=0)

@@ -1,30 +1,14 @@
-"""Exception types shared across the package, and its two rules for
-arguments: ``is_integer`` for orders, sizes and counts, ``real_argument``
-for hbar, eps, domain ends, BC values, points and tolerances."""
+"""Exception types shared across the package, and its rules for
+arguments, each of which names the argument it rejects:
+``integer_argument`` for orders, sizes and counts, ``real_argument`` for
+hbar, eps, domain ends, BC values, points and tolerances, and
+``expressions.expression_argument`` for N, s, H, the exact solution,
+operator coefficients and the children of expression nodes."""
 
 import math
 import numbers
 
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer argument (an order, a size, a count):
-    an ``Integral`` that is not a bool, so ``np.int64`` passes and 2.0 or
-    True do not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def real_argument(value, name: str, low: float = -math.inf, high: float = math.inf, nonzero: bool = False) -> float:
-    """``value`` as a float when ``float()`` takes it (``np.float64`` and
-    numeric strings do) and the value is finite, in [low, high] and, if
-    ``nonzero``, not zero; else a ConfigError that names the argument."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not (math.isfinite(x) and low <= x <= high and not (nonzero and x == 0.0)):
-        bounds = f" in [{low:g}, {high:g}]" if math.isfinite(low) or math.isfinite(high) else ""
-        raise ConfigError(f"{name} must be a {'nonzero ' if nonzero else ''}finite real{bounds}, got {value!r}")
-    return x
+import numpy as np
 
 
 class HamError(Exception):
@@ -79,3 +63,35 @@ class PathAbortError(HamError, RuntimeError):
     def __init__(self, message, path):
         super().__init__(message)
         self.path = path
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer argument (an order, a size, a count):
+    an ``Integral`` that is not a bool, so ``np.int64`` passes and 2.0 or
+    True do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def integer_argument(value, name: str, low: int, high: float = math.inf, error=ConfigError):
+    """``value`` itself when it is an integer argument (``is_integer``) in
+    [low, high]; else ``error`` (a ConfigError unless the caller names
+    another type) that names the argument."""
+    if not (is_integer(value) and low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def real_argument(value, name: str, low: float = -math.inf, high: float = math.inf, nonzero: bool = False) -> float:
+    """``value`` as a float when ``float()`` takes it (``np.float64`` and
+    numeric strings do), it is not a bool, and the value is finite, in
+    [low, high] and, if ``nonzero``, not zero; else a ConfigError that
+    names the argument."""
+    try:
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and low <= x <= high and not (nonzero and x == 0.0)):
+        bounds = f" in [{low:g}, {high:g}]" if math.isfinite(low) or math.isfinite(high) else ""
+        raise ConfigError(f"{name} must be a {'nonzero ' if nonzero else ''}finite real{bounds}, got {value!r}")
+    return x

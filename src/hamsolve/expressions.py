@@ -24,11 +24,11 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, is_integer, real_argument
+from .errors import ConfigError, DomainError, ParseError, integer_argument, real_argument
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -49,6 +49,17 @@ class OperatorExpr:
 
     folded = None
     u_order = -1
+
+
+def expression_argument(value, name: str, in_r: bool = False):
+    """``value`` itself when it is an expression (an ``OperatorExpr``)
+    and, if ``in_r``, reads no u; else a ConfigError that names the
+    argument."""
+    if not isinstance(value, OperatorExpr):
+        raise ConfigError(f"{name} must be an expression, got {value!r}")
+    if in_r and value.u_order >= 0:
+        raise ConfigError(f"{name} must be an expression in r alone, but it reads u" + "'" * value.u_order)
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,7 @@ class U(OperatorExpr):
     order: int = 0
 
     def __post_init__(self):
-        if not (is_integer(self.order) and 0 <= self.order <= MAX_DERIVATIVE_ORDER):
-            raise ConfigError(f"derivative order {self.order!r} outside 0..{MAX_DERIVATIVE_ORDER}")
+        integer_argument(self.order, "derivative order", 0, MAX_DERIVATIVE_ORDER)
         object.__setattr__(self, "u_order", self.order)
 
 
@@ -84,7 +94,7 @@ class Sum(OperatorExpr):
     def __post_init__(self):
         if not self.terms:
             raise ConfigError("a sum needs at least one term")
-        values = [_folded(t) for t in self.terms]
+        values = [expression_argument(t, "a term").folded for t in self.terms]
         _set_u_order(self, self.terms)
         if None not in values:
             _fold(self, functools.reduce(operator.add, values))
@@ -97,7 +107,7 @@ class Product(OperatorExpr):
     def __post_init__(self):
         if not self.factors:
             raise ConfigError("a product needs at least one factor")
-        constants = [v for v in map(_folded, self.factors) if v is not None]
+        constants = [f.folded for f in self.factors if expression_argument(f, "a factor").folded is not None]
         _set_u_order(self, self.factors)
         if constants:
             value = functools.reduce(operator.mul, constants)
@@ -111,7 +121,7 @@ class Power(OperatorExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", real_argument(self.exponent, "exponent"))
-        if _folded(self.base) is not None:
+        if expression_argument(self.base, "a base").folded is not None:
             try:
                 _fold(self, float(checked_power(self.base.folded, self.exponent)))
             except DomainError:  # left to evaluation, which reports it
@@ -127,7 +137,7 @@ class Call(OperatorExpr):
     def __post_init__(self):
         if self.name not in UNARY_FUNCTIONS:
             raise ConfigError(f"unknown function {self.name!r}")
-        if _folded(self.arg) is not None:
+        if expression_argument(self.arg, "a call's argument").folded is not None:
             try:
                 with np.errstate(over="ignore"):  # exp past the range: see _fold
                     _fold(self, float(checked_call(self.name, self.arg.folded)))
@@ -136,15 +146,8 @@ class Call(OperatorExpr):
         _set_u_order(self, (self.arg,))
 
 
-def _folded(child) -> Optional[float]:
-    """``child.folded``; ConfigError if ``child`` is not an expression."""
-    if not isinstance(child, OperatorExpr):
-        raise ConfigError(f"not an expression: {child!r}")
-    return child.folded
-
-
 def _set_u_order(node: OperatorExpr, children) -> None:
-    """``node.u_order`` from its ``children``, each checked by ``_folded``."""
+    """``node.u_order`` from its ``children``, each an expression."""
     object.__setattr__(node, "u_order", max(c.u_order for c in children))
 
 
@@ -293,13 +296,7 @@ class LinearOperator:
                 f"got {len(coeffs)}"
             )
         for k, c in enumerate(coeffs):
-            if not isinstance(c, OperatorExpr):
-                raise ConfigError(f"coefficient {k} is not an expression")
-            if c.u_order >= 0:
-                raise ConfigError(
-                    f"coefficient {k} references the unknown; linear operator "
-                    "coefficients may depend on r only"
-                )
+            expression_argument(c, f"coefficient {k}", in_r=True)
 
     @property
     def order(self) -> int:

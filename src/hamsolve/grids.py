@@ -34,7 +34,7 @@ from .errors import (
     GridMismatchError,
     SingularOperatorError,
     SingularSystemError,
-    is_integer,
+    integer_argument,
     real_argument,
 )
 from .expressions import MAX_DERIVATIVE_ORDER, LinearOperator, eval_expr
@@ -145,8 +145,7 @@ class Grid:
     _reference: tuple
 
     def diff_matrix(self, order: int) -> np.ndarray:
-        if not (is_integer(order) and 1 <= order <= MAX_DERIVATIVE_ORDER):
-            raise ConfigError(f"derivative order {order!r} outside 1..{MAX_DERIVATIVE_ORDER}")
+        integer_argument(order, "derivative order", 1, MAX_DERIVATIVE_ORDER)
         D = self._diffs[order - 1]
         if D is None:
             # formed on first request (module docstring); uniform-fd's D_3
@@ -245,9 +244,7 @@ def checked_grid_kind(kind: str) -> str:
 
 def checked_grid_size(n: int) -> int:
     """``n`` itself; ConfigError unless it is an integer >= 8."""
-    if not (is_integer(n) and n >= 8):
-        raise ConfigError(f"grid size must be an integer >= 8, got {n!r}")
-    return n
+    return integer_argument(n, "grid size", 8)
 
 
 def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
@@ -301,8 +298,7 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.location not in ("left", "right"):
             raise ConfigError(f"BC location must be left or right, got {self.location!r}")
-        if not (is_integer(self.derivative_order) and self.derivative_order >= 0):
-            raise ConfigError(f"BC derivative order must be an integer >= 0, got {self.derivative_order!r}")
+        integer_argument(self.derivative_order, "BC derivative order", 0)
         # the BC solves skip LAPACK input checks, so a non-finite value
         # would come back as a silent NaN
         object.__setattr__(self, "value", real_argument(self.value, "BC value"))
@@ -472,13 +468,9 @@ class BcSystem:
 
     def __init__(self, matrix: np.ndarray, bcs, grid: Grid):
         bcs = tuple(bcs)
-        order_needed = len(bcs)
+        name = f"BC derivative order of an order-{len(bcs)} operator"
         for bc in bcs:
-            if bc.derivative_order >= order_needed:
-                raise ConfigError(
-                    f"BC derivative order {bc.derivative_order} must be below "
-                    f"the operator order {order_needed}"
-                )
+            integer_argument(bc.derivative_order, name, 0, len(bcs) - 1)
         self.grid = grid
         self.bcs = bcs
         self.rows = bc_row_indices(grid, bcs)
@@ -503,23 +495,11 @@ class BcSystem:
         interior.setflags(write=False)
         self.interior = interior
 
-    def solve(self, rhs: np.ndarray, bc_values=None) -> np.ndarray:
-        """Solve with ``rhs`` at interior rows and BC values at BC rows.
-
-        ``rhs`` is one right-hand side of shape (n,) or K of them as the
-        columns of an (n, K) array; the columns are solved independently, so
-        a non-finite column does not touch the others. bc_values None means
-        "use each BC's own value"; otherwise it holds one real argument per
-        BC (zeros for homogeneous versions of the same conditions), else
-        ConfigError.
-        """
-        rhs = np.array(self.grid.check_columns(rhs), order="F")
-        if bc_values is None:
-            bc_values = [bc.value for bc in self.bcs]  # checked by BoundaryCondition
-        elif len(bc_values) != len(self.bcs):
-            raise ConfigError(f"need one value per BC ({len(self.bcs)}), got {bc_values!r}")
-        else:
-            bc_values = [real_argument(v, "BC value") for v in bc_values]
-        for i, v in zip(self.rows, bc_values):
-            rhs[i] = v
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the grid function ``rhs`` at interior rows and each
+        BC's own value at its row. Solves with other BC values zero the BC
+        rows and call ``lu.solve`` directly."""
+        rhs = np.array(self.grid.check_length(rhs))
+        for i, bc in zip(self.rows, self.bcs):
+            rhs[i] = bc.value
         return self.lu.solve(rhs)

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import Workspace, operator_values, series_solution
-from .errors import ConfigError, is_integer, real_argument
+from .errors import ConfigError, integer_argument, real_argument
 from .expressions import Const
 from .grids import BcSystem, Grid, assemble_linear, bc_row, bc_row_indices
 from .jets import Tape
@@ -49,9 +49,7 @@ def hpm_config(order: int = 10) -> HamConfig:
 
 
 def _checked_order(order: int) -> int:
-    if not (is_integer(order) and order >= 1):
-        raise ConfigError(f"reduced recursion needs an integer order >= 1, got {order!r}")
-    return order
+    return integer_argument(order, "reduced recursion order", 1)
 
 
 def _reduced_orders(problem: ProblemSpec, grid: Grid, A: np.ndarray, system: BcSystem, s_vals: np.ndarray, order: int) -> np.ndarray:

@@ -14,11 +14,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, is_integer, real_argument
+from .errors import ConfigError, integer_argument, real_argument
 from .expressions import (
     Const,
     LinearOperator,
     OperatorExpr,
+    expression_argument,
 )
 from .grids import BoundaryCondition, Grid, build_grid
 
@@ -50,14 +51,10 @@ class ProblemSpec:
         object.__setattr__(self, "bcs", tuple(self.bcs))
         if not isinstance(self.L, LinearOperator):
             raise ConfigError("L must be a LinearOperator")
-        optional = () if self.exact_solution is None else ("exact_solution",)
-        for name in ("N", "s", *optional):
-            if not isinstance(getattr(self, name), OperatorExpr):
-                raise ConfigError(f"{name} must be an expression")
-        if self.s.u_order >= 0:
-            raise ConfigError("source term must depend on r only")
-        if self.exact_solution is not None and self.exact_solution.u_order >= 0:
-            raise ConfigError("exact solution must be an expression in r only")
+        expression_argument(self.N, "N")
+        expression_argument(self.s, "s", in_r=True)
+        if self.exact_solution is not None:
+            expression_argument(self.exact_solution, "exact_solution", in_r=True)
         if self.N.u_order > self.L.order:
             # N may reference lower derivatives; the leading one stays in L
             raise ConfigError(
@@ -93,9 +90,7 @@ def checked_hbar(hbar) -> float:
 
 def checked_order(order) -> int:
     """``order`` itself; ConfigError unless it is an integer >= 0."""
-    if not (is_integer(order) and order >= 0):
-        raise ConfigError(f"truncation order must be an integer >= 0, got {order!r}")
-    return order
+    return integer_argument(order, "truncation order", 0)
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,7 @@ class HamConfig:
         elif not isinstance(self.lopt_mode, LinearOperator):
             raise ConfigError("lopt_mode must be a mode name or a LinearOperator")
         object.__setattr__(self, "hbar", checked_hbar(self.hbar))
-        if not isinstance(self.H, OperatorExpr):
-            raise ConfigError("H must be an expression")
-        if self.H.u_order >= 0:
-            raise ConfigError("H must depend on r only")
+        expression_argument(self.H, "H", in_r=True)
         checked_order(self.order)
 
     def with_hbar(self, hbar: float) -> "HamConfig":

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError, ParseError, real_argument
-from .expressions import Const, LinearOperator, OperatorExpr, parse_expr
+from .expressions import Const, LinearOperator, expression_argument, parse_expr
 from .grids import BoundaryCondition, checked_grid_kind, checked_grid_size
 from .problem import LOPT_MODES, ZERO, HamConfig, ProblemSpec, checked_hbar, checked_order
 
@@ -202,14 +202,7 @@ def _domain_end(key: str):
 
 def _in_r(what: str):
     """The converter for an expression in r alone, ``what`` naming it."""
-
-    def convert(value: str) -> OperatorExpr:
-        expr = parse_expr(value)
-        if expr.u_order >= 0:
-            raise ParseError(f"{what} must be an expression in r only, got {value!r}")
-        return expr
-
-    return convert
+    return lambda value: expression_argument(parse_expr(value), what, in_r=True)
 
 
 def _operator(value: str) -> LinearOperator:

@@ -164,13 +164,18 @@ def test_constants_and_exponents_are_finite_reals(make):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: Sum((1.0, U(0))), lambda: Product((U(0), "x")), lambda: Power(2.0, 3.0), lambda: Call("sin", None)],
+    "make, child",
+    [
+        (lambda: Sum((1.0, U(0))), "a term"),
+        (lambda: Product((U(0), "x")), "a factor"),
+        (lambda: Power(2.0, 3.0), "a base"),
+        (lambda: Call("sin", None), "a call's argument"),
+    ],
     ids=["Sum", "Product", "Power", "Call"],
 )
-def test_children_must_be_expressions(make):
+def test_children_must_be_expressions(make, child):
     # a raw number in a tree failed only when evaluated, with TypeError
-    with pytest.raises(ConfigError, match="not an expression"):
+    with pytest.raises(ConfigError, match=f"^{child} must be an expression, got"):
         make()
 
 

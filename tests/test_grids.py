@@ -290,31 +290,6 @@ class TestBcSolves:
         u = BcSystem(assemble_linear(op, g), bcs, g).solve(np.full(g.n, 2.0))
         assert np.max(np.abs(u - g.nodes**2)) < 1e-10
 
-    def test_homogeneous_override(self):
-        g = build_grid(CHEB, 16, 0.0, 1.0)
-        op = LinearOperator.from_strings(("0", "0", "1"))
-        bcs = (
-            BoundaryCondition("left", 0, 3.0),
-            BoundaryCondition("right", 0, 7.0),
-        )
-        system = BcSystem(assemble_linear(op, g), bcs, g)
-        hom = system.solve(np.zeros(g.n), bc_values=(0.0, 0.0))
-        assert np.max(np.abs(hom)) < 1e-12
-        inhom = system.solve(np.zeros(g.n))
-        assert inhom[0] == pytest.approx(3.0, abs=1e-12)
-        assert inhom[-1] == pytest.approx(7.0, abs=1e-12)
-
-    @pytest.mark.parametrize("bc_values", [(0.0,), (0.0, 0.0, 0.0), (0.0, math.nan), (math.inf, 0.0), ("x", 0.0), (0.0, None)])
-    def test_bc_values_one_finite_value_per_bc(self, bc_values):
-        # unchecked, a short list left the right BC row at the rhs value
-        # 1.0, extra values were dropped and NaN gave a NaN solution
-        g = build_grid(CHEB, 16, 0.0, 1.0)
-        op = LinearOperator.from_strings(("0", "0", "1"))
-        bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 0.0))
-        system = BcSystem(assemble_linear(op, g), bcs, g)
-        with pytest.raises(ConfigError):
-            system.solve(np.ones(g.n), bc_values=bc_values)
-
     def test_bc_order_must_be_below_operator_order(self):
         g = build_grid(CHEB, 16, 0.0, 1.0)
         with pytest.raises(ConfigError):
@@ -346,19 +321,6 @@ class TestBcSolves:
         bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 1.0))
         with pytest.raises(GridMismatchError):
             BcSystem(np.eye(*shape), bcs, g)
-
-    def test_columns_are_solved_independently(self):
-        g = build_grid(CHEB, 16, 0.0, 1.0)
-        bcs = (BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 1.0))
-        system = BcSystem(g.diff_matrix(2), bcs, g)
-        # a non-finite column is solved, not rejected, and its neighbour
-        # comes out as it does beside a finite column
-        clean = np.stack([np.zeros(g.n), np.sin(g.nodes)], axis=1)
-        dirty = np.stack([np.full(g.n, np.inf), np.sin(g.nodes)], axis=1)
-        got = system.solve(dirty)
-        assert got.shape == (g.n, 2)
-        assert not np.any(np.isfinite(got[1:-1, 0]))
-        np.testing.assert_array_equal(got[:, 1], system.solve(clean)[:, 1])
 
 
 def test_bc_rows_and_indices():
@@ -544,6 +506,19 @@ class TestLU:
             assert lu.solve(np.array(other, order="F"))[:, 1].tobytes() == got[:, k].tobytes()
             np.testing.assert_allclose(got[:, k], lu.solve(B[:, k].copy()), rtol=1e-14, atol=0)
         np.testing.assert_allclose(A @ got, B, rtol=0, atol=1e-12)
+
+    def test_columns_are_solved_independently(self):
+        # the march solves its (n, K) blocks, one column per hbar, here: a
+        # non-finite column (a diverged hbar) is solved, not rejected, and
+        # its neighbour comes out as it does beside a finite column
+        lu = self._lu(self._matrix())
+        nodes = np.linspace(0.0, 1.0, 12)
+        clean = np.stack([np.zeros(12), np.sin(nodes)], axis=1)
+        dirty = np.stack([np.full(12, np.inf), np.sin(nodes)], axis=1)
+        got = lu.solve(np.array(dirty, order="F"))
+        assert got.shape == (12, 2)
+        assert not np.any(np.isfinite(got[:, 0]))
+        np.testing.assert_array_equal(got[:, 1], lu.solve(np.array(clean, order="F"))[:, 1])
 
     def test_block_is_solved_in_place(self):
         lu = self._lu(self._matrix())

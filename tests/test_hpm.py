@@ -297,14 +297,14 @@ def _batch_reexpansion(problem, grid, A, system, order):
     orders at every order: O(M^2) tape calls, the reference for the
     oracle's one stepped tape."""
     s_vals = grid.sample(problem.s)
-    homogeneous = (0.0,) * len(problem.bcs)
     u_ref = system.solve(np.zeros(grid.n))
     orders = [system.solve(A @ u_ref)]
     for m in range(1, order + 1):
         stack = grid.derivative_stack(np.stack(orders)[:, :, None], max_u_order(problem.N))
         coeffs = jet_expand(problem.N, grid.nodes, {k: d[:, :, 0] for k, d in stack.items()}, m)
         rhs = s_vals - A @ orders[0] - coeffs[0] if m == 1 else -coeffs[m - 1]
-        orders.append(system.solve(rhs, bc_values=homogeneous))
+        rhs[system.rows] = 0.0  # homogeneous BCs
+        orders.append(system.lu.solve(rhs))
     return np.stack(orders)
 
 
