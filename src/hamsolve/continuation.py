@@ -27,7 +27,7 @@ L_opt(u - u_0), H F(u) and the BC rows' residuals. Newton returns the parts
 of the point it accepts beside the step, and the trace hands them to the
 tangent and to the endpoint update, so neither evaluates G: the tangent
 costs two O(n) combinations and one solve with that LU, and the endpoint
-update one more LU. The trace forms u_0's parts once, with F, and reads
+update one more LU (none when N reads no u). The trace forms u_0's parts once, with F, and reads
 step 0's G and the first tangent from them. Every iterate is bitwise what
 the plain formulas give (docs/recursions.md, "What one Newton iteration
 costs" and "The tangent predictor").
@@ -266,11 +266,13 @@ class _Corrector:
         unless the update is finite and the updated point passes the stop
         test. A predicted start passes the stop test in fewer updates than
         a zeroth-order one, so it is solved less far below the tolerance;
-        this update buys that accuracy back (docs/recursions.md).
+        this update buys that accuracy back (docs/recursions.md). When N
+        reads no u, the jacobian at eps = 1 is the one Newton's last ``lu``
+        already factored there, so it is not factored again.
         """
         ws = self.ws
         try:
-            u = step.u + self.update(1.0, step.u, _residual(ws, 1.0, parts))
+            u = step.u + self.update(1.0, step.u, _residual(ws, 1.0, parts), not self.partials.u_independent)
         except SingularSystemError:
             return step
         gnorm = float(np.max(np.abs(_residual(ws, 1.0, _parts(ws, u)))))

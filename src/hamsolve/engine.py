@@ -82,9 +82,10 @@ class Workspace:
         non-grouped rhs, which is ``perturbation_series``'s recursion.
 
         Each order is one tape push, one product with A_L and one in-place
-        solve, with the rhs formed in (n, K) buffers allocated once; the
-        in-place steps keep every rounding of the expressions in the
-        comments, so each order is bitwise what they give.
+        solve, stored in the tape's ``orders``, where the next push reads it,
+        with the rhs formed in (n, K) buffers allocated once; the in-place
+        steps keep every rounding of the expressions in the comments, so
+        each order is bitwise what they give.
         """
         grouped = self._grouped and deformation
         order = self.config.order
@@ -94,7 +95,7 @@ class Workspace:
         rows, solve = self.lopt.rows, self.lopt.lu.solve
         # row m-1 of the tape is D_{m-1}[N]; each order is pushed once
         tape = SeriesTape(self.problem.N, self.grid, order, K)
-        orders = np.empty((order + 1, n, K))
+        orders = tape.orders
         orders[0] = self.u0[:, None]
         t, work = np.empty((n, K)), np.empty((n, K))
         rhs = np.empty((n, K), order="F")  # column-major: getrs solves it in place
@@ -106,7 +107,7 @@ class Workspace:
                 u_prev = orders[m - 1]
                 chi = 0.0 if m == 1 else 1.0
                 # forcing = D_{m-1}[N] - delta_{m,1} s (module docstring)
-                forcing = tape.push(u_prev)
+                forcing = tape.push()
                 if m == 1:
                     forcing = np.subtract(forcing, self.s_vals[:, None], out=work)
                 np.matmul(self.A_L, u_prev, out=t)

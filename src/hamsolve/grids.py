@@ -210,18 +210,26 @@ class Grid:
             stack[k] = self.diff_matrix(k) @ values
         return stack
 
-    def interpolate(self, values: np.ndarray, x: float) -> float:
-        """Value of the grid function at an off-grid point x in [a, b]."""
-        values = self.check_length(values)
+    def interpolate(self, values: np.ndarray, x: float):
+        """Value at an off-grid point x in [a, b] of one grid function (a
+        float), or of each (n, K) column (shape (K,)), each column by its
+        own dot, bitwise what it gets alone."""
+        values = self.check_columns(values)
+        if values.ndim == 3:
+            raise GridMismatchError(f"expected (n,) or (n, K) grid functions, got shape {values.shape}")
         x = real_argument(x, "point", self.a, self.b)
+        columns = values.T if values.ndim == 2 else values[None]
         if self.kind == "chebyshev-lobatto":
             diff = x - self.nodes
             hit = np.nonzero(diff == 0.0)[0]
             if hit.size:
-                return float(values[hit[0]])
-            q = lobatto_barycentric_weights(self.n) / diff
-            return float(q @ values / np.sum(q))
-        return float(np.interp(x, self.nodes, values))
+                found = np.array(values[hit[0]], ndmin=1)
+            else:
+                q = lobatto_barycentric_weights(self.n) / diff
+                found = np.array([q @ column for column in columns]) / np.sum(q)
+        else:
+            found = np.array([np.interp(x, self.nodes, column) for column in columns])
+        return float(found[0]) if values.ndim == 1 else found
 
 
 def lobatto_barycentric_weights(n: int) -> np.ndarray:
@@ -302,6 +310,12 @@ class BoundaryCondition:
         # the BC solves skip LAPACK input checks, so a non-finite value
         # would come back as a silent NaN
         object.__setattr__(self, "value", real_argument(self.value, "BC value"))
+
+    def checked_below(self, order: int) -> "BoundaryCondition":
+        """This BC; ConfigError unless its derivative order is below
+        ``order``, that of the operator it closes."""
+        integer_argument(self.derivative_order, f"BC derivative order of an order-{order} operator", 0, order - 1)
+        return self
 
 
 def assemble_linear(op: LinearOperator, grid: Grid) -> np.ndarray:
@@ -468,9 +482,8 @@ class BcSystem:
 
     def __init__(self, matrix: np.ndarray, bcs, grid: Grid):
         bcs = tuple(bcs)
-        name = f"BC derivative order of an order-{len(bcs)} operator"
         for bc in bcs:
-            integer_argument(bc.derivative_order, name, 0, len(bcs) - 1)
+            bc.checked_below(len(bcs))
         self.grid = grid
         self.bcs = bcs
         self.rows = bc_row_indices(grid, bcs)

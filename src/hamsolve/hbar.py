@@ -5,7 +5,8 @@ around the best value. The scan evaluates hbar values in batched passes of
 up to PASS_POINTS columns (``Workspace.run_many``, one recursion per pass).
 The search zooms: each pass spans the current bracket, and the next
 bracket is the two intervals around the pass's best point, until a pass
-spans less than BRACKET_TOL.
+spans less than BRACKET_TOL. The residual reported at the best hbar comes
+from a one-column ``run_many`` there, which is bitwise the single run's.
 
 The search's passes need no recursion of their own. One weak-nonlinearity
 series v_k (``Workspace.perturbation_series``) gives the order-M partial
@@ -106,11 +107,9 @@ def scan_workspace(ws: Workspace, hbar_grid: Sequence[float]) -> HbarCurve:
     for start in range(0, len(hbars), PASS_POINTS):
         chunk = hbars[start : start + PASS_POINTS]
         batch = ws.run_many(chunk)
-        for k, h in enumerate(chunk):
-            probe = ws.grid.interpolate(batch.partial_sums[:, k], probe_point)
-            entries.append(
-                HbarEntry(h, float(batch.residuals[k]), bool(batch.diverged[k]), probe)
-            )
+        probes = ws.grid.interpolate(batch.partial_sums, probe_point)
+        columns = zip(chunk, batch.residuals.tolist(), batch.diverged.tolist(), probes.tolist())
+        entries.extend(HbarEntry(*column) for column in columns)
     return HbarCurve(entries=tuple(entries))
 
 
@@ -119,9 +118,10 @@ def scan_hbar(problem: ProblemSpec, base_config: HamConfig, hbar_grid: Sequence[
     return scan_workspace(Workspace(problem, base_config), hbar_grid)
 
 
-def _best_index(values) -> int:
-    """Index of a pass's smallest residual; ties go to the earliest."""
-    return int(np.argmin([_rank(r) for r in values]))
+def _best_index(values: np.ndarray) -> int:
+    """Index of a pass's smallest residual, a non-finite one counting as
+    +inf (``_rank``); ties go to the earliest."""
+    return int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
 
 
 def _zoom(lo: float, hi: float, residuals: Callable[[np.ndarray], Optional[np.ndarray]]) -> Optional[Tuple[float, float]]:
@@ -279,9 +279,10 @@ def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHba
     model is not trusted over real and then interpolant columns (module
     docstring); the last pass on a side spans less than BRACKET_TOL.
     hbar_star is the best column any pass evaluated. residual_star comes
-    from one ``ws.run`` at hbar_star, because a model, interpolant or
-    batched column's residual differs from the single run's in the last
-    digits; so it is exactly what ``run_ham`` reports there. Raises
+    from a one-column ``ws.run_many`` at hbar_star, because a model,
+    interpolant or many-column residual differs from the single run's in
+    the last digits, and a one-column batch's is bitwise the single run's;
+    so it is exactly what ``run_ham`` reports there. Raises
     ConfigError when that residual is not finite: no hbar the search
     evaluated had a finite residual.
     """
@@ -291,7 +292,7 @@ def optimal_workspace(ws: Workspace, bracket: Tuple[float, float]) -> OptimalHba
     zooms = (_zoom(lo, hi, model) or _zoom(lo, hi, _RealZoom(ws, eps_norm)) for lo, hi in sides)
     best = min(zooms, key=lambda b: b[0])
     hbar_star = best[1]
-    residual_star = ws.run(hbar=hbar_star).residual_history[-1]
+    residual_star = float(ws.run_many([hbar_star]).residuals[0])
     if not math.isfinite(residual_star):
         raise ConfigError(f"no hbar in the bracket {bracket} gave a finite residual")
     return OptimalHbar(hbar_star=hbar_star, residual_star=residual_star)

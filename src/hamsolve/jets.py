@@ -38,6 +38,10 @@ from .expressions import (
 )
 from .grids import Grid, add_operator
 
+# np.einsum without its __array_function__ dispatch: with optimize False it
+# calls the C kernel straight away, so every row is bitwise np.einsum's
+_einsum = np.einsum.__wrapped__
+
 
 def _constant(value, depth: int, width: int) -> np.ndarray:
     out = np.zeros((depth, width))
@@ -81,7 +85,7 @@ class Tape:
         out = np.empty_like(a)
 
         def row(m):
-            out[m] = np.einsum("ij,ij->j", a[: m + 1], b[m::-1])
+            _einsum("ij,ij->j", a[: m + 1], b[m::-1], out=out[m])
 
         self._rows.append(row)
         return out
@@ -93,8 +97,9 @@ class Tape:
             if m == 0:
                 out[0] = checked_power(v[0], -1)
                 return
-            acc = np.einsum("ij,ij->j", v[1 : m + 1], out[m - 1 :: -1])
-            out[m] = -acc / v[0]
+            w = _einsum("ij,ij->j", v[1 : m + 1], out[m - 1 :: -1], out=out[m])
+            np.negative(w, out=w)
+            w /= v[0]
 
         self._rows.append(row)
         return out
@@ -123,8 +128,8 @@ class Tape:
             # from u w' = rho u' w: m u0 w_m = sum_k (rho k - (m-k)) u_k w_{m-k}
             ks = np.arange(1, m + 1)
             coeff = exponent * ks - (m - ks)
-            acc = np.einsum("i,ij,ij->j", coeff, u[1 : m + 1], out[m - 1 :: -1])
-            out[m] = acc / (m * u[0])
+            w = _einsum("i,ij,ij->j", coeff, u[1 : m + 1], out[m - 1 :: -1], out=out[m])
+            w /= m * u[0]
 
         self._rows.append(row)
         return out
@@ -138,7 +143,8 @@ class Tape:
                 out[0] = checked_call("exp", u[0])
                 return
             np.multiply(m, u[m], out=ku[m])
-            out[m] = np.einsum("ij,ij->j", ku[1 : m + 1], out[m - 1 :: -1]) / m
+            w = _einsum("ij,ij->j", ku[1 : m + 1], out[m - 1 :: -1], out=out[m])
+            w /= m
 
         self._rows.append(row)
         return out
@@ -150,12 +156,15 @@ class Tape:
             if m == 0:
                 out[0] = checked_call("log", u[0])
                 return
-            acc = m * u[m]
+            w = out[m]
             if m > 1:
                 js = np.arange(1, m, dtype=float)
-                # sum_j (m-j) u_j w_{m-j} over j = 1..m-1
-                acc = acc - np.einsum("i,ij,ij->j", (m - js), u[1:m], out[m - 1 : 0 : -1])
-            out[m] = acc / (m * u[0])
+                # m u_m - sum_j (m-j) u_j w_{m-j} over j = 1..m-1
+                _einsum("i,ij,ij->j", (m - js), u[1:m], out[m - 1 : 0 : -1], out=w)
+                np.subtract(m * u[m], w, out=w)
+            else:
+                np.multiply(m, u[m], out=w)
+            w /= m * u[0]
 
         self._rows.append(row)
         return out
@@ -171,8 +180,11 @@ class Tape:
                 c[0] = checked_call("cos", u[0])
                 return
             np.multiply(m, u[m], out=ku[m])
-            s[m] = np.einsum("ij,ij->j", ku[1 : m + 1], c[m - 1 :: -1]) / m
-            c[m] = -np.einsum("ij,ij->j", ku[1 : m + 1], s[m - 1 :: -1]) / m
+            sm = _einsum("ij,ij->j", ku[1 : m + 1], c[m - 1 :: -1], out=s[m])
+            sm /= m
+            cm = _einsum("ij,ij->j", ku[1 : m + 1], s[m - 1 :: -1], out=c[m])
+            np.negative(cm, out=cm)
+            cm /= m
 
         self._rows.append(row)
         return s, c
@@ -188,8 +200,10 @@ class Tape:
                 g[0] = 1.0 - t[0] ** 2
                 return
             np.multiply(m, u[m], out=ku[m])
-            t[m] = np.einsum("ij,ij->j", ku[1 : m + 1], g[m - 1 :: -1]) / m
-            g[m] = -np.einsum("ij,ij->j", t[: m + 1], t[m::-1])
+            tm = _einsum("ij,ij->j", ku[1 : m + 1], g[m - 1 :: -1], out=t[m])
+            tm /= m
+            gm = _einsum("ij,ij->j", t[: m + 1], t[m::-1], out=g[m])
+            np.negative(gm, out=gm)
 
         self._rows.append(row)
         return t
@@ -271,14 +285,18 @@ def jet_expand(expr: OperatorExpr, r: np.ndarray, u_jets: dict, depth: int) -> n
 
 
 class SeriesTape:
-    """Taylor rows of ``expr`` applied to a series fed one order at a time.
+    """Taylor rows of ``expr`` applied to a series whose orders arrive one
+    at a time.
 
     The online counterpart of ``jet_expand`` over the derivative stack of
-    all orders: ``push`` takes the next order u_j, writes u_j and D_k u_j,
-    one matrix product for every referenced derivative order k, straight
-    into row j of the leaves, steps the tape at row j and returns row j of
-    the expression. A run to order M costs O(M) recurrence calls per node
-    instead of O(M^2). An expression free of u has no leaves.
+    all orders. The tape holds ``orders``, the series' (order + 1, n,
+    columns) array, which the caller fills, and whose flat view is the
+    leaf of u itself. ``push`` reads the next order u_j there in place,
+    writes D_k u_j, one matrix product for every referenced derivative
+    order k, straight into row j of the other leaves, steps the tape at
+    row j and returns row j of the expression. A run to order M costs O(M)
+    recurrence calls per node instead of O(M^2). An expression free of u
+    reads no leaf, but its tape still holds the orders.
 
     ``columns`` series run side by side: an order is an (n, columns) array,
     and the tape has width n * columns with each node repeated ``columns``
@@ -286,29 +304,30 @@ class SeriesTape:
     elementwise along the width, so the columns never mix.
     """
 
-    def __init__(self, expr: OperatorExpr, grid: Grid, depth: int, columns: int):
-        self._shape = (grid.n, columns)
-        upto = expr.u_order
-        width = grid.n * columns
-        self._leaves = [np.zeros((depth, width)) for _ in range(upto + 1)]
-        self._diffs = [grid.diff_matrix(k) for k in range(1, upto + 1)]
-        self._tape = Tape()
-        nodes = np.repeat(grid.nodes, columns)
-        self._root = self._tape.lower(expr, nodes, dict(enumerate(self._leaves)), depth)
+    def __init__(self, expr: OperatorExpr, grid: Grid, order: int, columns: int):
+        shape = (order, grid.n, columns)
+        self.orders = np.empty((order + 1, grid.n, columns))
+        leaves = [self.orders.reshape(order + 1, -1)[:order]]
+        leaves += [np.zeros((order, grid.n * columns)) for _ in range(expr.u_order)]
+        self._diffs = [grid.diff_matrix(k) for k in range(1, expr.u_order + 1)]
+        # (n, columns) views of every row of the leaves of D_k u and the root
+        self._diff_rows = [leaf.reshape(shape) for leaf in leaves[1:]]
+        tape = Tape()
+        root = tape.lower(expr, np.repeat(grid.nodes, columns), dict(enumerate(leaves)), order)
+        self._step = tape.step
+        self._root_rows = root.reshape(shape)
         self._next = 0
 
-    def push(self, u: np.ndarray) -> np.ndarray:
-        """Row j of the expression, shape (n, columns), from u_j, a
-        C-contiguous float array of that shape (unchecked: the engine's
-        own orders)."""
+    def push(self) -> np.ndarray:
+        """Row j of the expression, shape (n, columns), once ``orders[j]``
+        holds u_j."""
         j = self._next
-        if self._leaves:
-            self._leaves[0][j] = u.reshape(-1)
-        for D, leaf in zip(self._diffs, self._leaves[1:]):
-            np.matmul(D, u, out=leaf[j].reshape(self._shape))
-        self._tape.step(j)
+        u = self.orders[j]
+        for D, rows in zip(self._diffs, self._diff_rows):
+            np.matmul(D, u, out=rows[j])
+        self._step(j)
         self._next = j + 1
-        return self._root[j].reshape(self._shape)
+        return self._root_rows[j]
 
 
 class PartialsTape:

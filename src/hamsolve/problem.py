@@ -70,6 +70,8 @@ class ProblemSpec:
                 f"operator of order {self.L.order} needs {self.L.order} "
                 f"boundary conditions, got {len(self.bcs)}"
             )
+        for bc in self.bcs:
+            bc.checked_below(self.L.order)
 
     def make_grid(self) -> Grid:
         return build_grid(self.grid_kind, self.n, self.a, self.b)

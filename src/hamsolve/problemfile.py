@@ -29,9 +29,10 @@ docs/problem_files.md documents the format; the short version:
     [exact]                     # optional ground truth
     u = tanh(r)
 
-Syntax and value errors raise ParseError anchored to the offending line;
-cross-entry problems (wrong BC count and the like) raise ParseError with
-the plain message.
+Syntax and value errors raise ParseError anchored to the offending line,
+as does a bc whose derivative order is not below L's order (L is read
+first); other cross-entry problems (wrong BC count and the like) raise
+ParseError with the plain message.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def parse_problem_text(text: str) -> ParsedProblem:
     s = operator.take("s", _in_r("source term"), ZERO)
     operator.finish()
 
-    bcs = _read_bcs(sections["bcs"])
+    bcs = _read_bcs(sections["bcs"], L.order)
 
     exact_sec = _Section("exact", sections.get("exact", []))
     exact = exact_sec.take("u", _in_r("exact solution"), None)
@@ -247,7 +248,7 @@ def _lopt_mode(value: str) -> str:
     return value
 
 
-def _bc(value: str) -> BoundaryCondition:
+def _bc(value: str, operator_order: int) -> BoundaryCondition:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 3:
         raise ParseError("bc needs exactly 'location, derivative order, value'")
@@ -256,10 +257,10 @@ def _bc(value: str) -> BoundaryCondition:
         location,
         _converted(int, "bc derivative order", order),
         _converted(float, "bc value", bc_value),
-    )
+    ).checked_below(operator_order)
 
 
-def _read_bcs(entries: List[Entry]) -> tuple:
+def _read_bcs(entries: List[Entry], operator_order: int) -> tuple:
     bcs = []
     for lineno, key, value in entries:
         if key != "bc":
@@ -268,7 +269,7 @@ def _read_bcs(entries: List[Entry]) -> tuple:
                 "value' lines are allowed",
                 line=lineno,
             )
-        bcs.append(_converted(_bc, key, value, lineno))
+        bcs.append(_converted(lambda v: _bc(v, operator_order), key, value, lineno))
     if not bcs:
         raise ParseError("[bcs] section contains no bc lines")
     return tuple(bcs)

@@ -523,7 +523,8 @@ class TestConditionEstimate:
     def test_one_factorization_per_eps_when_n_does_not_depend_on_u(self, count_calls):
         # linear-poisson's jacobian is the same at every iterate of one eps;
         # at n = 192 Newton takes two updates at some eps even from the
-        # predicted start. One more LU is the endpoint update's.
+        # predicted start. The endpoint update solves with the LU Newton
+        # factored at eps = 1, so it adds none.
         ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
         attempts = count_calls("hamsolve.continuation", "_Corrector.newton")
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
@@ -531,19 +532,32 @@ class TestConditionEstimate:
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         assert any(step.newton_iters > 1 for step in path.steps[1:-1])
-        assert len(factorizations) == len(attempts) + 1
-        assert len(jacobians) == len(attempts) + 1
+        assert len(factorizations) == len(attempts)
+        assert len(jacobians) == len(attempts)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_endpoint_update_reuses_the_eps_one_lu(self, n, count_calls):
+        # N reads no u, so J(1, u) is bitwise the matrix Newton's last LU
+        # holds: the 16 steps take one LU each, the workspace one, and the
+        # endpoint update, which the final step takes, none
+        factorizations = count_calls("hamsolve.grids", "LU.__init__")
+        ws = Workspace(LINEAR.spec.with_grid_n(n), HamConfig(hbar=1.0))
+        path = trace_workspace(ws)
+        assert [step.eps for step in path.steps] == [k / 16 for k in range(17)]
+        assert path.final.newton_iters == 1
+        assert len(factorizations) == 17
 
     def test_steps_accepted_without_update_factor_the_jacobian(self, count_calls):
         # every step factors the jacobian at its accepted point; the
-        # endpoint update is the one update of the trace, with its own LU
+        # endpoint update is the one update of the trace, and N = 0 reads no
+        # u, so it solves with the LU of the last step
         parsed = parse_problem_text(SOLVED_AT_START)
         ws = Workspace(parsed.problem, parsed.config)
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         assert [step.newton_iters for step in path.steps] == [0] * 16 + [1]
-        assert len(factorizations) == 17
+        assert len(factorizations) == 16
         for step in path.steps:
             exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
             assert np.isfinite(step.jac_condition)

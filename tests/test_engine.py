@@ -30,6 +30,7 @@ from hamsolve import (
     get_case,
     hpm_config,
     hpm_recursion,
+    jets,
     optimal_workspace,
     parse_expr,
     parse_problem_text,
@@ -447,13 +448,18 @@ POISSON_SPEC = get_case(POISSON).spec
         ({"s": parse_expr("1 + u")}, "s must be an expression in r alone"),
         ({"N": U(3)}, "above the linear operator order"),
         ({"bcs": (POISSON_SPEC.bcs[0], ("right", 0, 0.0))}, "not a boundary condition"),
+        # failed only when a workspace built the BC system
+        (
+            {"bcs": (POISSON_SPEC.bcs[0], BoundaryCondition("right", 2, 0.0))},
+            r"BC derivative order of an order-2 operator must be an integer in 0\.\.1, got 2",
+        ),
         # each failed later, inside Grid.sample, eval_expr or L.order
         ({"N": None}, "N must be an expression"),
         ({"s": 1.0}, "s must be an expression"),
         ({"exact_solution": 1.0}, "exact_solution must be an expression"),
         ({"L": None}, "L must be a LinearOperator"),
     ],
-    ids=["s-of-u", "N-above-L", "bc-not-a-condition", "N-none", "s-a-float", "exact-a-float", "L-none"],
+    ids=["s-of-u", "N-above-L", "bc-not-a-condition", "bc-order-above-L", "N-none", "s-a-float", "exact-a-float", "L-none"],
 )
 def test_problem_rules(changes, message):
     with pytest.raises(ConfigError, match=message):
@@ -536,13 +542,13 @@ class TestOnlineJets:
         spec = get_case("riccati-tanh-long").spec
         workspaces = [Workspace(spec, HamConfig(hbar=-0.3, order=order)) for order in (20, 40)]
         calls = []
-        einsum = np.einsum
+        einsum = jets._einsum  # the tape's one einsum kernel
 
         def counting(*args, **kwargs):
             calls.append(1)
             return einsum(*args, **kwargs)
 
-        monkeypatch.setattr(np, "einsum", counting)
+        monkeypatch.setattr(jets, "_einsum", counting)
         counts = []
         for ws in workspaces:
             calls.clear()

@@ -239,6 +239,23 @@ class TestInterpolate:
         f = np.tanh(g.nodes)
         assert len({g.interpolate(f, 1.234) for _ in range(20)}) == 1
 
+    @pytest.mark.parametrize("kind, n", [(CHEB, 17), (CHEB, 32), ("uniform-fd", 21)])
+    def test_columns_are_each_columns_own_call_bitwise(self, kind, n):
+        # one weight vector for all K columns, one dot each: a single
+        # matrix-vector product would round differently
+        g = build_grid(kind, n, -0.3, 2.1)
+        U = np.random.default_rng(n).standard_normal((n, 17))
+        for x in (0.77, 1.0, -0.3, 2.1, float(g.nodes[n // 2])):
+            got = g.interpolate(U, x)
+            assert got.shape == (17,)
+            want = np.array([g.interpolate(U[:, k], x) for k in range(17)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_columns_not_a_stack(self):
+        g = build_grid(CHEB, 16, 0.0, 1.0)
+        with pytest.raises(GridMismatchError):
+            g.interpolate(np.zeros((2, 16, 3)), 0.5)
+
 
 def test_uniform_fd_exact_on_quadratics():
     g = build_grid("uniform-fd", 21, 0.0, 1.0)

@@ -245,23 +245,25 @@ class TestZoomSearch:
         "problem, order, bracket, passes, interpolant", SEARCH_PATHS, ids=PATH_IDS
     )
     def test_passes_by_path_and_one_run(self, problem, order, bracket, passes, interpolant, count_calls, monkeypatch):
-        # every search marches v once and runs hbar_star once; in between
-        # come its batched passes and at most one interpolant march
+        # every search marches v once and hbar_star once, as a one-column
+        # run_many; in between come its batched passes and at most one
+        # interpolant march
         batched = count_calls("hamsolve.engine", "Workspace.run_many")
         runs = count_calls("hamsolve.engine", "Workspace.run")
         widths = march_widths(monkeypatch)
         optimal_hbar(problem, HamConfig(order=order), bracket)
-        assert len(batched) == passes
-        assert len(runs) == 1
+        assert len(batched) == passes + 1
+        assert len(runs) == 0
         between = [hbar.PASS_POINTS] * passes + ([order + 1] if interpolant else [])
         assert widths == [1] + between + [1]
 
     def test_straddling_bracket_passes_per_side(self, count_calls):
-        passes = count_calls("hamsolve.engine", "Workspace.run_many")
+        # each side's passes, then hbar_star's one-column run_many
+        batched = count_calls("hamsolve.engine", "Workspace.run_many")
         runs = count_calls("hamsolve.engine", "Workspace.run")
         optimal_hbar(LINEAR, HamConfig(order=2), (-1.4, 0.6))
-        assert 2 <= len(passes) <= 2 * 5
-        assert len(runs) == 1
+        assert 2 + 1 <= len(batched) <= 2 * 5 + 1
+        assert len(runs) == 0
 
 
 class TestWorkspaceEntryPoints:

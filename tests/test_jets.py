@@ -36,7 +36,7 @@ from hamsolve import (
     parse_expr,
 )
 from hamsolve.expressions import max_u_order
-from hamsolve.jets import PartialsTape, Tape, jet_expand
+from hamsolve.jets import PartialsTape, Tape, _einsum, jet_expand
 
 DEPTH = 6
 WIDTH = 3
@@ -330,6 +330,24 @@ def test_prescaled_rows_equal_three_operand_form_bitwise(fn, depth, n, columns, 
         want = _three_operand_rows(fn, u, first)
     for key, jet in got.items():
         assert jet.tobytes() == want[key].tobytes(), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    depth=st.integers(1, 80),
+    n=st.integers(8, 64),
+    columns=st.sampled_from([1, 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_kernel_is_np_einsum_bitwise(depth, n, columns, seed):
+    # the tape's kernel skips np.einsum's dispatch; a row it writes, from a
+    # reversed second operand into a row of a larger array, is np.einsum's
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, depth, n * columns))
+    rows = np.full((3, n * columns), np.nan)
+    _einsum("ij,ij->j", a, b[::-1], out=rows[1])
+    assert rows[1].tobytes() == np.einsum("ij,ij->j", a, b[::-1]).tobytes()
+    assert np.isnan(rows[[0, 2]]).all()
 
 
 def one_sweep_partials(expr, r, vals):

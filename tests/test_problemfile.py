@@ -268,6 +268,18 @@ class TestLineAnchoredErrors:
         text = MINIMAL_TEXT.replace("bc = left, 0, 0.0", "bc = left, half, 0.0")
         self.check(text, "integer", line_of(text, "half"))
 
+    def test_bc_order_too_high_for_L_fails_at_its_line(self):
+        # L is read before [bcs], so the bc line itself is reported, with
+        # the wording BcSystem and ProblemSpec use
+        text = MINIMAL_TEXT.replace("bc = right, 0, 0.0", "bc = right, 2, 0.0")
+        line = line_of(text, "bc = right, 2")
+        with pytest.raises(ParseError) as info:
+            parse_problem_text(text)
+        assert info.value.line == line
+        assert str(info.value) == (
+            f"line {line}: BC derivative order of an order-2 operator must be an integer in 0..1, got 2"
+        )
+
     def test_unbalanced_operator_list(self):
         text = MINIMAL_TEXT.replace("L = 0, 0, 1", "L = (0, 0, 1")
         self.check(text, "unbalanced", line_of(text, "L = (0"))

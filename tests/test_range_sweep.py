@@ -1,5 +1,6 @@
-"""Aim 3's range as one sweep: every builtin, grid sizes 16-256, truncation
-orders up to 100, and hbar from -1.6 to -0.1 in steps of 0.1.
+"""Aim 3's range as one sweep: every builtin and the exp problem u'' +
+exp(u) = s (``conftest.exp_problem``), grid sizes 16-256, truncation orders
+up to 100, and hbar from -1.6 to -0.1 in steps of 0.1.
 
 The cells are fixed here, before any run, and none is dropped after one.
 In each cell the series either has finite orders or fails with a typed
@@ -16,19 +17,22 @@ import pytest
 
 from hamsolve import HamConfig, HamError, Workspace, case_ids, get_case
 
+from conftest import exp_problem
+
+PROBLEMS = {**{case_id: get_case(case_id).spec for case_id in case_ids()}, "exp": exp_problem()}
 NS = (16, 64, 256)
 ORDERS = (10, 40, 100)
 HBARS = tuple(-k / 10 for k in range(16, 0, -1))
-CELLS = [(case_id, n, order, hbar) for case_id in case_ids() for n in NS for order in ORDERS for hbar in HBARS]
+CELLS = [(problem, n, order, hbar) for problem in PROBLEMS for n in NS for order in ORDERS for hbar in HBARS]
 
 
 @functools.lru_cache(maxsize=1)
-def _group(case_id: str, n: int, order: int):
-    """The workspace of one (builtin, n, M) and its ``run_many`` over HBARS,
+def _group(problem: str, n: int, order: int):
+    """The workspace of one (problem, n, M) and its ``run_many`` over HBARS,
     or the HamError that building either raised. The cells of a group are
     consecutive, so one group is held at a time."""
     try:
-        ws = Workspace(get_case(case_id).spec.with_grid_n(n), HamConfig(order=order))
+        ws = Workspace(PROBLEMS[problem].with_grid_n(n), HamConfig(order=order))
     except HamError as exc:
         return exc, None
     try:
@@ -37,14 +41,14 @@ def _group(case_id: str, n: int, order: int):
         return ws, exc
 
 
-def test_the_sweep_has_its_576_cells():
-    assert len(CELLS) == len(set(CELLS)) == 4 * 3 * 16 * 3
+def test_the_sweep_has_its_720_cells():
+    assert len(CELLS) == len(set(CELLS)) == 5 * 3 * 16 * 3
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case_id, n, order, hbar", CELLS)
-def test_cell_is_finite_or_a_typed_error_and_the_flags_agree(case_id, n, order, hbar):
-    ws, batch = _group(case_id, n, order)
+@pytest.mark.parametrize("problem, n, order, hbar", CELLS)
+def test_cell_is_finite_or_a_typed_error_and_the_flags_agree(problem, n, order, hbar):
+    ws, batch = _group(problem, n, order)
     if isinstance(ws, HamError):
         return  # the problem fails at set-up, with a typed error
     try:
