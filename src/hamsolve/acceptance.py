@@ -330,8 +330,9 @@ def write_bench_artifacts(outdir) -> None:
 
     One series workspace per case serves the series, the hbar scan and
     both sides of the equivalence check (the oracle steps its own
-    recursion on the workspace's grid and factored L); the trace has its
-    own at TRACE_HBAR.
+    recursion on the workspace's grid and factored L). The trace runs on a
+    workspace at TRACE_HBAR, which differs only in hbar and so shares the
+    series workspace's set-up: one grid, L and LU per case.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -353,5 +353,7 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
 
 
 def trace_path(problem: ProblemSpec, config: HamConfig, initial_steps: int = 16) -> ContinuationPath:
-    """``trace_workspace`` on a fresh workspace for problem and config."""
+    """``trace_workspace`` on a workspace for problem and config, which
+    takes its set-up from the last workspace built on the same problem and
+    core when there is one (``Workspace``)."""
     return trace_workspace(Workspace(problem, config), initial_steps)

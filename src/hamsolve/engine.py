@@ -48,28 +48,32 @@ class Workspace:
 
     Every series runs at ``config.order``; hbar is the one setting a call
     may change, and nothing here depends on it, so one workspace serves a
-    whole hbar scan. Instances are not thread-safe to build but immutable
-    afterwards, so threads may run one at once (``LU.solve``): the engine,
-    the tracer and the oracle read the same arrays, so each array is
-    read-only. The workspace freezes those it builds,
-    ``A_L``, ``s_vals``, ``H_vals`` and ``u0``; the grid and the core's
-    ``BcSystem`` freeze their own.
+    whole hbar scan. The problem-level set-up (grid, ``A_L``, ``s_vals``,
+    the factored core and ``u0``) depends on the problem and the core mode
+    alone, and comes from ``_problem_set_up``, which hands the last set-up
+    built to the next workspace on the same problem and core: a solve and
+    its equivalence check, or a series and its trace, build it once.
+    ``H_vals`` and ``unit_weight`` are the workspace's own. Instances are
+    immutable once built, so threads may run one at once (``LU.solve``),
+    and two workspaces may share a set-up: the engine, the tracer and the
+    oracle read the same arrays, so each array is read-only. The set-up
+    freezes ``A_L``, ``s_vals`` and ``u0``, the workspace ``H_vals``; the
+    grid and the core's ``BcSystem`` freeze their own. Threads may also
+    build workspaces at once: the memo's one slot is read once and replaced
+    whole, never updated in place, so a race costs at most a second build,
+    and each workspace keeps the set-up it read or built.
     """
 
     def __init__(self, problem: ProblemSpec, config: HamConfig):
         self.problem = problem
         self.config = config
-        self.grid = problem.make_grid()
-        self.A_L = assemble_linear(problem.L, self.grid)
-        self.s_vals = self.grid.sample(problem.s)
+        set_up = _problem_set_up(problem, config.lopt_mode)
+        self.grid, self.A_L, self.s_vals, self.lopt, self._grouped, self.u0 = set_up
         self.H_vals = self.grid.sample(config.H)
         if (self.H_vals == 0.0).any():
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.unit_weight = not (self.H_vals != 1.0).any()  # H = 1 at every node
-        self.lopt, self._grouped = _build_lopt_system(problem, config, self.grid, self.A_L)
-        self.u0 = self.lopt.solve(np.zeros(self.grid.n))
-        for arr in (self.A_L, self.s_vals, self.H_vals, self.u0):
-            arr.setflags(write=False)
+        self.H_vals.setflags(write=False)
 
     def _march(self, hbars: np.ndarray, deformation: bool = True) -> np.ndarray:
         """Orders u_0..u_M of K series side by side, shape (M + 1, n, K).
@@ -239,11 +243,46 @@ def series_solution(grid: Grid, F: Callable[[np.ndarray], np.ndarray], orders: n
     )
 
 
-def _build_lopt_system(problem: ProblemSpec, config: HamConfig, grid: Grid, A_L: np.ndarray):
+# the last set-up ``_problem_set_up`` built: (problem, lopt_mode, set-up),
+# or None while a set-up is being built or none has been
+_last_set_up = None
+
+
+def _problem_set_up(problem: ProblemSpec, mode) -> tuple:
+    """``(grid, A_L, s_vals, lopt, grouped, u0)`` of ``problem`` under the
+    linear-core ``mode``, the last one built when both match it.
+
+    The memo has one slot. The problem matches by identity; the slot holds
+    it, so its id cannot be reused. A named mode matches by equality, a
+    user ``LinearOperator`` by identity, because equal expressions can
+    differ in the sign of a zero. On a miss the slot is emptied before the
+    build, so at most one set-up stays alive beside the one being built,
+    and it is filled only once the build returns, so a set-up that raises
+    is not kept.
+    """
+    global _last_set_up
+    slot = _last_set_up
+    if slot is not None and slot[0] is problem:
+        last_mode = slot[1]
+        if last_mode is mode or (isinstance(mode, str) and last_mode == mode):
+            return slot[2]
+    _last_set_up = None
+    grid = problem.make_grid()
+    A_L = assemble_linear(problem.L, grid)
+    s_vals = grid.sample(problem.s)
+    lopt, grouped = _build_lopt_system(problem, mode, grid, A_L)
+    u0 = lopt.solve(np.zeros(grid.n))
+    for arr in (A_L, s_vals, u0):
+        arr.setflags(write=False)
+    set_up = (grid, A_L, s_vals, lopt, grouped, u0)
+    _last_set_up = (problem, mode, set_up)
+    return set_up
+
+
+def _build_lopt_system(problem: ProblemSpec, mode, grid: Grid, A_L: np.ndarray):
     """The factored linear core of each mode (use-L's is ``A_L`` itself), and
     whether its matrix equals ``A_L``, which decides the grouped right-hand
     side (module docstring)."""
-    mode = config.lopt_mode
     core = A_L
     if isinstance(mode, LinearOperator):
         if mode.order != len(problem.bcs):

@@ -255,17 +255,23 @@ def checked_grid_size(n: int) -> int:
     return integer_argument(n, "grid size", 8)
 
 
-def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
-    """Construct a grid of ``n`` nodes on [a, b].
-
-    Raises ConfigError for unknown kinds, a non-integer n or n < 8, ends
-    that are not real arguments, or an empty interval.
-    """
+def checked_grid(kind: str, n: int, a, b) -> tuple:
+    """``(kind, n, a, b)`` with the ends as floats; ConfigError for an
+    unknown kind, a non-integer n or n < 8, ends that are not real
+    arguments, or an empty interval. ``build_grid`` and ``ProblemSpec``
+    both check by this rule, so a problem cannot name a grid it cannot
+    build."""
     checked_grid_kind(kind)
     checked_grid_size(n)
     a, b = real_argument(a, "domain end a"), real_argument(b, "domain end b")
     if not b > a:
         raise ConfigError(f"domain [{a}, {b}] is empty")
+    return kind, n, a, b
+
+
+def build_grid(kind: str, n: int, a: float, b: float) -> Grid:
+    """Construct a grid of ``n`` nodes on [a, b], checked by ``checked_grid``."""
+    kind, n, a, b = checked_grid(kind, n, a, b)
     if kind == "chebyshev-lobatto":
         x, reference, w = _lobatto_reference(n)
         nodes = a + (b - a) * (x + 1.0) / 2.0

@@ -21,7 +21,7 @@ from .expressions import (
     OperatorExpr,
     expression_argument,
 )
-from .grids import BoundaryCondition, Grid, build_grid
+from .grids import BoundaryCondition, Grid, build_grid, checked_grid
 
 DIVERGENCE_STREAK = 3
 # a norm counts as growth only when it beats the last one by more than this
@@ -72,6 +72,7 @@ class ProblemSpec:
             )
         for bc in self.bcs:
             bc.checked_below(self.L.order)
+        checked_grid(self.grid_kind, self.n, self.a, self.b)
 
     def make_grid(self) -> Grid:
         return build_grid(self.grid_kind, self.n, self.a, self.b)

@@ -1,11 +1,30 @@
 """Shared fixtures."""
 
 import importlib
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import hamsolve
 from hamsolve import BoundaryCondition, LinearOperator, ProblemSpec, parse_expr
+
+
+def run_in_child(script: str, timeout: float = 120) -> list:
+    """Run ``script`` (dedented) in a child Python on one BLAS thread and
+    return its standard output split into words. Thread checks run this
+    way, so a crash fails the test instead of ending the test run."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    src = str(pathlib.Path(hamsolve.__file__).parents[1])
+    env["PYTHONPATH"] = src + (":" + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
 
 
 def exp_problem():

@@ -8,8 +8,10 @@ the closed-form behavior of purely linear problems where every order beyond
 the first must vanish identically.
 """
 
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from hamsolve import (
     LinearOperator,
     ProblemSpec,
     RangeError,
+    SingularSystemError,
     Workspace,
     case_ids,
     check_equivalence,
@@ -43,7 +46,7 @@ from hamsolve.expressions import U, max_u_order
 from hamsolve.jets import jet_expand
 from hamsolve.problem import series_diverges
 
-from conftest import exp_problem
+from conftest import exp_problem, run_in_child
 
 TANH = "riccati-tanh-short"
 POISSON = "linear-poisson"
@@ -458,8 +461,17 @@ POISSON_SPEC = get_case(POISSON).spec
         ({"s": 1.0}, "s must be an expression"),
         ({"exact_solution": 1.0}, "exact_solution must be an expression"),
         ({"L": None}, "L must be a LinearOperator"),
+        # each failed only when a grid was built (``grids.checked_grid``)
+        ({"n": 7}, "grid size must be an integer >= 8, got 7"),
+        ({"a": 1.0, "b": 0.0}, r"domain \[1\.0, 0\.0\] is empty"),
+        ({"grid_kind": "spline"}, "unknown grid kind 'spline'"),
+        ({"a": math.nan}, "domain end a must be a finite real, got nan"),
+        ({"b": True}, "domain end b must be a finite real, got True"),
     ],
-    ids=["s-of-u", "N-above-L", "bc-not-a-condition", "bc-order-above-L", "N-none", "s-a-float", "exact-a-float", "L-none"],
+    ids=[
+        "s-of-u", "N-above-L", "bc-not-a-condition", "bc-order-above-L", "N-none", "s-a-float", "exact-a-float", "L-none",
+        "grid-n-7", "grid-b-below-a", "grid-kind-spline", "grid-a-nan", "grid-b-true",
+    ],
 )
 def test_problem_rules(changes, message):
     with pytest.raises(ConfigError, match=message):
@@ -732,6 +744,91 @@ class TestDivergenceMargin:
         assert ws.run_many([-1.0]).diverged[0]
 
 
+class TestSharedSetUp:
+    """Consecutive workspaces on one problem and core share its set-up
+    (``engine._problem_set_up``). Every test here builds on problems of its
+    own, fresh from ``get_case`` or built in the test, so no set-up left by
+    an earlier test is ever theirs."""
+
+    SHARED = ("grid", "A_L", "s_vals", "lopt", "u0")
+
+    def test_next_workspace_on_the_problem_shares_the_set_up(self):
+        problem = get_case("manufactured-quad").spec
+        first = Workspace(problem, HamConfig())
+        second = Workspace(problem, HamConfig(hbar=-0.5, order=7, H=parse_expr("2 - r")))
+        for name in self.SHARED:
+            assert getattr(second, name) is getattr(first, name)
+        assert second.H_vals is not first.H_vals and not second.unit_weight
+        fresh = Workspace(replace(problem), second.config)
+        assert fresh.grid is not second.grid
+        assert _bits(second.run()) == _bits(fresh.run())
+
+    def test_nothing_is_shared_across_equal_copies_or_cores(self):
+        # an equal copy is another problem, and an equal user core another
+        # core: equal expressions can differ in the sign of a zero
+        problem = get_case("manufactured-quad").spec
+        copy = replace(problem)
+        core, twin = (LinearOperator.from_strings(("0", "0", "1")) for _ in range(2))
+        assert copy == problem and twin == core
+        modes = [(problem, "use-L"), (copy, "use-L"), (copy, "frechet-at-u0"), (copy, core), (copy, twin)]
+        built = [Workspace(p, HamConfig(lopt_mode=mode)) for p, mode in modes]
+        for before, after in zip(built, built[1:]):
+            for name in self.SHARED:
+                assert getattr(after, name) is not getattr(before, name)
+        assert Workspace(copy, HamConfig(lopt_mode=twin, order=3)).lopt is built[-1].lopt
+
+    def test_at_most_one_set_up_stays_alive(self):
+        system = weakref.ref(Workspace(get_case(POISSON).spec, HamConfig()).lopt)
+        gc.collect()
+        assert system() is not None  # the memo's slot holds it
+        Workspace(get_case(TANH).spec, HamConfig())
+        gc.collect()
+        assert system() is None
+
+    def test_a_set_up_that_raises_is_not_kept(self, count_calls):
+        # u'' with Neumann data at both ends: the BC system is singular
+        neumann = (BoundaryCondition("left", 1, 0.0), BoundaryCondition("right", 1, 0.0))
+        problem = replace(POISSON_SPEC, bcs=neumann)
+        grids = count_calls("hamsolve.grids", "build_grid")
+        for _ in range(2):
+            with pytest.raises(SingularSystemError):
+                Workspace(problem, HamConfig())
+        assert len(grids) == 2
+
+    def test_threads_building_workspaces_repeat_one_thread_bitwise(self):
+        # four threads, each building two workspaces per problem in turn,
+        # so the slot changes hands between and within builds; run in a
+        # child process like TestLU's thread check
+        out = run_in_child("""
+            import sys, threading
+            import numpy as np
+            from hamsolve import HamConfig, Workspace, get_case
+
+            problems = [get_case("riccati-tanh-long").spec, get_case("manufactured-quad").spec]
+            configs = [HamConfig(order=20), HamConfig(order=12, hbar=-0.5)]
+
+            def results(problem):
+                return [np.stack(Workspace(problem, c).run().orders).tobytes() for c in configs]
+
+            want = [results(p) for p in problems]
+            bad = []
+
+            def work(first):
+                for i in range(60):
+                    k = (first + i) % 2
+                    bad.append(results(problems[k]) != want[k])
+
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=work, args=(k % 2,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            print(sum(bad), len(bad), sum(t.is_alive() for t in threads))
+        """, timeout=300)
+        assert out == ["0", "240", "0"]
+
+
 tenths = st.integers(-10, 10).map(lambda k: f"{k / 10:.1f}")
 
 
@@ -765,10 +862,14 @@ def _bits(series):
 @settings(max_examples=40, deadline=None)
 @given(text=problem_texts())
 def test_runs_repeat_bitwise_from_cold_and_warm_caches(text):
+    # the warm workspace is built on a fresh parse of the same text, so it
+    # builds its own set-up (a second workspace on the same problem object
+    # would share the first's) on the cached Lobatto reference
     parsed = parse_problem_text(text)
     _lobatto_reference.cache_clear()
     cold = Workspace(parsed.problem, parsed.config).run()
-    warm = Workspace(parsed.problem, parsed.config).run()
+    again = parse_problem_text(text)
+    warm = Workspace(again.problem, again.config).run()
     if parsed.problem.grid_kind == "chebyshev-lobatto":
         info = _lobatto_reference.cache_info()
         assert (info.misses, info.hits) == (1, 1)

@@ -407,6 +407,13 @@ class TestCrossEntryErrors:
             parse_problem_text(text)
         assert info.value.line is None
 
+    def test_empty_domain_is_plain(self):
+        # ProblemSpec checks a < b by the rule build_grid checks by
+        text = MINIMAL_TEXT.replace("b = 2", "b = -1")
+        with pytest.raises(ParseError, match=r"^domain \[-1\.0, -1\.0\] is empty$") as info:
+            parse_problem_text(text)
+        assert info.value.line is None
+
     def test_zero_hbar_rejected(self):
         text = MINIMAL_TEXT + "\n[ham]\nhbar = 0\n"
         with pytest.raises(ParseError, match="hbar"):
