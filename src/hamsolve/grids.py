@@ -18,17 +18,24 @@ stencils and forms D_3 and D_4 as products of those two.
 
 ``LU`` is the package's one LU type: every factorization, solve
 and condition estimate, ``BcSystem``'s and the path tracer's, goes through it.
+Its LAPACK routines, dgetrf, dgetrs and dlange, are scipy's f2py wrappers,
+loaded from scipy's LAPACK extension ``_flapack`` by ``_lapack_routines``
+without importing the ``scipy.linalg`` package, whose import would be
+about half of a ``hamsolve`` command's start-up.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dgetrf, dgetrs, dlange
+import scipy
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -42,6 +49,46 @@ from .expressions import MAX_DERIVATIVE_ORDER, LinearOperator, eval_expr
 GRID_KINDS = ("chebyshev-lobatto", "uniform-fd")
 COND_LIMIT = 1e14
 LOBATTO_CACHE_SIZE = 8
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack_routines(directory: str) -> tuple:
+    """(dgetrf, dgetrs, dlange) of scipy's LAPACK extension ``_flapack``,
+    loaded from its file in ``directory``: the very objects that
+    ``scipy.linalg.lapack`` re-exports, without the ``scipy.linalg``
+    package, whose import pulls in numpy's f2py, testing, ma, random and
+    polynomial modules (about 150 ms, against 3 ms for the file). The
+    top-level ``scipy`` package is imported first: on Windows it registers
+    the directory of scipy's bundled OpenBLAS. The module is left out of
+    ``sys.modules``, where CPython records a single-phase extension such as
+    this one when it loads it: a later ``import scipy.linalg`` then loads
+    its own module, holding these same routines, as it would without
+    hamsolve. Where no file is found, or loading it raises ImportError,
+    the extension is imported by name, which imports ``scipy.linalg`` and
+    gives the same routines."""
+    finder = machinery.FileFinder(directory, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_FLAPACK)
+    try:
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} in {directory}")
+        loaded = _FLAPACK in sys.modules
+        flapack = util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        if not loaded:
+            sys.modules.pop(_FLAPACK, None)
+    except ImportError:
+        flapack = importlib.import_module(_FLAPACK)
+    return flapack.dgetrf, flapack.dgetrs, flapack.dlange
+
+
+dgetrf, dgetrs, dlange = _lapack_routines(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+
+
+def _sign_matrix(n: int) -> np.ndarray:
+    """The (n, n) matrix (-1)^(i+j), exactly +-1.0: scipy's
+    ``toeplitz((-1.0) ** arange(n))``, built by numpy alone."""
+    sign = (-1.0) ** np.arange(n)
+    return np.outer(sign, sign)
 
 
 def _chebdif(n: int, mmax: int):
@@ -59,7 +106,7 @@ def _chebdif(n: int, mmax: int):
     DX = 2 * np.sin(T.T + T) * np.sin(T - T.T)  # x_i - x_j, accurately
     DX = np.vstack((DX[:n1], -np.flipud(np.fliplr(DX[:n2]))))
     np.fill_diagonal(DX, 1.0)
-    C = toeplitz((-1.0) ** k)
+    C = _sign_matrix(n)
     C[0, :] *= 2
     C[-1, :] *= 2
     C[:, 0] /= 2
@@ -414,10 +461,12 @@ def _alternating(n: int) -> np.ndarray:
 class LU:
     """The LU factorization of a square column-major float array ``a``, in
     place: LAPACK's getrf, called directly as ``solve`` calls getrs, after
-    ``norm``, ||a||_1 for ``condition``, is read. ``a`` then holds the
-    factors, valid until it is next written into. No finiteness scan and
-    no warning: a zero pivot (info > 0) is not an error, solves are then
-    not finite and ``condition`` is inf.
+    ``norm``, ||a||_1 for ``condition``, is read. The three are scipy's
+    wrappers, taken from scipy's LAPACK extension file by
+    ``_lapack_routines`` so that start-up skips the ``scipy.linalg``
+    package. ``a`` then holds the factors, valid until it is next written
+    into. No finiteness scan and no warning: a zero pivot (info > 0) is
+    not an error, solves are then not finite and ``condition`` is inf.
     """
 
     def __init__(self, a: np.ndarray):

@@ -49,6 +49,8 @@ from .problem import HamConfig, ProblemSpec, checked_hbar
 PASS_POINTS = 17
 BRACKET_TOL = 1e-3
 EPS = float(np.finfo(float).eps)
+_PASS_STEPS = np.arange(PASS_POINTS, dtype=float)
+_PASS_STEPS.setflags(write=False)
 
 
 class HbarEntry(NamedTuple):
@@ -124,13 +126,24 @@ def _best_index(values: np.ndarray) -> int:
     return int(np.argmin(np.where(np.isfinite(values), values, np.inf)))
 
 
+def _pass_points(lo: float, hi: float) -> np.ndarray:
+    """``np.linspace(lo, hi, PASS_POINTS)`` for a scalar bracket, bitwise:
+    numpy's own three steps (steps times the spacing, plus lo, the last
+    point set to hi) without its argument handling, which costs more than
+    the arithmetic on a pass this short."""
+    points = _PASS_STEPS * ((hi - lo) / (PASS_POINTS - 1))
+    points += lo
+    points[-1] = hi
+    return points
+
+
 def _zoom(lo: float, hi: float, residuals: Callable[[np.ndarray], Optional[np.ndarray]]) -> Optional[Tuple[float, float]]:
     """(rank, hbar) of the best point of the zoom passes on one zero-free
     sub-bracket; ties go to the earliest. ``residuals`` gives a pass's
     residuals at its points, or None to abandon the zoom (None is returned)."""
     bests = []
     while True:
-        points = np.linspace(lo, hi, PASS_POINTS)
+        points = _pass_points(lo, hi)
         values = residuals(points)
         if values is None:
             return None

@@ -13,10 +13,12 @@ import math
 import pathlib
 import tracemalloc
 import warnings
+from importlib import machinery
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgecon, dlange
+import scipy.linalg
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 import hamsolve
 import hamsolve.continuation as continuation
@@ -41,6 +43,7 @@ from hamsolve import (
     trace_workspace,
 )
 from hamsolve.expressions import MAX_DERIVATIVE_ORDER
+import hamsolve.grids as grids
 from hamsolve.grids import (
     _chebdif,
     _clencurt,
@@ -492,6 +495,80 @@ def test_lapack_is_called_from_grids_alone():
         source = path.read_text(encoding="utf-8")
         for entry in ("dgetrf", "dgetrs"):
             assert (entry in source) == (path.name == "grids.py"), (path.name, entry)
+
+
+def test_start_up_imports_no_scipy_linalg(tmp_path):
+    # grids loads scipy's LAPACK extension from its file: neither importing
+    # the package nor a solve command imports the scipy.linalg package
+    # (whose import would be about half of a command's start-up)
+    out = run_in_child(f"""
+        import runpy, sys
+        import hamsolve
+        print("scipy.linalg" in sys.modules)
+        sys.argv = ["hamsolve", "solve", "builtin:linear-poisson", "--out", {str(tmp_path)!r}]
+        try:
+            runpy.run_module("hamsolve.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            assert not stop.code, stop.code
+        print("scipy.linalg" in sys.modules)
+    """)
+    assert (out[0], out[-1]) == ("False", "False"), out
+    assert (tmp_path / "series.csv").is_file()
+
+
+def test_scipy_linalg_imports_after_hamsolve_with_the_same_routines():
+    out = run_in_child("""
+        import numpy as np
+        import sys
+        import hamsolve.grids as grids
+        assert "scipy.linalg._flapack" not in sys.modules
+        import scipy.linalg
+        from scipy.linalg.lapack import dgetrf, dgetrs
+        a = np.array(np.random.default_rng(1).standard_normal((32, 32)), order="F")
+        lu, piv, info = dgetrf(a)
+        ours = grids.dgetrf(a)
+        b = np.arange(32.0)
+        same = ours[0].tobytes() == lu.tobytes() and ours[1].tobytes() == piv.tobytes()
+        same &= grids.dgetrs(lu, piv, b)[0].tobytes() == dgetrs(lu, piv, b)[0].tobytes()
+        print(same, info, scipy.linalg.solve(np.eye(3), np.ones(3)).tolist() == [1.0] * 3)
+    """)
+    assert out == ["True", "0", "True"], out
+
+
+@pytest.mark.parametrize("n", [16, 37, 64, 128, 256])
+def test_loaded_lapack_routines_are_scipys_bitwise(n):
+    rng = np.random.default_rng(n)
+    A = np.array(rng.standard_normal((n, n)), order="F")
+    want_lu, want_piv, want_info = dgetrf(A)
+    got_lu, got_piv, got_info = grids.dgetrf(A)
+    assert (got_lu.tobytes(), got_piv.tobytes(), got_info) == (want_lu.tobytes(), want_piv.tobytes(), want_info)
+    B = rng.standard_normal((n, 3))
+    for trans in (0, 1):
+        want = dgetrs(want_lu, want_piv, B, trans=trans)[0]
+        got = grids.dgetrs(got_lu, got_piv, B, trans=trans)[0]
+        assert got.tobytes() == want.tobytes(), trans
+    assert np.float64(grids.dlange("1", A)).tobytes() == np.float64(dlange("1", A)).tobytes()
+
+
+def test_sign_matrix_is_scipys_toeplitz_bitwise():
+    for n in range(8, 257):
+        want = scipy.linalg.toeplitz((-1.0) ** np.arange(n))
+        got = grids._sign_matrix(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+def test_lapack_loader_falls_back_to_importing_the_extension(tmp_path):
+    # no extension file in the directory, and a file that fails to load:
+    # both import scipy.linalg._flapack by name and take its routines
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / ("_flapack" + machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"not a shared object")
+    flapack = scipy.linalg._flapack
+    for directory in (empty, broken):
+        routines = grids._lapack_routines(str(directory))
+        assert all(got is want for got, want in zip(routines, (flapack.dgetrf, flapack.dgetrs, flapack.dlange)))
 
 
 class TestLU:

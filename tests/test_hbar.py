@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsolve import (
     BoundaryCondition,
@@ -256,6 +258,22 @@ class TestZoomSearch:
         assert len(runs) == 0
         between = [hbar.PASS_POINTS] * passes + ([order + 1] if interpolant else [])
         assert widths == [1] + between + [1]
+
+    @given(
+        lo=st.floats(-4.0, 4.0),
+        exponent=st.floats(-6.0, math.log10(4.0)),
+        as_numpy=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_pass_points_are_linspace_bitwise(self, lo, exponent, as_numpy):
+        # brackets from 4 wide down to below the last zoom pass's
+        # (BRACKET_TOL / (PASS_POINTS - 1)), with float or numpy-float ends
+        # as the first pass and the later passes have them
+        hi = lo + 10.0**exponent
+        if as_numpy:
+            lo, hi = np.float64(lo), np.float64(hi)
+        points = hbar._pass_points(lo, hi)
+        assert points.tobytes() == np.linspace(lo, hi, hbar.PASS_POINTS).tobytes()
 
     def test_straddling_bracket_passes_per_side(self, count_calls):
         # each side's passes, then hbar_star's one-column run_many
