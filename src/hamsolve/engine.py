@@ -12,14 +12,17 @@ the factored L_opt solve is therefore
 
     rhs_m = hbar H (L u_{m-1} + D_{m-1}[N] - delta_{m,1} s) + chi_m L_opt u_{m-1}.
 
-When the core's matrix is L's own (always for use-L; for any other core
-when the assembled matrices are equal) the two L u_{m-1} terms are grouped,
+When H = 1 and the core's matrix is L's own (always for use-L; for any
+other core when the assembled matrices are equal), L_opt^-1 P L u_{m-1}
+(P zeroes the BC rows) is u_{m-1} for m >= 2, which meets the homogeneous
+BCs, and 0 for m = 1, as L_opt u_0 = 0 off the BC rows. So L folds out:
 
-    rhs_m = (hbar H + chi_m) (L u_{m-1}) + hbar H (D_{m-1}[N] - delta_{m,1} s)
+    u_m = c_m u_{m-1} + L_opt^-1 P hbar (D_{m-1}[N] - delta_{m,1} s),
+    c_1 = 0, c_m = chi_m + hbar,
 
-so that the special case hbar = -1, H = 1 cancels the L u_{m-1} term
-exactly (coefficient 0.0, not a difference of rounded terms), which is what
-makes the reduced-method comparison meaningful at tight tolerances.
+with chi_m = 0 in ``perturbation_series``. At hbar = -1, c_m is exactly 0.0,
+not a difference of rounded terms, which is what makes the reduced-method
+comparison meaningful at tight tolerances.
 """
 
 from __future__ import annotations
@@ -68,11 +71,12 @@ class Workspace:
         self.problem = problem
         self.config = config
         set_up = _problem_set_up(problem, config.lopt_mode)
-        self.grid, self.A_L, self.s_vals, self.lopt, self._grouped, self.u0 = set_up
+        self.grid, self.A_L, self.s_vals, self.lopt, core_is_L, self.u0 = set_up
         self.H_vals = self.grid.sample(config.H)
         if (self.H_vals == 0.0).any():
             raise ConfigError("auxiliary weight H vanishes at a grid node")
         self.unit_weight = not (self.H_vals != 1.0).any()  # H = 1 at every node
+        self._folds = core_is_L and self.unit_weight  # L u_{m-1} folds out (module docstring)
         self.H_vals.setflags(write=False)
 
     def _march(self, hbars: np.ndarray, deformation: bool = True) -> np.ndarray:
@@ -82,16 +86,15 @@ class Workspace:
         tape's recurrences, the matrix products and the triangular solves),
         so the columns never mix and one that overflows leaves the others
         alone. With K = 1 each step is the single-series arithmetic. With
-        ``deformation`` False the loop drops the chi_m term and takes the
-        non-grouped rhs, which is ``perturbation_series``'s recursion.
+        ``deformation`` False the loop drops the chi_m term, which is
+        ``perturbation_series``'s recursion.
 
-        Each order is one tape push, one product with A_L and one in-place
-        solve, stored in the tape's ``orders``, where the next push reads it,
-        with the rhs formed in (n, K) buffers allocated once; the in-place
-        steps keep every rounding of the expressions in the comments, so
-        each order is bitwise what they give.
+        Each order is one tape push and one in-place solve, stored in the
+        tape's ``orders``, where the next push reads it; a folding workspace
+        adds c_m u_{m-1} (module docstring), any other forms A_L u_{m-1}. The
+        rhs is formed in (n, K) buffers allocated once, keeping every rounding
+        of the expressions in the comments, so each order is bitwise theirs.
         """
-        grouped = self._grouped and deformation
         order = self.config.order
         n, K = self.grid.n, len(hbars)
         H = self.H_vals[:, None]
@@ -103,27 +106,20 @@ class Workspace:
         orders[0] = self.u0[:, None]
         t, work = np.empty((n, K)), np.empty((n, K))
         rhs = np.empty((n, K), order="F")  # column-major: getrs solves it in place
-        if grouped:
-            coef = {chi: hbars * H + chi for chi in (0.0, 1.0)}  # hbar H + chi_m
+        c = hbars + (1.0 if deformation else 0.0)  # c_m = chi_m + hbar for m >= 2
         # an order that overflows shows in the norms and the divergence flag
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, order + 1):
                 u_prev = orders[m - 1]
-                chi = 0.0 if m == 1 else 1.0
                 # forcing = D_{m-1}[N] - delta_{m,1} s (module docstring)
                 forcing = tape.push()
                 if m == 1:
                     forcing = np.subtract(forcing, self.s_vals[:, None], out=work)
-                np.matmul(self.A_L, u_prev, out=t)
-                if grouped:
-                    # rhs = (hbar H + chi) t + hbar (H forcing)
-                    if weigh:
-                        forcing = np.multiply(H, forcing, out=work)
-                    np.multiply(hbars, forcing, out=work)
-                    t *= coef[chi]
-                    np.add(t, work, out=rhs)
+                if self._folds:
+                    np.multiply(hbars, forcing, out=rhs)  # rhs = hbar forcing
                 else:
-                    # rhs = hbar (H (t + forcing)) + chi (L_opt u_{m-1})
+                    # rhs = hbar (H (A_L u_{m-1} + forcing)) + chi (L_opt u_{m-1})
+                    np.matmul(self.A_L, u_prev, out=t)
                     np.add(t, forcing, out=work)
                     if weigh:
                         work *= H
@@ -132,12 +128,15 @@ class Workspace:
                         np.matmul(self.lopt.matrix, u_prev, out=t)
                         # a product by chi = 1 changes no bit; 0 * (L_opt u_0)
                         # is kept, as it is nan where L_opt u_0 overflows
-                        if chi == 0.0:
-                            t *= chi
+                        if m == 1:
+                            t *= 0.0
                         rhs += t
                 for i in rows:  # homogeneous BCs
                     rhs[i] = 0.0
-                orders[m] = solve(rhs)
+                if self._folds and m > 1:  # u_m = c_m u_{m-1} + solution
+                    np.add(np.multiply(c, u_prev, out=t), solve(rhs), out=orders[m])
+                else:
+                    orders[m] = solve(rhs)
         return orders
 
     def run(self, hbar: Optional[float] = None) -> SeriesSolution:
@@ -148,8 +147,8 @@ class Workspace:
     def run_many(self, hbars) -> SeriesBatch:
         """The series at K hbar values through one recursion.
 
-        The K columns march together: one tape K grids wide, one matrix
-        product and one K-column triangular solve per order. Only the final
+        The K columns march together: one tape K grids wide and one
+        K-column triangular solve per order. Only the final
         partial sums, their residuals (``mean_square``) and the flags
         (``_divergence``) are formed. A column's partial sum agrees with
         ``run`` at its hbar to roundoff but not bitwise, because a K-column
@@ -169,9 +168,9 @@ class Workspace:
 
         w solves Lc(w - u_0) = mu H F(w), and v_k is its k-th Taylor
         coefficient in mu: v_0 = u_0 and Lc v_k = H D_{k-1}[F(v)] under
-        homogeneous BCs, one K = 1 march with hbar = 1, chi = 0 and the
-        non-grouped rhs. Dividing the deformation family by 1 - p gives mu =
-        hbar p / (1 - p), so at every hbar the order-M partial sum is
+        homogeneous BCs: one K = 1 march with hbar = 1 and chi = 0 (c_k = 1
+        for k >= 2 where L folds out). Dividing the deformation family by 1 - p
+        gives mu = hbar p / (1 - p), so at every hbar the order-M partial sum is
 
             U_M(hbar) = sum_k C(M, k) hbar^k v_k
 
@@ -249,7 +248,7 @@ _last_set_up = None
 
 
 def _problem_set_up(problem: ProblemSpec, mode) -> tuple:
-    """``(grid, A_L, s_vals, lopt, grouped, u0)`` of ``problem`` under the
+    """``(grid, A_L, s_vals, lopt, core_is_L, u0)`` of ``problem`` under the
     linear-core ``mode``, the last one built when both match it.
 
     The memo has one slot. The problem matches by identity; the slot holds
@@ -270,19 +269,19 @@ def _problem_set_up(problem: ProblemSpec, mode) -> tuple:
     grid = problem.make_grid()
     A_L = assemble_linear(problem.L, grid)
     s_vals = grid.sample(problem.s)
-    lopt, grouped = _build_lopt_system(problem, mode, grid, A_L)
+    lopt, core_is_L = _build_lopt_system(problem, mode, grid, A_L)
     u0 = lopt.solve(np.zeros(grid.n))
     for arr in (A_L, s_vals, u0):
         arr.setflags(write=False)
-    set_up = (grid, A_L, s_vals, lopt, grouped, u0)
+    set_up = (grid, A_L, s_vals, lopt, core_is_L, u0)
     _last_set_up = (problem, mode, set_up)
     return set_up
 
 
 def _build_lopt_system(problem: ProblemSpec, mode, grid: Grid, A_L: np.ndarray):
     """The factored linear core of each mode (use-L's is ``A_L`` itself), and
-    whether its matrix equals ``A_L``, which decides the grouped right-hand
-    side (module docstring)."""
+    whether its matrix equals ``A_L``, which with H = 1 decides the folded
+    right-hand side (module docstring)."""
     core = A_L
     if isinstance(mode, LinearOperator):
         if mode.order != len(problem.bcs):

@@ -473,7 +473,7 @@ class LU:
         # LAPACK's 1-norm sums each column row by row, bitwise
         # numpy.linalg.norm's abs(a).sum(axis=0).max(), without forming |a|
         self.norm = float(dlange("1", a))
-        self.factors, self.piv, _ = dgetrf(a, overwrite_a=True)
+        self.factors, self.piv, _ = dgetrf(a, 1)  # overwrite_a
 
     def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """x with A x = ``rhs`` (A^T x = ``rhs`` for ``trans`` = 1), for
@@ -484,7 +484,7 @@ class LU:
         raising, and the columns never mix. scipy's getrs wrapper shifts
         the pivots to 1-based and back in place, with the GIL released, so
         each call gets a copy: threads may then solve with one LU at once."""
-        return dgetrs(self.factors, self.piv.copy(), rhs, trans=trans, overwrite_b=True)[0]
+        return dgetrs(self.factors, self.piv.copy(), rhs, trans, 1)[0]  # overwrite_b
 
     def condition(self) -> float:
         """1-norm condition number of ``matrix``, without forming the

@@ -200,8 +200,8 @@ def _series_model(ws: Workspace, eps_norm: float) -> _Columns:
     M, from one ``perturbation_series``."""
     order = ws.config.order
     comb = np.array([math.comb(order, k) for k in range(order + 1)], dtype=float)[:, None]
-    powers = np.arange(order + 1)[:, None]
-    return _Columns(ws, ws.perturbation_series(), lambda points: comb * points**powers, eps_norm)
+    # hbar^k as a running product (np.vander), not libm pow of a negative base
+    return _Columns(ws, ws.perturbation_series(), lambda points: comb * np.vander(points, order + 1, increasing=True).T, eps_norm)
 
 
 def _interpolant(ws: Workspace, lo: float, hi: float, eps_norm: float) -> _Columns:

@@ -71,7 +71,7 @@ class TestHandSeries:
         assert np.max(np.abs(sol.orders[3] + r**3 / 3)) < 1e-13
 
     def test_even_orders_cancel_bitwise(self, tanh_ws):
-        # the grouped rhs coefficient hbar*H + chi is exactly 0.0 at -1
+        # the folded coefficient c_m = 1 + hbar is exactly 0.0 at -1
         sol = Workspace(tanh_ws.problem, HamConfig(order=6)).run(hbar=-1.0)
         for m in (2, 4, 6):
             assert np.max(np.abs(sol.orders[m])) == 0.0
@@ -257,8 +257,8 @@ class TestLoptModes:
 
     @pytest.mark.parametrize("case_id", case_ids())
     def test_frechet_core_equal_to_l_runs_as_use_l(self, case_id):
-        # on the builtins dN/du(u_0) = 0, so the core is L's matrix and the
-        # grouped right-hand side applies: the series is use-L's, bitwise
+        # on the builtins dN/du(u_0) = 0, so the core is L's matrix and L
+        # folds out of the solve: the series is use-L's, bitwise
         spec = get_case(case_id).spec
         use_l = Workspace(spec, HamConfig(order=20))
         frechet = Workspace(spec, HamConfig(lopt_mode="frechet-at-u0", order=20))
@@ -502,7 +502,9 @@ def test_numeric_strings_and_numpy_integers_are_accepted():
 
 def _batch_recursion(ws, hbar, order):
     """u_0..u_order with D_{m-1}[N] recomputed in full at every order: the
-    batch jet path the engine ran before its jets went online."""
+    batch jet path the engine ran before its jets went online, in the
+    folded form of a use-L, H = 1 workspace: u_m = c_m u_{m-1} + the
+    solution for hbar (D_{m-1}[N] - delta_{m,1} s), c_1 = 0, c_m = 1 + hbar."""
     N, grid = ws.problem.N, ws.grid
     orders = [ws.u0]
     for m in range(1, order + 1):
@@ -511,11 +513,10 @@ def _batch_recursion(ws, hbar, order):
         forcing = jet_expand(N, grid.nodes, u_jets, m)[m - 1]
         if m == 1:
             forcing = forcing - ws.s_vals
-        chi = 0.0 if m == 1 else 1.0
-        t = ws.A_L @ orders[m - 1]
-        rhs = (hbar * ws.H_vals + chi) * t + hbar * (ws.H_vals * forcing)
+        rhs = hbar * forcing
         rhs[ws.lopt.rows] = 0.0  # homogeneous BCs
-        orders.append(ws.lopt.lu.solve(rhs))
+        solution = ws.lopt.lu.solve(rhs)
+        orders.append(solution if m == 1 else (1.0 + hbar) * orders[m - 1] + solution)
     return orders
 
 
@@ -725,6 +726,27 @@ class TestDivergenceMargin:
         assert not ws.run_many([-2.0]).diverged[0]
         assert not ws.run_many(np.linspace(-2.0, -0.1, 17)).diverged[0]
 
+    @pytest.mark.parametrize("order", [10, 40, 100])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 192, 256])
+    def test_equal_norms_are_equal_bitwise(self, n, order, monkeypatch):
+        # c_m = 1 + hbar = -1 and N = 0, so the folded march negates u_{m-1}
+        # and adds the solution of a zero rhs: no round trip through L to drift
+        ws = Workspace(get_case(POISSON).spec.with_grid_n(n), HamConfig(order=order))
+        norms = ws.run(hbar=-2.0).per_order_norms[1:]
+        assert norms == (norms[0],) * order
+        marched = []
+        march = Workspace._march
+
+        def recording(self, hbars):
+            marched.append(march(self, hbars))
+            return marched[-1]
+
+        monkeypatch.setattr(Workspace, "_march", recording)
+        ws.run_many(np.full(17, -2.0))  # the norms of its 17 columns' orders
+        columns = np.max(np.abs(marched[0][1:]), axis=1)
+        assert columns.shape == (order, 17)
+        assert (columns == columns[0, 0]).all()
+
     def test_non_finite_norm_flags(self):
         assert series_diverges([0.0, 1e300, float("nan"), float("nan")])
         assert series_diverges([1.0, float("inf")])
@@ -742,6 +764,42 @@ class TestDivergenceMargin:
         ws = Workspace(get_case("riccati-tanh-long").spec, HamConfig(order=15))
         assert ws.run(hbar=-1.0).diverged
         assert ws.run_many([-1.0]).diverged[0]
+
+
+class TestFold:
+    """Where the core is L's own and H = 1, L u_{m-1} folds out of the
+    march's solves (engine module docstring), so the march never reads
+    A_L; any other workspace does, once per order."""
+
+    @staticmethod
+    def _marches(ws):
+        return ws._march(np.array([-1.0, -0.3])), ws.perturbation_series()
+
+    @staticmethod
+    def _poisoned(problem, config):
+        ws = Workspace(problem, config)
+        ws.A_L = np.full_like(ws.A_L, np.nan)
+        return ws
+
+    @pytest.mark.parametrize("problem", BATCH_PROBLEMS, ids=BATCH_IDS)
+    def test_folding_march_reads_no_A_L(self, problem):
+        config = HamConfig(order=12)
+        want = self._marches(Workspace(problem, config))
+        poisoned = self._poisoned(problem, config)
+        assert poisoned._folds
+        for got, ref in zip(self._marches(poisoned), want):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [HamConfig(lopt_mode="frechet-at-u0", order=12), HamConfig(H=parse_expr("1 + r"), order=12)],
+        ids=["frechet-at-u0", "H = 1 + r"],
+    )
+    def test_other_marches_read_A_L(self, config):
+        poisoned = self._poisoned(exp_problem(), config)
+        assert not poisoned._folds
+        for orders in self._marches(poisoned):
+            assert not np.isfinite(orders[1:]).any()
 
 
 class TestSharedSetUp:

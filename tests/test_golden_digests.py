@@ -57,7 +57,7 @@ def _cases():
         for cid in case_ids():
             cases[f"{cid} n={n}"] = (get_case(cid).spec.with_grid_n(n), HamConfig(order=ORDER))
         cases[f"exp n={n}"] = (exp_problem().with_grid_n(n), HamConfig(order=ORDER))
-    # non-L cores take the non-grouped rhs; H != 1 keeps both of its roundings
+    # non-L cores and H != 1 take the general rhs, where L does not fold out
     cases["exp frechet-at-u0 n=48"] = (
         exp_problem().with_grid_n(48),
         HamConfig(lopt_mode="frechet-at-u0", order=ORDER),
@@ -125,11 +125,11 @@ def digests(problem, config) -> dict:
 
 GOLDEN = {
     'boundary data, uniform-fd n=33': {
-        'equivalence': '5212c7788157e4aa1aec725fd8fb2293b676f59856c1d9ec3080b3bf05096f6b',
+        'equivalence': '0f7fb34433caba40a05d7c9c89689b64bb15175f8c76238de050068d50843c61',
         'oracle': 'f2b3517c25842ff80a27652f4e75c9f90fbf4b5231991d41253ba74fe212e9dd',
-        'perturbation_series': '2fec1df274ed611926d9a329f25f297925443bfb06ccc0521be18763591f6272',
-        'run': '549d83362cf11a4c831e97cc44caa877074ea9628f82235ec09dbf7545660504',
-        'run_many': '94f00282ff55c99cc8c7b718fd1ecfc7b342d6a41201b2198c7f3baad233e38a',
+        'perturbation_series': 'fc2795f07e29e2e2fa49a42b7155fb22aa3be859de0225b8d8437542cee616a2',
+        'run': '2a9b709971cd20d80ec0931e5feb0b0fcf71e3c39a5c6a017c4820ec3bbbc99b',
+        'run_many': 'f62023ff773fb046d355695210594eb83753499f8142386b30344fd552e75bae',
     },
     'exp frechet-at-u0 n=48': {
         'perturbation_series': 'a626e51d073833ae2e3748a219dd014883651b85bb53d5a0e1258b4357fcb275',
@@ -137,60 +137,60 @@ GOLDEN = {
         'run_many': 'f41f79fd0d8b7e627b4b87ffcce7e06c1014c77ce3aa3c37f1c7a9d2d82a0f34',
     },
     'exp n=32': {
-        'equivalence': '099a46e4d9931505ffb161512c515defbb2ded46bf16dc73c515a632d704b466',
+        'equivalence': '7710f051d45bca0b23096d5ffaf9e52b2931c616d98b7f88da1ef2d49047d815',
         'oracle': '26af55df564264046cf24790f13837c4e93e7a4686408e00fc767281b0b6251d',
-        'perturbation_series': 'b46854574330b2dda724cf284d5318a706cf3574e2b15977ce28d966c2406f5e',
+        'perturbation_series': 'fdc2ce867752479d8af73882038cfff21e7f74828f2e4a749fbdc788f9433b98',
         'run': '5a143e6b1dadb61ac362e09d2b9897d1684bbb7dfb3f6a8fd050e4f109f1a14f',
-        'run_many': 'd5ff918c5bbc66a3b0f9640b4540b42fd4ce4ba6b87a6dc45032df7da158bee8',
+        'run_many': '7bbd63ac946f88a96746cf8e07df499f87a945a7cd9c7d8abd2687b0aaf054e7',
     },
     'exp n=64': {
-        'equivalence': 'b38236a1b94109b1e7b33a41f6398db348d7fab468fcfe22916a5bb1f5ac7c7d',
+        'equivalence': 'add00b16a2095fab75a3149402db1699acecd1acdc32662d1f070b588627dfd8',
         'oracle': '7fe3b9ff81d3ed75002e2549d5072c8b6636e75b0539baa9250cca6cb030362b',
-        'perturbation_series': '4b5d61fbe07c93285acb6e0cc05d0daaf8350d9166fed2a9a202c1341d38d7a3',
+        'perturbation_series': '8b2e60fc6b95e0b22341f0c13d55817edc04db0c3d174d561a9c370da8d9a64c',
         'run': 'dd0be65ae5e1f71108dfab52f475ab3ea16cefaa536fbd772bfe3f0e9a281afe',
-        'run_many': '31a224071a1447d9a9d99124193d09c422be3753d36d06f37f3a5605c671ba3f',
+        'run_many': '17df1fcdf6212fa645f51f8f872e515749f862e58f5449bd863044e6f5ab60d1',
     },
     'exp uniform-fd n=48': {
-        'equivalence': '71eb48a957ef6875b6708e947061c4a0eeac1ba3d94c4bbfd1216d2ee6d918ff',
+        'equivalence': 'fa0698a6e2c77ba2d27ec35fb80afd781396f40299bce5594b390257d2b69e41',
         'oracle': 'eb81edb4dca32acdd57cf20b2c8cb7ab4cc5b6f977d145c892314841b3b25405',
-        'perturbation_series': 'e00074efdd2d12f1ffb126aee783029faae78c6da2252673af476ec46de86016',
+        'perturbation_series': 'd86ed4cd1fdd8e972de59ddfc3a453c7dbbf973de4e8f0798406b9803b10b73d',
         'run': 'be5f54ec5ed6c0d5fefb570453bdbfd3eb6b102a24a88b46518baec90a01bca1',
-        'run_many': 'b2744ab8c1f1762269d8e51c3bf48c6ad6370e7c3072cff3b846bc665fa205e2',
+        'run_many': '5de765a54d3b774cb76b5616abdf5cecd43363c79303c84e06f7dc1c0277afee',
     },
     "fourth order, N reads u'' n=24": {
-        'equivalence': '176e4bcfb61846d65629bed4e9b8e8fd92938c7b169dd9c6aa9443372f9c3313',
+        'equivalence': '757918d5b513f8c76394488c48820c4a2e6ab6323d94257606d2b73e992a32bf',
         'oracle': '2eff41bac9f583366892042adcf04c9ae80ed4c7a630c0a5ef480a95c19969d2',
-        'perturbation_series': '01aac41d4ef68a487beced3a8f7803651480c61b5b2753d0cac63873ad01a5cd',
-        'run': '8f177267ca6a5727176f73c643d3b84d2b5519e35dc1cf314e486fe59d3eef70',
-        'run_many': '3e9ae06aacc0f66aa68e8c9d1f2cdd44279a7efbc125774391db12ad83da2fbd',
+        'perturbation_series': '5a70f74128ce982a36f0584435b7114776662e57602007e39878624a1d6bb4c5',
+        'run': '2351856dfb7bfd07c7996e518bfaebf009cb9992417ad67c834d3b310828090c',
+        'run_many': '09d5405c8816c365f0e53259b04f064c81418a4d6bf8323a2b4af32a30fff8ca',
     },
     'linear-poisson n=32': {
-        'equivalence': '1831b587c90af578fe55433cbe435756fd4737c13edf0d9953cf5469015928a2',
+        'equivalence': 'cb0922082ad1fd7ee640ea059fd080d6af3146bc5073344fe251fe15a87fe02e',
         'oracle': '60caf2a93cc1719d12464b22a72797aec1b0aa121ff7ccc3eb7b3a395899a1b1',
-        'perturbation_series': '191cf7fe3ca4cd4629f9531624913c814cc594f9e079a28986f95174e9b9abb8',
+        'perturbation_series': 'c2691a11c7a506bf94fe04aa19dcc005103803dc82cedf2c796756080ca7f485',
         'run': '0e3166fc1fe591472e32c78b2dcf9437635dc7046067c6bb9edf1617afbc9551',
-        'run_many': 'd10dff670e7f7f3470a9adb1feaf9c2ac4852d4074dd6efbec760a973eed3651',
+        'run_many': 'fd05fda114b351642d77694d2e2b1a54e02dd694fd9ffbb5f9af591dde41d32a',
     },
     'linear-poisson n=64': {
-        'equivalence': '5e7294c4fb1322fc40bf3dd1a8838dff730e55c71c2f8abb2b2c9ac118b3af82',
+        'equivalence': 'a0d8b79a0ada427722a3f8e398af97ebc282cf60d87f1c3ad45b4cb6bf0dab22',
         'oracle': '2890defd6477e9c061404a48da57a6a8321caf1b47b19f6ad3d80ceda186908e',
-        'perturbation_series': 'ee4311d92143f90d1d0f65175d3726d17ae9f1a1b69e98d22871487ea35650d1',
+        'perturbation_series': '235b9c9c394f43e6a36017728eea58d11295b167db81122c60af1ad0f5a6fa48',
         'run': '45c5e575a9839f7822b39745e7826e00f750755c27f010008116b13d0e978e4c',
-        'run_many': '31934bb451aaacbb64d2bab2d109b8f6455e5bd3c863b7281157f95765153d2a',
+        'run_many': '20aaf9daca88a218d36abe45e9fcdbca2db26ec49937970abe9d8e32bf4f8dd3',
     },
     'manufactured-quad n=32': {
-        'equivalence': 'edf67df62b80e5549cc640c5f7832fdfcc15335bebd5a5ac73f117c1c74a7ee0',
+        'equivalence': 'd3d46bf1da5f45018050460f37f13580299e243bbb5ab66d899bb44dbdeef50c',
         'oracle': '4ff34bef78cc4ee5327af6bdcf0206bad2ad9ffdfabbacbbf1d3756b1a426c61',
-        'perturbation_series': '0e7efb8366bb7c0a042fa84b4876528c330c61d5ac3e02a7333f636ba086718d',
+        'perturbation_series': 'eaa27e7da011d9c513653414aca46e4641b14ee7f68a3a7ef3f055a6d43deabc',
         'run': '3d87c908ce51d4f7ad619175693976c44a7e9d301071ca0aa842c750fb5ed6c7',
-        'run_many': '2187fbc9ac79915367fa8dd455af8748272d36bcda8554652c4422031d2f861f',
+        'run_many': 'bfbec97c09af98ae5470608b4e1553ca88e109cc5c22f9a56738e149ad933330',
     },
     'manufactured-quad n=64': {
-        'equivalence': '371b1c61e5f6a1cd2a5cb36b767aab0c406d50ff93a932fbb06c6852598662d6',
+        'equivalence': '8750c2459cf30dc221e9eda8e866302600025a1abf0132bfb4e0b9348dd1414e',
         'oracle': '4a4c220d59bdac3c427098e045cf25cee03e921d648f47ff67014c7099cc0a6e',
-        'perturbation_series': 'b3c5614ff0204a09c2744d827a238fce343339d3f7aa8caa5a77163f4b2090d1',
+        'perturbation_series': '3b4398f87b86c6f435c275f0338f0239a5d6dc27ea5a2f8046d6042e7df538a4',
         'run': '3c9615777e39ce54a95b974675c26760c028787f63253e6d9ae2ab0a80da5a08',
-        'run_many': '81e9a0ca7f7ca0d9a5952335e47265d7d614bc65d3f7d5352f34ff5d7e550013',
+        'run_many': 'b5a0c674e0dad9c3a45ad63663ad2f6cc30c462205cd4468e86898526652b00d',
     },
     'manufactured-quad substitute core, H = 1 + r': {
         'perturbation_series': '0e26606b73565574022b39007aecf47973fb7e170f29246bd248920fe6473855',
@@ -198,51 +198,51 @@ GOLDEN = {
         'run_many': 'b83b367d9f962dbdc34feb704f136269a41a3d5af15f103275f4435b82e92ccd',
     },
     'riccati-tanh-long n=32': {
-        'equivalence': '2f5b9bdd773f38b5c84a47a7e701bbd56ec3004af84751db0ba3787a3ef12f61',
+        'equivalence': '15f0723b62306066178c1fba7013d52e6aeb951e2fa7ef55aee8bc4ceeedd2f1',
         'oracle': '003366612321bb973df5713c02062437459cedc2e1d68481b7626c6b1b5807c5',
-        'perturbation_series': 'a7ef25c808664c79c35be69ebdc853d137a223ae8fbe4548a2309a7b7b579a99',
-        'run': 'ba7c28b3ab0dd4bed8adab08628a81b26ad05150b66252438c0ec1966cf54db1',
-        'run_many': '38d1cc5dd2d6ab00218564d2421c4e0cb56f1684edc2ef649f14b5b914b14c09',
+        'perturbation_series': '22cd29782978b771d608da667e1ad75f85bafc5749f686da5882fdbfe1efaae0',
+        'run': '9d33a7f1f654b746f262674935b5a70322b745e18cc7de2c1d122b5b8cecdc4c',
+        'run_many': '325d24433cb57403aa25a3c423cc25ed7c219d9bdaf75ea1750fbd8cc17fff05',
     },
     'riccati-tanh-long n=64': {
-        'equivalence': 'ec7d944fa20bc68ae538318015350678a6faff54d720d362ea957ececb480811',
+        'equivalence': '704e86df86401f9bf2aa262b07353038f1e3677636ee36063e414c95a3c164c5',
         'oracle': '4f37104cae0316066fcb751212d23ac4393d8eb6967d1982bbc07d102f8bc992',
-        'perturbation_series': '465b2927f42de7e90a02b0d72050334c40f65915e205bd471e0da7f534768b47',
-        'run': 'a3b7b3662a747e9109faeb24b34c109943e4beeeb0551092bb1bb9a5bc3abbd6',
-        'run_many': '601a968c2b2048765e26ec8a5e1729ff6645e9074dd2fb9c40f5274bca773b85',
+        'perturbation_series': '9a4cfab14e9bcbb7d4a349075c2654cea662ad94d01019ac0d6a25cadb51ea07',
+        'run': 'b203e282c97242b921c0d35e65c4975d648559b7f9f9d5cd3f3369e536520dbe',
+        'run_many': '19041f8d889df0b05241a852a5e7b868e509960e79db64f31599a4064c5359b7',
     },
     'riccati-tanh-short n=32': {
-        'equivalence': '56c38a9b3ba56f47177e9b39118d166ac840d9dcfb3504a42bc5502c99b2d079',
+        'equivalence': 'a1a6ca72a015251176019c4ae1b540c95a18be65881a99971747b94efc361c54',
         'oracle': 'e8774c989ab4bd2d8805edcf9110189438bc291f6e831ca6286fdfdf7fac9ead',
-        'perturbation_series': '636eca329a996a76eee2b6b7ca025dfd6c31d7b50d228a67a535aa3b31cd5a15',
-        'run': 'b36cea82532ab16b5d54c01e9306778ad50b45e8fa233a606355aa3460ca1a38',
-        'run_many': '2c30ef2c083f6f3d3282e961400a80089539acbfbe3073969d1af904fc6f2046',
+        'perturbation_series': 'f4e817d75b89da18f14c61087341ca052bfe640636c3c3ef5e06545d4e3d6222',
+        'run': 'eaa5713fca77a5a2efa1d50e73257fb10503e1e1fc68795382af0686858d6884',
+        'run_many': '06d4ce4545b5edb04613b3319eff9b79fb1aae1b722b93d0f2b941bae99719bb',
     },
     'riccati-tanh-short n=64': {
-        'equivalence': '692f394bda0fb6e1b3f11af7d3597e056606bba26f76f778d4020994a70c53a0',
+        'equivalence': '2b5af844d679e2cd072536f4bbcaffcc6b612b31c9d6cf18f65cd5c9c0db0631',
         'oracle': 'c93755005ccb05e3ce3eb36ce03e665ac7a762bfeaba7170c5e4b9793a1f0606',
-        'perturbation_series': 'a6819bbfdfca5d7a4b895355eb6e8075c9185134c6b127cd4b1e6ce98ad3adf7',
-        'run': '73dd8e5c521f25a49f0228964b4f3b9f55857c1fd5841d152898be901b8369f6',
-        'run_many': '1e77c89a8a5c4c5580783c9e8b97018a13391e0d4a410ca8b711ad646e15c0e7',
+        'perturbation_series': 'c866bef92f8ca2388c01b6ba117792f9dac45c50b1e52723e9d04f02f509e9d9',
+        'run': '44cd746dd0a7595e20aae35a40a9c2f5878b8f5fef72f1398dd91f575bd337d0',
+        'run_many': 'a298e35a85f330496e146b97d76c815bd0185922c5cc1d059ac432cf774cd846',
     },
     'tanh-short H = 2 - r': {
         'perturbation_series': '3a831378dced6e07f23503e0545842a9ec1b951ff22489cf67b04f8f8995dcb5',
-        'run': '088bbd8c2ac83041bf0b6eacdf7c541b4fa1aa04a06b10d8a9025fec70eb2eb9',
-        'run_many': '996cd3f8b47171cb44859275817f7e35d471f340b2fc839a534b9b98abe622d9',
+        'run': '9e5f8475edcdda5603835fd8d8c76b62167e4becf645d4c47d74622f4f584f24',
+        'run_many': 'aaa549c37f7d487db22ad1264fad6f32303cfe180face426600f99dac71b464d',
     },
     'third order n=32': {
-        'equivalence': '754e65ea3fdef19fbe9cf1c9c17fefb7282287ed0d0d20fdd583a80ed8c054ba',
+        'equivalence': 'ed23d70dd130ea1d5141953a3146d4af49bb80bbc321bcc496235077cb3552c7',
         'oracle': '6f6b22bf5f317f38691e6dc369647b3c239319665bbd84e6271687e5196c62e3',
-        'perturbation_series': '877796cec35f1e070792fc45f4ed28777cee01b99abc493e6a790efbface7a10',
-        'run': '21f4ac3d46cc60f3b47d7786752547900874c577ad93e3a8d8e2b01531ef5cd1',
-        'run_many': '6da43fe03acfbee69797827aec57572f926dac13c280c27c5590c154dc6a7896',
+        'perturbation_series': '58139ee89124d2b78488eb34508c9ccf53b114679a0d92315ba47e3f81621b25',
+        'run': '74c7cd6665c25806dfe7a29ecad9b1240ecb310bb1215d43b0d999350126c572',
+        'run_many': '6626a7773922c94cce6c5ddb39f2eaf65024d75d9281986b0d7931abf23f3fa4',
     },
     "u*u' n=40": {
-        'equivalence': '9c48b807fa187cba16995309d123299ebc5465687455d5e819473dac3030efe2',
+        'equivalence': 'f7ffe7fe1bba5901459e39c101b0a6cd4d360fac0ab81ec7f4d8ad3f5e47ffe7',
         'oracle': 'e4ad1359fde7d7be5850cd1886a8832fa22fe2850b8556a6afb8481a7f929256',
-        'perturbation_series': '7d48d7ae7377b84d5cfcab2ac7a6570516cdfd853f80d5f368be89d23d046e25',
+        'perturbation_series': '9244dc2e878baf75d2ec953b5c189a06a3403855f9e38d566be1640b218e6e1a',
         'run': '10403f9dd4ba0b6768967efbc345e1db7a94eb14ae42f96c0eafbfb833844fa0',
-        'run_many': '5962ceec51f4580b34d58534d9c52323de9c7cb417f4bae78996bf1568e033df',
+        'run_many': 'fd95f4109accd8d08b2e8951bca25b3a0e187549a8667fc1d87ddcf5375ddc8e',
     },
 }
 

@@ -8,6 +8,7 @@ pins the frozen optimum found during calibration (docs/calibration.md).
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -342,6 +343,26 @@ class TestModelSearch:
         # (docs/calibration.md)
         ws = Workspace(problem, config)
         assert optimal_workspace(ws, bracket) == zoom_only(ws, bracket, monkeypatch)
+
+    # measured maximum 0.5 k eps, at k = 1 (docs/calibration.md, "Model search")
+    @given(
+        order=st.integers(0, 100),
+        points=st.lists(
+            st.floats(0.01, 10.0).flatmap(lambda h: st.sampled_from([-h, h])), min_size=1, max_size=17
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weights_are_within_k_eps_of_the_exact_ones(self, order, points):
+        # hbar^k is a running product of k - 1 roundings, then comb times
+        # it one more: relative error at most (k + 1) eps / 2 <= k eps for
+        # k >= 1, and the k = 0 weight is exactly 1
+        ws = Workspace(LINEAR.with_grid_n(16), HamConfig(order=order))
+        weights = hbar._series_model(ws, 1.0)._weights(np.array(points))
+        assert weights.shape == (order + 1, len(points))
+        for j, h in enumerate(points):
+            for k in range(order + 1):
+                exact = math.comb(order, k) * Fraction(h) ** k
+                assert abs(Fraction(float(weights[k, j])) - exact) <= Fraction(k * hbar.EPS) * abs(exact)
 
     def test_one_perturbation_series_per_search(self, count_calls):
         series = count_calls("hamsolve.engine", "Workspace.perturbation_series")

@@ -126,7 +126,7 @@ class TestEquivalence:
     def test_builtin_cases_match_bitwise(self, case_id):
         report = check_equivalence(get_case(case_id).spec, order=10)
         assert report.passed
-        # reference function is zero for every builtin, so the grouped
+        # reference function is zero for every builtin, so the folded
         # engine arithmetic collapses to the oracle's exactly
         assert report.max_rel_diff == 0.0
         assert len(report.per_order_rel_diff) == 11
