@@ -27,10 +27,14 @@ L_opt(u - u_0), H F(u) and the BC rows' residuals. Newton returns the parts
 of the point it accepts beside the step, and the trace hands them to the
 tangent and to the endpoint update, so neither evaluates G: the tangent
 costs two O(n) combinations and one solve with that LU, and the endpoint
-update one more LU (none when N reads no u). The trace forms u_0's parts once, with F, and reads
-step 0's G and the first tangent from them. Every iterate is bitwise what
-the plain formulas give (docs/recursions.md, "What one Newton iteration
-costs" and "The tangent predictor").
+update one more LU (none when N reads no u). When N reads no u, the
+core is L's own matrix and H = 1, the jacobian at hbar = 1 is L_opt's BC
+matrix at every eps, and the trace factors nothing: every solve uses
+L_opt's LU and every step reports its condition. The trace forms u_0's
+parts once, with F, and reads step 0's G and the first tangent from them.
+Every iterate is bitwise what the plain formulas give, with L_opt's
+matrix as the jacobian where it folds (docs/recursions.md, "What one
+Newton iteration costs" and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
@@ -162,15 +166,25 @@ class _Corrector:
     Every work array is column-major, as LAPACK factors ``J`` in place,
     and so are the corrector's copies of A_L, L_opt's matrix and the D_k
     (k >= 1) that N's partials multiply, so that building ``J`` reads
-    nothing across the two layouts. A trace builds one corrector for all
-    its solves: fresh arrays this large are page-faulted in anew, and the
-    tape is lowered once.
+    nothing across the two layouts. The arrays are built with the first
+    jacobian, so a corrector that only folds (``factor``) allocates none.
+    A trace builds one corrector for all its solves: fresh arrays this
+    large are page-faulted in anew, and the tape is lowered once.
     """
 
     def __init__(self, ws: Workspace):
-        n = ws.grid.n
         self.ws = ws
         self.partials = PartialsTape(ws.problem.N, ws.grid.nodes)
+        # when N reads no u, L_opt's matrix is L's and H = 1, J's interior rows
+        # are c A_L, c = 1 + eps (hbar - 1): L_opt's where c = 1 (``factor``)
+        self.folds = ws._folds and self.partials.u_independent
+        self.J = None  # the work arrays, built with the first jacobian
+        self.scaled_eps = None  # the eps that scaled_lopt was formed at
+        self.lu = ws.lopt.lu
+        self.lu_is_lopt = True  # whose condition the workspace holds
+
+    def _work_arrays(self):
+        ws, n = self.ws, self.ws.grid.n
         self.A_L = np.array(ws.A_L, order="F")
         self.lopt_matrix = np.array(ws.lopt.matrix, order="F")
         self.diffs = {k: np.array(ws.grid.diff_matrix(k), order="F") for k in range(1, ws.problem.N.u_order + 1)}
@@ -178,11 +192,11 @@ class _Corrector:
         self.term = np.empty((n, n), order="F") if self.diffs else None
         self.scaled_lopt = np.empty((n, n), order="F")
         self.J = np.empty((n, n), order="F")
-        self.scaled_eps = None  # the eps that scaled_lopt was formed at
-        self.lu = ws.lopt.lu
 
     def jacobian(self, eps: float, u: np.ndarray) -> np.ndarray:
         """``homotopy_jacobian`` written into ``J``."""
+        if self.J is None:
+            self._work_arrays()
         ws, lopt, out = self.ws, self.ws.lopt, self.J
         if eps != self.scaled_eps:  # the part that does not depend on u
             np.multiply(self.lopt_matrix, 1.0 - eps, out=self.scaled_lopt)
@@ -198,6 +212,16 @@ class _Corrector:
         out[lopt.rows] = lopt.matrix[lopt.rows]
         return out
 
+    def factor(self, eps: float, u: np.ndarray):
+        """Make ``lu`` the jacobian's at (eps, u): ``ws.lopt.lu`` where the
+        corrector folds and c = 1 exactly, that is at eps = 0 or hbar = 1."""
+        self.lu_is_lopt = self.folds and (eps == 0.0 or self.ws.config.hbar == 1.0)
+        self.lu = self.ws.lopt.lu if self.lu_is_lopt else LU(self.jacobian(eps, u))
+
+    def condition(self) -> float:
+        """``lu``'s condition estimate, the workspace's own for L_opt's LU."""
+        return self.ws.lopt.condition if self.lu_is_lopt else self.lu.condition()
+
     def update(self, eps: float, u: np.ndarray, g: np.ndarray, refactor: bool = True) -> np.ndarray:
         """The Newton update at (eps, u) for G = ``g``, solved with the
         jacobian factored at u, or with ``lu`` as it stands when not
@@ -206,7 +230,7 @@ class _Corrector:
         one at an iterate where G is not finite either, gives a non-finite
         update, reported as SingularSystemError (docs/recursions.md)."""
         if refactor:
-            self.lu = LU(self.jacobian(eps, u))
+            self.factor(eps, u)
         delta = self.lu.solve(-g)
         if not np.all(np.isfinite(delta)):
             raise SingularSystemError(
@@ -228,8 +252,8 @@ class _Corrector:
         for it in range(NEWTON_MAX_ITERS + 1):
             if _converged(gnorm, u):
                 if it == 0:  # no update was taken: factor the jacobian at u
-                    self.lu = LU(self.jacobian(eps, u))
-                return PathStep(eps, u, it, self.lu.condition(), True, gnorm), parts
+                    self.factor(eps, u)
+                return PathStep(eps, u, it, self.condition(), True, gnorm), parts
             if it == NEWTON_MAX_ITERS:
                 break
             delta = self.update(eps, u, g, refactor=it == 0 or not self.partials.u_independent)
@@ -278,7 +302,7 @@ class _Corrector:
         gnorm = float(np.max(np.abs(_residual(ws, 1.0, _parts(ws, u)))))
         if not _converged(gnorm, u):
             return step
-        return PathStep(1.0, u, step.newton_iters + 1, self.lu.condition(), True, gnorm)
+        return PathStep(1.0, u, step.newton_iters + 1, self.condition(), True, gnorm)
 
 
 def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:

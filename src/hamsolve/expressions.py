@@ -314,23 +314,30 @@ class LinearOperator:
 
 
 class _Tokens:
+    """The text and ``pos``, where its next token starts: consuming a token
+    skips the whitespace after it, so ``peek`` reads one character."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.skip_ws()
 
-    def _skip_ws(self):
+    def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
     def peek(self) -> str:
-        self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self):
+        """Consume the one-character token at ``pos``."""
+        self.pos += 1
+        self.skip_ws()
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, column=self.pos + 1)
 
     def take_number(self) -> float:
-        self._skip_ws()
         start = self.pos
         n = len(self.text)
         while self.pos < n and (self.text[self.pos].isdigit() or self.text[self.pos] == "."):
@@ -354,10 +361,11 @@ class _Tokens:
         if math.isinf(value):
             self.pos = start
             raise self.error(f"number literal {token!r} overflows a float")
+        self.skip_ws()
         return value
 
     def take_name(self) -> str:
-        self._skip_ws()
+        """The letters at ``pos``, without the whitespace after them."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
@@ -385,12 +393,12 @@ def _parse_sum(toks: _Tokens) -> OperatorExpr:
     if toks.peek() in ("+", "-"):
         if toks.peek() == "-":
             sign = -1.0
-        toks.pos += 1
+        toks.advance()
     term = _parse_term(toks)
     terms.append(term if sign > 0 else Product((Const(-1.0), term)))
     while toks.peek() in ("+", "-"):
         negate = toks.peek() == "-"
-        toks.pos += 1
+        toks.advance()
         term = _parse_term(toks)
         terms.append(Product((Const(-1.0), term)) if negate else term)
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -400,7 +408,7 @@ def _parse_term(toks: _Tokens) -> OperatorExpr:
     factors = [_parse_factor(toks)]
     while toks.peek() in ("*", "/"):
         divide = toks.peek() == "/"
-        toks.pos += 1
+        toks.advance()
         nxt = _parse_factor(toks)
         factors.append(Power(nxt, -1.0) if divide else nxt)
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
@@ -409,24 +417,24 @@ def _parse_term(toks: _Tokens) -> OperatorExpr:
 def _parse_factor(toks: _Tokens) -> OperatorExpr:
     base = _parse_primary(toks)
     if toks.peek() == "^":
-        toks.pos += 1
+        toks.advance()
         return Power(base, _parse_exponent(toks))
     return base
 
 
 def _parse_exponent(toks: _Tokens) -> float:
     if toks.peek() == "(":
-        toks.pos += 1
+        toks.advance()
         value = _parse_exponent(toks)
         if toks.peek() != ")":
             raise toks.error("expected ')' after exponent")
-        toks.pos += 1
+        toks.advance()
         return value
     sign = 1.0
     if toks.peek() in ("+", "-"):
         if toks.peek() == "-":
             sign = -1.0
-        toks.pos += 1
+        toks.advance()
     ch = toks.peek()
     if not (ch.isdigit() or ch == "."):
         raise toks.error("exponent must be a numeric literal")
@@ -438,42 +446,43 @@ def _parse_primary(toks: _Tokens) -> OperatorExpr:
     if ch == "":
         raise toks.error("unexpected end of expression")
     if ch == "(":
-        toks.pos += 1
+        toks.advance()
         inner = _parse_sum(toks)
         if toks.peek() != ")":
             raise toks.error("expected ')'")
-        toks.pos += 1
+        toks.advance()
         return inner
     if ch == "-":
-        toks.pos += 1
+        toks.advance()
         return Product((Const(-1.0), _parse_factor(toks)))
     if ch.isdigit() or ch == ".":
         return Const(toks.take_number())
     if ch.isalpha():
         name = toks.take_name()
+        order = 0
+        while name == "u" and toks.peek() == "'":  # primes follow u at once
+            order += 1
+            toks.pos += 1
+        if order > MAX_DERIVATIVE_ORDER:
+            raise toks.error(
+                f"derivative order {order} exceeds the supported maximum "
+                f"{MAX_DERIVATIVE_ORDER}"
+            )
+        if name not in ("u", "r", "pi") and name not in UNARY_FUNCTIONS:
+            raise toks.error(f"unknown name {name!r}")
+        toks.skip_ws()
         if name == "u":
-            order = 0
-            while toks.pos < len(toks.text) and toks.text[toks.pos] == "'":
-                order += 1
-                toks.pos += 1
-            if order > MAX_DERIVATIVE_ORDER:
-                raise toks.error(
-                    f"derivative order {order} exceeds the supported maximum "
-                    f"{MAX_DERIVATIVE_ORDER}"
-                )
             return U(order)
         if name == "r":
             return Coord()
         if name == "pi":
             return Const(math.pi)
-        if name in UNARY_FUNCTIONS:
-            if toks.peek() != "(":
-                raise toks.error(f"expected '(' after {name}")
-            toks.pos += 1
-            arg = _parse_sum(toks)
-            if toks.peek() != ")":
-                raise toks.error(f"expected ')' closing {name}(...)")
-            toks.pos += 1
-            return Call(name, arg)
-        raise toks.error(f"unknown name {name!r}")
+        if toks.peek() != "(":
+            raise toks.error(f"expected '(' after {name}")
+        toks.advance()
+        arg = _parse_sum(toks)
+        if toks.peek() != ")":
+            raise toks.error(f"expected ')' closing {name}(...)")
+        toks.advance()
+        return Call(name, arg)
     raise toks.error(f"unexpected character {ch!r}")

@@ -242,9 +242,10 @@ class TestSeriesIsThePath:
         assert gaps[0.05][5] < max(1e-3 * gaps[0.05][2], 1e-10)
 
 
+USER_CORE = LinearOperator.from_strings(("1", "0", "1"))  # u + u''
 NON_L_CORES = [
     (exp_problem(), "frechet-at-u0"),
-    (exp_problem(), LinearOperator.from_strings(("1", "0", "1"))),
+    (exp_problem(), USER_CORE),
 ]
 
 
@@ -327,9 +328,11 @@ class TestTangentPredictor:
 
     def test_endpoint_update_keeps_the_accuracy(self, monkeypatch):
         # the final point passes the stop test, and the worst sup error
-        # over the builtins at n 32/64/128 is no larger than the
-        # zeroth-order tracer's without the endpoint update; single
-        # configurations move both ways at the 1e-15 level
+        # over the builtins at n 32/64/128, with the predictor and endpoint
+        # update and with the zeroth-order start without them, stays under
+        # 2.19e-13, the zeroth-order tracer's worst before linear traces
+        # solved with L_opt's own LU (docs/calibration.md, "Continuation").
+        # Both worsts are roundoff, and single configurations move both ways
         worst = {}
         for predictor in (True, False):
             errors = []
@@ -344,17 +347,19 @@ class TestTangentPredictor:
                         assert continuation._converged(final.residual_inf, final.u)
                         errors.append(error_vs_exact(get_case(case_id), final.u, ws.grid))
             worst[predictor] = max(errors)
-        assert worst[True] <= worst[False]
+        assert worst[True] <= 2.19e-13
+        assert worst[False] <= 2.19e-13
 
     def test_trace_fine_factorization_count(self, monkeypatch):
         # perfbench trace-fine's traces at n <= 128, which repeat bitwise
         # for any BLAS thread count: 319 LUs with the zeroth-order start,
-        # 238 with the tangent predictor
+        # 236 with the tangent predictor, 204 with linear-poisson's solved
+        # on L_opt's own LU (docs/calibration.md)
         calls = record_calls(monkeypatch, continuation, "LU")
         for case_id in case_ids():
             for n in (64, 128):
                 assert trace_workspace(_builtin(case_id, n)).final.eps == 1.0
-        assert len(calls) <= 238
+        assert len(calls) <= 204
 
 
 def record_calls(monkeypatch, holder, name):
@@ -391,6 +396,10 @@ class TestTracePath:
         path = trace_path(LINEAR.spec.with_grid_n(64), HamConfig(hbar=1.0))
         assert path.final.eps == 1.0
         assert len(calls) == 1
+
+    def test_linear_poisson_at_n_192_takes_no_halving(self):
+        path = trace_workspace(_builtin("linear-poisson", 192))
+        assert [step.eps for step in path.steps] == [k / 16 for k in range(17)]
 
     def test_steps_carry_newton_residual(self):
         config = HamConfig(hbar=1.0)
@@ -522,10 +531,11 @@ class TestConditionEstimate:
 
     def test_one_factorization_per_eps_when_n_does_not_depend_on_u(self, count_calls):
         # linear-poisson's jacobian is the same at every iterate of one eps;
-        # at n = 192 Newton takes two updates at some eps even from the
+        # at hbar = 0.5 it is not L_opt's own (c = 1 - eps / 2), and at
+        # n = 192 Newton takes two updates at some eps even from the
         # predicted start. The endpoint update solves with the LU Newton
         # factored at eps = 1, so it adds none.
-        ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=1.0))
+        ws = Workspace(LINEAR.spec.with_grid_n(192), HamConfig(hbar=0.5))
         attempts = count_calls("hamsolve.continuation", "_Corrector.newton")
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
         jacobians = count_calls("hamsolve.continuation", "_Corrector.jacobian")
@@ -536,38 +546,55 @@ class TestConditionEstimate:
         assert len(jacobians) == len(attempts)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
-    def test_endpoint_update_reuses_the_eps_one_lu(self, n, count_calls):
-        # N reads no u, so J(1, u) is bitwise the matrix Newton's last LU
-        # holds: the 16 steps take one LU each, the workspace one, and the
-        # endpoint update, which the final step takes, none
-        factorizations = count_calls("hamsolve.grids", "LU.__init__")
+    def test_endpoint_update_reuses_the_eps_one_lu(self, n, count_calls, monkeypatch):
+        # N reads no u, the core is L and H = 1, so at hbar = 1 every J is
+        # L_opt's own matrix: the 16 steps and the endpoint update solve with
+        # the workspace's LU and factor none. The final step keeps the
+        # update at n 32 and 64; at n = 128 the updated point's |G| (2.26e-10)
+        # misses the stop test (2.0e-10) at roundoff, so the step stays
         ws = Workspace(LINEAR.spec.with_grid_n(n), HamConfig(hbar=1.0))
+        factorizations = count_calls("hamsolve.grids", "LU.__init__")
+        polished = record_calls(monkeypatch, continuation._Corrector, "polish")
         path = trace_workspace(ws)
         assert [step.eps for step in path.steps] == [k / 16 for k in range(17)]
-        assert path.final.newton_iters == 1
-        assert len(factorizations) == 17
+        assert len(polished) == 1
+        assert path.final.newton_iters == (1 if n < 128 else 0)
+        assert len(factorizations) == 0
+        assert all(step.jac_condition == ws.lopt.condition for step in path.steps)
 
     def test_steps_accepted_without_update_factor_the_jacobian(self, count_calls):
-        # every step factors the jacobian at its accepted point; the
-        # endpoint update is the one update of the trace, and N = 0 reads no
-        # u, so it solves with the LU of the last step
+        # at hbar = 0.5 every step factors the jacobian at its accepted
+        # point; the endpoint update is the one update of the trace, and
+        # N = 0 reads no u, so it solves with the LU of the last step. At
+        # hbar = 1 every J is L_opt's own matrix: nothing is factored
         parsed = parse_problem_text(SOLVED_AT_START)
-        ws = Workspace(parsed.problem, parsed.config)
-        factorizations = count_calls("hamsolve.grids", "LU.__init__")
-        path = trace_workspace(ws)
-        assert path.final.eps == 1.0
-        assert [step.newton_iters for step in path.steps] == [0] * 16 + [1]
-        assert len(factorizations) == 16
-        for step in path.steps:
-            exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
-            assert np.isfinite(step.jac_condition)
-            assert step.jac_condition == pytest.approx(exact, rel=1e-10)
+        for hbar, lus in ((0.5, 16), (1.0, 0)):
+            ws = Workspace(parsed.problem, parsed.config.with_hbar(hbar))
+            factorizations = count_calls("hamsolve.grids", "LU.__init__")
+            path = trace_workspace(ws)
+            assert path.final.eps == 1.0
+            assert [step.newton_iters for step in path.steps] == [0] * 16 + [1]
+            assert len(factorizations) == lus
+            for step in path.steps:
+                exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
+                assert np.isfinite(step.jac_condition)
+                assert step.jac_condition == pytest.approx(exact, rel=1e-10)
+                if hbar == 1.0:
+                    assert step.jac_condition == ws.lopt.condition
 
 
 # Newton as first written, the reference for the bitwise tests below: the
 # Fréchet matrix with np.diag, the jacobian from the plain formula at every
 # iterate, and lu_factor / lu_solve with their default finiteness checks;
-# only the condition estimate is the library's, on a fresh grids.LU
+# only the condition estimate is the library's, on a fresh grids.LU. Where
+# J is L_opt's own matrix (``plain_folds``) it is factored from
+# ``ws.lopt.matrix`` and its condition is ``ws.lopt.condition``.
+def plain_folds(ws, eps):
+    """N reads no u, the core is L's own with H = 1, and c = 1 + eps (hbar - 1)
+    is exactly 1, so J's interior rows c A_L and its BC rows are L_opt's."""
+    return max_u_order(ws.problem.N) < 0 and ws._folds and (eps == 0.0 or ws.config.hbar == 1.0)
+
+
 def plain_frechet(A_L, N, grid, u):
     A = np.array(A_L, dtype=float)
     upto = max_u_order(N)
@@ -580,13 +607,17 @@ def plain_frechet(A_L, N, grid, u):
 
 
 def plain_jacobian(ws, eps, u):
+    if plain_folds(ws, eps):
+        return ws.lopt.matrix
     df = plain_frechet(ws.A_L, ws.problem.N, ws.grid, u)
     J = (1.0 - eps) * ws.lopt.matrix + (eps * ws.config.hbar) * (ws.H_vals[:, None] * df)
     J[ws.lopt.rows] = ws.lopt.matrix[ws.lopt.rows]
     return J
 
 
-def plain_condition(J):
+def plain_condition(ws, J):
+    if J is ws.lopt.matrix:
+        return ws.lopt.condition
     return LU(np.array(J, order="F")).condition()
 
 
@@ -600,7 +631,7 @@ def plain_newton(ws, eps, warm_start):
         if lu is None:
             J = plain_jacobian(ws, eps, u)
             lu = lu_factor(J)
-        return PathStep(eps, u, iters, plain_condition(J), True, gnorm), lu
+        return PathStep(eps, u, iters, plain_condition(ws, J), True, gnorm), lu
 
     u = warm_start.copy()
     g = homotopy_residual(ws, eps, u)
@@ -652,7 +683,7 @@ def plain_endpoint_update(ws, step):
     gnorm = float(np.max(np.abs(homotopy_residual(ws, 1.0, u))))
     if not plain_converged(gnorm, u):
         return step
-    return PathStep(1.0, u, step.newton_iters + 1, plain_condition(J), True, gnorm)
+    return PathStep(1.0, u, step.newton_iters + 1, plain_condition(ws, J), True, gnorm)
 
 
 def plain_trace(ws, initial_steps=16):
@@ -766,10 +797,11 @@ BITWISE_CASES = [(cid, n) for cid in case_ids() for n in (32, 64)] + [("linear-p
 
 class TestNewtonBitwise:
     """The Newton rewrite (eps-only part formed once, no wrapper copies or
-    finiteness scans, one LU per eps when N does not depend on u, the
-    tangent solved with the LU Newton holds) changes no bit of any iterate,
-    path point or condition number against the tracer written out with
-    lu_factor / lu_solve at the same iterates."""
+    finiteness scans, one LU per eps when N does not depend on u, L_opt's
+    own LU where J is L_opt's matrix, the tangent solved with the LU Newton
+    holds) changes no bit of any iterate, path point or condition number
+    against the tracer written out with lu_factor / lu_solve at the same
+    iterates."""
 
     def _assert_same_trace(self, ws):
         got = traced_steps(ws)
@@ -793,6 +825,30 @@ class TestNewtonBitwise:
         # a trace lowers N's partials tape once and refills it at every
         # iterate; exp, sin, tanh and sqrt nodes keep rows of their own
         ws = _from_text(TRANSCENDENTAL)
+        self._assert_same_trace(ws)
+
+    @pytest.mark.parametrize(
+        "make_ws, folds",
+        [
+            (lambda: _builtin("linear-poisson", 32), True),
+            # N reads no u, so the frechet-at-u0 core is L's own matrix
+            (lambda: Workspace(LINEAR.spec.with_grid_n(32), HamConfig(hbar=1.0, lopt_mode="frechet-at-u0")), True),
+            (lambda: _builtin("manufactured-quad", 32), False),
+            (lambda: Workspace(exp_problem(), HamConfig(hbar=1.0, lopt_mode="frechet-at-u0")), False),
+            (lambda: Workspace(LINEAR.spec.with_grid_n(32), HamConfig(hbar=1.0, H=parse_expr("1 + 0.5*r"))), False),
+            (lambda: Workspace(LINEAR.spec.with_grid_n(32), HamConfig(hbar=1.0, lopt_mode=USER_CORE)), False),
+            (lambda: Workspace(LINEAR.spec.with_grid_n(32), HamConfig(hbar=0.5)), False),
+        ],
+        ids=["linear", "linear-frechet-at-u0", "n-reads-u", "exp-frechet-at-u0", "non-unit-H", "user-core", "hbar-0.5"],
+    )
+    def test_jacobian_is_lopt_only_where_it_folds(self, make_ws, folds, count_calls):
+        # a trace that folds builds no jacobian and factors nothing; any
+        # other builds and factors its own, and both match the reference
+        ws = make_ws()
+        jacobians = count_calls("hamsolve.continuation", "_Corrector.jacobian")
+        factorizations = count_calls("hamsolve.grids", "LU.__init__")
+        traced_steps(ws)
+        assert (len(jacobians) == 0) == (len(factorizations) == 0) == folds
         self._assert_same_trace(ws)
 
     @pytest.mark.parametrize("case_id", ["manufactured-quad", "riccati-tanh-short"])

@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamsolve
 from hamsolve import (
@@ -34,7 +35,7 @@ from hamsolve import (
     parse_problem_text,
     walk,
 )
-from hamsolve.expressions import checked_call, checked_power
+from hamsolve.expressions import UNARY_FUNCTIONS, checked_call, checked_power
 
 from test_jets import expression_trees
 from test_perfbench_checks import load_workloads
@@ -109,6 +110,33 @@ def test_parse_errors_carry_columns(text, column):
     # the location is stated once, ahead of the message
     assert str(err.value) == f"column {column}: {err.value.message}"
     assert "column" not in err.value.message
+
+
+# valid expressions as token lists: whitespace may stand between any two
+# tokens, and a number, a name with its primes or an operator is one token
+NUMBERS = st.sampled_from(["2", "0.5", "3.", ".25", "1e-3", "2E+1"])
+EXPONENTS = st.one_of(
+    NUMBERS.map(lambda x: [x]), NUMBERS.map(lambda x: ["-", x]), NUMBERS.map(lambda x: ["(", "+", x, ")"])
+)
+ATOMS = st.one_of(st.sampled_from(["u", "u'", "u''", "r", "pi"]), NUMBERS).map(lambda t: [t])
+TOKENS = st.recursive(
+    st.one_of(ATOMS, st.tuples(ATOMS, EXPONENTS).map(lambda p: [*p[0], "^", *p[1]])),
+    lambda inner: st.one_of(
+        inner.map(lambda t: ["(", *t, ")"]),
+        st.tuples(st.sampled_from(sorted(UNARY_FUNCTIONS)), inner).map(lambda p: [p[0], "(", *p[1], ")"]),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: [*p[0], p[1], *p[2]]),
+        inner.map(lambda t: ["-", *t]),
+        st.tuples(inner, EXPONENTS).map(lambda p: ["(", *p[0], ")", "^", *p[1]]),
+    ),
+    max_leaves=12,
+)
+
+
+@given(tokens=TOKENS, data=st.data())
+def test_whitespace_between_tokens_gives_the_same_tree(tokens, data):
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "\t", "  ", " \t"]), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    spaced = gaps[0] + "".join(token + gap for token, gap in zip(tokens, gaps[1:]))
+    assert parse_expr(spaced) == parse_expr("".join(tokens))
 
 
 def test_empty_expression_rejected():
