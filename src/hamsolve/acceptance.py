@@ -180,18 +180,22 @@ def criterion_5_convergence_control() -> Tuple[bool, str]:
 
 def criterion_6_exact_recovery() -> Tuple[bool, str]:
     """Benchmark errors against exact solutions at pinned parameters."""
-    short_err = _series_error("riccati-tanh-short", HamConfig(hbar=-1.0, order=10))
-    lin_err = _series_error("linear-poisson", HamConfig(hbar=-1.0, order=1))
-    quad_err = _series_error(
-        "manufactured-quad",
-        HamConfig(hbar=MANUFACTURED_HBAR, order=MANUFACTURED_ORDER),
-    )
+    short_err, lin_err, quad_err = exact_recovery_errors()
     ok = short_err < 1e-4 and lin_err < 1e-10 and quad_err < 1e-5
     detail = (
         f"tanh-short err={short_err:.3e} (< 1e-4), poisson err={lin_err:.3e} "
         f"(< 1e-10), manufactured err={quad_err:.3e} (< 1e-5)"
     )
     return ok, detail
+
+
+def exact_recovery_errors() -> Tuple[float, float, float]:
+    """Criterion 6's sup errors: tanh-short, poisson and manufactured."""
+    return (
+        _series_error("riccati-tanh-short", HamConfig(hbar=-1.0, order=10)),
+        _series_error("linear-poisson", HamConfig(hbar=-1.0, order=1)),
+        _series_error("manufactured-quad", HamConfig(hbar=MANUFACTURED_HBAR, order=MANUFACTURED_ORDER)),
+    )
 
 
 def _series_error(case_id: str, config: HamConfig) -> float:

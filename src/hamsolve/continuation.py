@@ -20,13 +20,19 @@ A trace keeps Newton's state in one corrector object: the work arrays
 that the jacobian is built in and factored in place (``grids.LU``, the
 package's one LU type), (1 - eps) L_opt formed once per eps, and the LU of
 the last jacobian factored, L_opt's own until Newton factors one (the
-jacobian at eps = 0 is L_opt's BC matrix). A Newton iteration costs about
-one dense LU, and when N does not depend on u one LU serves every update
-at an eps. G at any eps is one combination of G's parts at u,
-L_opt(u - u_0), H F(u) and the BC rows' residuals. Newton returns the parts
-of the point it accepts beside the step, and the trace hands them to the
-tangent and to the endpoint update, so neither evaluates G: the tangent
-costs two O(n) combinations and one solve with that LU, and the endpoint
+jacobian at eps = 0 is L_opt's BC matrix). The first Newton update at an
+eps costs one dense LU. When N does not depend on u that LU serves every
+later update at the eps. Otherwise, when kappa_1(L_opt) is at most
+``CHORD_COND_LIMIT``, a later update first tries the chord step, which
+solves with the eps's last LU (a simplified Newton step; Deuflhard,
+*Newton Methods for Nonlinear Problems*, 2004, ch. 2), and keeps it when
+it cuts |G|_inf to ``CHORD_THETA`` of its value; else, and on every trace
+above the limit, the update factors the jacobian at its own iterate. G at
+any eps is one combination of G's parts at u, L_opt(u - u_0), H F(u) and
+the BC rows' residuals. Newton returns the parts of the point it accepts
+beside the step, and the trace hands them to the tangent and to the
+endpoint update, so neither evaluates G: the tangent costs two O(n)
+combinations and one solve with the eps's last LU, and the endpoint
 update one more LU (none when N reads no u). When N reads no u, the
 core is L's own matrix and H = 1, the jacobian at hbar = 1 is L_opt's BC
 matrix at every eps, and the trace factors nothing: every solve uses
@@ -38,11 +44,12 @@ Newton iteration costs" and "The tangent predictor").
 
 Each path step reports the 1-norm condition number of the embedding
 jacobian. No inverse is formed and no jacobian is built for it: it is the
-estimate ``LU.condition`` takes from the LU factorization that Newton's
-last update already computed, which is the jacobian at the iterate
-one update before the accepted point (at the point itself when Newton
-took no update). At eps = 0 the jacobian is exactly L_opt's BC-modified
-matrix, so the step reuses that system's condition.
+estimate ``LU.condition`` takes from the last LU factorization at the
+step's eps, the one the tangent solves with: the jacobian at the iterate
+where Newton last factored one (the step's first update, or a fresh
+update after a failed chord step; the point itself when Newton took no
+update). At eps = 0 the jacobian is exactly L_opt's BC-modified matrix, so
+the step reuses that system's condition.
 
 Note the embedding direction matters: for hbar < 0 the convex combination
 (1 - eps) L_opt + eps hbar L can pass through an exactly singular matrix at
@@ -74,12 +81,19 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERS = 50
 MAX_HALVINGS = 8
 MIN_STEP = 1e-4
+# a chord step is kept when it cuts |G|_inf to this share of its value
+CHORD_THETA = 0.25
+# chord steps only where kappa_1(L_opt) is at most this: a stale LU meets
+# the roundoff floor of the stop test sooner (docs/calibration.md)
+CHORD_COND_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
 class PathStep:
     """Newton's result at eps, and so one point of a path once converged.
-    ``jac_condition`` is nan when Newton did not converge."""
+    ``jac_condition`` is the 1-norm condition estimate of the last jacobian
+    factored at eps, at the iterate it was factored at, which need not be
+    ``u``; nan when Newton did not converge."""
 
     eps: float
     u: np.ndarray
@@ -144,6 +158,13 @@ def _residual(ws: Workspace, eps: float, parts: _Parts) -> np.ndarray:
     return g
 
 
+def _evaluate(ws: Workspace, eps: float, u: np.ndarray, with_F: bool):
+    """G(eps, u), its sup norm and u's parts."""
+    parts = _parts(ws, u, with_F)
+    g = _residual(ws, eps, parts)
+    return g, float(np.max(np.abs(g))), parts
+
+
 def homotopy_jacobian(ws: Workspace, eps: float, u: np.ndarray) -> np.ndarray:
     """d G/d u at (eps, u), dense, with BC rows in place."""
     eps = real_argument(eps, "eps", 0.0, 1.0)
@@ -157,8 +178,9 @@ def _converged(gnorm: float, u: np.ndarray) -> bool:
 
 class _Corrector:
     """Newton's state on one workspace: the n x n work arrays, N's partials
-    tape, (1 - eps) L_opt's matrix at the eps last asked for, and ``lu``,
-    the LU of the last jacobian factored. It keeps no point or G: ``newton``
+    tape, (1 - eps) L_opt's matrix at the eps last asked for, ``lu``, the
+    LU of the last jacobian factored, and ``takes_chords``, whether Newton
+    tries chord steps on this trace. It keeps no point or G: ``newton``
     returns G's parts at the point it accepts, and ``tangent`` and
     ``polish`` read only the parts they are given. ``lu`` starts as
     ``ws.lopt.lu``, the jacobian's at eps = 0; after that its factors
@@ -182,6 +204,8 @@ class _Corrector:
         self.scaled_eps = None  # the eps that scaled_lopt was formed at
         self.lu = ws.lopt.lu
         self.lu_is_lopt = True  # whose condition the workspace holds
+        # later updates at an eps try the chord step first (``newton``)
+        self.takes_chords = not self.partials.u_independent and ws.lopt.condition <= CHORD_COND_LIMIT
 
     def _work_arrays(self):
         ws, n = self.ws, self.ws.grid.n
@@ -238,17 +262,32 @@ class _Corrector:
             )
         return delta
 
+    def chord(self, eps: float, u: np.ndarray, g: np.ndarray, gnorm: float, with_F: bool):
+        """The chord step at (eps, u) for G = ``g``: the full update solved
+        with ``lu`` as it stands, no jacobian built or factored. The point,
+        its G, |G|_inf and parts when it cuts |G|_inf to ``CHORD_THETA``
+        of ``gnorm`` at least, else None; None too when the update is not
+        finite."""
+        point = self.lu.solve(-g)  # the update, then u plus it in place
+        if not np.all(np.isfinite(point)):
+            return None
+        point += u
+        g_point, norm, parts = _evaluate(self.ws, eps, point, with_F)
+        return (point, g_point, norm, parts) if norm <= CHORD_THETA * gnorm else None
+
     def newton(self, eps: float, warm_start: np.ndarray) -> tuple[PathStep, _Parts]:
         """``newton_at``, and G's parts at the point it returns (without F
-        at eps = 0). When N does not depend on u the jacobian is the same
-        matrix at every iterate, so it is built and factored once and its
-        LU serves every update."""
+        at eps = 0). The first update at an eps factors the jacobian at its
+        iterate. When N does not depend on u the jacobian is the same
+        matrix at every iterate, so that LU serves every later update.
+        Otherwise, on a trace that ``takes_chords``, each later update
+        first tries the chord step with ``lu``, the last LU factored at
+        the eps, and factors the jacobian at its own iterate, with the line
+        search, only where the chord step fails (Deuflhard 2004, ch. 2)."""
         ws = self.ws
         with_F = eps > 0.0
         u = warm_start.copy()
-        parts = _parts(ws, u, with_F)
-        g = _residual(ws, eps, parts)
-        gnorm = float(np.max(np.abs(g)))
+        g, gnorm, parts = _evaluate(ws, eps, u, with_F)
         for it in range(NEWTON_MAX_ITERS + 1):
             if _converged(gnorm, u):
                 if it == 0:  # no update was taken: factor the jacobian at u
@@ -256,13 +295,16 @@ class _Corrector:
                 return PathStep(eps, u, it, self.condition(), True, gnorm), parts
             if it == NEWTON_MAX_ITERS:
                 break
+            if it > 0 and self.takes_chords:
+                kept = self.chord(eps, u, g, gnorm, with_F)
+                if kept is not None:
+                    u, g, gnorm, parts = kept
+                    continue
             delta = self.update(eps, u, g, refactor=it == 0 or not self.partials.u_independent)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 trial = u + scale * delta
-                trial_parts = _parts(ws, trial, with_F)
-                g_trial = _residual(ws, eps, trial_parts)
-                t_norm = float(np.max(np.abs(g_trial)))
+                g_trial, t_norm, trial_parts = _evaluate(ws, eps, trial, with_F)
                 if t_norm < gnorm:
                     u, g, gnorm, parts = trial, g_trial, t_norm, trial_parts
                     break
@@ -278,7 +320,8 @@ class _Corrector:
         G is affine in eps: dG/deps = G(1, u) - G(0, u), exactly 0 on BC
         rows, formed from the point's ``parts`` (with F), so the tangent
         evaluates no G. J's LU is ``lu``: Newton's last at the point's eps,
-        or at eps = 0 L_opt's own.
+        or at eps = 0 L_opt's own. After chord steps that is the jacobian
+        at an iterate before the point.
         """
         ws = self.ws
         t = self.lu.solve(_residual(ws, 0.0, parts) - _residual(ws, 1.0, parts))
@@ -289,10 +332,12 @@ class _Corrector:
         line search, G read from the point's ``parts``; ``step`` itself
         unless the update is finite and the updated point passes the stop
         test. A predicted start passes the stop test in fewer updates than
-        a zeroth-order one, so it is solved less far below the tolerance;
-        this update buys that accuracy back (docs/recursions.md). When N
-        reads no u, the jacobian at eps = 1 is the one Newton's last ``lu``
-        already factored there, so it is not factored again.
+        a zeroth-order one, and a chord step converges only linearly, so
+        either is solved less far below the tolerance; this update, with
+        the jacobian factored at ``step.u``, buys that accuracy back
+        (docs/recursions.md). When N reads no u, the jacobian at eps = 1 is
+        the one Newton's last ``lu`` already factored there, so it is not
+        factored again.
         """
         ws = self.ws
         try:
@@ -312,8 +357,9 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     SingularSystemError when an update is not finite, as a singular
     jacobian's is. The step carries the sup norm of G at the returned point
     and, when converged, the 1-norm condition estimate of the last jacobian
-    factored, the one at the iterate before the last update (at the
-    returned point itself when no update was needed); nan otherwise.
+    factored, the one at the iterate where Newton last factored (the first
+    update's, or a fresh update's after a failed chord step; the returned
+    point itself when no update was needed); nan otherwise.
     """
     eps = real_argument(eps, "eps", 0.0, 1.0)
     return _Corrector(ws).newton(eps, ws.grid.check_length(warm_start))[0]

@@ -328,10 +328,12 @@ class TestTangentPredictor:
 
     def test_endpoint_update_keeps_the_accuracy(self, monkeypatch):
         # the final point passes the stop test, and the worst sup error
-        # over the builtins at n 32/64/128, with the predictor and endpoint
-        # update and with the zeroth-order start without them, stays under
+        # over the builtins at n 32/64/128, with the predictor and with the
+        # zeroth-order start, both with the endpoint update, stays under
         # 2.19e-13, the zeroth-order tracer's worst before linear traces
         # solved with L_opt's own LU (docs/calibration.md, "Continuation").
+        # Without the endpoint update a chord Newton stops at the stop
+        # test's level (2.9e-11 on tanh-long), so both tracers keep it.
         # Both worsts are roundoff, and single configurations move both ways
         worst = {}
         for predictor in (True, False):
@@ -339,7 +341,6 @@ class TestTangentPredictor:
             with monkeypatch.context() as patch:
                 if not predictor:
                     patch.setattr(continuation._Corrector, "tangent", lambda self, parts: None)
-                    patch.setattr(continuation._Corrector, "polish", lambda self, step, parts: step)
                 for case_id in case_ids():
                     for n in (32, 64, 128):
                         ws = _builtin(case_id, n)
@@ -354,12 +355,12 @@ class TestTangentPredictor:
         # perfbench trace-fine's traces at n <= 128, which repeat bitwise
         # for any BLAS thread count: 319 LUs with the zeroth-order start,
         # 236 with the tangent predictor, 204 with linear-poisson's solved
-        # on L_opt's own LU (docs/calibration.md)
+        # on L_opt's own LU, 105 with chord steps (docs/calibration.md)
         calls = record_calls(monkeypatch, continuation, "LU")
         for case_id in case_ids():
             for n in (64, 128):
                 assert trace_workspace(_builtin(case_id, n)).final.eps == 1.0
-        assert len(calls) <= 204
+        assert len(calls) <= 105
 
 
 def record_calls(monkeypatch, holder, name):
@@ -373,6 +374,19 @@ def record_calls(monkeypatch, holder, name):
 
     monkeypatch.setattr(holder, name, recording)
     return results
+
+
+def record_factored_iterates(monkeypatch):
+    """The iterate of the last jacobian a trace factored at each eps."""
+    factored = {}
+    factor = continuation._Corrector.factor
+
+    def recording(corrector, eps, u):
+        factored[eps] = u.copy()
+        return factor(corrector, eps, u)
+
+    monkeypatch.setattr(continuation._Corrector, "factor", recording)
+    return factored
 
 
 def record_starts(monkeypatch):
@@ -506,28 +520,48 @@ hbar = 1
 
 class TestConditionEstimate:
     @pytest.mark.parametrize("case_id", case_ids())
-    def test_matches_exact_condition_along_the_path(self, case_id):
-        # criterion 3's traces; the estimate belongs to the jacobian one
-        # update before the accepted point (docs/calibration.md)
+    def test_matches_exact_condition_along_the_path(self, case_id, monkeypatch):
+        # criterion 3's traces; the estimate belongs to the last jacobian
+        # factored at the step's eps, at the iterate it was factored at
+        # (docs/calibration.md)
         ws = Workspace(get_case(case_id).spec, HamConfig(hbar=1.0))
+        factored = record_factored_iterates(monkeypatch)
         path = trace_workspace(ws, initial_steps=16)
         assert path.steps[0].jac_condition == ws.lopt.condition
-        for step in path.steps:
-            exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, step.u), 1)
-            assert step.jac_condition == pytest.approx(exact, rel=1e-5)
+        for step in path.steps[1:]:
+            exact = np.linalg.cond(homotopy_jacobian(ws, step.eps, factored[step.eps]), 1)
+            assert step.jac_condition == pytest.approx(exact, rel=1e-10)
 
-    def test_one_jacobian_and_one_factorization_per_newton_update(self, count_calls):
-        # N depends on u, so every update builds and factors its own jacobian
-        ws = Workspace(MANUFACTURED.spec.with_grid_n(64), HamConfig(hbar=1.0))
+    @pytest.mark.parametrize("below_the_limit", [True, False])
+    def test_one_jacobian_and_one_factorization_per_eps_and_per_failed_chord(
+        self, below_the_limit, count_calls, monkeypatch
+    ):
+        # N depends on u, and kappa_1(L_opt) is 3.5e9. Below the chord limit
+        # an eps factors the jacobian for its first update, and a later
+        # update builds and factors its own only after its chord step failed;
+        # above it (the limit lowered to 1e7), every update does
+        if not below_the_limit:
+            monkeypatch.setattr(continuation, "CHORD_COND_LIMIT", 1e7)
+        ws = Workspace(MANUFACTURED.spec.with_grid_n(128), HamConfig(hbar=1.0))
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
         jacobians = count_calls("hamsolve.continuation", "_Corrector.jacobian")
+        attempts = count_calls("hamsolve.continuation", "_Corrector.newton")
+        chords = record_calls(monkeypatch, continuation._Corrector, "chord")
         path = trace_workspace(ws)
         assert path.final.eps == 1.0
         assert len(path.steps) == 17  # no step failed, so every update counts
-        updates = sum(step.newton_iters for step in path.steps)
+        updates = sum(step.newton_iters for step in path.steps)  # the endpoint's included
         assert updates > len(path.steps) - 1
-        assert len(factorizations) == updates
-        assert len(jacobians) == updates
+        assert len(jacobians) == len(factorizations)
+        if not below_the_limit:
+            assert chords == []
+            assert len(factorizations) == updates
+            return
+        failed = sum(chord is None for chord in chords)
+        assert len(chords) > failed > 0
+        # every update after an eps's first one tries a chord step first
+        assert updates == len(attempts) + len(chords) + 1
+        assert len(factorizations) == len(attempts) + failed + 1
 
     def test_one_factorization_per_eps_when_n_does_not_depend_on_u(self, count_calls):
         # linear-poisson's jacobian is the same at every iterate of one eps;
@@ -583,12 +617,16 @@ class TestConditionEstimate:
                     assert step.jac_condition == ws.lopt.condition
 
 
-# Newton as first written, the reference for the bitwise tests below: the
+# Newton written out, the reference for the bitwise tests below: the
 # Fréchet matrix with np.diag, the jacobian from the plain formula at every
-# iterate, and lu_factor / lu_solve with their default finiteness checks;
-# only the condition estimate is the library's, on a fresh grids.LU. Where
-# J is L_opt's own matrix (``plain_folds``) it is factored from
-# ``ws.lopt.matrix`` and its condition is ``ws.lopt.condition``.
+# iterate that factors one, and lu_factor / lu_solve with their default
+# finiteness checks; only the condition estimate is the library's, on a
+# fresh grids.LU. Where J is L_opt's own matrix (``plain_folds``) it is
+# factored from ``ws.lopt.matrix`` and its condition is ``ws.lopt.condition``.
+# Where N reads u and kappa_1(L_opt) is at most CHORD_COND_LIMIT
+# (``plain_chords``), each update after an eps's first one is the chord
+# step with the eps's last LU when that cuts |G|_inf to CHORD_THETA of its
+# value; elsewhere every update is Newton's own.
 def plain_folds(ws, eps):
     """N reads no u, the core is L's own with H = 1, and c = 1 + eps (hbar - 1)
     is exactly 1, so J's interior rows c A_L and its BC rows are L_opt's."""
@@ -625,6 +663,10 @@ def plain_converged(gnorm, u):
     return gnorm < continuation.NEWTON_TOL * (1.0 + float(np.max(np.abs(u))))
 
 
+def plain_chords(ws):
+    return max_u_order(ws.problem.N) >= 0 and ws.lopt.condition <= continuation.CHORD_COND_LIMIT
+
+
 def plain_newton(ws, eps, warm_start):
     """Newton's step at eps and the LU of the last jacobian it factored."""
     def accepted(u, iters, gnorm, J, lu):
@@ -640,6 +682,15 @@ def plain_newton(ws, eps, warm_start):
     for it in range(NEWTON_MAX_ITERS):
         if plain_converged(gnorm, u):
             return accepted(u, it, gnorm, J, lu)
+        if it > 0 and plain_chords(ws):
+            delta = lu_solve(lu, -g)
+            if np.all(np.isfinite(delta)):
+                trial = u + delta
+                g_trial = homotopy_residual(ws, eps, trial)
+                t_norm = float(np.max(np.abs(g_trial)))
+                if t_norm <= continuation.CHORD_THETA * gnorm:
+                    u, g, gnorm = trial, g_trial, t_norm
+                    continue
         J = plain_jacobian(ws, eps, u)
         try:
             with warnings.catch_warnings():
@@ -792,16 +843,17 @@ def _from_text(text):
     return Workspace(parsed.problem, parsed.config)
 
 
-BITWISE_CASES = [(cid, n) for cid in case_ids() for n in (32, 64)] + [("linear-poisson", 192)]
+# manufactured-quad at n = 128 fails 3 of its 19 chord steps
+BITWISE_CASES = [(cid, n) for cid in case_ids() for n in (32, 64)] + [("linear-poisson", 192), ("manufactured-quad", 128)]
 
 
 class TestNewtonBitwise:
     """The Newton rewrite (eps-only part formed once, no wrapper copies or
     finiteness scans, one LU per eps when N does not depend on u, L_opt's
-    own LU where J is L_opt's matrix, the tangent solved with the LU Newton
-    holds) changes no bit of any iterate, path point or condition number
-    against the tracer written out with lu_factor / lu_solve at the same
-    iterates."""
+    own LU where J is L_opt's matrix, chord steps below the limit, the
+    tangent solved with the LU Newton holds) changes no bit of any iterate,
+    path point or condition number against the tracer written out with
+    lu_factor / lu_solve at the same iterates."""
 
     def _assert_same_trace(self, ws):
         got = traced_steps(ws)
@@ -813,6 +865,17 @@ class TestNewtonBitwise:
     @pytest.mark.parametrize("case_id,n", BITWISE_CASES)
     def test_builtin_traces(self, case_id, n):
         self._assert_same_trace(_builtin(case_id, n))
+
+    @pytest.mark.parametrize("n", [192, 256])
+    def test_traces_above_the_chord_limit_are_exact_newton(self, n, count_calls):
+        # kappa_1(L_opt) is 2.7e10 at n = 192 and 1.1e11 at n = 256: every
+        # update builds and factors its own jacobian, as before chord steps.
+        # n = 256 aborts, and is compared up to its abort
+        ws = _builtin("manufactured-quad", n)
+        assert ws.lopt.condition > continuation.CHORD_COND_LIMIT
+        chords = count_calls("hamsolve.continuation", "_Corrector.chord")
+        self._assert_same_trace(ws)
+        assert chords == []
 
     @pytest.mark.parametrize("kind", ["chebyshev-lobatto", "uniform-fd"])
     def test_nonconstant_weight_and_u_prime(self, kind):
@@ -932,6 +995,16 @@ class TestTypedFailures:
             corrector.update(1.0, ws.u0, homotopy_residual(ws, 1.0, ws.u0))
         step = PathStep(1.0, ws.u0, 3, 1.0, True, 0.0)
         assert corrector.polish(step, continuation._parts(ws, ws.u0)) is step
+
+    def test_a_chord_step_that_is_not_finite_fails(self, count_calls):
+        # without evaluating G at the non-finite point; the fresh update
+        # that follows reports a singular jacobian itself
+        ws = _builtin("manufactured-quad", 32)
+        g = homotopy_residual(ws, 0.5, ws.u0)
+        g[3] = math.inf
+        evaluations = count_calls("hamsolve.engine", "Workspace.operator_values")
+        assert continuation._Corrector(ws).chord(0.5, ws.u0, g, math.inf, True) is None
+        assert evaluations == []
 
     def test_singular_eps_counts_as_a_failed_step(self, count_calls):
         attempts = count_calls("hamsolve.continuation", "_Corrector.newton")

@@ -458,9 +458,10 @@ def test_continuation_builds_and_factors_jacobians_in_its_corrector_alone():
 
 def test_tracer_spells_G_in_one_combiner():
     # G's terms are computed once, in _parts, and its eps-combination and
-    # BC rows are written once, in _residual: homotopy_residual, Newton,
-    # the tangent and the endpoint update all form G through the two, and
-    # the corrector's one write to the BC rows is the jacobian's
+    # BC rows are written once, in _residual: homotopy_residual, _evaluate
+    # (which Newton and its chord step call), the tangent and the endpoint
+    # update all form G through the two, and the corrector's one write to
+    # the BC rows is the jacobian's
     source = pathlib.Path(continuation.__file__).read_text(encoding="utf-8")
     corrector = inspect.getsource(continuation._Corrector)
     jacobian = inspect.getsource(continuation._Corrector.jacobian)
@@ -473,11 +474,13 @@ def test_tracer_spells_G_in_one_combiner():
     assert "lopt.rows] =" not in corrector.replace(jacobian, "")
     for user in (
         continuation.homotopy_residual,
-        continuation._Corrector.newton,
+        continuation._evaluate,
         continuation._Corrector.tangent,
         continuation._Corrector.polish,
     ):
         assert "_residual(ws, " in inspect.getsource(user), user
+    for user in (continuation._Corrector.newton, continuation._Corrector.chord):
+        assert "_evaluate(" in inspect.getsource(user), user
     # G's parts travel as arguments: the corrector keeps none, and no code
     # in the tracer tells two points apart by identity (only `is None`)
     assert "self.parts" not in corrector
