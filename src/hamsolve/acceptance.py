@@ -23,7 +23,7 @@ from .continuation import TRACE_HBAR, homotopy_jacobian, homotopy_residual, trac
 from .engine import Workspace, partial_sum
 from .expressions import Coord, Const, OperatorExpr, Power, Product, Sum, U
 from .hbar import optimal_workspace, scan_workspace
-from .hpm import equivalence_workspace, hpm_config
+from .hpm import REDUCED_HBAR, equivalence_workspace, hpm_config, hpm_recursion, order_differences
 from .jets import jet_expand
 from .problem import HamConfig
 from .reports import (
@@ -51,15 +51,20 @@ class CriterionResult(NamedTuple):
 
 
 def criterion_1_equivalence() -> Tuple[bool, str]:
-    """The equivalence check passes on every builtin; mutation control fails."""
+    """The equivalence check passes on every builtin, and the engine's orders
+    at hbar = -1 match ``hpm_recursion``'s, which builds its own grid, L and
+    s, so a fault in the engine's set-up shows; mutation control fails."""
     worst = 0.0
     mutated_best = float("inf")
     ok = True
     for case in builtin_cases():
         ws = Workspace(case.spec, hpm_config())
         report = equivalence_workspace(ws, tolerance=1e-10)
-        worst = max(worst, report.max_rel_diff)
-        ok = ok and report.passed
+        engine_orders = ws._march(np.array([REDUCED_HBAR]))[:, :, 0]
+        own_orders = np.array(hpm_recursion(case.spec, ws.config.order).orders)
+        own_diff = max(order_differences(engine_orders, own_orders))
+        worst = max(worst, report.max_rel_diff, own_diff)
+        ok = ok and report.passed and own_diff < 1e-10
         mutated = equivalence_workspace(ws, tolerance=1e-10, hbar=-1.01)
         mutated_best = min(mutated_best, mutated.max_rel_diff)
         ok = ok and (not mutated.passed) and mutated.max_rel_diff > 1e-3

@@ -129,6 +129,13 @@ class EquivalenceReport:
         }
 
 
+def order_differences(engine_orders: np.ndarray, oracle_orders: np.ndarray) -> list:
+    """max |u_m - w_m| / (1 + max |w_m|) for each order m of two (M + 1, n)
+    stacks, the engine's u and the oracle's w."""
+    scales = 1.0 + np.max(np.abs(oracle_orders), axis=1)
+    return (np.max(np.abs(engine_orders - oracle_orders), axis=1) / scales).tolist()
+
+
 def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optional[float] = None) -> EquivalenceReport:
     """Run the engine on ``ws`` and the oracle side by side; compare orders
     0..M at the workspace's order M.
@@ -158,9 +165,7 @@ def equivalence_workspace(ws: Workspace, tolerance: float = 1e-10, hbar: Optiona
         raise ConfigError("the workspace's core is not L's own BC system")
     engine_orders = ws._march(np.array([engine_hbar]))[:, :, 0]
     oracle_orders = _reduced_orders(problem, grid, ws.A_L, system, ws.s_vals, order)
-    # per order, in one pass: max |u_m - w_m| / (1 + max |w_m|)
-    scales = 1.0 + np.max(np.abs(oracle_orders), axis=1)
-    diffs = (np.max(np.abs(engine_orders - oracle_orders), axis=1) / scales).tolist()
+    diffs = order_differences(engine_orders, oracle_orders)
     worst = max(diffs)
     return EquivalenceReport(
         per_order_rel_diff=tuple(diffs),

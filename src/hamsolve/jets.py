@@ -90,26 +90,15 @@ class Tape:
         self._rows.append(row)
         return out
 
-    def reciprocal(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-
-        def row(m):
-            if m == 0:
-                out[0] = checked_power(v[0], -1)
-                return
-            w = _einsum("ij,ij->j", v[1 : m + 1], out[m - 1 :: -1], out=out[m])
-            np.negative(w, out=w)
-            w /= v[0]
-
-        self._rows.append(row)
-        return out
-
     def power(self, u: np.ndarray, exponent: float, call: str = "") -> np.ndarray:
-        """u ** exponent; ``call`` names the function it is (sqrt), if any."""
-        if float(exponent).is_integer():
+        """u ** exponent; ``call`` names the function it is (sqrt), if any.
+
+        A non-negative integer power is a chain of products, which holds
+        where u_0 = 0; every other exponent takes the general recurrence,
+        which divides by u_0 (docs/recursions.md, "Online jets").
+        """
+        if float(exponent).is_integer() and exponent >= 0:
             k = int(exponent)
-            if k < 0:
-                return self.reciprocal(self.power(u, -k))
             out = None
             base = u
             while k:  # exponentiation by squaring keeps integer powers exact-ish
@@ -120,15 +109,17 @@ class Tape:
                     base = self.mul(base, base)
             return _constant(1.0, *u.shape) if out is None else out
         out = np.zeros_like(u)
+        # from u w' = rho u' w: m u0 w_m = sum_k (rho k - (m-k)) u_k w_{m-k};
+        # row m of the table holds the weights, k = 1..m in its first m slots
+        ks = np.arange(1, u.shape[0])
+        ms = np.arange(u.shape[0])[:, None]
+        weights = exponent * ks - (ms - ks)
 
         def row(m):
             if m == 0:
                 out[0] = checked_call(call, u[0]) if call else checked_power(u[0], exponent)
                 return
-            # from u w' = rho u' w: m u0 w_m = sum_k (rho k - (m-k)) u_k w_{m-k}
-            ks = np.arange(1, m + 1)
-            coeff = exponent * ks - (m - ks)
-            w = _einsum("i,ij,ij->j", coeff, u[1 : m + 1], out[m - 1 :: -1], out=out[m])
+            w = _einsum("i,ij,ij->j", weights[m, :m], u[1 : m + 1], out[m - 1 :: -1], out=out[m])
             w /= m * u[0]
 
         self._rows.append(row)
@@ -151,19 +142,15 @@ class Tape:
 
     def log(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
+        js = np.arange(1, u.shape[0], dtype=float)
 
         def row(m):
             if m == 0:
                 out[0] = checked_call("log", u[0])
                 return
-            w = out[m]
-            if m > 1:
-                js = np.arange(1, m, dtype=float)
-                # m u_m - sum_j (m-j) u_j w_{m-j} over j = 1..m-1
-                _einsum("i,ij,ij->j", (m - js), u[1:m], out[m - 1 : 0 : -1], out=w)
-                np.subtract(m * u[m], w, out=w)
-            else:
-                np.multiply(m, u[m], out=w)
+            # m u_m - sum_j (m-j) u_j w_{m-j} over j = 1..m-1, empty at m = 1
+            w = _einsum("i,ij,ij->j", m - js[: m - 1], u[1:m], out[m - 1 : 0 : -1], out=out[m])
+            np.subtract(m * u[m], w, out=w)
             w /= m * u[0]
 
         self._rows.append(row)

@@ -8,9 +8,11 @@ gamed green, and weakening the thresholds here would hide the finding.
 Everything else must stay green.
 """
 
+import numpy as np
 import pytest
 
 import hamsolve.acceptance as acceptance
+import hamsolve.engine as engine
 from hamsolve.acceptance import (
     CRITERIA,
     criterion_3_continuation,
@@ -36,6 +38,28 @@ def test_criteria_are_numbered_one_through_eight():
 
 def test_criterion_1_reduced_method_equivalence():
     assert run_criterion(1)
+
+
+@pytest.mark.parametrize("fault", [None, "s", "A_L"])
+def test_criterion_1_sees_a_fault_in_the_engines_set_up(monkeypatch, fault):
+    # a 1e-6 relative fault in the engine's sampled s or assembled L, which
+    # hpm_recursion's own set-up does not share; criterion 1 runs on fresh
+    # problems, so each of its workspaces misses the memo and takes it
+    build = engine._problem_set_up
+
+    def faulty_set_up(problem, mode):
+        grid, A_L, s_vals, lopt, core_is_L, u0 = build(problem, mode)
+        if fault == "s":
+            s_vals = s_vals * (1 + 1e-6)
+        elif fault == "A_L":
+            A_L = A_L * (1 + 1e-6)
+            lopt, core_is_L = engine._build_lopt_system(problem, mode, grid, A_L)
+            u0 = lopt.solve(np.zeros(grid.n))
+        return grid, A_L, s_vals, lopt, core_is_L, u0
+
+    monkeypatch.setattr(engine, "_problem_set_up", faulty_set_up)
+    passed, detail = acceptance.criterion_1_equivalence()
+    assert passed == (fault is None), detail
 
 
 def test_criterion_2_embedding_endpoints():

@@ -3,11 +3,13 @@
 Polynomial trees are checked against numpy's polynomial algebra (exact
 coefficient manipulation, no recurrences shared with the implementation).
 Transcendental recurrences (exp, log, sin, cos, tanh, real powers) are
-checked against sympy Taylor series computed symbolically per node. A
+checked against sympy Taylor series computed symbolically per node, and
+negative powers at depth 41 against a 50-digit mpmath recurrence. A
 differential test feeds random trees to a tape one row at a time and
 requires the batch rows bitwise.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -142,7 +144,7 @@ class TestAlgebraicIdentities:
     def test_negative_integer_power(self):
         v = random_jet(self.rng, positive=True)
         got = expand(Product((Power(u, -2.0), Power(u, 2.0))), v)
-        assert np.max(np.abs(got - one())) < 1e-10
+        assert np.max(np.abs(got - one())) < 1e-11
 
     def test_pythagorean_identity(self):
         v = random_jet(self.rng)
@@ -176,6 +178,35 @@ class TestAlgebraicIdentities:
         with pytest.raises(DomainError) as jets:
             expand(expr, jet)
         assert str(jets.value) == str(pointwise.value)
+
+
+class TestNegativePowers:
+    """u^-k to depth 41 against the power recurrence run in 50 digits on
+    the same inputs: rows scaled by 0.3^m, |u_0| in [0.5, 2], either sign.
+    The bound is docs/calibration.md's, "Negative powers"."""
+
+    DEPTH, NODES, DRAWS = 41, 6, 20
+
+    @staticmethod
+    def reference(column, rho):
+        u = [mpmath.mpf(float(x)) for x in column]
+        w = [u[0] ** rho]
+        for m in range(1, len(u)):
+            weighted = [(rho * k - (m - k)) * u[k] for k in range(1, m + 1)]
+            w.append(mpmath.fdot(weighted, w[m - 1 :: -1]) / (m * u[0]))
+        return [float(x) for x in w]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_a_50_digit_reference(self, k):
+        rng = np.random.default_rng(41)
+        scale = 0.3 ** np.arange(self.DEPTH)[:, None]
+        with mpmath.workdps(50):
+            for _ in range(self.DRAWS):
+                v = rng.standard_normal((self.DEPTH, self.NODES)) * scale
+                v[0] = rng.uniform(0.5, 2.0, self.NODES) * rng.choice([-1.0, 1.0], self.NODES)
+                got = jet_expand(Power(u, -float(k)), np.zeros(self.NODES), {0: v}, self.DEPTH)
+                want = np.array([self.reference(v[:, p], -k) for p in range(self.NODES)]).T
+                assert_jets_close(got, want, tol=1e-14)
 
 
 class TestJetExpand:

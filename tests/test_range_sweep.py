@@ -8,6 +8,13 @@ HamError, with every warning an error, and the divergence flag of the
 cell's ``run_many`` column is the flag ``run`` gives at that hbar. The
 flag's own accuracy (ROADMAP item 5) and an error estimate (item 13) are
 later rows of this sweep; they are not checked here.
+
+The tracer's range is a second sweep: every builtin at n = 64-256 in steps
+of 32, at the tracer's hbar with 16 initial steps. Each trace reaches
+eps = 1 converged or aborts with a partial path rising from eps = 0, and
+the traces that abort are the ones docs/calibration.md records
+("Continuation"), so a tracer that stops at the roundoff floor (ROADMAP
+item 3) shows as a change of this set.
 """
 
 import functools
@@ -17,7 +24,7 @@ import pytest
 
 from hamsolve import HamConfig, HamError, Workspace, case_ids, get_case
 
-from conftest import exp_problem
+from conftest import exp_problem, run_in_child
 
 PROBLEMS = {**{case_id: get_case(case_id).spec for case_id in case_ids()}, "exp": exp_problem()}
 NS = (16, 64, 256)
@@ -60,3 +67,37 @@ def test_cell_is_finite_or_a_typed_error_and_the_flags_agree(problem, n, order, 
     assert len(series.orders) == order + 1
     assert all(np.isfinite(u).all() for u in series.orders)
     assert bool(batch.diverged[HBARS.index(hbar)]) == series.diverged
+
+
+TRACE_NS = tuple(range(64, 257, 32))
+TRACE_ABORTS = {("linear-poisson", 224), ("linear-poisson", 256), ("manufactured-quad", 256)}
+
+
+def test_traces_reach_eps_one_or_abort_where_recorded():
+    # in a child on one BLAS thread, as recorded: outcomes decided at the
+    # roundoff floor move with the thread count
+    words = run_in_child(f"""
+        import warnings
+        warnings.simplefilter("error")
+        from hamsolve import HamConfig, PathAbortError, Workspace, case_ids, get_case
+        from hamsolve.continuation import TRACE_HBAR, trace_workspace
+        for problem in case_ids():
+            for n in {TRACE_NS!r}:
+                ws = Workspace(get_case(problem).spec.with_grid_n(n), HamConfig(hbar=TRACE_HBAR))
+                try:
+                    path = trace_workspace(ws, initial_steps=16)
+                except PathAbortError as exc:
+                    eps = [step.eps for step in exc.path.steps]
+                    rises = eps[0] == 0.0 and all(a < b for a, b in zip(eps, eps[1:]))
+                    print(problem, n, "aborted" if rises else "aborted-not-rising")
+                else:
+                    reached = path.final.eps == 1.0 and path.final.converged
+                    print(problem, n, "reached" if reached else "not-reached")
+    """)
+    outcomes = {(problem, int(n)): outcome for problem, n, outcome in zip(words[::3], words[1::3], words[2::3])}
+    expected = {
+        (problem, n): "aborted" if (problem, n) in TRACE_ABORTS else "reached"
+        for problem in case_ids()
+        for n in TRACE_NS
+    }
+    assert outcomes == expected
