@@ -6,8 +6,10 @@ the problem's boundary conditions at every eps. An Euler-Newton
 predictor-corrector in eps (Allgower & Georg, *Introduction to Numerical
 Continuation Methods*, ch. 2) with step halving; no fold traversal. Each
 step starts Newton from the tangent prediction u + (target - eps) t, where
-J t = -dG/deps is solved with the LU Newton already holds, and at eps = 1
-one full Newton update polishes the endpoint. A fold or a singular
+J t = -dG/deps is solved with the LU Newton already holds; on a trace that
+takes chord steps (below), every step after the first starts from the
+cubic Hermite through the last two path points and their tangents. At
+eps = 1 one full Newton update polishes the endpoint. A fold or a singular
 embedding direction surfaces as PathAbortError with the partial path
 attached rather than being silently skipped.
 
@@ -365,6 +367,16 @@ def newton_at(ws: Workspace, eps: float, warm_start: np.ndarray) -> PathStep:
     return _Corrector(ws).newton(eps, ws.grid.check_length(warm_start))[0]
 
 
+def _hermite(e0, u0, t0, e1, u1, t1, target):
+    """The cubic Hermite through the points u0 at e0 and u1 at e1 with
+    slopes t0 and t1, at eps = target: u(target) to O(h^4), h = target - e1."""
+    d = e1 - e0
+    s = 1.0 + (target - e1) / d
+    h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
+    h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
+    return h00 * u0 + (h10 * d) * t0 + h01 * u1 + (h11 * d) * t1
+
+
 def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     """March eps from 0 to 1 with tangent-predicted Newton correction.
 
@@ -372,12 +384,19 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     grid, matrices, u_0 and ``ws.config.hbar`` and builds none of its own.
     Every try at a target eps, halvings included, starts Newton from
     u + (target - eps) t, with t the tangent at the last accepted point
-    (from u itself when t is not finite). Failed steps halve the increment
-    (a singular jacobian mid-path counts as a failure); below the 1e-4
-    floor the trace aborts with the partial path attached to the error.
-    Successful steps grow the increment back, capped at the initial
-    1/initial_steps. The last step lands on eps = 1 exactly and takes one
-    more full Newton update, kept when it passes the stop test.
+    (from u itself when t is not finite). On a trace that takes chord
+    steps, a try with an earlier accepted point whose tangent is finite
+    too starts from the cubic Hermite through both points instead
+    (``_hermite``): its error is O(h^4) where Euler's is O(h^2). Traces
+    where N reads no u (at hbar 1 their path is affine in eps, and Euler
+    exact) and traces above ``CHORD_COND_LIMIT``, where extrapolation
+    amplifies the tangents' roundoff, keep the Euler start
+    (docs/recursions.md, "The tangent predictor"). Failed steps halve the
+    increment (a singular jacobian mid-path counts as a failure); below
+    the 1e-4 floor the trace aborts with the partial path attached to the
+    error. Successful steps grow the increment back, capped at the
+    initial 1/initial_steps. The last step lands on eps = 1 exactly and
+    takes one more full Newton update, kept when it passes the stop test.
     """
     integer_argument(initial_steps, "initial_steps", 2)
     parts = _parts(ws, ws.u0)  # with F, which the first tangent reads
@@ -392,17 +411,24 @@ def trace_workspace(ws: Workspace, initial_steps: int = 16) -> ContinuationPath:
     u = ws.u0
     corrector = _Corrector(ws)
     tangent = corrector.tangent(parts)
+    last = None  # the accepted point before (eps, u), with its tangent
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:
             target = 1.0
-        start = u if tangent is None else u + (target - eps) * tangent
+        if tangent is None:
+            start = u
+        elif last is None or last[2] is None or not corrector.takes_chords:
+            start = u + (target - eps) * tangent
+        else:
+            start = _hermite(*last, eps, u, tangent, target)
         try:
             step, parts = corrector.newton(target, start)
             converged = step.converged
         except SingularSystemError:
             converged = False
         if converged:
+            last = (eps, u, tangent)
             if target == 1.0:
                 step = corrector.polish(step, parts)
             else:

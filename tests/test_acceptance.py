@@ -13,6 +13,8 @@ import pytest
 
 import hamsolve.acceptance as acceptance
 import hamsolve.engine as engine
+import hamsolve.grids as grids
+import hamsolve.jets as jets
 from hamsolve.acceptance import (
     CRITERIA,
     criterion_3_continuation,
@@ -60,6 +62,60 @@ def test_criterion_1_sees_a_fault_in_the_engines_set_up(monkeypatch, fault):
     monkeypatch.setattr(engine, "_problem_set_up", faulty_set_up)
     passed, detail = acceptance.criterion_1_equivalence()
     assert passed == (fault is None), detail
+
+
+def _seed_fault_in_shared_code(monkeypatch, fault):
+    """A 1e-6 relative fault in code that the engine and the oracle both
+    call: the interior rows of every D_2 a grid hands out, or rows m >= 2
+    of every Cauchy product on a jet tape. The set-up memo starts empty,
+    and the clean slot comes back afterwards, so no faulty set-up outlives
+    the test."""
+    monkeypatch.setattr(engine, "_last_set_up", None)
+    if fault == "D_2":
+        diff_matrix = grids.Grid.diff_matrix
+
+        def faulty_diff_matrix(grid, order):
+            D = diff_matrix(grid, order)
+            if order == 2:
+                D = D.copy()
+                D[1:-1] *= 1 + 1e-6
+            return D
+
+        monkeypatch.setattr(grids.Grid, "diff_matrix", faulty_diff_matrix)
+    elif fault == "Tape.mul":
+        mul = jets.Tape.mul
+
+        def faulty_mul(tape, a, b):
+            out = mul(tape, a, b)
+            row = tape._rows[-1]
+
+            def faulty_row(m):
+                row(m)
+                if m >= 2:
+                    out[m] *= 1 + 1e-6
+
+            tape._rows[-1] = faulty_row
+            return out
+
+        monkeypatch.setattr(jets.Tape, "mul", faulty_mul)
+
+
+@pytest.mark.parametrize("fault", [None, "D_2", "Tape.mul"])
+def test_a_fault_in_code_engine_and_oracle_share_fails_a_green_check(monkeypatch, fault):
+    # criterion 1 compares a second instance, not second code, so it reads
+    # 0 under either fault. What catches each (docs/calibration.md,
+    # "Equivalence of the reduced recursion"): the D_2 fault moves criterion
+    # 6's poisson clause to 9.992e-7 against 1e-10 (manufactured reads
+    # 1.189e-6 against 1e-5); the Tape.mul fault moves criterion 7 to
+    # 7.170e-6 against 1e-12. A fault in Tape.exp's rows waits for
+    # criterion 7's transcendental trees: no acceptance check reads exp,
+    # sin, cos, tanh, log, sqrt or a non-integer power yet (ROADMAP item 20)
+    _seed_fault_in_shared_code(monkeypatch, fault)
+    _, poisson, manufactured = acceptance.exact_recovery_errors()
+    clauses_6, detail_6 = poisson < 1e-10 and manufactured < 1e-5, (poisson, manufactured)
+    passed_7, detail_7 = acceptance.criterion_7_jet_oracle()
+    assert clauses_6 == (fault != "D_2"), detail_6
+    assert passed_7 == (fault != "Tape.mul"), detail_7
 
 
 def test_criterion_2_embedding_endpoints():

@@ -249,10 +249,21 @@ NON_L_CORES = [
 ]
 
 
+# the sup error of a trace's endpoint at n = 32, 64 and 128
+ENDPOINT_ERROR_BOUNDS = {
+    "linear-poisson": (3.5e-14, 6.9e-14, 2.19e-13),
+    "riccati-tanh-short": (3.2e-15, 5.8e-15, 9.4e-15),
+    "riccati-tanh-long": (3.0e-14, 6.2e-15, 1.3e-14),
+    "manufactured-quad": (1.1e-13, 1.8e-13, 2.19e-13),
+}
+
+
 class TestTangentPredictor:
     """Each try at a new eps starts Newton from u + (target - eps) t, with
-    J t = -dG/deps solved on the LU Newton holds; at eps = 1 one full
-    Newton update polishes the endpoint. Bounds: docs/calibration.md."""
+    J t = -dG/deps solved on the LU Newton holds, or, on a trace that takes
+    chord steps, from the cubic Hermite through the last two path points;
+    at eps = 1 one full Newton update polishes the endpoint. Bounds:
+    docs/calibration.md."""
 
     @pytest.mark.parametrize("h", [1.0, 0.5])
     @pytest.mark.parametrize(
@@ -302,18 +313,64 @@ class TestTangentPredictor:
 
     def test_first_try_starts_from_the_tangent(self, monkeypatch):
         ws = Workspace(TANH_SHORT.spec, HamConfig(hbar=1.0))
-        starts = record_starts(monkeypatch)
+        tries = record_tries(monkeypatch)
         trace_workspace(ws, initial_steps=8)
         t = continuation._Corrector(ws).tangent(continuation._parts(ws, ws.u0))
-        np.testing.assert_array_equal(starts[0], ws.u0 + 0.125 * t)
-        assert float(np.max(np.abs(starts[0] - ws.u0))) > 0.1
+        np.testing.assert_array_equal(tries[0][1], ws.u0 + 0.125 * t)
+        assert float(np.max(np.abs(tries[0][1] - ws.u0))) > 0.1
+
+    @pytest.mark.parametrize(
+        "make_ws, hermite, least_failed_tries",
+        [
+            (lambda: _builtin("riccati-tanh-short", 64), True, 0),
+            (lambda: _builtin("riccati-tanh-long", 128), True, 0),
+            (lambda: _builtin("manufactured-quad", 128), True, 0),
+            # the halved retry starts from the same two points
+            (lambda: Workspace(MANUFACTURED.spec.with_grid_n(128), HamConfig(hbar=2.0)), True, 1),
+            (lambda: _from_text(WITH_U_PRIME.format(kind="chebyshev-lobatto")), True, 0),
+            (lambda: _builtin("linear-poisson", 64), False, 0),
+            (lambda: _builtin("linear-poisson", 192), False, 0),
+            # kappa_1(L_opt) 2.7e10, above the chord limit; its failed tries
+            # are 2 on one BLAS thread and 1 on two
+            (lambda: _builtin("manufactured-quad", 192), False, 1),
+        ],
+        ids=["tanh-short-64", "tanh-long-128", "quad-128", "quad-128-hbar-2", "u-prime", "linear-64", "linear-192", "quad-192"],
+    )
+    def test_tries_after_the_first_step_start_from_the_hermite_where_chords_are_taken(
+        self, make_ws, hermite, least_failed_tries, monkeypatch
+    ):
+        # on a trace that takes chord steps, every try after the first
+        # accepted step, halvings included, starts from the cubic Hermite
+        # through the last two path points and their tangents, bitwise, and
+        # lies closer to the point Newton accepts than the Euler start
+        # u + h t; elsewhere every start is u + h t, bitwise
+        ws = make_ws()
+        assert continuation._Corrector(ws).takes_chords == hermite
+        tries = record_tries(monkeypatch)
+        tangents = record_calls(monkeypatch, continuation._Corrector, "tangent")
+        steps = trace_workspace(ws).steps
+        assert len(tries) >= len(steps) - 1 + least_failed_tries
+        assert all(t is not None for t in tangents)
+        k = 0  # the last accepted step
+        for target, start in tries:
+            eps, u, t = steps[k].eps, steps[k].u, tangents[k]
+            euler = u + (target - eps) * t
+            want = euler
+            if hermite and k > 0:
+                want = plain_hermite(steps[k - 1].eps, steps[k - 1].u, tangents[k - 1], eps, u, t, target)
+            assert start.tobytes() == want.tobytes()
+            if k + 1 < len(steps) and steps[k + 1].eps == target:
+                k += 1
+                if want is not euler:
+                    assert np.max(np.abs(want - steps[k].u)) < np.max(np.abs(euler - steps[k].u))
+        assert k == len(steps) - 1
 
     def test_singular_jacobian_falls_back_to_the_last_point(self, monkeypatch):
         # use-L at hbar = -1 with s = 0: u = 0 solves every eps, and at
         # eps = 1/2 the interior rows of J are exactly zero, so the tangent
         # there is 0/0; the next try starts from u itself
         ws = Workspace(replace(LINEAR.spec, s=parse_expr("0")), HamConfig(hbar=-1.0))
-        starts = record_starts(monkeypatch)
+        tries = record_tries(monkeypatch)
         tangents = record_calls(monkeypatch, continuation._Corrector, "tangent")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -323,44 +380,48 @@ class TestTangentPredictor:
         half = path.steps[eps.index(0.5)]
         assert half.jac_condition == math.inf
         assert [t is None for t in tangents] == [e == 0.5 for e in eps[:-1]]
-        np.testing.assert_array_equal(starts[eps.index(0.5)], half.u)
-        assert all(np.all(np.isfinite(start)) for start in starts)
+        np.testing.assert_array_equal(tries[eps.index(0.5)][1], half.u)
+        assert all(np.all(np.isfinite(start)) for _, start in tries)
 
     def test_endpoint_update_keeps_the_accuracy(self, monkeypatch):
-        # the final point passes the stop test, and the worst sup error
-        # over the builtins at n 32/64/128, with the predictor and with the
-        # zeroth-order start, both with the endpoint update, stays under
-        # 2.19e-13, the zeroth-order tracer's worst before linear traces
-        # solved with L_opt's own LU (docs/calibration.md, "Continuation").
-        # Without the endpoint update a chord Newton stops at the stop
-        # test's level (2.9e-11 on tanh-long), so both tracers keep it.
-        # Both worsts are roundoff, and single configurations move both ways
-        worst = {}
+        # the final point passes the stop test, and each configuration's
+        # sup error, with the predictor and with the zeroth-order start,
+        # both with the endpoint update, stays under its own bound: 4x the
+        # larger of the errors measured before and after the Hermite start,
+        # never above 2.19e-13, the zeroth-order tracer's worst before
+        # linear traces solved with L_opt's own LU (docs/calibration.md,
+        # "Continuation"). Without the endpoint update a chord Newton stops
+        # at the stop test's level (2.9e-11 on tanh-long), so both tracers
+        # keep it. The errors are roundoff, and move both ways
+        assert sorted(ENDPOINT_ERROR_BOUNDS) == sorted(case_ids())
         for predictor in (True, False):
-            errors = []
             with monkeypatch.context() as patch:
                 if not predictor:
                     patch.setattr(continuation._Corrector, "tangent", lambda self, parts: None)
-                for case_id in case_ids():
-                    for n in (32, 64, 128):
+                for case_id, bounds in ENDPOINT_ERROR_BOUNDS.items():
+                    for n, bound in zip((32, 64, 128), bounds):
                         ws = _builtin(case_id, n)
                         final = trace_workspace(ws).final
                         assert continuation._converged(final.residual_inf, final.u)
-                        errors.append(error_vs_exact(get_case(case_id), final.u, ws.grid))
-            worst[predictor] = max(errors)
-        assert worst[True] <= 2.19e-13
-        assert worst[False] <= 2.19e-13
+                        error = error_vs_exact(get_case(case_id), final.u, ws.grid)
+                        assert error <= bound <= 2.19e-13, (case_id, n, predictor)
 
     def test_trace_fine_factorization_count(self, monkeypatch):
         # perfbench trace-fine's traces at n <= 128, which repeat bitwise
         # for any BLAS thread count: 319 LUs with the zeroth-order start,
         # 236 with the tangent predictor, 204 with linear-poisson's solved
-        # on L_opt's own LU, 105 with chord steps (docs/calibration.md)
+        # on L_opt's own LU, 105 with chord steps, 102 with the Hermite
+        # start; Newton updates 262 with chord steps, 138 with the Hermite
+        # start (docs/calibration.md)
         calls = record_calls(monkeypatch, continuation, "LU")
+        updates = 0
         for case_id in case_ids():
             for n in (64, 128):
-                assert trace_workspace(_builtin(case_id, n)).final.eps == 1.0
-        assert len(calls) <= 105
+                path = trace_workspace(_builtin(case_id, n))
+                assert path.final.eps == 1.0
+                updates += sum(step.newton_iters for step in path.steps)
+        assert len(calls) <= 102
+        assert updates <= 138
 
 
 def record_calls(monkeypatch, holder, name):
@@ -389,17 +450,18 @@ def record_factored_iterates(monkeypatch):
     return factored
 
 
-def record_starts(monkeypatch):
-    """The warm start of every Newton try a trace makes, in order."""
-    starts = []
+def record_tries(monkeypatch):
+    """The target eps and warm start of every Newton try a trace makes, in
+    order."""
+    tries = []
     newton = continuation._Corrector.newton
 
     def recording(corrector, eps, warm_start):
-        starts.append(warm_start.copy())
+        tries.append((eps, warm_start.copy()))
         return newton(corrector, eps, warm_start)
 
     monkeypatch.setattr(continuation._Corrector, "newton", recording)
-    return starts
+    return tries
 
 
 class TestTracePath:
@@ -536,13 +598,15 @@ class TestConditionEstimate:
     def test_one_jacobian_and_one_factorization_per_eps_and_per_failed_chord(
         self, below_the_limit, count_calls, monkeypatch
     ):
-        # N depends on u, and kappa_1(L_opt) is 3.5e9. Below the chord limit
+        # N depends on u, and kappa_1(L_opt) is 3.3e8. Below the chord limit
         # an eps factors the jacobian for its first update, and a later
         # update builds and factors its own only after its chord step failed;
-        # above it (the limit lowered to 1e7), every update does
+        # above it (the limit lowered to 1e7), every update does. The trace
+        # is one that fails a chord step from the Hermite start, which few
+        # do (docs/calibration.md, "Continuation")
         if not below_the_limit:
             monkeypatch.setattr(continuation, "CHORD_COND_LIMIT", 1e7)
-        ws = Workspace(MANUFACTURED.spec.with_grid_n(128), HamConfig(hbar=1.0))
+        ws = failing_chord_workspace()
         factorizations = count_calls("hamsolve.grids", "LU.__init__")
         jacobians = count_calls("hamsolve.continuation", "_Corrector.jacobian")
         attempts = count_calls("hamsolve.continuation", "_Corrector.newton")
@@ -626,7 +690,8 @@ class TestConditionEstimate:
 # Where N reads u and kappa_1(L_opt) is at most CHORD_COND_LIMIT
 # (``plain_chords``), each update after an eps's first one is the chord
 # step with the eps's last LU when that cuts |G|_inf to CHORD_THETA of its
-# value; elsewhere every update is Newton's own.
+# value, and each try after the first accepted step starts from the cubic
+# Hermite (``plain_start``); elsewhere every update is Newton's own.
 def plain_folds(ws, eps):
     """N reads no u, the core is L's own with H = 1, and c = 1 + eps (hbar - 1)
     is exactly 1, so J's interior rows c A_L and its BC rows are L_opt's."""
@@ -737,26 +802,49 @@ def plain_endpoint_update(ws, step):
     return PathStep(1.0, u, step.newton_iters + 1, plain_condition(ws, J), True, gnorm)
 
 
+def plain_hermite(e0, u0, t0, e1, u1, t1, target):
+    """The cubic Hermite through u0 at e0 and u1 at e1, slopes t0 and t1,
+    at eps = target, with s = 1 + (target - e1) / d and d = e1 - e0."""
+    d = e1 - e0
+    s = 1.0 + (target - e1) / d
+    h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
+    h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
+    return h00 * u0 + h10 * d * t0 + h01 * u1 + h11 * d * t1
+
+
+def plain_start(ws, last, eps, u, t, target):
+    """A try's start: u where t is not finite; the Hermite through the
+    ``last`` accepted point (eps, u, t) and this one where the trace takes
+    chord steps and both tangents are finite; else u + (target - eps) t."""
+    if t is None:
+        return u
+    if last is None or last[2] is None or not plain_chords(ws):
+        return u + (target - eps) * t
+    return plain_hermite(*last, eps, u, t, target)
+
+
 def plain_trace(ws, initial_steps=16):
     """The tracer written out: the step rule of ``trace_workspace``, each
-    try started from the tangent prediction, plain_newton, plain_tangent
-    and plain_endpoint_update; the partial path when it aborts."""
+    try started from ``plain_start``, plain_newton, plain_tangent and
+    plain_endpoint_update; the partial path when it aborts."""
     u = ws.u0
     g0 = float(np.max(np.abs(homotopy_residual(ws, 0.0, u))))
     steps = [PathStep(0.0, u, 0, ws.lopt.condition, plain_converged(g0, u), g0)]
     t = plain_tangent(ws, u, lu_factor(plain_jacobian(ws, 0.0, u)))
+    last = None
     eps = 0.0
     deps = deps0 = 1.0 / initial_steps
     while eps < 1.0:
         target = min(eps + deps, 1.0)
         if 1.0 - target < 1e-12:
             target = 1.0
-        start = u if t is None else u + (target - eps) * t
+        start = plain_start(ws, last, eps, u, t, target)
         try:
             step, lu = plain_newton(ws, target, start)
         except SingularSystemError:
             step = None
         if step is not None and step.converged:
+            last = (eps, u, t)
             if target == 1.0:
                 step = plain_endpoint_update(ws, step)
             else:
@@ -843,17 +931,22 @@ def _from_text(text):
     return Workspace(parsed.problem, parsed.config)
 
 
-# manufactured-quad at n = 128 fails 3 of its 19 chord steps
+def failing_chord_workspace():
+    """manufactured-quad at n = 80 and hbar 2: a trace below the chord
+    limit that still fails a chord step (1 of 11), and takes no halving."""
+    return Workspace(MANUFACTURED.spec.with_grid_n(80), HamConfig(hbar=2.0))
+
+
 BITWISE_CASES = [(cid, n) for cid in case_ids() for n in (32, 64)] + [("linear-poisson", 192), ("manufactured-quad", 128)]
 
 
 class TestNewtonBitwise:
     """The Newton rewrite (eps-only part formed once, no wrapper copies or
     finiteness scans, one LU per eps when N does not depend on u, L_opt's
-    own LU where J is L_opt's matrix, chord steps below the limit, the
-    tangent solved with the LU Newton holds) changes no bit of any iterate,
-    path point or condition number against the tracer written out with
-    lu_factor / lu_solve at the same iterates."""
+    own LU where J is L_opt's matrix, chord steps and the Hermite start
+    below the limit, the tangent solved with the LU Newton holds) changes
+    no bit of any iterate, path point or condition number against the
+    tracer written out with lu_factor / lu_solve at the same iterates."""
 
     def _assert_same_trace(self, ws):
         got = traced_steps(ws)
@@ -865,6 +958,9 @@ class TestNewtonBitwise:
     @pytest.mark.parametrize("case_id,n", BITWISE_CASES)
     def test_builtin_traces(self, case_id, n):
         self._assert_same_trace(_builtin(case_id, n))
+
+    def test_a_trace_that_fails_a_chord_step(self):
+        self._assert_same_trace(failing_chord_workspace())
 
     @pytest.mark.parametrize("n", [192, 256])
     def test_traces_above_the_chord_limit_are_exact_newton(self, n, count_calls):
